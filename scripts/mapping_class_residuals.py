@@ -10,7 +10,7 @@ hit a residual floor.
 import argparse
 import sys
 
-from hypsurf.boundary import FreeAutomorphism, is_boundary_identity
+from hypsurf.boundary import FreeAutomorphism, induced_boundary_sample, is_boundary_identity
 from hypsurf.cli import dump_json
 from hypsurf.groups import cusped_torus_group
 from hypsurf.words import GroupWord
@@ -34,9 +34,10 @@ def main() -> int:
     rep = cusped_torus_group()
     rows = []
     for name, phi in CASES.items():
+        sample = induced_boundary_sample(rep, phi, args.n)
         residuals = {}
         for m in range(args.max_depth + 1):
-            r = is_boundary_identity(rep, phi, args.n, m=m)
+            r = is_boundary_identity(rep, sample, m=m)
             residuals[str(m)] = r.residual
         rows.append(
             {

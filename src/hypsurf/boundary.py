@@ -365,24 +365,23 @@ class BoundaryIdentityResult:
 
 def is_boundary_identity(
     rep: GroupRep,
-    phi: FreeAutomorphism,
-    n: int,
+    sample: CircleMapSample,
     m: int = DEFAULT_SEARCH_DEPTH,
     tol: float = DEFAULT_IDENTITY_TOL,
     budget: int = DEFAULT_WORD_BUDGET,
 ) -> BoundaryIdentityResult:
-    """Decide whether phi fixes the sampled boundary pointwise up to the
-    deck-transformation freedom.
+    """Decide whether the automorphism behind a sampled circle map (see
+    `induced_boundary_sample`) fixes the sampled boundary pointwise up to
+    the deck-transformation freedom.
 
     The freedom is exactly an inner correction: the sample's outputs are
     post-composed with the Mobius action of evaluate(u) over all words u
-    of length <= m, and phi passes if some u brings the max angular
+    of length <= m, and the map passes if some u brings the max angular
     deviation below tol.  Ties within twice the best residual are
     reported as near-minimizers instead of pretending uniqueness.
     """
     if m < 0:
         raise InvalidInput("search depth must be nonnegative")
-    sample = induced_boundary_sample(rep, phi, n, budget)
     tin = sample.theta_in()
     zout = np.exp(1j * sample.theta_out())
     results: list[tuple[float, GroupWord]] = []

@@ -14,11 +14,12 @@ one-line JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from hypsurf.boundary import (
     DEFAULT_IDENTITY_TOL,
@@ -53,6 +54,8 @@ from hypsurf.signature import (
 )
 
 DEFAULT_SEPARATION = 4.0
+#: lines joined into one string per write call by `_emit_lines`
+_LINES_PER_WRITE = 65536
 
 
 def format_float(x: float) -> str:
@@ -80,6 +83,17 @@ def _write_json(obj, out: list[str]) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            text = ",".join(map(format, obj, itertools.repeat(".17g")))
+            # of all %.17g renderings only nan, inf and -inf contain an "n"
+            if "n" in text:
+                raise InvalidInput("non-finite float has no JSON encoding here")
+            out.append(f"[{text}]")
+            return
+        if kinds == {str}:
+            out.append(json.dumps(obj, separators=(",", ":")))
+            return
         out.append("[")
         for i, v in enumerate(obj):
             if i:
@@ -195,16 +209,30 @@ def _config_from_args(args) -> CliConfig:
     )
 
 
+def _emit_lines(lines: Iterable[str], path: Optional[str]) -> None:
+    """Write each line and a newline to the file at path, or to stdout.
+    Lines are joined and written in batches, so a long stream of rows is
+    never held as one string."""
+    f = sys.stdout if path is None else open(path, "w", encoding="utf-8")
+    try:
+        lines = iter(lines)
+        while batch := list(itertools.islice(lines, _LINES_PER_WRITE)):
+            f.write("\n".join(batch))
+            f.write("\n")
+    finally:
+        if path is not None:
+            f.close()
+
+
 def _emit(text: str, path: Optional[str]) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    _emit_lines((text,), path)
+
+
+def _emit_sample(sample, output_format: str, path: Optional[str]) -> None:
+    if output_format == "csv":
+        _emit_lines(sample.to_csv_rows(), path)
     else:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-            if not text.endswith("\n"):
-                f.write("\n")
+        _emit(dump_json(sample.to_json()), path)
 
 
 def _load_description(path: str):
@@ -294,28 +322,19 @@ def run(argv) -> int:
         mode = SampleMode.ORBIT_PROJECTION if args.mode == "orbit" else SampleMode.AXIS_ENDPOINTS
         sample = limit_sample(rep, DiskPoint(complex(base_re, base_im)),
                               args.max_word_length, mode, delta=args.delta)
-        if args.output_format == "csv":
-            _emit("\n".join(sample.to_csv_rows()), args.output_path)
-        else:
-            _emit(dump_json(sample.to_json()), args.output_path)
+        _emit_sample(sample, args.output_format, args.output_path)
     elif cmd == "boundary-map":
         rep = _group_from_args(args)
         phi = FreeAutomorphism.from_spec(args.aut, rank=rep.rank)
         sample = induced_boundary_sample(rep, phi, args.max_word_length)
-        if args.output_format == "csv":
-            sample_text = "\n".join(sample.to_csv_rows())
-        else:
-            sample_text = dump_json(sample.to_json())
         if args.check_identity:
-            result = is_boundary_identity(rep, phi, args.max_word_length,
-                                          m=args.m, tol=args.tol)
-            verdict = result.to_json()
+            verdict = is_boundary_identity(rep, sample, m=args.m, tol=args.tol).to_json()
             verdict["order"] = order_check(sample).orientation
             if args.output_path is not None:
-                _emit(sample_text, args.output_path)
+                _emit_sample(sample, args.output_format, args.output_path)
             _emit(dump_json(verdict), None)
         else:
-            _emit(sample_text, args.output_path)
+            _emit_sample(sample, args.output_format, args.output_path)
     else:  # pragma: no cover - argparse enforces the choices
         raise InvalidInput(f"unknown subcommand {cmd!r}")
     return 0

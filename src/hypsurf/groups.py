@@ -42,6 +42,7 @@ from hypsurf.words import (
     DEFAULT_WORD_BUDGET,
     GroupWord,
     enumerate_reduced_words,
+    letter_rows_to_strings,
     word_count,
 )
 
@@ -52,6 +53,8 @@ DEFAULT_DELTA = 0.2
 #: beyond this entry magnitude the unit-determinant normalization of a
 #: word product is no longer certifiable in double precision
 MAX_ENTRY_MAGNITUDE = 1e6
+#: rows rendered per block by `EndpointSample.to_csv_rows`
+_RENDER_BLOCK_ROWS = 65536
 
 
 def _pm_identity_defect(m: MobiusIsometry) -> float:
@@ -186,10 +189,6 @@ def _word_levels(rep: GroupRep, n: int, budget: int = DEFAULT_WORD_BUDGET) -> li
     return levels
 
 
-def _rows_to_words(letters: np.ndarray) -> list[GroupWord]:
-    return [GroupWord(tuple(int(x) for x in row if x != 0)) for row in letters]
-
-
 # ---------------------------------------------------------------------------
 # orbits and endpoint samples
 
@@ -247,7 +246,10 @@ class EndpointSample:
     ``angles`` is sorted strictly increasing in [0, 2*pi) after dedup at
     TOL_ANGLE.  Provenance is kept as a zero-padded int8 letter matrix
     aligned with ``angles``; `word` / `__iter__` decode rows on demand, so
-    million-point samples stay cheap to hold.
+    million-point samples stay cheap to hold.  CSV and JSON rendering read
+    the two arrays directly, without per-row `GroupWord` objects; CSV rows
+    are built one fixed-size block at a time, so a caller that writes them
+    as they come never holds the whole text.
     """
 
     mode: SampleMode
@@ -269,14 +271,18 @@ class EndpointSample:
 
     def to_csv_rows(self) -> Iterator[str]:
         yield "theta,word"
-        for i in range(len(self.angles)):
-            yield f"{self.angles[i]:.17g},{self.word(i)}"
+        for i in range(0, len(self.angles), _RENDER_BLOCK_ROWS):
+            j = i + _RENDER_BLOCK_ROWS
+            words = letter_rows_to_strings(self.letters[i:j])
+            yield from (
+                f"{t:.17g},{w}" for t, w in zip(self.angles[i:j].tolist(), words)
+            )
 
     def to_json(self) -> dict:
         return {
             "mode": self.mode.value,
-            "angles": [float(t) for t in self.angles],
-            "words": [str(self.word(i)) for i in range(len(self.angles))],
+            "angles": self.angles.tolist(),
+            "words": letter_rows_to_strings(self.letters),
         }
 
 

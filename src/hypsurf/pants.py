@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
 from hypsurf.errors import (
     InvalidInput,
     LengthCountMismatch,
@@ -155,13 +157,20 @@ class PantsDecompositionPlan:
     boundary_slots: tuple[BoundarySlot, ...]
     cusp_slots: tuple[str, ...]
 
+    @cached_property
+    def _cuffs_by_node(self) -> dict[str, tuple[float, float, float]]:
+        index: dict[str, tuple[float, float, float]] = {}
+        for p in self.pants:
+            index.setdefault(p.node_id, p.cuff_lengths)
+        return index
+
     def slot_length(self, slot: str) -> float:
         node_id, cuff = slot.split(".")
         idx = {"c0": 0, "c1": 1, "c2": 2}[cuff]
-        for p in self.pants:
-            if p.node_id == node_id:
-                return p.cuff_lengths[idx]
-        raise InvalidInput(f"slot {slot} names no pants node")
+        cuffs = self._cuffs_by_node.get(node_id)
+        if cuffs is None:
+            raise InvalidInput(f"slot {slot} names no pants node")
+        return cuffs[idx]
 
     def all_slots(self) -> list[str]:
         return [f"{p.node_id}.c{i}" for p in self.pants for i in range(3)]
@@ -291,9 +300,10 @@ def _slot_key(slot: str) -> tuple[int, int]:
     return (int(node[1:]), int(cuff[1:]))
 
 
-def _check_plan(plan: PantsDecompositionPlan) -> list[Gluing]:
-    """Validate slot accounting and glued-length equality; returns the
-    offending gluings on mismatch via LengthMismatch."""
+def _check_plan(plan: PantsDecompositionPlan) -> None:
+    """Validate slot accounting and glued-length equality.  Broken
+    accounting raises InvalidInput; unequal glued lengths raise
+    LengthMismatch carrying the offending gluings."""
     seen: dict[str, str] = {}
 
     def claim(slot: str, how: str):
@@ -312,8 +322,10 @@ def _check_plan(plan: PantsDecompositionPlan) -> list[Gluing]:
         claim(b.slot, "boundary")
     for s in plan.cusp_slots:
         claim(s, "cusp")
-    missing = [s for s in plan.all_slots() if s not in seen]
-    extra = [s for s in seen if s not in set(plan.all_slots())]
+    slots = plan.all_slots()
+    slot_set = set(slots)
+    missing = [s for s in slots if s not in seen]
+    extra = [s for s in seen if s not in slot_set]
     if missing or extra:
         raise InvalidInput(f"slot accounting broken: missing {missing}, extra {extra}")
     bad = [
@@ -326,7 +338,6 @@ def _check_plan(plan: PantsDecompositionPlan) -> list[Gluing]:
         raise LengthMismatch(
             f"{len(bad)} gluings join unequal cuff lengths", offending=bad
         )
-    return []
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,11 @@ samples reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from hypsurf.errors import BudgetExceeded, IndexOutOfRange, InvalidInput, NotAnAutomorphism
 
@@ -145,6 +148,34 @@ class GroupWord:
             idx = ord(c.upper()) - ord("A") + 1
             letters.append(idx if c.isupper() else -idx)
         return cls(tuple(letters))
+
+
+@functools.cache
+def _letter_ascii_table() -> np.ndarray:
+    # indexed by the letter's int8 bit pattern read as uint8, so -k sits
+    # at 256 - k; 0 (padding) and letters beyond 26 map to NUL
+    table = np.zeros(256, dtype=np.uint8)
+    for k in range(1, 27):
+        table[k] = ord("A") + k - 1
+        table[256 - k] = ord("a") + k - 1
+    table.flags.writeable = False
+    return table
+
+
+def letter_rows_to_strings(letters: np.ndarray) -> list[str]:
+    """String forms of the rows of a zero-padded int8 letter matrix, as
+    `GroupWord.__str__` writes them ("1" for an empty row)."""
+    letters = np.asarray(letters)
+    count, width = letters.shape
+    if np.any((letters > 26) | (letters < -26)):
+        raise InvalidInput("string form supports at most 26 generators")
+    letters = letters.astype(np.int8, copy=False)
+    if width == 0:
+        return ["1"] * count
+    text = _letter_ascii_table()[letters.view(np.uint8)]
+    text[letters[:, 0] == 0, 0] = ord("1")
+    # a fixed-width bytes field drops its trailing NUL padding
+    return text.view(f"S{width}").ravel().astype(f"U{width}").tolist()
 
 
 def word_count(rank: int, max_length: int) -> int:

@@ -246,10 +246,13 @@ def _boundary_runs():
     predicted = np.array([apply(ga, IdealPoint(float(t))).theta for t in sample.theta_in()])
     inner_dev = float(np.abs(np.angle(np.exp(1j * (predicted - sample.theta_out())))).max())
     # (b) identity automorphism
-    ident = is_boundary_identity(torus, FreeAutomorphism.identity(2), 4)
+    ident = is_boundary_identity(
+        torus, induced_boundary_sample(torus, FreeAutomorphism.identity(2), 4)
+    )
     # (c) the twist
     twist = is_boundary_identity(
-        torus, FreeAutomorphism.from_spec("A=AB,B=B"), 5, m=3, tol=0.01
+        torus, induced_boundary_sample(torus, FreeAutomorphism.from_spec("A=AB,B=B"), 5),
+        m=3, tol=0.01,
     )
     # (d) 50 random orientation-preserving Nielsen compositions
     sc = schottky_rank2(2.0)

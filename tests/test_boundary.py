@@ -195,14 +195,16 @@ def test_orientation_multiplicative(schottky):
 
 
 def test_identity_detected(cusped_torus):
-    r = is_boundary_identity(cusped_torus, FreeAutomorphism.identity(2), 4)
+    sample = induced_boundary_sample(cusped_torus, FreeAutomorphism.identity(2), 4)
+    r = is_boundary_identity(cusped_torus, sample)
     assert r.identity
     assert r.best_inner.is_identity()
     assert r.residual < 1e-10
 
 
 def test_inner_detected_with_inverse_conjugator(cusped_torus):
-    r = is_boundary_identity(cusped_torus, FreeAutomorphism.inner(2, W("A")), 4, m=1)
+    sample = induced_boundary_sample(cusped_torus, FreeAutomorphism.inner(2, W("A")), 4)
+    r = is_boundary_identity(cusped_torus, sample, m=1)
     assert r.identity
     assert r.best_inner == W("a")
     assert r.residual < 1e-6
@@ -210,26 +212,28 @@ def test_inner_detected_with_inverse_conjugator(cusped_torus):
 
 def test_inner_residual_small_for_all_depths_past_conjugator(cusped_torus):
     conj = W("AB")
-    phi = FreeAutomorphism.inner(2, conj)
+    sample = induced_boundary_sample(cusped_torus, FreeAutomorphism.inner(2, conj), 4)
     for m in (2, 3):
-        r = is_boundary_identity(cusped_torus, phi, 4, m=m)
+        r = is_boundary_identity(cusped_torus, sample, m=m)
         assert r.identity and r.residual < 1e-6
         assert r.best_inner == conj.inverse()
     # search shallower than the conjugator cannot cancel it
-    r = is_boundary_identity(cusped_torus, phi, 4, m=1, tol=1e-3)
+    r = is_boundary_identity(cusped_torus, sample, m=1, tol=1e-3)
     assert not r.identity
 
 
 def test_twist_rejected(cusped_torus):
     phi = FreeAutomorphism.from_spec("A=AB,B=B")
-    r = is_boundary_identity(cusped_torus, phi, 5, m=3, tol=0.01)
+    r = is_boundary_identity(cusped_torus, induced_boundary_sample(cusped_torus, phi, 5),
+                             m=3, tol=0.01)
     assert not r.identity
     assert r.residual > 0.05
     assert r.skipped >= 1
 
 
 def test_near_minimizers_reported(cusped_torus):
-    r = is_boundary_identity(cusped_torus, FreeAutomorphism.identity(2), 4, m=0)
+    sample = induced_boundary_sample(cusped_torus, FreeAutomorphism.identity(2), 4)
+    r = is_boundary_identity(cusped_torus, sample, m=0)
     assert r.near_minimizers == (GroupWord(),)
     assert r.to_json()["best_inner"] == "1"
 

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from hypsurf import cli
-from hypsurf.errors import NumericFailure
+from hypsurf.errors import InvalidInput, NumericFailure
 
 
 def run_cli(capsys, *argv):
@@ -199,3 +199,35 @@ def test_float_formatting_17_significant_digits():
     assert cli.format_float(2 * math.pi) == "6.2831853071795862"
     assert cli.dump_json({"x": 0.1}) == '{"x":0.10000000000000001}'
     assert cli.dump_json([1, True, None, "s"]) == '[1,true,null,"s"]'
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dump_json_rejects_non_finite_in_long_float_list(bad):
+    for where in (0, 500, 999):
+        values = [0.25] * 1000
+        values[where] = bad
+        with pytest.raises(InvalidInput):
+            cli.dump_json(values)
+        with pytest.raises(InvalidInput):
+            cli.dump_json({"angles": tuple(values)})
+
+
+def test_dump_json_float_list_matches_per_element_formatting():
+    values = [0.1, -2.5e-300, 1e300, 5e-324, -0.0, 2 * math.pi]
+    expected = "[" + ",".join(cli.format_float(x) for x in values) + "]"
+    assert cli.dump_json(values) == expected
+    assert cli.dump_json(tuple(values)) == expected
+
+
+def test_dump_json_bools_and_ints_stay_off_the_float_path():
+    assert cli.dump_json([True, 1.0]) == "[true,1]"
+    assert cli.dump_json([1, 2.0]) == "[1,2]"
+    assert cli.dump_json([False]) == "[false]"
+    assert cli.dump_json([3]) == "[3]"
+
+
+def test_dump_json_string_list_escapes_like_json_dumps():
+    values = ['plain', 'quote"', "back\\slash", "new\nline", "tab\t", "\u00e9", "\u2028", "\x00"]
+    expected = "[" + ",".join(json.dumps(v) for v in values) + "]"
+    assert cli.dump_json(values) == expected
+    assert json.loads(cli.dump_json(values)) == values
