@@ -33,7 +33,6 @@ from hypsurf.groups import (
     SampleMode,
     attracting_angle,
     cusped_torus_group,
-    enumerate_words,
     evaluate,
     gap_profile,
     limit_sample,

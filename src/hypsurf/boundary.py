@@ -29,9 +29,11 @@ from hypsurf.groups import GroupRep, attracting_angle, evaluate
 from hypsurf.words import (
     DEFAULT_WORD_BUDGET,
     GroupWord,
+    _letter_key,
     compose_images,
     enumerate_reduced_words,
     invert_images,
+    shortlex_levels,
     substitute,
 )
 
@@ -222,17 +224,35 @@ class CircleMapSample:
 def conjugacy_class_words(rank: int, n: int,
                           budget: int = DEFAULT_WORD_BUDGET) -> list[GroupWord]:
     """One cyclically reduced representative per conjugacy class (modulo
-    inversion) of length <= n, in order of first shortlex appearance."""
-    seen: set[tuple[int, ...]] = set()
+    inversion) of length <= n, in order of first shortlex appearance.
+
+    The representative is `GroupWord.conjugacy_class_rep`: the least
+    rotation of a cyclically reduced row of the word table or of its
+    inverse, compared as packed codes (letter keys as base-2k digits).
+    A class first appears at its cyclically reduced length, so classes
+    are deduplicated level by level.
+    """
+    levels = shortlex_levels(rank, n, budget)
+    base = 2 * rank
     reps: list[GroupWord] = []
-    for w in enumerate_reduced_words(rank, n, budget):
-        if w.is_identity() or not w.is_cyclically_reduced():
-            continue
-        rep = w.conjugacy_class_rep()
-        if rep.letters in seen:
-            continue
-        seen.add(rep.letters)
-        reps.append(rep)
+    for letters in levels:
+        length = letters.shape[1]
+        # exact Python integers once a code could outgrow int64
+        dtype = np.int64 if base**length <= 2**63 else object
+        cyclic = letters[letters[:, 0] != -letters[:, -1]]
+        keys = _letter_key(cyclic.astype(np.intp)).astype(dtype)
+        powers = np.array([base**p for p in range(length - 1, -1, -1)], dtype=dtype)
+        best = None
+        for word in (keys, keys[:, ::-1] ^ 1):
+            code = word @ powers
+            for r in range(length):
+                best = code if best is None else np.minimum(best, code)
+                # next rotation: the leading letter moves to the end
+                code = (code - word[:, r] * powers[0]) * base + word[:, r]
+        _, first = np.unique(best, return_index=True)
+        digits = best[np.sort(first), None] // powers % base
+        # level 1 is the alphabet in key order
+        reps.extend(GroupWord(tuple(w)) for w in levels[0][digits.astype(np.intp), 0].tolist())
     return reps
 
 

@@ -4,7 +4,8 @@ Subcommands mirror the modules: chi / classify / double / thirteen for
 the signature calculus, pants / plan for hyperbolic metrics, limit-set
 for endpoint samples, boundary-map for sampled circle maps.  Output is
 machine-readable JSON or CSV with floats at 17 significant digits;
-identical flags (including --seed) give byte-identical output.
+identical flags give byte-identical output.  Only limit-set and
+boundary-map take --format; the other subcommands print JSON.
 
 Exit codes: 0 success, 2 invalid input, 3 numeric failure (ambiguous
 classification, length mismatches, order violations); errors are a
@@ -123,7 +124,6 @@ class CliConfig:
     delta: float = DEFAULT_DELTA
     output_format: str = "json"
     output_path: Optional[str] = None
-    rng_seed: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -133,15 +133,11 @@ class CliConfig:
             "delta": self.delta,
             "output_format": self.output_format,
             "output_path": self.output_path,
-            "rng_seed": self.rng_seed,
         }
 
 
-def _add_common(sub: argparse.ArgumentParser, default_format: str) -> None:
-    sub.add_argument("--format", choices=("json", "csv"), default=default_format,
-                     dest="output_format")
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", "-o", default=None, dest="output_path")
-    sub.add_argument("--seed", type=int, default=0, dest="rng_seed")
     sub.add_argument("--echo-config", action="store_true")
 
 
@@ -156,21 +152,21 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "double":
             sp.add_argument("--report", action="store_true",
                             help="include the chi bookkeeping of the doubling")
-        _add_common(sp, "json")
+        _add_common(sp)
 
     sp = subs.add_parser("thirteen")
-    _add_common(sp, "json")
+    _add_common(sp)
 
     sp = subs.add_parser("pants")
     sp.add_argument("--lengths", required=True,
                     help="three comma-separated cuff lengths, 0 for a cusp")
-    _add_common(sp, "json")
+    _add_common(sp)
 
     sp = subs.add_parser("plan")
     sp.add_argument("--sig", required=True, help="signature as g,c,b,a")
     sp.add_argument("--lengths", default="",
                     help="comma-separated boundary lengths, one per compact boundary circle")
-    _add_common(sp, "json")
+    _add_common(sp)
 
     sp = subs.add_parser("limit-set")
     sp.add_argument("--group", required=True,
@@ -180,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     sp.add_argument("--separation", type=float, default=DEFAULT_SEPARATION)
     sp.add_argument("--base", default="0,0", help="orbit basepoint as re,im")
-    _add_common(sp, "csv")
+    sp.add_argument("--format", choices=("json", "csv"), default="csv", dest="output_format")
+    _add_common(sp)
 
     sp = subs.add_parser("boundary-map")
     sp.add_argument("--group", required=True,
@@ -193,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="inner-correction search depth")
     sp.add_argument("--tol", type=float, default=DEFAULT_IDENTITY_TOL)
     sp.add_argument("--separation", type=float, default=DEFAULT_SEPARATION)
-    _add_common(sp, "csv")
+    sp.add_argument("--format", choices=("json", "csv"), default="csv", dest="output_format")
+    _add_common(sp)
     return p
 
 
@@ -203,9 +201,8 @@ def _config_from_args(args) -> CliConfig:
         max_word_length=getattr(args, "max_word_length", None),
         tol=getattr(args, "tol", DEFAULT_IDENTITY_TOL),
         delta=getattr(args, "delta", DEFAULT_DELTA),
-        output_format=args.output_format,
+        output_format=getattr(args, "output_format", "json"),
         output_path=args.output_path,
-        rng_seed=args.rng_seed,
     )
 
 
@@ -318,9 +315,11 @@ def run(argv) -> int:
         _emit(dump_json(payload), args.output_path)
     elif cmd == "limit-set":
         rep = _group_from_args(args)
-        base_re, base_im = (_parse_floats(args.base) + (0.0, 0.0))[:2]
+        base = _parse_floats(args.base)
+        if len(base) != 2:
+            raise InvalidInput("--base needs exactly two values re,im")
         mode = SampleMode.ORBIT_PROJECTION if args.mode == "orbit" else SampleMode.AXIS_ENDPOINTS
-        sample = limit_sample(rep, DiskPoint(complex(base_re, base_im)),
+        sample = limit_sample(rep, DiskPoint(complex(*base)),
                               args.max_word_length, mode, delta=args.delta)
         _emit_sample(sample, args.output_format, args.output_path)
     elif cmd == "boundary-map":

@@ -1,14 +1,15 @@
 """Finitely generated groups of disk isometries and their boundary samples.
 
 A `GroupRep` is a tuple of generator isometries plus optional relator
-words (checked to evaluate to +/- identity).  On top of it: shortlex word
-enumeration, orbit maps, and finite samples of the fixed-point set /
-limit set on the circle at infinity, with the gap statistics used to
-probe density and Cantor structure.
+words (checked to evaluate to +/- identity).  On top of it: word
+products along the shortlex tree, orbit maps, and finite samples of the
+fixed-point set / limit set on the circle at infinity, with the gap
+statistics used to probe density and Cantor structure.
 
-Enumeration and sampling are vectorized level-by-level over numpy arrays
-but keep a strict deterministic order (shortlex, then sorted angles with
-shortlex tie-break), so repeated runs are byte-identical.
+The words come from the one shortlex table, `words.shortlex_levels`.
+Sampling is vectorized level-by-level over numpy arrays but keeps a
+strict deterministic order (shortlex, then sorted angles with shortlex
+tie-break), so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from hypsurf.disk import (
     translation_along,
 )
 from hypsurf.errors import (
-    BudgetExceeded,
     CirclesOverlap,
     EmptySample,
     IndexOutOfRange,
@@ -41,9 +41,8 @@ from hypsurf.errors import (
 from hypsurf.words import (
     DEFAULT_WORD_BUDGET,
     GroupWord,
-    enumerate_reduced_words,
     letter_rows_to_strings,
-    word_count,
+    shortlex_levels,
 )
 
 #: relator products must land this close to +/- identity
@@ -113,11 +112,6 @@ def evaluate(rep: GroupRep, w: GroupWord) -> MobiusIsometry:
     return m
 
 
-def enumerate_words(rep: GroupRep, n: int, budget: int = DEFAULT_WORD_BUDGET) -> list[GroupWord]:
-    """All freely reduced words of length <= n in shortlex order."""
-    return enumerate_reduced_words(rep.rank, n, budget)
-
-
 # ---------------------------------------------------------------------------
 # vectorized word/matrix tables
 
@@ -129,63 +123,39 @@ class _Level:
     b: np.ndarray
 
 
-def _letter_list(rank: int) -> list[int]:
-    out = []
-    for i in range(rank):
-        out.append(i + 1)
-        out.append(-(i + 1))
-    return out
-
-
 def _word_levels(rep: GroupRep, n: int, budget: int = DEFAULT_WORD_BUDGET) -> list[_Level]:
-    """Levels 1..n of the shortlex tree with their matrix entries.
+    """Levels 1..n of the shortlex word table with their matrix entries.
 
+    Each word's matrix is its parent row's times its last letter's.
     Matrices are renormalized to unit determinant once per level; at the
     word lengths the budget admits this keeps the entries well inside the
     certifiable range.
     """
-    total = word_count(rep.rank, n)
-    if total > budget:
-        raise BudgetExceeded(f"{total} words exceed the budget of {budget}")
-    letters = _letter_list(rep.rank)
-    mats = {l: rep.letter_isometry(l) for l in letters}
-    la = {l: complex(m.a) for l, m in mats.items()}
-    lb = {l: complex(m.b) for l, m in mats.items()}
-    levels: list[_Level] = []
-    if n < 1:
-        return levels
-    lcol = np.array(letters, dtype=np.int8).reshape(-1, 1)
-    levels.append(
-        _Level(
-            lcol,
-            np.array([la[l] for l in letters]),
-            np.array([lb[l] for l in letters]),
-        )
-    )
-    for _ in range(2, n + 1):
+    table = shortlex_levels(rep.rank, n, budget)
+    if not table:
+        return []
+    mats = [rep.letter_isometry(int(l)) for l in table[0][:, 0]]
+    la = np.array([complex(m.a) for m in mats])
+    lb = np.array([complex(m.b) for m in mats])
+    fan = 2 * rep.rank - 1
+    levels = [_Level(table[0], la, lb)]
+    for letters in table[1:]:
         prev = levels[-1]
-        last = prev.letters[:, -1]
-        idx_parts, let_parts, a_parts, b_parts, pos_parts = [], [], [], [], []
-        for j, l in enumerate(letters):
-            idx = np.nonzero(last != -l)[0]
-            idx_parts.append(idx)
-            pos_parts.append(np.full(idx.shape, j, dtype=np.int64))
-            a_parts.append(prev.a[idx] * la[l] + prev.b[idx] * lb[l].conjugate())
-            b_parts.append(prev.a[idx] * lb[l] + prev.b[idx] * la[l].conjugate())
-            let_parts.append(np.full(idx.shape, l, dtype=np.int8))
-        parent = np.concatenate(idx_parts)
-        pos = np.concatenate(pos_parts)
-        order = np.lexsort((pos, parent))
-        a = np.concatenate(a_parts)[order]
-        b = np.concatenate(b_parts)[order]
+        a = np.empty(len(letters), dtype=complex)
+        b = np.empty(len(letters), dtype=complex)
+        # one last letter at a time: numpy rounds an array times a scalar
+        # differently from an array times an array, and the samples are
+        # pinned byte for byte
+        for letter, ma, mb in zip(table[0][:, 0], la, lb):
+            rows = np.nonzero(letters[:, -1] == letter)[0]
+            pa, pb = prev.a[rows // fan], prev.b[rows // fan]
+            a[rows] = pa * ma + pb * mb.conjugate()
+            b[rows] = pa * mb + pb * ma.conjugate()
         q = np.abs(a) ** 2 - np.abs(b) ** 2
         if not np.all(q > 0):
             raise NumericFailure("word table lost unit-determinant normalization")
         s = 1.0 / np.sqrt(q)
-        new_letters = np.hstack(
-            [prev.letters[parent][order], np.concatenate(let_parts)[order].reshape(-1, 1)]
-        )
-        levels.append(_Level(new_letters, a * s, b * s))
+        levels.append(_Level(letters, a * s, b * s))
     return levels
 
 

@@ -6,6 +6,9 @@ lowercase for inverses ("AbA" = x1 x2^-1 x1).  Enumeration order is
 shortlex with letters ordered A < a < B < b < ...; every routine that
 iterates words does so in this order, which is what makes downstream
 samples reproducible.
+
+`shortlex_levels` builds the one shortlex word table: word lists, the
+matrix levels of `groups` and the conjugacy classes of `boundary` read it.
 """
 
 from __future__ import annotations
@@ -22,14 +25,10 @@ from hypsurf.errors import BudgetExceeded, IndexOutOfRange, InvalidInput, NotAnA
 DEFAULT_WORD_BUDGET = 5_000_000
 
 
-def _letter_key(letter: int) -> int:
-    # A=0, a=1, B=2, b=3, ...
-    return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
-
-
-def _letter_from_key(key: int) -> int:
-    idx = key // 2 + 1
-    return idx if key % 2 == 0 else -idx
+def _letter_key(letter):
+    # A=0, a=1, B=2, b=3, ... for an int or an int array (wider than int8:
+    # keys reach 2*rank); the inverse letter's key is key ^ 1
+    return 2 * (abs(letter) - 1) + (letter < 0)
 
 
 def free_reduce(letters) -> tuple[int, ...]:
@@ -191,27 +190,39 @@ def word_count(rank: int, max_length: int) -> int:
     return total
 
 
-def enumerate_reduced_words(rank: int, max_length: int,
-                            budget: int = DEFAULT_WORD_BUDGET) -> list[GroupWord]:
-    """All freely reduced words of length <= max_length, in shortlex order."""
+def shortlex_levels(rank: int, max_length: int,
+                    budget: int = DEFAULT_WORD_BUDGET) -> list[np.ndarray]:
+    """Levels 1..max_length of the shortlex tree of freely reduced words.
+
+    Level L is an int8 matrix with one row per word of length L, in
+    shortlex order; level 1 is the alphabet A, a, B, b, ... as a column.
+    Row i of level L >= 2 is its parent, row i // (2*rank - 1) of level
+    L-1, followed by one letter.
+    """
     if max_length < 0:
         raise InvalidInput("max_length must be nonnegative")
     n = word_count(rank, max_length)
     if n > budget:
         raise BudgetExceeded(f"{n} words exceed the budget of {budget}")
-    alphabet = [_letter_from_key(k) for k in range(2 * rank)]
-    out = [GroupWord(())]
-    level: list[tuple[int, ...]] = [()]
-    for _ in range(max_length):
-        nxt = []
-        for prefix in level:
-            last = prefix[-1] if prefix else 0
-            for a in alphabet:
-                if a != -last:
-                    nxt.append(prefix + (a,))
-        out.extend(GroupWord(w) for w in nxt)
-        level = nxt
-    return out
+    if rank > 127:
+        raise InvalidInput("the word table stores letters as int8: rank must be at most 127")
+    gens = np.arange(1, rank + 1, dtype=np.int8)
+    alphabet = np.column_stack([gens, -gens]).ravel()
+    # children[k]: the letters that may follow the letter with key k
+    children = np.array([np.delete(alphabet, k ^ 1) for k in range(2 * rank)])
+    levels = [alphabet.reshape(-1, 1)] if max_length >= 1 else []
+    for _ in range(2, max_length + 1):
+        prev = levels[-1]
+        last = children[_letter_key(prev[:, -1].astype(np.intp))]
+        levels.append(np.hstack([np.repeat(prev, 2 * rank - 1, axis=0), last.reshape(-1, 1)]))
+    return levels
+
+
+def enumerate_reduced_words(rank: int, max_length: int,
+                            budget: int = DEFAULT_WORD_BUDGET) -> list[GroupWord]:
+    """All freely reduced words of length <= max_length, in shortlex order."""
+    levels = shortlex_levels(rank, max_length, budget)
+    return [GroupWord()] + [GroupWord(tuple(row)) for lv in levels for row in lv.tolist()]
 
 
 def substitute(images: tuple[GroupWord, ...], w: GroupWord) -> GroupWord:

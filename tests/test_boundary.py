@@ -30,7 +30,7 @@ from hypsurf.errors import (
     TooFewPoints,
 )
 from hypsurf.groups import GroupRep, evaluate, schottky_rank2
-from hypsurf.words import GroupWord
+from hypsurf.words import GroupWord, enumerate_reduced_words
 
 W = GroupWord.from_string
 
@@ -138,13 +138,29 @@ def test_sample_detects_inconsistent_collisions():
         induced_boundary_sample(rep, invert_b, 1)
 
 
-def test_conjugacy_class_words_counts():
-    reps = conjugacy_class_words(2, 2)
-    # classes of length <= 2 over rank 2, inversion collapsed:
-    # {A}, {B}, {AB}, {Ab}, {AA}, {BB}
-    assert len(reps) == 6
+def _class_words_by_definition(rank, n):
+    # the cyclically reduced words of the tree in shortlex order, deduped
+    # on the scalar class representative, first of each kept
+    seen, reps = set(), []
+    for w in enumerate_reduced_words(rank, n):
+        if w.is_identity() or not w.is_cyclically_reduced():
+            continue
+        rep = w.conjugacy_class_rep()
+        if rep.letters not in seen:
+            seen.add(rep.letters)
+            reps.append(rep)
+    return reps
+
+
+# (1, 70): (2k)^L passes int64 there, so packed codes must not wrap
+@pytest.mark.parametrize("rank, n", [(1, 70), *((2, n) for n in range(1, 10)), (3, 6), (4, 5)])
+def test_conjugacy_class_words_counts(rank, n):
+    reps = conjugacy_class_words(rank, n)
+    assert reps == _class_words_by_definition(rank, n)
     assert all(w.is_cyclically_reduced() for w in reps)
-    assert len({w.conjugacy_class_rep().letters for w in reps}) == len(reps)
+    if (rank, n) == (2, 2):
+        # {A}, {B}, {AB}, {Ab}, {AA}, {BB}
+        assert len(reps) == 6
 
 
 # -- order_check ----------------------------------------------------------------

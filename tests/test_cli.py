@@ -180,7 +180,7 @@ def test_exit_code_numeric_failure(capsys, monkeypatch):
 def test_echo_config_roundtrip(capsys):
     code, out, _ = run_cli(
         capsys, "limit-set", "--group", "octagon", "--n", "3", "--mode", "axes",
-        "--delta", "0.1", "--format", "csv", "--seed", "7", "--echo-config",
+        "--delta", "0.1", "--format", "csv", "--echo-config",
     )
     assert code == 0
     cfg = json.loads(out)
@@ -191,8 +191,32 @@ def test_echo_config_roundtrip(capsys):
         "delta": 0.1,
         "output_format": "csv",
         "output_path": None,
-        "rng_seed": 7,
     }
+    code, out, _ = run_cli(capsys, "thirteen", "--echo-config")
+    assert code == 0
+    assert json.loads(out)["output_format"] == "json"
+
+
+@pytest.mark.parametrize("argv", [
+    ("chi", "desc.json", "--format", "csv"),
+    ("plan", "--sig", "2,0,0,0", "--format", "json"),
+    ("limit-set", "--group", "octagon", "--n", "2", "--seed", "7"),
+])
+def test_flags_that_do_nothing_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base", ["0.5", "1,2,3", ""])
+def test_limit_set_base_needs_re_and_im(base, capsys):
+    code, out, err = run_cli(
+        capsys, "limit-set", "--group", "octagon", "--n", "2", "--mode", "orbit",
+        "--base", base,
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidInput"
 
 
 def test_float_formatting_17_significant_digits():

@@ -30,7 +30,6 @@ from hypsurf.groups import (
     SampleMode,
     attracting_angle,
     cusped_torus_group,
-    enumerate_words,
     evaluate,
     gap_profile,
     limit_sample,
@@ -38,7 +37,7 @@ from hypsurf.groups import (
     orbit,
     schottky_rank2,
 )
-from hypsurf.words import GroupWord, word_count
+from hypsurf.words import GroupWord, enumerate_reduced_words, word_count
 
 W = GroupWord.from_string
 
@@ -70,7 +69,7 @@ def test_evaluate_homomorphism_200_random_pairs(octagon):
     # absolute 1e-9 where entries stay small; relative 1e-9 in general
     # (renormalization noise scales with the squared entry size)
     rng = random.Random(17)
-    words = enumerate_words(octagon, 3)
+    words = enumerate_reduced_words(octagon.rank, 3)
     for _ in range(200):
         u = rng.choice(words)
         v = rng.choice(words)
@@ -88,14 +87,15 @@ def test_evaluate_index_out_of_range(cusped_torus):
 
 
 def test_enumerate_words_counts(octagon, cusped_torus):
-    assert len(enumerate_words(cusped_torus, 1)) == 5  # identity + 4
-    exactly2 = [w for w in enumerate_words(cusped_torus, 2) if len(w) == 2]
+    # the groups' word lists come from enumerate_reduced_words over their rank
+    assert len(enumerate_reduced_words(cusped_torus.rank, 1)) == 5  # identity + 4
+    exactly2 = [w for w in enumerate_reduced_words(cusped_torus.rank, 2) if len(w) == 2]
     assert len(exactly2) == 12
-    assert len(enumerate_words(octagon, 0)) == 1
+    assert len(enumerate_reduced_words(octagon.rank, 0)) == 1
     for n in range(4):
-        assert len(enumerate_words(octagon, n)) == word_count(4, n)
+        assert len(enumerate_reduced_words(octagon.rank, n)) == word_count(4, n)
     with pytest.raises(BudgetExceeded):
-        enumerate_words(octagon, 8)
+        enumerate_reduced_words(octagon.rank, 8)
 
 
 def test_orbit_base_only():
@@ -126,6 +126,10 @@ def test_orbit_count_matches_word_count(octagon):
     ob = orbit(octagon, DiskPoint(0), 3)
     assert len(ob) == word_count(4, 3)
     assert all(abs(p.z) < 1.0 for _, p in ob.points)
+    # every word's matrix, carried from its parent row, against evaluate
+    assert [w for w, _ in ob.points] == enumerate_reduced_words(4, 3)
+    for w, p in ob.points:
+        assert abs(apply(evaluate(octagon, w), DiskPoint(0)).z - p.z) < 1e-12
 
 
 def test_orbit_csv_shape(octagon):
@@ -258,7 +262,7 @@ def test_schottky_overlap_raises():
 
 
 def test_schottky_short_words_all_hyperbolic(schottky):
-    for w in enumerate_words(schottky, 4):
+    for w in enumerate_reduced_words(schottky.rank, 4):
         if w.is_identity():
             continue
         assert classify(evaluate(schottky, w)) is IsometryClass.HYPERBOLIC
@@ -312,7 +316,7 @@ def test_axis_endpoint_sample_general_conjugator_equivariance(cusped_torus):
 def test_attracting_angle_matches_fixed_points(octagon):
     rng = random.Random(31)
     words = [
-        w for w in enumerate_words(octagon, 3)
+        w for w in enumerate_reduced_words(octagon.rank, 3)
         if not w.is_identity() and w.is_cyclically_reduced()
     ]
     for w in rng.sample(words, 25):

@@ -114,6 +114,10 @@ def test_enumeration_budget():
         enumerate_reduced_words(4, 8)
     with pytest.raises(BudgetExceeded):
         enumerate_reduced_words(2, 5, budget=10)
+    with pytest.raises(InvalidInput):
+        enumerate_reduced_words(2, -1)
+    with pytest.raises(InvalidInput):  # the table stores letters as int8
+        enumerate_reduced_words(128, 1)
 
 
 @given(words(), words())
