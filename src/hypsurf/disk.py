@@ -41,6 +41,8 @@ TOL_CLASS = 1e-9
 TOL_ANGLE = 1e-9
 #: inside the trace band, |b| at least this large reads as a genuine parabolic
 PARABOLIC_MIN_B = 1e-6
+#: hyperbolic means |b|^2 - (Im a)^2 > TOL_AXIS * |a|^2 (`is_certainly_hyperbolic`)
+TOL_AXIS = 1e-9
 
 
 def reduce_angle(theta: float) -> float:
@@ -328,11 +330,35 @@ def classify(m: MobiusIsometry) -> IsometryClass:
     )
 
 
+def is_certainly_hyperbolic(a, b):
+    """Whether [[a, b], [conj b, conj a]] with positive determinant, known
+    up to a positive scale, is certifiably hyperbolic; elementwise on
+    arrays.  |b|^2 - (Im a)^2 = (Re a)^2 - det, so the test is scale-free.
+    """
+    return abs(b) ** 2 - a.imag ** 2 > TOL_AXIS * abs(a) ** 2
+
+
+def circle_fixed_points(a, b):
+    """Both circle fixed points (attracting, repelling) of a matrix
+    [[a, b], [conj b, conj a]] that passes `is_certainly_hyperbolic`.
+
+    ``a`` and ``b`` carry any positive scale; complex scalars give complex
+    scalars and arrays give arrays.  The roots are z = (i Im a +/- r) / conj(b)
+    with r = sqrt(|b|^2 - (Im a)^2).  Sign rule: there conj(b) z + conj(a)
+    = Re a +/- r and |f'(z)| = det / (Re a +/- r)^2, so the attracting root
+    takes the sign of Re a.
+    """
+    # Re a / |Re a|: the exact sign of Re a (nonzero here), cheaper than np.copysign
+    root = np.sqrt(abs(b) ** 2 - a.imag ** 2) * (a.real / abs(a.real))
+    cb = b.conjugate()
+    return (1j * a.imag + root) / cb, (1j * a.imag - root) / cb
+
+
 def fixed_points(m: MobiusIsometry) -> list[IdealPoint]:
     """Fixed points on the circle at infinity; attracting first.
 
-    Hyperbolic maps return two points, parabolic one, elliptic none.
-    Roots of conj(b) z^2 + (conj(a) - a) z - b = 0 restricted to |z| = 1.
+    Hyperbolic maps return two points (`circle_fixed_points`), parabolic
+    one, elliptic none.
     """
     if m.reverses_orientation:
         raise InvalidInput("fixed points on the circle are computed for "
@@ -345,14 +371,7 @@ def fixed_points(m: MobiusIsometry) -> list[IdealPoint]:
     if cls is IsometryClass.PARABOLIC:
         z = 1j * m.a.imag / m.b.conjugate()
         return [IdealPoint(cmath.phase(z))]
-    disc = math.sqrt(m.a.real ** 2 - 1.0)
-    roots = [
-        (1j * m.a.imag + disc) / m.b.conjugate(),
-        (1j * m.a.imag - disc) / m.b.conjugate(),
-    ]
-    # attracting root: |f'(z)| < 1, i.e. |conj(b) z + conj(a)| > 1
-    roots.sort(key=lambda z: -abs(m.b.conjugate() * z + m.a.conjugate()))
-    return [IdealPoint(cmath.phase(z)) for z in roots]
+    return [IdealPoint(cmath.phase(z)) for z in circle_fixed_points(m.a, m.b)]
 
 
 def axis(m: MobiusIsometry) -> Geodesic:

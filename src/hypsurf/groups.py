@@ -6,10 +6,10 @@ products along the shortlex tree, orbit maps, and finite samples of the
 fixed-point set / limit set on the circle at infinity, with the gap
 statistics used to probe density and Cantor structure.
 
-The words come from the one shortlex table, `words.shortlex_levels`.
-Sampling is vectorized level-by-level over numpy arrays but keeps a
-strict deterministic order (shortlex, then sorted angles with shortlex
-tie-break), so repeated runs are byte-identical.
+The words come from the one shortlex table, `words.shortlex_levels`, with
+matrices up to a positive scale.  Sampling is vectorized level-by-level
+over numpy arrays but keeps a strict deterministic order (shortlex, then
+sorted angles with shortlex tie-break), so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ import numpy as np
 
 from hypsurf.disk import (
     TOL_ANGLE,
-    TOL_CLASS,
     DiskPoint,
     Geodesic,
     IdealPoint,
     MobiusIsometry,
+    circle_fixed_points,
+    is_certainly_hyperbolic,
     translation_along,
 )
 from hypsurf.errors import (
@@ -41,6 +42,7 @@ from hypsurf.errors import (
 from hypsurf.words import (
     DEFAULT_WORD_BUDGET,
     GroupWord,
+    _letter_key,
     letter_rows_to_strings,
     shortlex_levels,
 )
@@ -54,6 +56,8 @@ DEFAULT_DELTA = 0.2
 MAX_ENTRY_MAGNITUDE = 1e6
 #: rows rendered per block by `EndpointSample.to_csv_rows`
 _RENDER_BLOCK_ROWS = 65536
+#: a word-table level with an entry past this is divided by it (exactly)
+_RESCALE_AT = 2.0**256
 
 
 def _pm_identity_defect(m: MobiusIsometry) -> float:
@@ -126,10 +130,9 @@ class _Level:
 def _word_levels(rep: GroupRep, n: int, budget: int = DEFAULT_WORD_BUDGET) -> list[_Level]:
     """Levels 1..n of the shortlex word table with their matrix entries.
 
-    Each word's matrix is its parent row's times its last letter's.
-    Matrices are renormalized to unit determinant once per level; at the
-    word lengths the budget admits this keeps the entries well inside the
-    certifiable range.
+    Each word's matrix is its parent row's times its last letter's, up to
+    a positive scale: a level is divided by `_RESCALE_AT` when its largest
+    entry passes it, and is otherwise left as the product.
     """
     table = shortlex_levels(rep.rank, n, budget)
     if not table:
@@ -141,21 +144,15 @@ def _word_levels(rep: GroupRep, n: int, budget: int = DEFAULT_WORD_BUDGET) -> li
     levels = [_Level(table[0], la, lb)]
     for letters in table[1:]:
         prev = levels[-1]
-        a = np.empty(len(letters), dtype=complex)
-        b = np.empty(len(letters), dtype=complex)
-        # one last letter at a time: numpy rounds an array times a scalar
-        # differently from an array times an array, and the samples are
-        # pinned byte for byte
-        for letter, ma, mb in zip(table[0][:, 0], la, lb):
-            rows = np.nonzero(letters[:, -1] == letter)[0]
-            pa, pb = prev.a[rows // fan], prev.b[rows // fan]
-            a[rows] = pa * ma + pb * mb.conjugate()
-            b[rows] = pa * mb + pb * ma.conjugate()
-        q = np.abs(a) ** 2 - np.abs(b) ** 2
-        if not np.all(q > 0):
-            raise NumericFailure("word table lost unit-determinant normalization")
-        s = 1.0 / np.sqrt(q)
-        levels.append(_Level(letters, a * s, b * s))
+        pa, pb = np.repeat(prev.a, fan), np.repeat(prev.b, fan)
+        key = _letter_key(letters[:, -1].astype(np.intp))
+        ma, mb = la[key], lb[key]
+        a = pa * ma + pb * mb.conjugate()
+        b = pa * mb + pb * ma.conjugate()
+        if np.abs(a).max() > _RESCALE_AT:
+            a /= _RESCALE_AT
+            b /= _RESCALE_AT
+        levels.append(_Level(letters, a, b))
     return levels
 
 
@@ -317,15 +314,11 @@ def limit_sample(
     else:
         for lv in levels:
             cyc = lv.letters[:, 0] != -lv.letters[:, -1]
-            hyp = np.abs(lv.a.real) > 1.0 + TOL_CLASS
-            mask = cyc & hyp
-            a = lv.a[mask]
-            b = lv.b[mask]
-            disc = np.sqrt(a.real**2 - 1.0)
-            for sign in (1.0, -1.0):
-                z = (1j * a.imag + sign * disc) / np.conj(b)
+            mask = cyc & is_certainly_hyperbolic(lv.a, lv.b)
+            rows = pad(lv.letters[mask])
+            for z in circle_fixed_points(lv.a[mask], lv.b[mask]):
                 theta_parts.append(np.mod(np.angle(z), 2.0 * math.pi))
-                letter_parts.append(pad(lv.letters[mask]))
+                letter_parts.append(rows)
     if not theta_parts or sum(len(t) for t in theta_parts) == 0:
         raise EmptySample(
             "no qualifying boundary points; increase n or loosen delta"
@@ -378,7 +371,7 @@ def _scaled_product(rep: GroupRep, letters: tuple[int, ...]) -> tuple[complex, c
     return a, b
 
 
-def attracting_angle(rep: GroupRep, w: GroupWord, floor: float = 1e-9) -> Optional[float]:
+def attracting_angle(rep: GroupRep, w: GroupWord) -> Optional[float]:
     """Attracting fixed-point angle of a word, or None if its conjugacy
     class is not certifiably hyperbolic.
 
@@ -392,18 +385,9 @@ def attracting_angle(rep: GroupRep, w: GroupWord, floor: float = 1e-9) -> Option
         return None
     u, v = w.cyclic_split()
     a, b = _scaled_product(rep, v.letters)
-    scale2 = max(abs(a), abs(b)) ** 2
-    disc = abs(b) ** 2 - a.imag**2  # = (Re a)^2 - det, scale-free sign
-    if disc <= floor * scale2:
+    if not is_certainly_hyperbolic(a, b):
         return None
-    root = math.sqrt(disc)
-    z1 = (1j * a.imag + root) / b.conjugate()
-    z2 = (1j * a.imag - root) / b.conjugate()
-    # attracting root maximizes |conj(b) z + conj(a)| (scale cancels)
-    if abs(b.conjugate() * z1 + a.conjugate()) >= abs(b.conjugate() * z2 + a.conjugate()):
-        z = z1
-    else:
-        z = z2
+    z, _ = circle_fixed_points(a, b)
     z /= abs(z)
     for letter in reversed(u.letters):
         g = rep.letter_isometry(letter)

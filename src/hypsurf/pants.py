@@ -345,14 +345,12 @@ class MetricSummary:
     total_area: float
     pants_count: int
     cuff_lengths: tuple[tuple[str, float], ...]
-    valid: bool
 
     def to_json(self) -> dict:
         return {
             "total_area": self.total_area,
             "pants_count": self.pants_count,
             "cuff_lengths": {slot: length for slot, length in self.cuff_lengths},
-            "valid": self.valid,
         }
 
 
@@ -367,5 +365,4 @@ def realize(plan: PantsDecompositionPlan) -> MetricSummary:
         total_area=PANTS_AREA * len(plan.pants),
         pants_count=len(plan.pants),
         cuff_lengths=cuffs,
-        valid=True,
     )

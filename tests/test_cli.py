@@ -82,7 +82,6 @@ def test_plan_genus_two(capsys):
     obj = json.loads(out)
     assert len(obj["pants"]) == 2 and len(obj["gluings"]) == 3
     assert obj["summary"]["total_area"] == pytest.approx(4 * math.pi)
-    assert obj["summary"]["valid"] is True
 
 
 def test_limit_set_csv_and_determinism(capsys):

@@ -11,6 +11,7 @@ from hypsurf.disk import (
     IdealPoint,
     IsometryClass,
     MobiusIsometry,
+    angle_distance,
     apply,
     classify,
     fixed_points,
@@ -34,6 +35,7 @@ from hypsurf.groups import (
     gap_profile,
     limit_sample,
     max_angular_gap,
+    octagon_group,
     orbit,
     schottky_rank2,
 )
@@ -313,6 +315,14 @@ def test_axis_endpoint_sample_general_conjugator_equivariance(cusped_torus):
     assert np.max(np.abs(moved - sc.angles)) < 1e-8
 
 
+def test_word_table_rescales_long_powers():
+    # a rank-1 table passes 2**256 after ~90 letters and would overflow
+    # after ~350; exact rescaling keeps the axis of every power
+    g = translation_along(Geodesic(IdealPoint(0.3), IdealPoint(2.0)), 4.0)
+    s = limit_sample(GroupRep((g,)), DiskPoint(0), 400, SampleMode.AXIS_ENDPOINTS)
+    assert s.angles.tolist() == pytest.approx([0.3, 2.0], abs=1e-12)
+
+
 def test_attracting_angle_matches_fixed_points(octagon):
     rng = random.Random(31)
     words = [
@@ -362,12 +372,25 @@ def test_attracting_angle_none_for_parabolic(cusped_torus):
     assert attracting_angle(cusped_torus, GroupWord()) is None
 
 
-def test_sample_word_provenance(octagon):
-    s = limit_sample(octagon, DiskPoint(0), 2, SampleMode.AXIS_ENDPOINTS)
-    for theta, w in itertools.islice(iter(s), 10):
-        m = evaluate(octagon, w)
-        angles = [p.theta for p in fixed_points(m)]
-        assert min(abs(theta.theta - t) for t in angles) < 1e-9
+@pytest.mark.parametrize(
+    "make_rep, n",
+    [
+        (octagon_group, 2),
+        (lambda: schottky_rank2(4.0), 10),
+        (lambda: schottky_rank2(5.0), 9),
+        (cusped_torus_group, 8),
+    ],
+    ids=["octagon-2", "schottky4-10", "schottky5-9", "cusped-torus-8"],
+)
+def test_sample_word_provenance(make_rep, n):
+    # every row's angle is an axis endpoint of its word, taken on the
+    # scalar path: evaluate cannot reach these word lengths
+    rep = make_rep()
+    s = limit_sample(rep, DiskPoint(0), n, SampleMode.AXIS_ENDPOINTS)
+    for i, theta in enumerate(s.angles.tolist()):
+        w = s.word(i)
+        err = min(angle_distance(theta, attracting_angle(rep, x)) for x in (w, w.inverse()))
+        assert err < 1e-12, (str(w), err)
 
 
 def test_sample_csv_and_json_deterministic(octagon):

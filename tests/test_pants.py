@@ -174,7 +174,6 @@ def test_plan_totals_on_random_signatures():
             + len(plan.cusp_slots)
         )
         summary = realize(plan)
-        assert summary.valid
         assert summary.total_area == pytest.approx(-2 * math.pi * s.chi(), abs=1e-9)
 
 
