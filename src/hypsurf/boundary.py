@@ -19,13 +19,18 @@ import numpy as np
 
 from hypsurf.disk import TOL_ANGLE
 from hypsurf.errors import (
-    EmptySample,
     InvalidInput,
     NumericFailure,
     OrderViolation,
     TooFewPoints,
 )
-from hypsurf.groups import GroupRep, attracting_angle, evaluate
+from hypsurf.groups import (
+    GroupRep,
+    attracting_angle,  # re-exported: perfbench's tracing tests rebind this copy
+    attracting_angles,
+    csv_blocks,
+    evaluate,
+)
 from hypsurf.words import (
     DEFAULT_WORD_BUDGET,
     GroupWord,
@@ -33,8 +38,10 @@ from hypsurf.words import (
     compose_images,
     enumerate_reduced_words,
     invert_images,
+    letter_rows_to_strings,
     shortlex_levels,
     substitute,
+    substitute_rows,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -191,40 +198,42 @@ def random_nielsen_automorphism(
 
 @dataclass(frozen=True)
 class CircleMapSample:
-    """Finite boundary-map sample: (theta_in, theta_out, provenance word),
-    sorted by theta_in, theta_in strictly increasing after dedup."""
+    """Finite boundary-map sample: theta_in[i] maps to theta_out[i], and
+    row i of ``letters`` (zero-padded int8, as in `EndpointSample`) is the
+    class representative both came from.  Sorted by theta_in, which is
+    strictly increasing after dedup."""
 
-    pairs: tuple[tuple[float, float, GroupWord], ...]
+    theta_in: np.ndarray
+    theta_out: np.ndarray
+    letters: np.ndarray
     skipped: int = 0
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.theta_in)
 
-    def theta_in(self) -> np.ndarray:
-        return np.array([p[0] for p in self.pairs])
-
-    def theta_out(self) -> np.ndarray:
-        return np.array([p[1] for p in self.pairs])
+    def word(self, i: int) -> GroupWord:
+        return GroupWord.from_row(self.letters[i])
 
     def to_csv_rows(self):
-        yield "theta_in,theta_out,word"
-        for tin, tout, w in self.pairs:
-            yield f"{tin:.17g},{tout:.17g},{w}"
+        return csv_blocks("theta_in,theta_out,word", (self.theta_in, self.theta_out),
+                          self.letters)
 
     def to_json(self) -> dict:
         return {
             "pairs": [
-                {"theta_in": tin, "theta_out": tout, "word": str(w)}
-                for tin, tout, w in self.pairs
+                {"theta_in": tin, "theta_out": tout, "word": w}
+                for tin, tout, w in zip(self.theta_in.tolist(), self.theta_out.tolist(),
+                                        letter_rows_to_strings(self.letters))
             ],
             "skipped": self.skipped,
         }
 
 
 def conjugacy_class_words(rank: int, n: int,
-                          budget: int = DEFAULT_WORD_BUDGET) -> list[GroupWord]:
+                          budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
     """One cyclically reduced representative per conjugacy class (modulo
-    inversion) of length <= n, in order of first shortlex appearance.
+    inversion) of length <= n, in order of first shortlex appearance, as
+    the rows of an int8 letter matrix zero-padded to width n.
 
     The representative is `GroupWord.conjugacy_class_rep`: the least
     rotation of a cyclically reduced row of the word table or of its
@@ -234,7 +243,7 @@ def conjugacy_class_words(rank: int, n: int,
     """
     levels = shortlex_levels(rank, n, budget)
     base = 2 * rank
-    reps: list[GroupWord] = []
+    reps: list[np.ndarray] = []
     for letters in levels:
         length = letters.shape[1]
         # exact Python integers once a code could outgrow int64
@@ -252,8 +261,9 @@ def conjugacy_class_words(rank: int, n: int,
         _, first = np.unique(best, return_index=True)
         digits = best[np.sort(first), None] // powers % base
         # level 1 is the alphabet in key order
-        reps.extend(GroupWord(tuple(w)) for w in levels[0][digits.astype(np.intp), 0].tolist())
-    return reps
+        rows = levels[0][digits.astype(np.intp), 0]
+        reps.append(np.pad(rows, ((0, 0), (0, n - length))))
+    return np.vstack(reps) if reps else np.zeros((0, n), dtype=np.int8)
 
 
 def induced_boundary_sample(
@@ -266,55 +276,29 @@ def induced_boundary_sample(
     word per conjugacy class of length <= n.
 
     Classes whose element or image is not certifiably hyperbolic are
-    skipped and counted; more than half skipped aborts.  The sample is
-    deduplicated on theta_in (colliding entries must agree on theta_out)
-    and must be cyclically order-consistent as a whole.
+    skipped and counted; more than half skipped (all of them included)
+    aborts with NumericFailure.  The sample is deduplicated on theta_in:
+    an entry within TOL_ANGLE of the last kept one (or, at the wraparound,
+    of the first) is dropped and must agree with it on theta_out.  The
+    whole sample must be cyclically order-consistent.
     """
     if n < 1:
         raise InvalidInput("induced_boundary_sample needs n >= 1")
     if phi.rank != rep.rank:
         raise InvalidInput(f"automorphism rank {phi.rank} != group rank {rep.rank}")
     classes = conjugacy_class_words(rep.rank, n, budget)
-    raw: list[tuple[float, float, GroupWord]] = []
-    skipped = 0
-    for w in classes:
-        tin = attracting_angle(rep, w)
-        if tin is None:
-            skipped += 1
-            continue
-        tout = attracting_angle(rep, phi.apply(w))
-        if tout is None:
-            skipped += 1
-            continue
-        raw.append((tin, tout, w))
-    if not raw:
-        raise EmptySample("no hyperbolic conjugacy classes sampled; increase n")
+    tin = attracting_angles(rep, classes)
+    tout = attracting_angles(rep, substitute_rows(phi.images, classes))
+    hyperbolic = ~(np.isnan(tin) | np.isnan(tout))
+    skipped = len(classes) - int(np.count_nonzero(hyperbolic))
     if skipped > MAX_SKIP_FRACTION * len(classes):
         raise NumericFailure(
             f"{skipped} of {len(classes)} classes skipped as non-hyperbolic; "
             "representation data looks wrong"
         )
-    raw.sort(key=lambda p: p[0])
-    pairs: list[tuple[float, float, GroupWord]] = [raw[0]]
-    for tin, tout, w in raw[1:]:
-        if tin - pairs[-1][0] <= TOL_ANGLE:
-            if _circular_distance(tout, pairs[-1][1]) > OUT_CONSISTENCY_TOL:
-                raise OrderViolation(
-                    "colliding inputs map to distinct outputs "
-                    f"({pairs[-1][2]} vs {w})",
-                    triple=(pairs[-1][:2], (tin, tout)),
-                )
-            continue
-        pairs.append((tin, tout, w))
-    # wraparound collision
-    while len(pairs) > 1 and pairs[0][0] + TWO_PI - pairs[-1][0] <= TOL_ANGLE:
-        if _circular_distance(pairs[-1][1], pairs[0][1]) > OUT_CONSISTENCY_TOL:
-            raise OrderViolation(
-                "colliding inputs map to distinct outputs at the wraparound",
-                triple=(pairs[-1][:2], pairs[0][:2]),
-            )
-        pairs.pop()
-    sample = CircleMapSample(tuple(pairs), skipped)
+    tin, tout, letters = _dedup_on_circle(tin[hyperbolic], tout[hyperbolic],
+                                          classes[hyperbolic])
+    sample = CircleMapSample(tin, tout, letters, skipped)
     if len(sample) >= 3:
         verdict = order_check(sample)
         if verdict.violation is not None:
@@ -325,14 +309,44 @@ def induced_boundary_sample(
     return sample
 
 
-def _circular_distance(t1: float, t2: float) -> float:
-    d = abs(t1 - t2) % TWO_PI
-    return min(d, TWO_PI - d)
+def _dedup_on_circle(tin: np.ndarray, tout: np.ndarray, letters: np.ndarray):
+    """Sort a sampled map by theta_in (stably) and drop every entry within
+    TOL_ANGLE of the last kept one, then trailing entries within TOL_ANGLE
+    of the first + 2*pi; a dropped entry must agree on theta_out with the
+    one it collides with, or OrderViolation is raised."""
+    order = np.argsort(tin, kind="stable")
+    tin, tout, letters = tin[order], tout[order], letters[order]
+    keep = np.ones(len(tin), dtype=bool)
+    # only entries within TOL_ANGLE of their predecessor can collide
+    for i in np.flatnonzero(np.diff(tin) <= TOL_ANGLE) + 1:
+        j = i - 1
+        while not keep[j]:
+            j -= 1
+        if tin[i] - tin[j] > TOL_ANGLE:
+            continue
+        if _circular_distance(tout[i], tout[j]) > OUT_CONSISTENCY_TOL:
+            kept, dropped = letter_rows_to_strings(letters[[j, i]])
+            raise OrderViolation(
+                f"colliding inputs map to distinct outputs ({kept} vs {dropped})",
+                triple=((float(tin[j]), float(tout[j])), (float(tin[i]), float(tout[i]))),
+            )
+        keep[i] = False
+    tin, tout, letters = tin[keep], tout[keep], letters[keep]
+    wrap = np.flatnonzero(tin[0] + TWO_PI - tin[1:] <= TOL_ANGLE) + 1
+    clash = wrap[_circular_distance(tout[wrap], tout[0]) > OUT_CONSISTENCY_TOL]
+    if len(clash):
+        j = clash[-1]
+        raise OrderViolation(
+            "colliding inputs map to distinct outputs at the wraparound",
+            triple=((float(tin[j]), float(tout[j])), (float(tin[0]), float(tout[0]))),
+        )
+    end = len(tin) - len(wrap)
+    return tin[:end], tout[:end], letters[:end]
 
 
-def _orientation(a: float, b: float, c: float) -> int:
-    """+1 if (a, b, c) is positively ordered on the circle, -1 otherwise."""
-    return 1 if (b - a) % TWO_PI < (c - a) % TWO_PI else -1
+def _circular_distance(t1, t2):
+    d = np.mod(np.abs(t1 - t2), TWO_PI)
+    return np.minimum(d, TWO_PI - d)
 
 
 @dataclass(frozen=True)
@@ -346,20 +360,22 @@ class OrderCheckResult:
 
 
 def order_check(s: CircleMapSample) -> OrderCheckResult:
-    """Scan consecutive output triples for a constant cyclic orientation."""
-    m = len(s.pairs)
+    """Scan consecutive output triples for a constant cyclic orientation:
+    (a, b, c) is positively ordered when b comes before c going
+    counterclockwise from a."""
+    m = len(s)
     if m < 3:
         raise TooFewPoints("order check needs at least 3 sample points")
-    tout = s.theta_out()
-    signs = [
-        _orientation(tout[i], tout[(i + 1) % m], tout[(i + 2) % m]) for i in range(m)
-    ]
-    if all(x == 1 for x in signs):
+    a = s.theta_out
+    positive = np.mod(np.roll(a, -1) - a, TWO_PI) < np.mod(np.roll(a, -2) - a, TWO_PI)
+    if positive.all():
         return OrderCheckResult("preserving")
-    if all(x == -1 for x in signs):
+    if not positive.any():
         return OrderCheckResult("reversing")
-    i = next(i for i in range(m) if signs[i] != signs[0])
-    triple = tuple(s.pairs[(i + k) % m][:2] for k in range(3))
+    i = int(np.argmax(positive != positive[0]))
+    triple = tuple(
+        (float(s.theta_in[j]), float(s.theta_out[j])) for j in ((i + k) % m for k in range(3))
+    )
     return OrderCheckResult(None, violation=triple)
 
 
@@ -402,13 +418,13 @@ def is_boundary_identity(
     """
     if m < 0:
         raise InvalidInput("search depth must be nonnegative")
-    tin = sample.theta_in()
-    zout = np.exp(1j * sample.theta_out())
+    zout = np.exp(1j * sample.theta_out)
+    unturn = np.exp(-1j * sample.theta_in)
     results: list[tuple[float, GroupWord]] = []
     for u in enumerate_reduced_words(rep.rank, m, budget):
         mu = evaluate(rep, u)
         w = (mu.a * zout + mu.b) / (np.conj(mu.b) * zout + np.conj(mu.a))
-        dev = np.angle(w * np.exp(-1j * tin))
+        dev = np.angle(w * unturn)
         results.append((float(np.abs(dev).max()), u))
     best_res, best_u = min(results, key=lambda r: r[0])  # shortlex wins ties
     near = tuple(u for r, u in results if r <= 2.0 * best_res)
@@ -442,22 +458,16 @@ def continuity_profile(s: CircleMapSample) -> ExtensionReport:
     """Image gaps of consecutive input gaps; both lists partition the
     circle (in the map's own orientation), so shrinking input gaps with
     bounded image gaps is the finite echo of continuity."""
-    m = len(s.pairs)
-    if m < 4:
+    if len(s) < 4:
         raise TooFewPoints("continuity profile needs at least 4 sample points")
     verdict = order_check(s)
     if verdict.violation is not None:
         raise OrderViolation("cannot profile an order-violating sample",
                              triple=verdict.violation)
-    tin = s.theta_in()
-    tout = s.theta_out()
     sign = 1.0 if verdict.orientation == "preserving" else -1.0
-    pairs = []
-    for i in range(m):
-        j = (i + 1) % m
-        gi = (tin[j] - tin[i]) % TWO_PI
-        go = (sign * (tout[j] - tout[i])) % TWO_PI
-        pairs.append((float(gi), float(go)))
+    gap_in = np.mod(np.roll(s.theta_in, -1) - s.theta_in, TWO_PI)
+    gap_out = np.mod(sign * (np.roll(s.theta_out, -1) - s.theta_out), TWO_PI)
+    pairs = list(zip(gap_in.tolist(), gap_out.tolist()))
     return ExtensionReport(
         max_gap_in=max(p[0] for p in pairs),
         max_image_gap=max(p[1] for p in pairs),

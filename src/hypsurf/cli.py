@@ -55,8 +55,6 @@ from hypsurf.signature import (
 )
 
 DEFAULT_SEPARATION = 4.0
-#: lines joined into one string per write call by `_emit_lines`
-_LINES_PER_WRITE = 65536
 
 
 def format_float(x: float) -> str:
@@ -207,14 +205,13 @@ def _config_from_args(args) -> CliConfig:
 
 
 def _emit_lines(lines: Iterable[str], path: Optional[str]) -> None:
-    """Write each line and a newline to the file at path, or to stdout.
-    Lines are joined and written in batches, so a long stream of rows is
-    never held as one string."""
+    """Write each item and a newline to the file at path, or to stdout.
+    Items are written as they come: a sample's CSV arrives in blocks of
+    rows (`groups.csv_blocks`), so its whole text is never held at once."""
     f = sys.stdout if path is None else open(path, "w", encoding="utf-8")
     try:
-        lines = iter(lines)
-        while batch := list(itertools.islice(lines, _LINES_PER_WRITE)):
-            f.write("\n".join(batch))
+        for text in lines:
+            f.write(text)
             f.write("\n")
     finally:
         if path is not None:

@@ -24,6 +24,7 @@ import numpy as np
 
 from hypsurf.disk import (
     TOL_ANGLE,
+    TOL_AXIS,
     DiskPoint,
     Geodesic,
     IdealPoint,
@@ -54,7 +55,7 @@ DEFAULT_DELTA = 0.2
 #: beyond this entry magnitude the unit-determinant normalization of a
 #: word product is no longer certifiable in double precision
 MAX_ENTRY_MAGNITUDE = 1e6
-#: rows rendered per block by `EndpointSample.to_csv_rows`
+#: rows rendered per block by `csv_blocks`
 _RENDER_BLOCK_ROWS = 65536
 #: a word-table level with an entry past this is divided by it (exactly)
 _RESCALE_AT = 2.0**256
@@ -127,6 +128,12 @@ class _Level:
     b: np.ndarray
 
 
+def _letter_matrices(rep: GroupRep) -> tuple[np.ndarray, np.ndarray]:
+    """Entries a and b of every letter's isometry, indexed by `_letter_key`."""
+    mats = [rep.letter_isometry(s * k) for k in range(1, rep.rank + 1) for s in (1, -1)]
+    return np.array([m.a for m in mats]), np.array([m.b for m in mats])
+
+
 def _word_levels(rep: GroupRep, n: int, budget: int = DEFAULT_WORD_BUDGET) -> list[_Level]:
     """Levels 1..n of the shortlex word table with their matrix entries.
 
@@ -137,9 +144,8 @@ def _word_levels(rep: GroupRep, n: int, budget: int = DEFAULT_WORD_BUDGET) -> li
     table = shortlex_levels(rep.rank, n, budget)
     if not table:
         return []
-    mats = [rep.letter_isometry(int(l)) for l in table[0][:, 0]]
-    la = np.array([complex(m.a) for m in mats])
-    lb = np.array([complex(m.b) for m in mats])
+    # level 1 is the alphabet in key order
+    la, lb = _letter_matrices(rep)
     fan = 2 * rep.rank - 1
     levels = [_Level(table[0], la, lb)]
     for letters in table[1:]:
@@ -215,7 +221,7 @@ class EndpointSample:
     aligned with ``angles``; `word` / `__iter__` decode rows on demand, so
     million-point samples stay cheap to hold.  CSV and JSON rendering read
     the two arrays directly, without per-row `GroupWord` objects; CSV rows
-    are built one fixed-size block at a time, so a caller that writes them
+    come in fixed-size blocks (`csv_blocks`), so a caller that writes them
     as they come never holds the whole text.
     """
 
@@ -227,7 +233,7 @@ class EndpointSample:
         return len(self.angles)
 
     def word(self, i: int) -> GroupWord:
-        return GroupWord(tuple(int(x) for x in self.letters[i] if x != 0))
+        return GroupWord.from_row(self.letters[i])
 
     def ideal_point(self, i: int) -> IdealPoint:
         return IdealPoint(float(self.angles[i]))
@@ -237,13 +243,7 @@ class EndpointSample:
             yield self.ideal_point(i), self.word(i)
 
     def to_csv_rows(self) -> Iterator[str]:
-        yield "theta,word"
-        for i in range(0, len(self.angles), _RENDER_BLOCK_ROWS):
-            j = i + _RENDER_BLOCK_ROWS
-            words = letter_rows_to_strings(self.letters[i:j])
-            yield from (
-                f"{t:.17g},{w}" for t, w in zip(self.angles[i:j].tolist(), words)
-            )
+        return csv_blocks("theta,word", (self.angles,), self.letters)
 
     def to_json(self) -> dict:
         return {
@@ -251,6 +251,25 @@ class EndpointSample:
             "angles": self.angles.tolist(),
             "words": letter_rows_to_strings(self.letters),
         }
+
+
+def csv_blocks(header: str, columns: tuple[np.ndarray, ...],
+               letters: np.ndarray) -> Iterator[str]:
+    """CSV text of float columns (at 17 significant digits) and a word
+    column read from a zero-padded letter matrix: the header, then blocks
+    of `_RENDER_BLOCK_ROWS` rows, each rendered by one `%` format and
+    joined by newlines, so the items joined by newlines are the text."""
+    yield header
+    width = len(columns) + 1
+    row = "%.17g," * len(columns) + "%s"
+    for i in range(0, len(letters), _RENDER_BLOCK_ROWS):
+        j = i + _RENDER_BLOCK_ROWS
+        words = letter_rows_to_strings(letters[i:j])
+        cells = [None] * (width * len(words))
+        for k, column in enumerate(columns):
+            cells[k::width] = column[i:j].tolist()
+        cells[width - 1::width] = words
+        yield "\n".join([row] * len(words)) % tuple(cells)
 
 
 def _dedup_sorted_circle(theta: np.ndarray, order_rank: np.ndarray, tol: float):
@@ -355,45 +374,110 @@ def gap_profile(s: EndpointSample) -> list[float]:
 
 # ---------------------------------------------------------------------------
 # stable boundary data for long words
+#
+# The angles below are taken in CPython's scalar complex arithmetic, bit for
+# bit, over whole arrays of words: numpy's complex multiply and divide loops
+# round differently, so products and quotients are written out on the real
+# and imaginary parts (complex addition, conjugation and `np.hypot` agree).
 
 
-def _scaled_product(rep: GroupRep, letters: tuple[int, ...]) -> tuple[complex, complex]:
-    """Word product up to a positive real scale: entries are divided by
-    their max modulus after every step, so nothing overflows."""
-    a, b = 1.0 + 0.0j, 0.0j
-    for letter in letters:
-        g = rep.letter_isometry(letter)
-        a, b = a * g.a + b * g.b.conjugate(), a * g.b + b * g.a.conjugate()
-        m = max(abs(a), abs(b))
-        if m > 1.0:
-            a /= m
-            b /= m
-    return a, b
+def _cmul(x, y):
+    """x * y as CPython multiplies complex numbers."""
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _cdiv(x, y):
+    """x / y as CPython divides complex numbers (y real or complex):
+    Smith's method, dividing through by the larger part of y."""
+    big = np.abs(y.real) >= np.abs(y.imag)
+    p, q = np.where(big, y.real, y.imag), np.where(big, y.imag, y.real)
+    ratio = q / p
+    denom = p + q * ratio
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = (np.where(big, x.real, x.imag) + np.where(big, x.imag, x.real) * ratio) / denom
+    out.imag = np.where(big, x.imag - x.real * ratio, x.imag * ratio - x.real) / denom
+    return out
+
+
+def _pow2(x: np.ndarray) -> np.ndarray:
+    # CPython's float ** 2 is libm pow, which rounds differently from x * x
+    return np.array([v ** 2 for v in x.tolist()])
+
+
+def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
+    """Attracting fixed-point angle of the word in every row of a
+    zero-padded letter matrix; NaN where the word's conjugacy class is not
+    certifiably hyperbolic (the empty word included).
+
+    Stable for words far beyond `evaluate`'s range: the cyclic core v of
+    w = u v u^-1 has its axis through the thick part of the orbit, so its
+    fixed points come out of the scale-free formula of
+    `disk.circle_fixed_points` on a product divided by its largest entry
+    modulus after every letter; the conjugator u is then applied letter
+    by letter on the circle, where reduced-word ping-pong makes every step
+    a contraction.  Rows advance together, one letter column at a time.
+    """
+    letters = np.asarray(letters, dtype=np.intp)
+    count = len(letters)
+    outside = np.abs(letters) > rep.rank
+    if outside.any():
+        raise IndexOutOfRange(f"letter {letters[outside][0]} outside rank {rep.rank}")
+    la, lb = _letter_matrices(rep)
+    rows = np.arange(count)
+    length = np.count_nonzero(letters, axis=1)
+    # cyclic split w = u v u^-1: u is the first `start` letters of the row
+    start = np.zeros(count, dtype=np.intp)
+    peel = np.ones(count, dtype=bool)
+    for k in range(letters.shape[1] // 2):
+        last = letters[rows, np.maximum(length - 1 - k, 0)]
+        peel &= (length - 2 * k >= 2) & (letters[:, k] == -last)
+        if not peel.any():
+            break
+        start += peel
+    core = length - 2 * start
+
+    a = np.ones(count, dtype=complex)
+    b = np.zeros(count, dtype=complex)
+    for c in range(core.max(initial=0)):
+        live = np.flatnonzero(core > c)
+        key = _letter_key(letters[live, start[live] + c])
+        ga, gb, x, y = la[key], lb[key], a[live], b[live]
+        x, y = _cmul(x, ga) + _cmul(y, gb.conj()), _cmul(x, gb) + _cmul(y, ga.conj())
+        m = np.maximum(np.hypot(x.real, x.imag), np.hypot(y.real, y.imag))
+        big = m > 1.0
+        x[big] = _cdiv(x[big], m[big])
+        y[big] = _cdiv(y[big], m[big])
+        a[live], b[live] = x, y
+
+    # `disk.is_certainly_hyperbolic` and `disk.circle_fixed_points` as they
+    # compute on Python scalars
+    b2 = _pow2(np.hypot(b.real, b.imag))
+    disc = b2 - _pow2(a.imag)
+    ok = disc > TOL_AXIS * _pow2(np.hypot(a.real, a.imag))
+    a, b, disc = a[ok], b[ok], disc[ok]
+    root = np.sqrt(disc) * (a.real / np.abs(a.real))
+    z = _cdiv(_cmul(1j, a.imag) + root, b.conj())
+    z = _cdiv(z, np.hypot(z.real, z.imag))
+    walk, lead = letters[ok], start[ok]
+    for c in range(lead.max(initial=0) - 1, -1, -1):
+        live = np.flatnonzero(lead > c)
+        key = _letter_key(walk[live, c])
+        ga, gb, x = la[key], lb[key], z[live]
+        x = _cdiv(_cmul(ga, x) + gb, _cmul(gb.conj(), x) + ga.conj())
+        z[live] = _cdiv(x, np.hypot(x.real, x.imag))
+    out = np.full(count, np.nan)
+    out[ok] = np.mod(list(map(math.atan2, z.imag.tolist(), z.real.tolist())), 2.0 * math.pi)
+    return out
 
 
 def attracting_angle(rep: GroupRep, w: GroupWord) -> Optional[float]:
     """Attracting fixed-point angle of a word, or None if its conjugacy
-    class is not certifiably hyperbolic.
-
-    Stable for words far beyond `evaluate`'s range: the cyclic core v of
-    w = u v u^-1 has its axis through the thick part of the orbit, so its
-    fixed points come out of a scale-free formula on a rescaled product;
-    the conjugator u is then applied letter by letter on the circle,
-    where reduced-word ping-pong makes every step a contraction.
-    """
-    if w.is_identity():
-        return None
-    u, v = w.cyclic_split()
-    a, b = _scaled_product(rep, v.letters)
-    if not is_certainly_hyperbolic(a, b):
-        return None
-    z, _ = circle_fixed_points(a, b)
-    z /= abs(z)
-    for letter in reversed(u.letters):
-        g = rep.letter_isometry(letter)
-        z = (g.a * z + g.b) / (g.b.conjugate() * z + g.a.conjugate())
-        z /= abs(z)
-    return cmath.phase(z) % (2.0 * math.pi)
+    class is not certifiably hyperbolic; `attracting_angles` of one row."""
+    theta = float(attracting_angles(rep, np.array([w.letters], dtype=np.intp))[0])
+    return None if math.isnan(theta) else theta
 
 
 # ---------------------------------------------------------------------------

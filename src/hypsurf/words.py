@@ -63,6 +63,11 @@ class GroupWord:
         return cls(free_reduce(letters))
 
     @classmethod
+    def from_row(cls, row) -> "GroupWord":
+        """The word in a zero-padded row of a letter matrix."""
+        return cls(tuple(int(x) for x in row if x != 0))
+
+    @classmethod
     def identity(cls) -> "GroupWord":
         return cls(())
 
@@ -235,6 +240,22 @@ def substitute(images: tuple[GroupWord, ...], w: GroupWord) -> GroupWord:
         img = images[idx].letters
         pieces.extend(img if a > 0 else tuple(-x for x in reversed(img)))
     return GroupWord.reduced(pieces)
+
+
+def substitute_rows(images: tuple[GroupWord, ...], letters: np.ndarray) -> np.ndarray:
+    """`substitute` applied to every row of a zero-padded int8 letter
+    matrix whose letters lie within the rank of ``images``; the images come
+    back as one such matrix, zero-padded to the longest."""
+    pieces = {0: ()}
+    for i, w in enumerate(images, start=1):
+        pieces[i] = w.letters
+        pieces[-i] = tuple(-x for x in reversed(w.letters))
+    rows = [free_reduce(itertools.chain.from_iterable(map(pieces.__getitem__, row)))
+            for row in letters.tolist()]
+    lengths = np.array([len(r) for r in rows], dtype=np.intp)
+    out = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.int8)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = list(itertools.chain.from_iterable(rows))
+    return out
 
 
 def compose_images(outer: tuple[GroupWord, ...],

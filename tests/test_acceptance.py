@@ -243,8 +243,8 @@ def _boundary_runs():
     inner = FreeAutomorphism.inner(4, g)
     sample = induced_boundary_sample(octagon, inner, 4)
     ga = evaluate(octagon, g)
-    predicted = np.array([apply(ga, IdealPoint(float(t))).theta for t in sample.theta_in()])
-    inner_dev = float(np.abs(np.angle(np.exp(1j * (predicted - sample.theta_out())))).max())
+    predicted = np.array([apply(ga, IdealPoint(float(t))).theta for t in sample.theta_in])
+    inner_dev = float(np.abs(np.angle(np.exp(1j * (predicted - sample.theta_out)))).max())
     # (b) identity automorphism
     ident = is_boundary_identity(
         torus, induced_boundary_sample(torus, FreeAutomorphism.identity(2), 4)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from hypsurf.boundary import (
+    OUT_CONSISTENCY_TOL,
     CircleMapSample,
     FreeAutomorphism,
+    _dedup_on_circle,
     conjugacy_class_words,
     continuity_profile,
     induced_boundary_sample,
@@ -15,6 +17,7 @@ from hypsurf.boundary import (
     random_nielsen_automorphism,
 )
 from hypsurf.disk import (
+    TOL_ANGLE,
     DiskPoint,
     Geodesic,
     IdealPoint,
@@ -78,8 +81,8 @@ def test_identity_sample_is_diagonal(octagon):
     s = induced_boundary_sample(octagon, FreeAutomorphism.identity(4), 3)
     assert len(s) >= 50
     assert s.skipped == 0
-    assert np.max(np.abs(s.theta_in() - s.theta_out())) < 1e-10
-    tin = s.theta_in()
+    assert np.max(np.abs(s.theta_in - s.theta_out)) < 1e-10
+    tin = s.theta_in
     assert np.all(np.diff(tin) > 0)
 
 
@@ -90,9 +93,9 @@ def test_inner_sample_matches_mobius_action(octagon):
     assert len(s) >= 100
     ga = evaluate(octagon, g)
     predicted = np.array(
-        [apply(ga, IdealPoint(float(t))).theta for t in s.theta_in()]
+        [apply(ga, IdealPoint(float(t))).theta for t in s.theta_in]
     )
-    dev = np.abs(np.angle(np.exp(1j * (predicted - s.theta_out()))))
+    dev = np.abs(np.angle(np.exp(1j * (predicted - s.theta_out))))
     assert dev.max() < 1e-6
 
 
@@ -103,12 +106,19 @@ def test_sample_skips_parabolic_classes(cusped_torus):
 
 
 def test_sample_empty_when_nothing_hyperbolic():
-    # rotations about a common center: every word is elliptic
-    from hypsurf.errors import EmptySample
-
+    # rotations about a common center: every word is elliptic. Every class
+    # skipped is more than half skipped: NumericFailure, not an EmptySample
+    # asking for a larger n
     rep = GroupRep((MobiusIsometry.rotation(1.0), MobiusIsometry.rotation(2.0)))
-    with pytest.raises(EmptySample):
+    with pytest.raises(NumericFailure, match="classes skipped"):
         induced_boundary_sample(rep, FreeAutomorphism.identity(2), 2)
+
+
+def test_sample_fails_loudly_when_only_parabolic():
+    # one parabolic generator: every power is parabolic
+    rep = GroupRep((MobiusIsometry(1 + 1j, 1),))
+    with pytest.raises(NumericFailure, match="classes skipped"):
+        induced_boundary_sample(rep, FreeAutomorphism.identity(1), 4)
 
 
 def test_sample_loud_failure_on_majority_skips():
@@ -138,6 +148,79 @@ def test_sample_detects_inconsistent_collisions():
         induced_boundary_sample(rep, invert_b, 1)
 
 
+def _dedup_by_pairs(tin, tout, letters):
+    # the tuple loop the array dedup replaced
+    raw = sorted(zip(tin.tolist(), tout.tolist(), [GroupWord.from_row(r) for r in letters]),
+                 key=lambda p: p[0])
+    pairs = [raw[0]]
+    for t_in, t_out, w in raw[1:]:
+        if t_in - pairs[-1][0] <= TOL_ANGLE:
+            assert _circ(t_out, pairs[-1][1]) <= OUT_CONSISTENCY_TOL
+            continue
+        pairs.append((t_in, t_out, w))
+    while len(pairs) > 1 and pairs[0][0] + 2 * math.pi - pairs[-1][0] <= TOL_ANGLE:
+        assert _circ(pairs[-1][1], pairs[0][1]) <= OUT_CONSISTENCY_TOL
+        pairs.pop()
+    return pairs
+
+
+def _circ(t1, t2):
+    d = abs(t1 - t2) % (2 * math.pi)
+    return min(d, 2 * math.pi - d)
+
+
+def _rows(count):
+    # distinct provenance rows, one per entry
+    i = np.arange(count)
+    return np.column_stack([i // 100 + 1, i % 100 + 1]).astype(np.int8)
+
+
+def test_dedup_collides_with_the_last_kept_entry():
+    # 0.6e-9 collides with 0; 1.2e-9 is within TOL_ANGLE of 0.6e-9 but
+    # not of 0, the last kept entry, so it stays
+    tin = np.array([1.0, 1.2e-9, 0.6e-9, 0.0])
+    tin_k, tout_k, _ = _dedup_on_circle(tin, tin + 0.5, _rows(4))
+    assert tin_k.tolist() == [0.0, 1.2e-9, 1.0]
+    assert tout_k.tolist() == [0.5, 0.5 + 1.2e-9, 1.5]
+
+
+def test_dedup_wraparound_and_stable_ties():
+    two_pi = 2 * math.pi
+    tin = np.array([two_pi - 4e-10, 3.0, 1e-10, two_pi - 1e-10, 3.0])
+    letters = np.array([[1], [2], [-1], [-2], [1]], dtype=np.int8)
+    tin_k, tout_k, rows = _dedup_on_circle(tin, np.mod(tin + 1.0, two_pi), letters)
+    assert tin_k.tolist() == [1e-10, 3.0]
+    assert rows[:, 0].tolist() == [-1, 2]  # the first of two equal inputs is kept
+
+
+def test_dedup_rejects_colliding_inputs_with_distinct_outputs():
+    with pytest.raises(OrderViolation, match=r"\(A vs B\)") as e:
+        _dedup_on_circle(np.array([0.5, 0.5 + 1e-10]), np.array([1.0, 2.0]),
+                         np.array([[1], [2]], dtype=np.int8))
+    assert e.value.triple == ((0.5, 1.0), (0.5 + 1e-10, 2.0))
+    with pytest.raises(OrderViolation, match="wraparound"):
+        _dedup_on_circle(np.array([1e-10, 1.0, 2 * math.pi - 1e-10]),
+                         np.array([1.0, 2.0, 3.0]), _rows(3))
+
+
+def test_dedup_matches_the_pairs_loop():
+    rng = np.random.default_rng(3)
+    # clustered inputs: many collisions, chains longer than TOL_ANGLE,
+    # exact ties and entries near both ends of [0, 2*pi)
+    centers = rng.uniform(0, 2 * math.pi, 40)
+    centers[:2] = (1e-10, 2 * math.pi - 3e-10)
+    tin = np.repeat(centers, 25) + rng.integers(0, 6, 1000) * 4e-10
+    tin = np.mod(tin, 2 * math.pi)
+    tout = np.mod(tin + 0.25, 2 * math.pi)
+    letters = _rows(1000)
+    tin_k, tout_k, rows = _dedup_on_circle(tin, tout, letters)
+    pairs = _dedup_by_pairs(tin, tout, letters)
+    assert len(pairs) < 200
+    assert tin_k.tolist() == [p[0] for p in pairs]
+    assert tout_k.tolist() == [p[1] for p in pairs]
+    assert [GroupWord.from_row(r) for r in rows] == [p[2] for p in pairs]
+
+
 def _class_words_by_definition(rank, n):
     # the cyclically reduced words of the tree in shortlex order, deduped
     # on the scalar class representative, first of each kept
@@ -155,7 +238,9 @@ def _class_words_by_definition(rank, n):
 # (1, 70): (2k)^L passes int64 there, so packed codes must not wrap
 @pytest.mark.parametrize("rank, n", [(1, 70), *((2, n) for n in range(1, 10)), (3, 6), (4, 5)])
 def test_conjugacy_class_words_counts(rank, n):
-    reps = conjugacy_class_words(rank, n)
+    rows = conjugacy_class_words(rank, n)
+    assert rows.dtype == np.int8 and rows.shape[1] == n
+    reps = [GroupWord.from_row(row) for row in rows]
     assert reps == _class_words_by_definition(rank, n)
     assert all(w.is_cyclically_reduced() for w in reps)
     if (rank, n) == (2, 2):
@@ -173,18 +258,15 @@ def test_order_check_identity_preserving(cusped_torus):
 
 def test_order_check_reflection_reversing(cusped_torus):
     s = induced_boundary_sample(cusped_torus, FreeAutomorphism.identity(2), 4)
-    reflected = CircleMapSample(
-        tuple((tin, (-tout) % (2 * math.pi), w) for tin, tout, w in s.pairs)
-    )
+    reflected = CircleMapSample(s.theta_in, np.mod(-s.theta_out, 2 * math.pi), s.letters)
     assert order_check(reflected).orientation == "reversing"
 
 
 def test_order_check_violation_lists_triple(cusped_torus):
     s = induced_boundary_sample(cusped_torus, FreeAutomorphism.identity(2), 4)
-    pl = list(s.pairs)
-    pl[2] = (pl[2][0], s.pairs[5][1], pl[2][2])
-    pl[5] = (pl[5][0], s.pairs[2][1], pl[5][2])
-    verdict = order_check(CircleMapSample(tuple(pl)))
+    tout = s.theta_out.copy()
+    tout[[2, 5]] = tout[[5, 2]]
+    verdict = order_check(CircleMapSample(s.theta_in, tout, s.letters))
     assert verdict.orientation is None
     assert verdict.violation is not None and len(verdict.violation) == 3
 
@@ -192,7 +274,7 @@ def test_order_check_violation_lists_triple(cusped_torus):
 def test_order_check_needs_three_points(cusped_torus):
     s = induced_boundary_sample(cusped_torus, FreeAutomorphism.identity(2), 4)
     with pytest.raises(TooFewPoints):
-        order_check(CircleMapSample(s.pairs[:2]))
+        order_check(CircleMapSample(s.theta_in[:2], s.theta_out[:2], s.letters[:2]))
 
 
 def test_orientation_multiplicative(schottky):
@@ -292,7 +374,7 @@ def test_continuity_profile_gap_sums():
 def test_continuity_profile_needs_four(cusped_torus):
     s = induced_boundary_sample(cusped_torus, FreeAutomorphism.identity(2), 4)
     with pytest.raises(TooFewPoints):
-        continuity_profile(CircleMapSample(s.pairs[:3]))
+        continuity_profile(CircleMapSample(s.theta_in[:3], s.theta_out[:3], s.letters[:3]))
 
 
 # -- functoriality and inverses ----------------------------------------------------
@@ -307,7 +389,8 @@ def test_sample_functoriality(cusped_torus):
     # the defining fixed-point recipe
     from hypsurf.groups import attracting_angle
 
-    for tin, tout, w in s_comp.pairs:
+    for i, tout in enumerate(s_comp.theta_out.tolist()):
+        w = s_comp.word(i)
         step = attracting_angle(cusped_torus, psi.apply(w))
         final = attracting_angle(cusped_torus, phi.apply(psi.apply(w)))
         assert step is not None and final is not None
@@ -320,10 +403,10 @@ def test_sample_inverse_reverses_pairs(cusped_torus):
     s = induced_boundary_sample(cusped_torus, phi, 4)
     s_inv = induced_boundary_sample(cusped_torus, phi.invert(), 6)
     forward = {}
-    for tin, tout, w in s.pairs:
+    for tin, tout in zip(s.theta_in.tolist(), s.theta_out.tolist()):
         forward[round(tin, 9)] = tout
     hits = 0
-    for tin, tout, w in s_inv.pairs:
+    for tin, tout in zip(s_inv.theta_in.tolist(), s_inv.theta_out.tolist()):
         # the inverse sample contains the reversed pair at phi^-1(w)'s class
         key = round(tout, 9)
         if key in forward:

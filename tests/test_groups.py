@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import random
@@ -13,8 +14,10 @@ from hypsurf.disk import (
     MobiusIsometry,
     angle_distance,
     apply,
+    circle_fixed_points,
     classify,
     fixed_points,
+    is_certainly_hyperbolic,
     translation_along,
 )
 from hypsurf.errors import (
@@ -30,6 +33,7 @@ from hypsurf.groups import (
     GroupRep,
     SampleMode,
     attracting_angle,
+    attracting_angles,
     cusped_torus_group,
     evaluate,
     gap_profile,
@@ -39,9 +43,17 @@ from hypsurf.groups import (
     orbit,
     schottky_rank2,
 )
+from hypsurf.boundary import FreeAutomorphism, conjugacy_class_words
 from hypsurf.words import GroupWord, enumerate_reduced_words, word_count
 
 W = GroupWord.from_string
+
+
+def letter_matrix(words) -> np.ndarray:
+    out = np.zeros((len(words), max((len(w) for w in words), default=0)), dtype=np.int8)
+    for i, w in enumerate(words):
+        out[i, : len(w)] = w.letters
+    return out
 
 
 def _entry_residual(m1, m2):
@@ -372,6 +384,89 @@ def test_attracting_angle_none_for_parabolic(cusped_torus):
     assert attracting_angle(cusped_torus, GroupWord()) is None
 
 
+def scalar_attracting_angle(rep, w):
+    # the one-word loop in Python complex arithmetic that the batch replaced
+    if w.is_identity():
+        return None
+    u, v = w.cyclic_split()
+    a, b = 1.0 + 0.0j, 0.0j
+    for letter in v.letters:
+        g = rep.letter_isometry(letter)
+        a, b = a * g.a + b * g.b.conjugate(), a * g.b + b * g.a.conjugate()
+        m = max(abs(a), abs(b))
+        if m > 1.0:
+            a /= m
+            b /= m
+    if not is_certainly_hyperbolic(a, b):
+        return None
+    z, _ = circle_fixed_points(a, b)
+    z /= abs(z)
+    for letter in reversed(u.letters):
+        g = rep.letter_isometry(letter)
+        z = (g.a * z + g.b) / (g.b.conjugate() * z + g.a.conjugate())
+        z /= abs(z)
+    return cmath.phase(z) % (2.0 * math.pi)
+
+
+def _random_conjugates(rep, count, rng):
+    def word(length):
+        letters = []
+        while len(letters) < length:
+            x = rng.choice([k for k in range(-rep.rank, rep.rank + 1) if k])
+            if not letters or letters[-1] != -x:
+                letters.append(x)
+        return GroupWord(tuple(letters))
+
+    out = []
+    while len(out) < count:
+        v = word(rng.randrange(1, 25))
+        if v.is_cyclically_reduced():
+            u = word(rng.randrange(1, 10))
+            out.append(u * v * u.inverse())
+    return out
+
+
+def _oracle_cases():
+    # the classes and images of the four boundary-verdict operations
+    for rep, aut, n in (
+        (cusped_torus_group(), "A=AB,B=B", 9),
+        (cusped_torus_group(), "A=A,B=B", 8),
+        (octagon_group(), "A=A,B=ABa,C=ACa,D=ADa", 5),
+        (schottky_rank2(2.0), "A=AB,B=B", 8),
+    ):
+        phi = FreeAutomorphism.from_spec(aut, rank=rep.rank)
+        classes = conjugacy_class_words(rep.rank, n)
+        words = [GroupWord.from_row(r) for r in classes]
+        yield f"{rep.label}-{aut}", rep, words + [phi.apply(w) for w in words]
+    rng = random.Random(7)
+    for rep in (octagon_group(), cusped_torus_group(), schottky_rank2(4.0)):
+        yield f"{rep.label}-conjugates", rep, _random_conjugates(rep, 500, rng) + [
+            W("ABab"), W("BAba"), GroupWord(), W("AAbaBBBa") * W("ABab") * W("AbbbAB")]
+    g = translation_along(Geodesic(IdealPoint(0.3), IdealPoint(2.0)), 4.0)
+    power = GroupWord((1,) * 400)
+    yield "rank1-power", GroupRep((g,)), [power, power.inverse(), GroupWord((-1,) * 7)]
+
+
+@pytest.mark.parametrize("rep, words", [c[1:] for c in _oracle_cases()],
+                         ids=[c[0] for c in _oracle_cases()])
+def test_attracting_angles_match_scalar_loop_bit_for_bit(rep, words):
+    got = attracting_angles(rep, letter_matrix(words)).tolist()
+    for w, theta in zip(words, got):
+        ref = scalar_attracting_angle(rep, w)
+        if ref is None:
+            assert math.isnan(theta), str(w)
+        else:
+            assert theta.hex() == ref.hex(), str(w)
+
+
+def test_attracting_angles_skips_and_rejects(cusped_torus):
+    theta = attracting_angles(cusped_torus, letter_matrix([W("ABab"), GroupWord(), W("AB")]))
+    assert np.isnan(theta[:2]).all() and not np.isnan(theta[2])
+    assert attracting_angles(cusped_torus, np.zeros((0, 3), dtype=np.int8)).shape == (0,)
+    with pytest.raises(IndexOutOfRange):
+        attracting_angles(cusped_torus, np.array([[1, 3]], dtype=np.int8))
+
+
 @pytest.mark.parametrize(
     "make_rep, n",
     [
@@ -383,13 +478,16 @@ def test_attracting_angle_none_for_parabolic(cusped_torus):
     ids=["octagon-2", "schottky4-10", "schottky5-9", "cusped-torus-8"],
 )
 def test_sample_word_provenance(make_rep, n):
-    # every row's angle is an axis endpoint of its word, taken on the
-    # scalar path: evaluate cannot reach these word lengths
+    # every row's angle is an axis endpoint of its word (the attracting
+    # end of the word or of its inverse), taken by `attracting_angles`:
+    # evaluate cannot reach these word lengths
     rep = make_rep()
     s = limit_sample(rep, DiskPoint(0), n, SampleMode.AXIS_ENDPOINTS)
-    for i, theta in enumerate(s.angles.tolist()):
-        w = s.word(i)
-        err = min(angle_distance(theta, attracting_angle(rep, x)) for x in (w, w.inverse()))
+    words = [s.word(i) for i in range(len(s))]
+    ends = zip(attracting_angles(rep, s.letters).tolist(),
+               attracting_angles(rep, letter_matrix([w.inverse() for w in words])).tolist())
+    for w, theta, pair in zip(words, s.angles.tolist(), ends):
+        err = min(angle_distance(theta, end) for end in pair)
         assert err < 1e-12, (str(w), err)
 
 
@@ -398,6 +496,6 @@ def test_sample_csv_and_json_deterministic(octagon):
     s2 = limit_sample(octagon, DiskPoint(0), 3, SampleMode.AXIS_ENDPOINTS)
     assert "\n".join(s1.to_csv_rows()) == "\n".join(s2.to_csv_rows())
     assert s1.to_json() == s2.to_json()
-    rows = list(s1.to_csv_rows())
+    rows = "\n".join(s1.to_csv_rows()).split("\n")
     assert rows[0] == "theta,word"
     assert len(rows) == len(s1) + 1
