@@ -15,11 +15,13 @@ one-line JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional
 
 from hypsurf.boundary import (
@@ -68,6 +70,15 @@ def dump_json(obj) -> str:
     return "".join(out)
 
 
+def _float_texts(values) -> list[str]:
+    """`format_float` of each value; raises InvalidInput on a non-finite one."""
+    texts = list(map(format, values, itertools.repeat(".17g")))
+    # of all %.17g renderings only nan, inf and -inf contain an "n"
+    if "n" in "".join(texts):
+        raise InvalidInput("non-finite float has no JSON encoding here")
+    return texts
+
+
 def _write_json(obj, out: list[str]) -> None:
     if obj is None:
         out.append("null")
@@ -80,18 +91,15 @@ def _write_json(obj, out: list[str]) -> None:
             raise InvalidInput("non-finite float has no JSON encoding here")
         out.append(format_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        # json.dumps of a str returns exactly this
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, (list, tuple)):
         kinds = set(map(type, obj))
         if kinds == {float}:
-            text = ",".join(map(format, obj, itertools.repeat(".17g")))
-            # of all %.17g renderings only nan, inf and -inf contain an "n"
-            if "n" in text:
-                raise InvalidInput("non-finite float has no JSON encoding here")
-            out.append(f"[{text}]")
+            out.append(f"[{','.join(_float_texts(obj))}]")
             return
         if kinds == {str}:
-            out.append(json.dumps(obj, separators=(",", ":")))
+            out.append(f"[{','.join(map(encode_basestring_ascii, obj))}]")
             return
         out.append("[")
         for i, v in enumerate(obj):
@@ -100,11 +108,16 @@ def _write_json(obj, out: list[str]) -> None:
             _write_json(v, out)
         out.append("]")
     elif isinstance(obj, dict):
+        if obj and set(map(type, obj.values())) == {float}:
+            keys = map(encode_basestring_ascii, map(str, obj))
+            members = map("{}:{}".format, keys, _float_texts(obj.values()))
+            out.append("{" + ",".join(members) + "}")
+            return
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(k)))
+            out.append(encode_basestring_ascii(str(k)))
             out.append(":")
             _write_json(v, out)
         out.append("}")
@@ -139,7 +152,11 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--echo-config", action="store_true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    `main` call in the process; importing this module builds none.
+    `parse_args` keeps no state between calls."""
     p = argparse.ArgumentParser(prog="hypsurf", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = p.add_subparsers(dest="subcommand", required=True)

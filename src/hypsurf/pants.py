@@ -106,7 +106,7 @@ def hexagon_identity_residual(x: CuffLengths, geometry: PantsGeometry) -> float:
     worst = 0.0
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
-        d = seams[{frozenset((0, 1)): 0, frozenset((1, 2)): 1, frozenset((2, 0)): 2}[frozenset((i, j))]]
+        d = seams[i]  # seams are (d12, d23, d31): seams[i] joins cuffs i and (i+1) % 3
         if math.isinf(d):
             continue
         lhs = math.sinh(0.5 * xs[i]) * math.sinh(0.5 * xs[j]) * math.cosh(d)
@@ -158,19 +158,27 @@ class PantsDecompositionPlan:
     cusp_slots: tuple[str, ...]
 
     @cached_property
-    def _cuffs_by_node(self) -> dict[str, tuple[float, float, float]]:
-        index: dict[str, tuple[float, float, float]] = {}
-        for p in self.pants:
-            index.setdefault(p.node_id, p.cuff_lengths)
-        return index
+    def _slot_lengths(self) -> dict[str, float]:
+        """Slot -> cuff length; of nodes that share an id, the first wins."""
+        first = {p.node_id: p.cuff_lengths for p in reversed(self.pants)}
+        return {f"{node}.c{k}": x for node, cuffs in first.items() for k, x in enumerate(cuffs)}
 
     def slot_length(self, slot: str) -> float:
-        node_id, cuff = slot.split(".")
-        idx = {"c0": 0, "c1": 1, "c2": 2}[cuff]
-        cuffs = self._cuffs_by_node.get(node_id)
-        if cuffs is None:
-            raise InvalidInput(f"slot {slot} names no pants node")
-        return cuffs[idx]
+        try:
+            return self._slot_lengths[slot]
+        except KeyError:
+            raise InvalidInput(f"slot {slot!r} names no pants cuff") from None
+
+    @cached_property
+    def _checked(self) -> bool:
+        _check_plan(self)
+        return True
+
+    def check(self) -> None:
+        """Run `_check_plan` once per plan object.  The plan is frozen and
+        holds only tuples, so a check that passed stays passed; a copy made
+        by `dataclasses.replace` is a new object and is checked again."""
+        self._checked  # the first read runs the check and caches True
 
     def all_slots(self) -> list[str]:
         return [f"{p.node_id}.c{i}" for p in self.pants for i in range(3)]
@@ -291,7 +299,7 @@ def plan_decomposition(
     plan = PantsDecompositionPlan(
         pants, tuple(gluings), tuple(crosscaps), tuple(boundary), tuple(cusps)
     )
-    _check_plan(plan)
+    plan.check()
     return plan
 
 
@@ -356,10 +364,11 @@ class MetricSummary:
 
 def realize(plan: PantsDecompositionPlan) -> MetricSummary:
     """Fit the pants metrics together: validates the plan, builds each
-    pants' hexagon geometry, and totals the area (2*pi per pants)."""
-    _check_plan(plan)
-    for p in plan.pants:
-        build_pants(CuffLengths(*p.cuff_lengths))
+    pants' hexagon geometry, and totals the area (2*pi per pants).  Each
+    distinct cuff triple is built once."""
+    plan.check()
+    for cuffs in dict.fromkeys(p.cuff_lengths for p in plan.pants):
+        build_pants(CuffLengths(*cuffs))
     cuffs = tuple((slot, plan.slot_length(slot)) for slot in plan.all_slots())
     return MetricSummary(
         total_area=PANTS_AREA * len(plan.pants),

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +238,8 @@ def test_dump_json_rejects_non_finite_in_long_float_list(bad):
             cli.dump_json(values)
         with pytest.raises(InvalidInput):
             cli.dump_json({"angles": tuple(values)})
+        with pytest.raises(InvalidInput):
+            cli.dump_json({f"p{i}.c0": v for i, v in enumerate(values)})
 
 
 def test_dump_json_float_list_matches_per_element_formatting():
@@ -254,3 +261,82 @@ def test_dump_json_string_list_escapes_like_json_dumps():
     expected = "[" + ",".join(json.dumps(v) for v in values) + "]"
     assert cli.dump_json(values) == expected
     assert json.loads(cli.dump_json(values)) == values
+    keys = values + ["", 7, -1, 2.5, True, None]
+    expected_keys = [json.dumps(str(k)) for k in keys]
+    mixed = {k: i for i, k in enumerate(keys)}
+    assert cli.dump_json(mixed) == (
+        "{" + ",".join(f"{k}:{i}" for i, k in enumerate(expected_keys)) + "}"
+    )
+    floats = {k: 0.5 * i for i, k in enumerate(keys)}
+    assert cli.dump_json(floats) == (
+        "{" + ",".join(f"{k}:{cli.format_float(0.5 * i)}" for i, k in enumerate(expected_keys)) + "}"
+    )
+    # an "n" in a key is not a non-finite value
+    assert cli.dump_json({"nan": 1.0, "inf": 0.25}) == '{"nan":1,"inf":0.25}'
+
+
+def test_repeated_in_process_calls_stay_independent(tmp_path, capsys):
+    desc = write_desc(tmp_path, {"kind": "finite", "g": 1, "c": 1, "b": 2, "a": 0})
+    target = tmp_path / "plan.json"
+    sequence = [
+        ("plan", "--sig", "1,0,2,1", "--lengths", "1.5,2.5", "-o", str(target)),
+        ("chi", desc),
+        ("classify", desc),
+        ("limit-set", "--group", "octagon", "--n", "2", "--seed", "7"),
+        ("plan", "--sig", "0,0,2,0", "--lengths", "1,1"),
+        ("plan", "--sig", "2,0,0,0"),
+    ]
+
+    def one_pass():
+        record = []
+        for argv in sequence:
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as e:
+                code = ("SystemExit", e.code)
+            out, err = capsys.readouterr()
+            record.append((code, out, err))
+        record.append(target.read_text())
+        target.unlink()
+        return record
+
+    cli.build_parser.cache_clear()  # the first pass builds the parser, the second reuses it
+    first = one_pass()
+    parser = cli.build_parser()
+    second = one_pass()
+    assert cli.build_parser() is parser
+    assert second == first
+    assert [r[0] for r in first[:-1]] == [0, 0, 0, ("SystemExit", 2), 2, 0]
+    assert "unrecognized arguments: --seed 7" in first[3][2]
+    assert json.loads(first[4][2])["error"] == "NotHyperbolizable"
+    assert json.loads(first[-1])["summary"]["pants_count"] == 3
+
+
+def test_import_builds_no_parser_and_main_builds_one():
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = textwrap.dedent("""
+        import argparse, json, os
+        count = 0
+        init = argparse.ArgumentParser.__init__
+        def counting(self, *args, **kwargs):
+            global count
+            count += 1
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting
+        import hypsurf.cli as cli
+        after_import = count
+        cli.main(["thirteen", "-o", os.devnull])
+        cli.main(["thirteen", "-o", os.devnull])
+        after_two_calls = count
+        cli.build_parser.__wrapped__()
+        print(json.dumps([after_import, after_two_calls, count - after_two_calls]))
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_two_calls, one_build = json.loads(proc.stdout)
+    assert after_import == 0
+    assert one_build > 1  # the top-level parser and its subcommand parsers
+    assert after_two_calls == one_build

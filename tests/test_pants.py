@@ -12,6 +12,7 @@ from hypsurf.errors import (
     NegativeLength,
     NotHyperbolizable,
 )
+from hypsurf import pants
 from hypsurf.pants import (
     CuffLengths,
     PantsNode,
@@ -213,6 +214,38 @@ def test_realize_detects_broken_slot_accounting():
     bad = replace(plan, cusp_slots=("p0.c0",))  # p0.c0 is also a boundary slot
     with pytest.raises(InvalidInput):
         realize(bad)
+
+
+@pytest.mark.parametrize("slot", ["p0.c3", "p0", "x.y.z", "p9.c0", "", "p0.c", "p0.c0.", "p0.C0"])
+def test_slot_length_rejects_unknown_slots(slot):
+    plan = plan_decomposition(Signature(2, 0, 0, 0))
+    with pytest.raises(InvalidInput):
+        plan.slot_length(slot)
+
+
+def test_slot_length_first_duplicate_node_wins():
+    plan = plan_decomposition(Signature(0, 0, 3, 0), (1.0, 2.0, 3.0))
+    dup = replace(plan, pants=plan.pants + (PantsNode("p0", (4.0, 5.0, 6.0)),))
+    assert [dup.slot_length(f"p0.c{k}") for k in range(3)] == [1.0, 2.0, 3.0]
+
+
+def test_plan_is_checked_once_per_object(monkeypatch):
+    calls = []
+    check = pants._check_plan
+
+    def counting(plan):
+        calls.append(plan)
+        check(plan)
+
+    monkeypatch.setattr(pants, "_check_plan", counting)
+    plan = plan_decomposition(Signature(1, 1, 1, 1), (2.5,))
+    summary = realize(plan)
+    assert len(calls) == 1
+    realize(plan)
+    assert len(calls) == 1
+    copy = replace(plan)
+    assert realize(copy) == summary
+    assert len(calls) == 2 and calls[1] is copy
 
 
 def test_plan_json_schema():
