@@ -29,7 +29,6 @@ from hypsurf.words import GroupWord
 from hypsurf.groups import (
     EndpointSample,
     GroupRep,
-    OrbitSample,
     SampleMode,
     attracting_angle,
     cusped_torus_group,
@@ -38,7 +37,6 @@ from hypsurf.groups import (
     limit_sample,
     max_angular_gap,
     octagon_group,
-    orbit,
     schottky_rank2,
 )
 from hypsurf.signature import (
@@ -66,9 +64,7 @@ from hypsurf.pants import (
 )
 from hypsurf.boundary import (
     CircleMapSample,
-    ExtensionReport,
     FreeAutomorphism,
-    continuity_profile,
     induced_boundary_sample,
     is_boundary_identity,
     order_check,

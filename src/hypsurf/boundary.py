@@ -4,9 +4,9 @@ An automorphism phi of the generator set induces a map on the fixed
 points of group elements at infinity: the attracting fixed point of w is
 paired with the attracting fixed point of phi(w), one pair per conjugacy
 class (conjugate words only contribute Mobius translates).  The sampled
-map is checked for cyclic order consistency, profiled for continuity,
-and tested against the deck-transformation freedom to decide whether phi
-acts as the identity at infinity up to an inner correction.
+map is checked for cyclic order consistency and tested against the
+deck-transformation freedom to decide whether phi acts as the identity
+at infinity up to an inner correction.
 """
 
 from __future__ import annotations
@@ -26,17 +26,17 @@ from hypsurf.errors import (
 )
 from hypsurf.groups import (
     GroupRep,
-    attracting_angle,  # re-exported: perfbench's tracing tests rebind this copy
+    _word_levels,
+    # unused here: perfbench's tracer and its tests rebind this copy too
+    attracting_angle,
     attracting_angles,
     csv_blocks,
-    evaluate,
 )
 from hypsurf.words import (
     DEFAULT_WORD_BUDGET,
     GroupWord,
     _letter_key,
     compose_images,
-    enumerate_reduced_words,
     invert_images,
     letter_rows_to_strings,
     shortlex_levels,
@@ -411,65 +411,37 @@ def is_boundary_identity(
     the deck-transformation freedom.
 
     The freedom is exactly an inner correction: the sample's outputs are
-    post-composed with the Mobius action of evaluate(u) over all words u
-    of length <= m, and the map passes if some u brings the max angular
-    deviation below tol.  Ties within twice the best residual are
-    reported as near-minimizers instead of pretending uniqueness.
+    post-composed with the Mobius action of u over all words u of length
+    <= m, and the map passes if some u brings the max angular deviation
+    below tol.  u's matrix is read from the word table (`_word_levels`),
+    where it is known up to a positive scale, which the action ignores;
+    so no entry bound limits the search.  Ties within twice the best
+    residual are reported as near-minimizers instead of pretending
+    uniqueness.
     """
     if m < 0:
         raise InvalidInput("search depth must be nonnegative")
     zout = np.exp(1j * sample.theta_out)
     unturn = np.exp(-1j * sample.theta_in)
-    results: list[tuple[float, GroupWord]] = []
-    for u in enumerate_reduced_words(rep.rank, m, budget):
-        mu = evaluate(rep, u)
-        w = (mu.a * zout + mu.b) / (np.conj(mu.b) * zout + np.conj(mu.a))
-        dev = np.angle(w * unturn)
-        results.append((float(np.abs(dev).max()), u))
-    best_res, best_u = min(results, key=lambda r: r[0])  # shortlex wins ties
-    near = tuple(u for r, u in results if r <= 2.0 * best_res)
+    # the identity row, then the table in shortlex order, zero-padded to m
+    rows, ua, ub = [np.zeros((1, m), dtype=np.int8)], [1.0 + 0j], [0j]
+    for level in _word_levels(rep, m, budget):
+        rows.append(np.pad(level.letters, ((0, 0), (0, m - level.letters.shape[1]))))
+        ua += level.a.tolist()
+        ub += level.b.tolist()
+    residuals = np.empty(len(ua))
+    for i, (a, b) in enumerate(zip(ua, ub)):
+        w = (a * zout + b) / (b.conjugate() * zout + a.conjugate())
+        residuals[i] = np.abs(np.angle(w * unturn)).max()
+    best = int(np.argmin(residuals))  # the first minimum: shortlex wins ties
+    best_res = float(residuals[best])
+    letters = np.vstack(rows)
     return BoundaryIdentityResult(
         identity=best_res <= tol,
-        best_inner=best_u,
+        best_inner=GroupWord.from_row(letters[best]),
         residual=best_res,
-        near_minimizers=near,
+        near_minimizers=tuple(GroupWord.from_row(letters[i])
+                              for i in np.flatnonzero(residuals <= 2.0 * best_res)),
         sample_size=len(sample),
         skipped=sample.skipped,
-    )
-
-
-@dataclass(frozen=True)
-class ExtensionReport:
-    """Aligned input/image gap moduli for consecutive sample points."""
-
-    max_gap_in: float
-    max_image_gap: float
-    gap_pairs: tuple[tuple[float, float], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "max_gap_in": self.max_gap_in,
-            "max_image_gap": self.max_image_gap,
-            "gap_pairs": [[a, b] for a, b in self.gap_pairs],
-        }
-
-
-def continuity_profile(s: CircleMapSample) -> ExtensionReport:
-    """Image gaps of consecutive input gaps; both lists partition the
-    circle (in the map's own orientation), so shrinking input gaps with
-    bounded image gaps is the finite echo of continuity."""
-    if len(s) < 4:
-        raise TooFewPoints("continuity profile needs at least 4 sample points")
-    verdict = order_check(s)
-    if verdict.violation is not None:
-        raise OrderViolation("cannot profile an order-violating sample",
-                             triple=verdict.violation)
-    sign = 1.0 if verdict.orientation == "preserving" else -1.0
-    gap_in = np.mod(np.roll(s.theta_in, -1) - s.theta_in, TWO_PI)
-    gap_out = np.mod(sign * (np.roll(s.theta_out, -1) - s.theta_out), TWO_PI)
-    pairs = list(zip(gap_in.tolist(), gap_out.tolist()))
-    return ExtensionReport(
-        max_gap_in=max(p[0] for p in pairs),
-        max_image_gap=max(p[1] for p in pairs),
-        gap_pairs=tuple(pairs),
     )

@@ -246,10 +246,6 @@ class MobiusIsometry:
             [[self.a, self.b], [self.b.conjugate(), self.a.conjugate()]], dtype=complex
         )
 
-    def boundary_derivative(self, x: IdealPoint) -> float:
-        """|f'(z)| at a boundary point (the flag does not change it)."""
-        return 1.0 / abs(self.b.conjugate() * x.z + self.a.conjugate()) ** 2
-
     def translation_length(self) -> float:
         """Translation length along the axis; hyperbolic maps only."""
         if classify(self) is not IsometryClass.HYPERBOLIC:

@@ -2,9 +2,10 @@
 
 A `GroupRep` is a tuple of generator isometries plus optional relator
 words (checked to evaluate to +/- identity).  On top of it: word
-products along the shortlex tree, orbit maps, and finite samples of the
-fixed-point set / limit set on the circle at infinity, with the gap
-statistics used to probe density and Cantor structure.
+products along the shortlex tree and finite samples of the fixed-point
+set / limit set on the circle at infinity (axis endpoints, or radially
+projected orbit points), with the gap statistics used to probe density
+and Cantor structure.
 
 The words come from the one shortlex table, `words.shortlex_levels`, with
 matrices up to a positive scale.  Sampling is vectorized level-by-level
@@ -104,7 +105,10 @@ def evaluate(rep: GroupRep, w: GroupWord) -> MobiusIsometry:
 
     Raises NumericFailure once entries grow past the range where the
     unit-determinant normalization is still meaningful; use
-    `attracting_angle` for the boundary data of very long words.
+    `attracting_angle` for the boundary data of very long words, and
+    `_word_levels` for every product up to a length at once.  Kept for
+    the relator check of `GroupRep` and for one-off products; perfbench's
+    tracer also names it.
     """
     m = MobiusIsometry.identity()
     for letter in w.letters:
@@ -163,48 +167,7 @@ def _word_levels(rep: GroupRep, n: int, budget: int = DEFAULT_WORD_BUDGET) -> li
 
 
 # ---------------------------------------------------------------------------
-# orbits and endpoint samples
-
-
-@dataclass(frozen=True)
-class OrbitSample:
-    """Orbit of a basepoint under all reduced words up to a length."""
-
-    basepoint: DiskPoint
-    max_word_length: int
-    points: tuple[tuple[GroupWord, DiskPoint], ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def to_csv_rows(self) -> Iterator[str]:
-        yield "re,im,word"
-        for w, p in self.points:
-            yield f"{p.z.real:.17g},{p.z.imag:.17g},{w}"
-
-    def to_json(self) -> dict:
-        return {
-            "basepoint": {"re": self.basepoint.z.real, "im": self.basepoint.z.imag},
-            "max_word_length": self.max_word_length,
-            "points": [
-                {"re": p.z.real, "im": p.z.imag, "word": str(w)} for w, p in self.points
-            ],
-        }
-
-
-def orbit(rep: GroupRep, base: DiskPoint, n: int, budget: int = DEFAULT_WORD_BUDGET) -> OrbitSample:
-    """One orbit point per reduced word of length <= n, in shortlex order."""
-    if n < 0:
-        raise InvalidInput("orbit needs n >= 0")
-    pts: list[tuple[GroupWord, DiskPoint]] = [(GroupWord(), base)]
-    z0 = base.z
-    for level in _word_levels(rep, n, budget):
-        z = (level.a * z0 + level.b) / (np.conj(level.b) * z0 + np.conj(level.a))
-        if np.any(np.abs(z) >= 1.0):
-            raise NumericFailure("orbit point escaped the open disk")
-        for row, zz in zip(level.letters, z):
-            pts.append((GroupWord(tuple(int(x) for x in row)), DiskPoint(complex(zz))))
-    return OrbitSample(base, n, tuple(pts))
+# endpoint samples
 
 
 class SampleMode(Enum):

@@ -239,17 +239,11 @@ def plan_decomposition(
     m = len(holes)
     count = m - 2  # = -chi
 
-    # chain layout: pants i owns hole slots, consecutive pants share a curve
+    # chain layout: pants i owns hole slots, consecutive pants share a
+    # curve; slot_role fills in (node, cuff) order
     slot_role: dict[str, tuple[str, float]] = {}
     chain: list[tuple[str, str]] = []
-    cursor = 0
-
-    def take() -> tuple[str, float]:
-        nonlocal cursor
-        h = holes[cursor]
-        cursor += 1
-        return h
-
+    unplaced = iter(holes)
     node_cuffs: list[list[float]] = [[0.0, 0.0, 0.0] for _ in range(count)]
     for i in range(count):
         slots = [f"p{i}.c{k}" for k in range(3)]
@@ -257,20 +251,18 @@ def plan_decomposition(
             owned = [0, 1, 2]
         elif i == 0:
             owned = [0, 1]
-            chain.append((f"p{i}.c2", f"p{i+1}.c0"))
         elif i == count - 1:
             owned = [1, 2]
         else:
             owned = [1]
+        if i < count - 1:
             chain.append((f"p{i}.c2", f"p{i+1}.c0"))
+            node_cuffs[i][2] = gluing_length
+            node_cuffs[i + 1][0] = gluing_length
         for k in owned:
-            role, length = take()
+            role, length = next(unplaced)
             slot_role[slots[k]] = (role, length)
             node_cuffs[i][k] = length
-    for left, right in chain:
-        i = int(left.split(".")[0][1:])
-        node_cuffs[i][2] = gluing_length
-        node_cuffs[i + 1][0] = gluing_length
 
     pants = tuple(
         PantsNode(f"p{i}", tuple(node_cuffs[i])) for i in range(count)
@@ -281,8 +273,7 @@ def plan_decomposition(
     boundary: list[BoundarySlot] = []
     cusps: list[str] = []
     handle_buffer: list[str] = []
-    for slot in sorted(slot_role, key=_slot_key):
-        role, length = slot_role[slot]
+    for slot, (role, length) in slot_role.items():
         if role == "handle":
             handle_buffer.append(slot)
             if len(handle_buffer) == 2:
@@ -301,11 +292,6 @@ def plan_decomposition(
     )
     plan.check()
     return plan
-
-
-def _slot_key(slot: str) -> tuple[int, int]:
-    node, cuff = slot.split(".")
-    return (int(node[1:]), int(cuff[1:]))
 
 
 def _check_plan(plan: PantsDecompositionPlan) -> None:

@@ -225,7 +225,12 @@ def shortlex_levels(rank: int, max_length: int,
 
 def enumerate_reduced_words(rank: int, max_length: int,
                             budget: int = DEFAULT_WORD_BUDGET) -> list[GroupWord]:
-    """All freely reduced words of length <= max_length, in shortlex order."""
+    """All freely reduced words of length <= max_length, in shortlex order.
+
+    The library reads `shortlex_levels` (or `groups._word_levels`) instead;
+    this object form stays for callers that want `GroupWord`s, and
+    perfbench's tracer names it.
+    """
     levels = shortlex_levels(rank, max_length, budget)
     return [GroupWord()] + [GroupWord(tuple(row)) for lv in levels for row in lv.tolist()]
 

@@ -148,6 +148,18 @@ def test_boundary_map_check_identity(tmp_path, capsys):
     assert target.read_text().startswith("theta_in,theta_out,word")
 
 
+def test_boundary_map_check_identity_past_evaluate_range(capsys):
+    # length-3 products of this group exceed evaluate()'s entry bound; the
+    # inner search reads them from the scale-free word table instead
+    code, out, err = run_cli(
+        capsys, "boundary-map", "--group", "schottky", "--separation", "10",
+        "--aut", "A=AB,B=B", "--n", "3", "--check-identity", "--m", "3",
+    )
+    assert code == 0 and err == ""
+    verdict = json.loads(out)
+    assert verdict["sample_size"] > 0 and verdict["residual"] >= 0.0
+
+
 def test_exit_code_invalid_input(tmp_path, capsys):
     code, out, err = run_cli(capsys, "chi", str(tmp_path / "missing.json"))
     assert code == 2

@@ -32,6 +32,7 @@ from hypsurf.groups import (
     EndpointSample,
     GroupRep,
     SampleMode,
+    _word_levels,
     attracting_angle,
     attracting_angles,
     cusped_torus_group,
@@ -40,7 +41,6 @@ from hypsurf.groups import (
     limit_sample,
     max_angular_gap,
     octagon_group,
-    orbit,
     schottky_rank2,
 )
 from hypsurf.boundary import FreeAutomorphism, conjugacy_class_words
@@ -112,44 +112,42 @@ def test_enumerate_words_counts(octagon, cusped_torus):
         enumerate_reduced_words(octagon.rank, 8)
 
 
-def test_orbit_base_only():
-    t = translation_along(Geodesic(IdealPoint(0), IdealPoint(math.pi)), 1.0)
-    rep = GroupRep((t,))
-    ob = orbit(rep, DiskPoint(0.1j), 0)
-    assert len(ob) == 1 and ob.points[0][1].z == 0.1j
+def origin_images(rep, n):
+    """(word, image of the origin) for every row of the word table of
+    length <= n, in shortlex order; the table's matrices are known up to a
+    positive scale, which the action ignores."""
+    return [
+        (GroupWord.from_row(row), complex(b / np.conj(a)))
+        for level in _word_levels(rep, n)
+        for row, a, b in zip(level.letters, level.a, level.b)
+    ]
 
 
 def test_orbit_single_generator_marches_to_axis_ends():
     t = 1.0
     g = translation_along(Geodesic(IdealPoint(0), IdealPoint(math.pi)), t)
     rep = GroupRep((g,))
-    ob = orbit(rep, DiskPoint(0), 10)
-    assert len(ob) == 21  # identity + A^[1..10] + a^[1..10]
+    images = origin_images(rep, 10)
+    assert len(images) == 20  # A^[1..10] + a^[1..10]
     # matrix-iteration oracle for every point
-    for w, p in ob.points:
+    for w, z in images:
         m = MobiusIsometry.identity()
         for letter in w.letters:
             m = m.compose(g if letter > 0 else g.inverse())
-        assert abs(apply(m, DiskPoint(0)).z - p.z) < 1e-12
+        assert abs(apply(m, DiskPoint(0)).z - z) < 1e-12
     # the extremes approach the two axis endpoints
-    pts = sorted(p.z.real for _, p in ob.points)
+    pts = sorted(z.real for _, z in images)
     assert pts[0] < -0.99 and pts[-1] > 0.99
 
 
 def test_orbit_count_matches_word_count(octagon):
-    ob = orbit(octagon, DiskPoint(0), 3)
-    assert len(ob) == word_count(4, 3)
-    assert all(abs(p.z) < 1.0 for _, p in ob.points)
+    images = origin_images(octagon, 3)
+    assert 1 + len(images) == word_count(4, 3)  # the table has no identity row
+    assert all(abs(z) < 1.0 for _, z in images)
     # every word's matrix, carried from its parent row, against evaluate
-    assert [w for w, _ in ob.points] == enumerate_reduced_words(4, 3)
-    for w, p in ob.points:
-        assert abs(apply(evaluate(octagon, w), DiskPoint(0)).z - p.z) < 1e-12
-
-
-def test_orbit_csv_shape(octagon):
-    rows = list(orbit(octagon, DiskPoint(0), 1).to_csv_rows())
-    assert rows[0] == "re,im,word"
-    assert len(rows) == 1 + word_count(4, 1)
+    assert [GroupWord()] + [w for w, _ in images] == enumerate_reduced_words(4, 3)
+    for w, z in images:
+        assert abs(apply(evaluate(octagon, w), DiskPoint(0)).z - z) < 1e-12
 
 
 def test_limit_sample_single_generator_axis_mode():
@@ -234,8 +232,7 @@ def test_octagon_relator_and_generators(octagon):
 
 
 def test_octagon_orbit_points_distinct(octagon):
-    ob = orbit(octagon, DiskPoint(0), 2)
-    zs = [p.z for _, p in ob.points]
+    zs = [0j] + [z for _, z in origin_images(octagon, 2)]
     m = min(abs(a - b) for a, b in itertools.combinations(zs, 2))
     assert m > 1e-6
 
