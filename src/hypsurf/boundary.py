@@ -232,38 +232,53 @@ class CircleMapSample:
 def conjugacy_class_words(rank: int, n: int,
                           budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
     """One cyclically reduced representative per conjugacy class (modulo
-    inversion) of length <= n, in order of first shortlex appearance, as
-    the rows of an int8 letter matrix zero-padded to width n.
+    inversion) of length <= n, in shortlex order, as the rows of an int8
+    letter matrix zero-padded to width n.
 
     The representative is `GroupWord.conjugacy_class_rep`: the least
-    rotation of a cyclically reduced row of the word table or of its
-    inverse, compared as packed codes (letter keys as base-2k digits).
-    A class first appears at its cyclically reduced length, so classes
-    are deduplicated level by level.
+    rotation of the class's cyclically reduced words and their inverses.
+    It is a necklace (least among its own rotations), so the word table
+    is pruned level by level to prenecklaces, the prefixes of necklaces,
+    by the Fredricksen-Kessler-Maiorana rule of constant-amortized-time
+    necklace generation (Cattell, Ruskey, Sawada, Serra & Miers,
+    J. Algorithms 37, 2000).  Each kept row carries the period p of its
+    longest Lyndon prefix; a row of length t whose last letter, compared
+    with the letter p places back, is smaller is dropped, equal keeps p,
+    and larger makes the row Lyndon (p = t).  A row is a necklace when
+    t % p == 0, and a class representative when it is also cyclically
+    reduced and no larger than the least rotation of its inverse.  Kept
+    rows stay in table order, which is the order of first shortlex
+    appearance of the classes.
     """
-    levels = shortlex_levels(rank, n, budget)
-    base = 2 * rank
-    reps: list[np.ndarray] = []
-    for letters in levels:
-        length = letters.shape[1]
-        # exact Python integers once a code could outgrow int64
-        dtype = np.int64 if base**length <= 2**63 else object
-        cyclic = letters[letters[:, 0] != -letters[:, -1]]
-        keys = _letter_key(cyclic.astype(np.intp)).astype(dtype)
-        powers = np.array([base**p for p in range(length - 1, -1, -1)], dtype=dtype)
-        best = None
-        for word in (keys, keys[:, ::-1] ^ 1):
-            code = word @ powers
-            for r in range(length):
-                best = code if best is None else np.minimum(best, code)
-                # next rotation: the leading letter moves to the end
-                code = (code - word[:, r] * powers[0]) * base + word[:, r]
-        _, first = np.unique(best, return_index=True)
-        digits = best[np.sort(first), None] // powers % base
-        # level 1 is the alphabet in key order
-        rows = levels[0][digits.astype(np.intp), 0]
-        reps.append(np.pad(rows, ((0, 0), (0, n - length))))
-    return np.vstack(reps) if reps else np.zeros((0, n), dtype=np.int8)
+    periods: list[np.ndarray] = []
+
+    def prenecklace(rows, parent):
+        if parent is None:
+            periods.append(np.ones(len(rows), dtype=np.intp))
+            return np.ones(len(rows), dtype=bool)
+        t = rows.shape[1]
+        period = periods[-1][parent]
+        key = _letter_key(rows[:, -1].astype(np.intp))
+        back = _letter_key(rows[np.arange(len(rows)), t - 1 - period].astype(np.intp))
+        keep = key >= back
+        periods.append(np.where(key > back, t, period)[keep])
+        return keep
+
+    levels = shortlex_levels(rank, n, budget, keep=prenecklace)
+    reps = [np.zeros((0, n), dtype=np.int8)]
+    for letters, period in zip(levels, periods):
+        t = letters.shape[1]
+        rows = letters[(t % period == 0) & (letters[:, 0] != -letters[:, -1])]
+        # letter keys + 1 as fixed-width byte strings, which compare
+        # lexicographically (the + 1 keeps out NUL bytes, which numpy strips)
+        keys = _letter_key(rows.astype(np.intp)).astype(np.uint8)
+        word = (keys + 1).view(f"S{t}")[:, 0]
+        inverse = np.tile((keys[:, ::-1] ^ 1) + 1, 2)
+        least = np.logical_and.reduce([
+            word <= np.ascontiguousarray(inverse[:, r:r + t]).view(f"S{t}")[:, 0]
+            for r in range(t)])
+        reps.append(np.pad(rows[least], ((0, 0), (0, n - t))))
+    return np.vstack(reps)
 
 
 def induced_boundary_sample(

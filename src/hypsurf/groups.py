@@ -353,8 +353,19 @@ def _cmul(x, y):
 
 
 def _cdiv(x, y):
-    """x / y as CPython divides complex numbers (y real or complex):
-    Smith's method, dividing through by the larger part of y."""
+    """x / y as CPython divides complex numbers: Smith's method, dividing
+    through by the larger part of y.
+
+    A real y must be positive (a modulus), and is taken as complex(y, 0.0):
+    the ratio of the parts is then +0.0 and the divisor y itself, so the
+    branch selects drop out but the products with 0.0 stay, because they
+    set the signs of zero parts.
+    """
+    if not np.iscomplexobj(y):
+        out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+        out.real = (x.real + x.imag * 0.0) / y
+        out.imag = (x.imag - x.real * 0.0) / y
+        return out
     big = np.abs(y.real) >= np.abs(y.imag)
     p, q = np.where(big, y.real, y.imag), np.where(big, y.imag, y.real)
     ratio = q / p

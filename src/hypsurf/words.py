@@ -196,13 +196,21 @@ def word_count(rank: int, max_length: int) -> int:
 
 
 def shortlex_levels(rank: int, max_length: int,
-                    budget: int = DEFAULT_WORD_BUDGET) -> list[np.ndarray]:
+                    budget: int = DEFAULT_WORD_BUDGET,
+                    keep=None) -> list[np.ndarray]:
     """Levels 1..max_length of the shortlex tree of freely reduced words.
 
     Level L is an int8 matrix with one row per word of length L, in
     shortlex order; level 1 is the alphabet A, a, B, b, ... as a column.
     Row i of level L >= 2 is its parent, row i // (2*rank - 1) of level
     L-1, followed by one letter.
+
+    ``keep`` prunes the tree: ``keep(rows, parent)`` gets a level's rows
+    and, for each, the index of its parent row in the previous (pruned)
+    level (``None`` at level 1), and returns a boolean mask of the rows to
+    keep; only kept rows are returned and grow children, so the parent rule
+    above holds for the unpruned table only.  The budget is the unpruned
+    `word_count`.
     """
     if max_length < 0:
         raise InvalidInput("max_length must be nonnegative")
@@ -211,15 +219,23 @@ def shortlex_levels(rank: int, max_length: int,
         raise BudgetExceeded(f"{n} words exceed the budget of {budget}")
     if rank > 127:
         raise InvalidInput("the word table stores letters as int8: rank must be at most 127")
+    fan = 2 * rank - 1
     gens = np.arange(1, rank + 1, dtype=np.int8)
     alphabet = np.column_stack([gens, -gens]).ravel()
     # children[k]: the letters that may follow the letter with key k
     children = np.array([np.delete(alphabet, k ^ 1) for k in range(2 * rank)])
-    levels = [alphabet.reshape(-1, 1)] if max_length >= 1 else []
-    for _ in range(2, max_length + 1):
-        prev = levels[-1]
-        last = children[_letter_key(prev[:, -1].astype(np.intp))]
-        levels.append(np.hstack([np.repeat(prev, 2 * rank - 1, axis=0), last.reshape(-1, 1)]))
+    levels = []
+    for length in range(1, max_length + 1):
+        if length == 1:
+            rows, parent = alphabet.reshape(-1, 1), None
+        else:
+            prev = levels[-1]
+            last = children[_letter_key(prev[:, -1].astype(np.intp))]
+            rows = np.hstack([np.repeat(prev, fan, axis=0), last.reshape(-1, 1)])
+            parent = None if keep is None else np.repeat(np.arange(len(prev)), fan)
+        if keep is not None:
+            rows = rows[keep(rows, parent)]
+        levels.append(rows)
     return levels
 
 
@@ -248,18 +264,44 @@ def substitute(images: tuple[GroupWord, ...], w: GroupWord) -> GroupWord:
 
 
 def substitute_rows(images: tuple[GroupWord, ...], letters: np.ndarray) -> np.ndarray:
-    """`substitute` applied to every row of a zero-padded int8 letter
-    matrix whose letters lie within the rank of ``images``; the images come
-    back as one such matrix, zero-padded to the longest."""
-    pieces = {0: ()}
+    """`substitute` applied to every row of a zero-padded letter matrix;
+    the images come back as one int8 matrix, zero-padded to the longest.
+
+    All rows are reduced together, as a stack per row: each letter is
+    replaced by its image from a zero-padded table, and the resulting
+    stream is read one column at a time, a letter cancelling the row's
+    top letter when they are inverse and pushed on it otherwise.  The
+    entries left above each row's final top are then cleared.  A letter
+    outside the rank of ``images`` raises IndexOutOfRange.
+    """
+    rank = len(images)
+    letters = np.asarray(letters, dtype=np.intp)
+    outside = np.abs(letters) > rank
+    if outside.any():
+        raise IndexOutOfRange(f"letter {letters[outside][0]} outside rank {rank}")
+    # table[rank + x]: the image of letter x, zero-padded; the middle row
+    # (padding letter 0) is empty
+    width = max((len(w) for w in images), default=0)
+    table = np.zeros((2 * rank + 1, width), dtype=np.int8)
     for i, w in enumerate(images, start=1):
-        pieces[i] = w.letters
-        pieces[-i] = tuple(-x for x in reversed(w.letters))
-    rows = [free_reduce(itertools.chain.from_iterable(map(pieces.__getitem__, row)))
-            for row in letters.tolist()]
-    lengths = np.array([len(r) for r in rows], dtype=np.intp)
-    out = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.int8)
-    out[np.arange(out.shape[1]) < lengths[:, None]] = list(itertools.chain.from_iterable(rows))
+        table[rank + i, :len(w)] = w.letters
+        table[rank - i, :len(w)] = [-x for x in reversed(w.letters)]
+    count, length = letters.shape
+    # one stream column per row of `stream`
+    stream = np.ascontiguousarray(table[letters + rank].reshape(count, length * width).T)
+    # column 0 stays 0 under every row's stack, so the top is always readable
+    stack = np.zeros((count, length * width + 1), dtype=np.int8)
+    top = np.zeros(count, dtype=np.intp)
+    rows = np.arange(count)
+    for col in stream:
+        # padding (0) cancels nothing, not even the 0 under an empty stack
+        cancel = (stack[rows, top] == -col) & (col != 0)
+        push = (col != 0) & ~cancel
+        top += push
+        top -= cancel
+        stack[rows[push], top[push]] = col[push]
+    out = stack[:, 1:top.max(initial=0) + 1]
+    out[np.arange(out.shape[1]) >= top[:, None]] = 0
     return out
 
 
@@ -299,9 +341,10 @@ def _plateau_descend(start, total, moves):
     return None
 
 
-def _whitehead_moves(rank: int):
+@functools.cache
+def _whitehead_moves(rank: int) -> tuple[tuple[GroupWord, ...], ...]:
     """Type-I moves (permute/invert generators) and type-II moves with a
-    fixed multiplier, as image tuples."""
+    fixed multiplier, as image tuples; built once per rank."""
     gens = _identity_images(rank)
     moves = []
     # type I: swap a pair, or invert one generator
@@ -331,7 +374,7 @@ def _whitehead_moves(rank: int):
                     elif action == 3:
                         imgs[i] = t.inverse() * x * t
                 moves.append(tuple(imgs))
-    return moves
+    return tuple(moves)
 
 
 #: plateau search gives up past this many equal-length tuples

@@ -25,6 +25,7 @@ from hypsurf.disk import (
     translation_along,
 )
 from hypsurf.errors import (
+    BudgetExceeded,
     InvalidInput,
     NotAnAutomorphism,
     NumericFailure,
@@ -32,7 +33,9 @@ from hypsurf.errors import (
     TooFewPoints,
 )
 from hypsurf.groups import GroupRep, evaluate, schottky_rank2
-from hypsurf.words import GroupWord, enumerate_reduced_words
+from hypsurf.words import GroupWord, enumerate_reduced_words, word_count
+
+import oracles
 
 W = GroupWord.from_string
 
@@ -245,6 +248,23 @@ def test_conjugacy_class_words_counts(rank, n):
     if (rank, n) == (2, 2):
         # {A}, {B}, {AB}, {Ab}, {AA}, {BB}
         assert len(reps) == 6
+
+
+@pytest.mark.parametrize("rank, n", [(1, 70), (2, 10), (2, 11), (3, 7), (4, 6), (5, 4)])
+def test_conjugacy_class_words_match_the_packed_code_table(rank, n):
+    new, ref = conjugacy_class_words(rank, n), oracles.conjugacy_class_words(rank, n)
+    assert new.dtype == ref.dtype and new.shape == ref.shape
+    assert np.array_equal(new, ref)
+
+
+def test_conjugacy_class_words_budget_is_the_word_count():
+    assert len(conjugacy_class_words(2, 5, budget=word_count(2, 5))) == 51
+    for table in (conjugacy_class_words, oracles.conjugacy_class_words):
+        with pytest.raises(BudgetExceeded):
+            table(2, 5, budget=word_count(2, 5) - 1)
+        with pytest.raises(BudgetExceeded):
+            table(2, 14)
+    assert conjugacy_class_words(2, 0).shape == (0, 0)
 
 
 # -- order_check ----------------------------------------------------------------

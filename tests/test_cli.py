@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from hypsurf import cli
+from hypsurf import boundary, cli
 from hypsurf.errors import InvalidInput, NumericFailure
+
+import oracles
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +160,47 @@ def test_boundary_map_check_identity_past_evaluate_range(capsys):
     assert code == 0 and err == ""
     verdict = json.loads(out)
     assert verdict["sample_size"] > 0 and verdict["residual"] >= 0.0
+
+
+# the four --check-identity runs of the boundary-verdict benchmark workload
+BOUNDARY_VERDICT_ARGVS = (
+    ("--group", "cusped-torus", "--aut", "A=AB,B=B", "--n", "9"),
+    ("--group", "cusped-torus", "--aut", "A=A,B=B", "--n", "8"),
+    ("--group", "octagon", "--aut", "A=A,B=ABa,C=ACa,D=ADa", "--n", "5"),
+    ("--group", "schottky", "--aut", "A=AB,B=B", "--n", "8", "--separation", "2.0"),
+)
+
+
+def test_boundary_verdicts_match_the_reference_class_table_and_substitution(
+        tmp_path, capsys, monkeypatch):
+    def verdicts():
+        record = []
+        for argv in BOUNDARY_VERDICT_ARGVS:
+            target = tmp_path / "map.csv"
+            code, out, err = run_cli(capsys, "boundary-map", *argv, "--check-identity",
+                                     "-o", str(target))
+            record.append((code, out, err, target.read_bytes()))
+        return record
+
+    fast = verdicts()
+    calls = []
+
+    def traced(reference):
+        def call(*args, **kwargs):
+            calls.append(reference.__name__)
+            return reference(*args, **kwargs)
+        return call
+
+    # induced_boundary_sample reads both through hypsurf.boundary's globals
+    monkeypatch.setattr(boundary, "conjugacy_class_words",
+                        traced(oracles.conjugacy_class_words))
+    monkeypatch.setattr(boundary, "substitute_rows", traced(oracles.substitute_rows))
+    reference = verdicts()
+    assert calls == ["conjugacy_class_words", "substitute_rows"] * 4
+    assert [r[0] for r in fast] == [0] * 4
+    assert [json.loads(r[1])["identity"] for r in fast] == [False, True, True, False]
+    assert all(r[3].startswith(b"theta_in,theta_out,word\n") for r in fast)
+    assert fast == reference
 
 
 def test_exit_code_invalid_input(tmp_path, capsys):

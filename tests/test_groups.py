@@ -29,6 +29,7 @@ from hypsurf.errors import (
 )
 from hypsurf.groups import (
     OCTAGON_RELATOR,
+    _cdiv,
     EndpointSample,
     GroupRep,
     SampleMode,
@@ -454,6 +455,21 @@ def test_attracting_angles_match_scalar_loop_bit_for_bit(rep, words):
             assert math.isnan(theta), str(w)
         else:
             assert theta.hex() == ref.hex(), str(w)
+
+
+def test_cdiv_by_a_modulus_is_cpython_division_by_complex_m_0():
+    parts = [0.0, -0.0, 1.0, -1.0, 0.1, -2.5e-300, 3.0e300, 1e-320, math.pi, -7.25]
+    xs = [complex(re, im) for re in parts for im in parts]
+    ms = [1.0, 0.3, 1.5, 1e-3, 4.5e300, math.sqrt(2.0), 17.0]  # no quotient overflows
+    x = np.array([v for v in xs for _ in ms])
+    m = np.array(ms * len(xs))
+    got = _cdiv(x, m)
+    for v, d, g in zip(x.tolist(), m.tolist(), got.tolist()):
+        ref = v / complex(d, 0.0)  # complex / float rounds differently on newer CPythons
+        assert (g.real.hex(), g.imag.hex()) == (ref.real.hex(), ref.imag.hex()), (v, d)
+    # the complex path, for a divisor with a zero imaginary part as well
+    y = m.astype(complex)
+    assert _cdiv(x, y).tobytes() == got.tobytes()
 
 
 def test_attracting_angles_skips_and_rejects(cusped_torus):

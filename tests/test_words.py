@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,13 +9,18 @@ from hypothesis import strategies as st
 from hypsurf.errors import BudgetExceeded, IndexOutOfRange, InvalidInput, NotAnAutomorphism
 from hypsurf.words import (
     GroupWord,
+    _whitehead_moves,
     compose_images,
     enumerate_reduced_words,
     free_reduce,
     invert_images,
+    shortlex_levels,
     substitute,
+    substitute_rows,
     word_count,
 )
+
+import oracles
 
 W = GroupWord.from_string
 
@@ -118,6 +124,119 @@ def test_enumeration_budget():
         enumerate_reduced_words(2, -1)
     with pytest.raises(InvalidInput):  # the table stores letters as int8
         enumerate_reduced_words(128, 1)
+
+
+def _same_array(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("rank, n", [(1, 9), (2, 0), (2, 1), (2, 8), (3, 5), (4, 4)])
+def test_shortlex_levels_without_keep_is_unchanged(rank, n):
+    ref = oracles.shortlex_levels(rank, n)
+    levels = shortlex_levels(rank, n)
+    assert len(levels) == len(ref) == n
+    assert all(_same_array(x, y) for x, y in zip(levels, ref))
+    parents = []
+
+    def keep_all(rows, parent):
+        parents.append(parent)
+        return np.ones(len(rows), dtype=bool)
+
+    assert all(_same_array(x, y) for x, y in zip(shortlex_levels(rank, n, keep=keep_all), ref))
+    assert len(parents) == n and (n == 0 or parents[0] is None)
+    for rows, parent in zip(ref[1:], parents[1:]):
+        assert np.array_equal(parent, np.arange(len(rows)) // (2 * rank - 1))
+
+
+def test_shortlex_levels_keep_prunes_whole_subtrees():
+    # drop every row whose last letter is a: the words without a, in order
+    pruned = shortlex_levels(2, 6, keep=lambda rows, parent: rows[:, -1] != -1)
+    for rows, ref in zip(pruned, oracles.shortlex_levels(2, 6)):
+        assert _same_array(rows, ref[(ref != -1).all(axis=1)])
+    # each parent index points at the row's prefix in the pruned level above
+    kept, prefix_found = [], []
+
+    def keep_no_leading_b(rows, parent):
+        if parent is not None:
+            prefix_found.append(np.array_equal(rows[:, :-1], kept[-1][parent]))
+        kept.append(rows[rows[:, 0] != 2])
+        return rows[:, 0] != 2
+
+    assert all(_same_array(x, y) for x, y in zip(shortlex_levels(3, 4, keep=keep_no_leading_b), kept))
+    assert prefix_found == [True] * 3
+    with pytest.raises(BudgetExceeded):  # the budget is the unpruned count
+        shortlex_levels(2, 5, budget=word_count(2, 5) - 1, keep=lambda rows, parent: rows[:, 0] == 1)
+
+
+def _random_letter_matrix(rng, rank, count, width):
+    # zero-padded random words, reduced or not, some of them empty
+    out = np.zeros((count, width), dtype=np.int8)
+    letters = [k for k in range(-rank, rank + 1) if k]
+    for row in out:
+        length = rng.randrange(width + 1) if rng.random() > 0.1 else 0
+        row[:length] = [rng.choice(letters) for _ in range(length)]
+    return out
+
+
+def _long_images():
+    # a product of transvections: images of length 20 and more
+    rng = random.Random(5)
+    gens = (W("A"), W("B"), W("C"))
+    images = gens
+    while min(len(w) for w in images) < 20:
+        i, j = rng.sample(range(3), 2)
+        mv = list(gens)
+        mv[i] = gens[i] * GroupWord.generator(j, rng.choice((1, -1)))
+        images = compose_images(images, tuple(mv))
+    return images
+
+
+@pytest.mark.parametrize("images", [
+    (W("AB"), W("B")),
+    (W("A"), W("ABa"), W("ACa"), W("ADa")),  # inner: heavy cancellation
+    (W("bAB"), W("bAAB")),
+    (W("A"), W("B")),
+    (W(""), W("B")),
+    _long_images(),
+], ids=["twist", "inner", "conjugated", "identity", "not-injective", "long"])
+def test_substitute_rows_matches_row_by_row_oracle(images):
+    rank = len(images)
+    rng = random.Random(rank * 31 + sum(len(w) for w in images))
+    cases = [
+        _random_letter_matrix(rng, rank, 400, 9),
+        oracles.conjugacy_class_words(rank, 5 if rank > 2 else 7),
+        np.zeros((5, 4), dtype=np.int8),
+        np.zeros((0, 3), dtype=np.int8),
+        np.zeros((3, 0), dtype=np.int8),
+    ]
+    for letters in cases:
+        assert _same_array(substitute_rows(images, letters),
+                           oracles.substitute_rows(images, letters))
+
+
+@pytest.mark.parametrize("images", [
+    (W("AB"), W("B")),
+    (W("A"), W("ABa"), W("ACa"), W("ADa")),
+    _long_images(),
+], ids=["twist", "inner", "long"])
+def test_substitute_rows_inverse_images_restore_the_rows(images):
+    rows = oracles.conjugacy_class_words(len(images), 4)
+    back = substitute_rows(invert_images(images), substitute_rows(images, rows))
+    assert _same_array(back, rows)
+
+
+def test_substitute_rows_rejects_letters_outside_rank():
+    images = (W("AB"), W("B"))
+    for bad in ([[1, 3]], [[-3, 0]], [[2, -2, 1, 5]]):
+        with pytest.raises(IndexOutOfRange):
+            substitute_rows(images, np.array(bad, dtype=np.int8))
+
+
+def test_whitehead_moves_are_built_once_per_rank():
+    moves = _whitehead_moves(4)
+    assert isinstance(moves, tuple) and len(moves) == 514
+    assert _whitehead_moves(4) is moves
+    assert len(_whitehead_moves(2)) == 2 + 1 + 2 * 2 * 3
 
 
 @given(words(), words())
