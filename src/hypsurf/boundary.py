@@ -11,13 +11,12 @@ at infinity up to an inner correction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from hypsurf.disk import TOL_ANGLE
+from hypsurf.disk import TOL_ANGLE, TWO_PI
 from hypsurf.errors import (
     InvalidInput,
     NumericFailure,
@@ -33,7 +32,6 @@ from hypsurf.groups import (
     csv_blocks,
 )
 from hypsurf.words import (
-    DEFAULT_WORD_BUDGET,
     GroupWord,
     _letter_key,
     compose_images,
@@ -43,8 +41,6 @@ from hypsurf.words import (
     substitute,
     substitute_rows,
 )
-
-TWO_PI = 2.0 * math.pi
 
 #: sampling aborts when more than this fraction of classes is skipped
 MAX_SKIP_FRACTION = 0.5
@@ -229,8 +225,7 @@ class CircleMapSample:
         }
 
 
-def conjugacy_class_words(rank: int, n: int,
-                          budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
+def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
     """One cyclically reduced representative per conjugacy class (modulo
     inversion) of length <= n, in shortlex order, as the rows of an int8
     letter matrix zero-padded to width n.
@@ -264,7 +259,7 @@ def conjugacy_class_words(rank: int, n: int,
         periods.append(np.where(key > back, t, period)[keep])
         return keep
 
-    levels = shortlex_levels(rank, n, budget, keep=prenecklace)
+    levels = shortlex_levels(rank, n, keep=prenecklace)
     reps = [np.zeros((0, n), dtype=np.int8)]
     for letters, period in zip(levels, periods):
         t = letters.shape[1]
@@ -285,7 +280,6 @@ def induced_boundary_sample(
     rep: GroupRep,
     phi: FreeAutomorphism,
     n: int,
-    budget: int = DEFAULT_WORD_BUDGET,
 ) -> CircleMapSample:
     """Pair attracting fixed points of w with those of phi(w) over one
     word per conjugacy class of length <= n.
@@ -301,7 +295,7 @@ def induced_boundary_sample(
         raise InvalidInput("induced_boundary_sample needs n >= 1")
     if phi.rank != rep.rank:
         raise InvalidInput(f"automorphism rank {phi.rank} != group rank {rep.rank}")
-    classes = conjugacy_class_words(rep.rank, n, budget)
+    classes = conjugacy_class_words(rep.rank, n)
     tin = attracting_angles(rep, classes)
     tout = attracting_angles(rep, substitute_rows(phi.images, classes))
     hyperbolic = ~(np.isnan(tin) | np.isnan(tout))
@@ -419,7 +413,6 @@ def is_boundary_identity(
     sample: CircleMapSample,
     m: int = DEFAULT_SEARCH_DEPTH,
     tol: float = DEFAULT_IDENTITY_TOL,
-    budget: int = DEFAULT_WORD_BUDGET,
 ) -> BoundaryIdentityResult:
     """Decide whether the automorphism behind a sampled circle map (see
     `induced_boundary_sample`) fixes the sampled boundary pointwise up to
@@ -440,7 +433,7 @@ def is_boundary_identity(
     unturn = np.exp(-1j * sample.theta_in)
     # the identity row, then the table in shortlex order, zero-padded to m
     rows, ua, ub = [np.zeros((1, m), dtype=np.int8)], [1.0 + 0j], [0j]
-    for level in _word_levels(rep, m, budget):
+    for level in _word_levels(rep, m):
         rows.append(np.pad(level.letters, ((0, 0), (0, m - level.letters.shape[1]))))
         ua += level.a.tolist()
         ub += level.b.tolist()

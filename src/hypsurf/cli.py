@@ -5,7 +5,10 @@ the signature calculus, pants / plan for hyperbolic metrics, limit-set
 for endpoint samples, boundary-map for sampled circle maps.  Output is
 machine-readable JSON or CSV with floats at 17 significant digits;
 identical flags give byte-identical output.  Only limit-set and
-boundary-map take --format; the other subcommands print JSON.
+boundary-map take --format; the other subcommands print JSON.  A flag
+that a subcommand would ignore (--m or --tol without --check-identity,
+--delta or --base without --mode orbit, --separation with a group other
+than schottky) is rejected as invalid input.
 
 Exit codes: 0 success, 2 invalid input, 3 numeric failure (ambiguous
 classification, length mismatches, order violations); errors are a
@@ -20,7 +23,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional
 
@@ -45,8 +47,8 @@ from hypsurf.groups import (
 )
 from hypsurf.pants import CuffLengths, build_pants, plan_decomposition, realize
 from hypsurf.signature import (
-    NEG_INF,
     Signature,
+    chi_to_json,
     description_from_json,
     description_to_json,
     double,
@@ -57,6 +59,7 @@ from hypsurf.signature import (
 )
 
 DEFAULT_SEPARATION = 4.0
+_SEPARATION_HELP = f"schottky only: translation length (default {DEFAULT_SEPARATION})"
 
 
 def format_float(x: float) -> str:
@@ -125,31 +128,8 @@ def _write_json(obj, out: list[str]) -> None:
         raise InvalidInput(f"cannot serialize {type(obj).__name__}")
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Effective flag values; echoed verbatim by --echo-config."""
-
-    subcommand: str
-    max_word_length: Optional[int] = None
-    tol: float = DEFAULT_IDENTITY_TOL
-    delta: float = DEFAULT_DELTA
-    output_format: str = "json"
-    output_path: Optional[str] = None
-
-    def to_json(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "max_word_length": self.max_word_length,
-            "tol": self.tol,
-            "delta": self.delta,
-            "output_format": self.output_format,
-            "output_path": self.output_path,
-        }
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", "-o", default=None, dest="output_path")
-    sub.add_argument("--echo-config", action="store_true")
 
 
 @functools.cache
@@ -188,9 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("octagon", "schottky", "cusped-torus"))
     sp.add_argument("--n", type=int, required=True, dest="max_word_length")
     sp.add_argument("--mode", choices=("orbit", "axes"), default="axes")
-    sp.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    sp.add_argument("--separation", type=float, default=DEFAULT_SEPARATION)
-    sp.add_argument("--base", default="0,0", help="orbit basepoint as re,im")
+    sp.add_argument("--delta", type=float,
+                    help=f"orbit mode: keep |z| > 1 - delta (default {DEFAULT_DELTA})")
+    sp.add_argument("--separation", type=float, help=_SEPARATION_HELP)
+    sp.add_argument("--base", help="orbit mode: basepoint as re,im (default 0,0)")
     sp.add_argument("--format", choices=("json", "csv"), default="csv", dest="output_format")
     _add_common(sp)
 
@@ -201,24 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help='automorphism images like "A=AB,B=B" (lowercase = inverse)')
     sp.add_argument("--n", type=int, required=True, dest="max_word_length")
     sp.add_argument("--check-identity", action="store_true")
-    sp.add_argument("--m", type=int, default=DEFAULT_SEARCH_DEPTH,
-                    help="inner-correction search depth")
-    sp.add_argument("--tol", type=float, default=DEFAULT_IDENTITY_TOL)
-    sp.add_argument("--separation", type=float, default=DEFAULT_SEPARATION)
+    sp.add_argument("--m", type=int,
+                    help=f"inner-correction search depth (default {DEFAULT_SEARCH_DEPTH})")
+    sp.add_argument("--tol", type=float,
+                    help=f"identity tolerance, radians (default {DEFAULT_IDENTITY_TOL})")
+    sp.add_argument("--separation", type=float, help=_SEPARATION_HELP)
     sp.add_argument("--format", choices=("json", "csv"), default="csv", dest="output_format")
     _add_common(sp)
     return p
-
-
-def _config_from_args(args) -> CliConfig:
-    return CliConfig(
-        subcommand=args.subcommand,
-        max_word_length=getattr(args, "max_word_length", None),
-        tol=getattr(args, "tol", DEFAULT_IDENTITY_TOL),
-        delta=getattr(args, "delta", DEFAULT_DELTA),
-        output_format=getattr(args, "output_format", "json"),
-        output_path=args.output_path,
-    )
 
 
 def _emit_lines(lines: Iterable[str], path: Optional[str]) -> None:
@@ -267,29 +238,28 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise InvalidInput(f"bad number list {text!r}: {e}")
 
 
+def _reject_given(args, flags: tuple[str, ...], scope: str) -> None:
+    """Raise InvalidInput if any of these flags (named as their argparse
+    dest, which parses to None when the flag is absent) was given."""
+    given = [f"--{name}" for name in flags if getattr(args, name) is not None]
+    if given:
+        raise InvalidInput(f"{' and '.join(given)}: only used {scope}")
+
+
 def _group_from_args(args) -> GroupRep:
-    if args.group == "octagon":
-        return octagon_group()
     if args.group == "schottky":
-        return schottky_rank2(args.separation)
-    return cusped_torus_group()
-
-
-def _chi_json(value) -> object:
-    return "-inf" if value == NEG_INF else int(value)
+        return schottky_rank2(DEFAULT_SEPARATION if args.separation is None else args.separation)
+    _reject_given(args, ("separation",), "to --group schottky")
+    return octagon_group() if args.group == "octagon" else cusped_torus_group()
 
 
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from_args(args)
-    if args.echo_config:
-        _emit(dump_json(config.to_json()), None)
-        return 0
     cmd = args.subcommand
 
     if cmd == "chi":
         d = _load_description(args.description)
-        _emit(dump_json({"chi": _chi_json(euler_characteristic(d))}), args.output_path)
+        _emit(dump_json({"chi": chi_to_json(euler_characteristic(d))}), args.output_path)
     elif cmd == "classify":
         d = _load_description(args.description)
         _emit(dump_json(is_standard(d).to_json()), args.output_path)
@@ -328,20 +298,29 @@ def run(argv) -> int:
         payload["summary"] = realize(plan).to_json()
         _emit(dump_json(payload), args.output_path)
     elif cmd == "limit-set":
+        if args.mode == "orbit":
+            mode = SampleMode.ORBIT_PROJECTION
+        else:
+            _reject_given(args, ("delta", "base"), "with --mode orbit")
+            mode = SampleMode.AXIS_ENDPOINTS
         rep = _group_from_args(args)
-        base = _parse_floats(args.base)
+        base = (0.0, 0.0) if args.base is None else _parse_floats(args.base)
         if len(base) != 2:
             raise InvalidInput("--base needs exactly two values re,im")
-        mode = SampleMode.ORBIT_PROJECTION if args.mode == "orbit" else SampleMode.AXIS_ENDPOINTS
+        delta = DEFAULT_DELTA if args.delta is None else args.delta
         sample = limit_sample(rep, DiskPoint(complex(*base)),
-                              args.max_word_length, mode, delta=args.delta)
+                              args.max_word_length, mode, delta=delta)
         _emit_sample(sample, args.output_format, args.output_path)
     elif cmd == "boundary-map":
+        if not args.check_identity:
+            _reject_given(args, ("m", "tol"), "with --check-identity")
         rep = _group_from_args(args)
         phi = FreeAutomorphism.from_spec(args.aut, rank=rep.rank)
         sample = induced_boundary_sample(rep, phi, args.max_word_length)
         if args.check_identity:
-            verdict = is_boundary_identity(rep, sample, m=args.m, tol=args.tol).to_json()
+            m = DEFAULT_SEARCH_DEPTH if args.m is None else args.m
+            tol = DEFAULT_IDENTITY_TOL if args.tol is None else args.tol
+            verdict = is_boundary_identity(rep, sample, m=m, tol=tol).to_json()
             verdict["order"] = order_check(sample).orientation
             if args.output_path is not None:
                 _emit_sample(sample, args.output_format, args.output_path)

@@ -26,6 +26,7 @@ import numpy as np
 from hypsurf.disk import (
     TOL_ANGLE,
     TOL_AXIS,
+    TWO_PI,
     DiskPoint,
     Geodesic,
     IdealPoint,
@@ -42,7 +43,6 @@ from hypsurf.errors import (
     NumericFailure,
 )
 from hypsurf.words import (
-    DEFAULT_WORD_BUDGET,
     GroupWord,
     _letter_key,
     letter_rows_to_strings,
@@ -138,14 +138,14 @@ def _letter_matrices(rep: GroupRep) -> tuple[np.ndarray, np.ndarray]:
     return np.array([m.a for m in mats]), np.array([m.b for m in mats])
 
 
-def _word_levels(rep: GroupRep, n: int, budget: int = DEFAULT_WORD_BUDGET) -> list[_Level]:
+def _word_levels(rep: GroupRep, n: int) -> list[_Level]:
     """Levels 1..n of the shortlex word table with their matrix entries.
 
     Each word's matrix is its parent row's times its last letter's, up to
     a positive scale: a level is divided by `_RESCALE_AT` when its largest
     entry passes it, and is otherwise left as the product.
     """
-    table = shortlex_levels(rep.rank, n, budget)
+    table = shortlex_levels(rep.rank, n)
     if not table:
         return []
     # level 1 is the alphabet in key order
@@ -235,19 +235,19 @@ def csv_blocks(header: str, columns: tuple[np.ndarray, ...],
         yield "\n".join([row] * len(words)) % tuple(cells)
 
 
-def _dedup_sorted_circle(theta: np.ndarray, order_rank: np.ndarray, tol: float):
-    """Collapse tol-clusters of angles (wraparound included) to one
-    representative each: the first in angle order, enumeration rank
+def _dedup_sorted_circle(theta: np.ndarray):
+    """Collapse TOL_ANGLE-clusters of angles (wraparound included) to one
+    representative each: the first in angle order, the earlier index
     breaking exact ties."""
-    srt = np.lexsort((order_rank, theta))
+    srt = np.lexsort((np.arange(len(theta)), theta))
     th = theta[srt]
     keep = np.empty(len(th), dtype=bool)
     keep[0] = True
-    np.greater(np.diff(th), tol, out=keep[1:])
+    np.greater(np.diff(th), TOL_ANGLE, out=keep[1:])
     idx = srt[keep]
     th = th[keep]
-    # wraparound: trailing angles within tol of first + 2*pi collapse into it
-    while len(th) > 1 and th[0] + 2.0 * math.pi - th[-1] <= tol:
+    # wraparound: trailing angles within TOL_ANGLE of first + 2*pi collapse into it
+    while len(th) > 1 and th[0] + TWO_PI - th[-1] <= TOL_ANGLE:
         th = th[:-1]
         idx = idx[:-1]
     return th, idx
@@ -259,7 +259,6 @@ def limit_sample(
     n: int,
     mode: SampleMode,
     delta: float = DEFAULT_DELTA,
-    budget: int = DEFAULT_WORD_BUDGET,
 ) -> EndpointSample:
     """Finite approximation of the limit set / fixed-point set.
 
@@ -271,7 +270,7 @@ def limit_sample(
         raise InvalidInput("limit_sample needs n >= 1")
     if mode is SampleMode.ORBIT_PROJECTION and not 0.0 < delta < 1.0:
         raise InvalidInput("delta must lie in (0, 1)")
-    levels = _word_levels(rep, n, budget)
+    levels = _word_levels(rep, n)
     theta_parts: list[np.ndarray] = []
     letter_parts: list[np.ndarray] = []
     width = max(lv.letters.shape[1] for lv in levels) if levels else 0
@@ -307,32 +306,28 @@ def limit_sample(
         )
     theta = np.concatenate(theta_parts)
     letters = np.vstack(letter_parts)
-    order_rank = np.arange(len(theta), dtype=np.int64)
-    th, idx = _dedup_sorted_circle(theta, order_rank, TOL_ANGLE)
+    th, idx = _dedup_sorted_circle(theta)
     return EndpointSample(mode, th, letters[idx])
+
+
+def _circular_gaps(s: EndpointSample) -> np.ndarray:
+    """The gap after each sample angle, the last one wrapping to the first."""
+    m = len(s.angles)
+    if m == 0:
+        raise EmptySample("empty endpoint sample")
+    if m == 1:
+        return np.array([TWO_PI])
+    return np.append(np.diff(s.angles), s.angles[0] + TWO_PI - s.angles[-1])
 
 
 def max_angular_gap(s: EndpointSample) -> float:
     """Largest circular gap between consecutive sample angles."""
-    m = len(s.angles)
-    if m == 0:
-        raise EmptySample("empty endpoint sample")
-    if m == 1:
-        return 2.0 * math.pi
-    d = np.diff(s.angles)
-    wrap = s.angles[0] + 2.0 * math.pi - s.angles[-1]
-    return float(max(d.max(), wrap))
+    return float(_circular_gaps(s).max())
 
 
 def gap_profile(s: EndpointSample) -> list[float]:
     """All circular gaps, sorted descending."""
-    m = len(s.angles)
-    if m == 0:
-        raise EmptySample("empty endpoint sample")
-    if m == 1:
-        return [2.0 * math.pi]
-    d = np.append(np.diff(s.angles), s.angles[0] + 2.0 * math.pi - s.angles[-1])
-    return sorted((float(x) for x in d), reverse=True)
+    return np.sort(_circular_gaps(s))[::-1].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 from hypsurf.errors import (
     InvalidInput,
@@ -27,7 +28,7 @@ from hypsurf.signature import Signature
 PANTS_AREA = 2.0 * math.pi
 #: horocycle normalization length attached to every cusp cuff
 CUSP_HOROCYCLE_LENGTH = 2.0
-#: internal gluing curves default to this length
+#: length of every internal gluing curve
 DEFAULT_GLUING_LENGTH = 1.0
 
 
@@ -58,8 +59,8 @@ class PantsGeometry:
     d12: float
     d23: float
     d31: float
-    area: float = PANTS_AREA
-    cusp_horocycle: float = CUSP_HOROCYCLE_LENGTH
+    area: ClassVar[float] = PANTS_AREA
+    cusp_horocycle: ClassVar[float] = CUSP_HOROCYCLE_LENGTH
 
     def seams(self) -> tuple[float, float, float]:
         return (self.d12, self.d23, self.d31)
@@ -201,7 +202,6 @@ class PantsDecompositionPlan:
 def plan_decomposition(
     s: Signature,
     boundary_lengths: tuple[float, ...] = (),
-    gluing_length: float = DEFAULT_GLUING_LENGTH,
 ) -> PantsDecompositionPlan:
     """Generalized pants decomposition of the finite-type surface s.
 
@@ -209,7 +209,7 @@ def plan_decomposition(
     2g + c + b holes and a punctures, which a chain of -chi(s) pants
     fills; handle holes are reglued in pairs, crosscap holes are
     self-identified, boundary holes keep the prescribed lengths, and
-    punctures become cusps.  Internal curves default to length 1, twist 0.
+    punctures become cusps.  Internal curves have length 1 and twist 0.
     """
     chi = s.chi()
     if chi >= 0:
@@ -222,16 +222,14 @@ def plan_decomposition(
     for x in lengths:
         if not (x > 0.0) or not math.isfinite(x):
             raise NegativeLength(f"boundary length {x!r} must be positive")
-    if not (gluing_length > 0.0):
-        raise NegativeLength("gluing length must be positive")
 
     # hole roles, in deterministic order: handle pairs, crosscaps,
     # boundary circles, cusps
     holes: list[tuple[str, float]] = []
     for _ in range(2 * s.g):
-        holes.append(("handle", gluing_length))
+        holes.append(("handle", DEFAULT_GLUING_LENGTH))
     for _ in range(s.c):
-        holes.append(("crosscap", gluing_length))
+        holes.append(("crosscap", DEFAULT_GLUING_LENGTH))
     for x in lengths:
         holes.append(("boundary", x))
     for _ in range(s.a):
@@ -257,8 +255,8 @@ def plan_decomposition(
             owned = [1]
         if i < count - 1:
             chain.append((f"p{i}.c2", f"p{i+1}.c0"))
-            node_cuffs[i][2] = gluing_length
-            node_cuffs[i + 1][0] = gluing_length
+            node_cuffs[i][2] = DEFAULT_GLUING_LENGTH
+            node_cuffs[i + 1][0] = DEFAULT_GLUING_LENGTH
         for k in owned:
             role, length = next(unplaced)
             slot_role[slots[k]] = (role, length)
@@ -268,7 +266,7 @@ def plan_decomposition(
         PantsNode(f"p{i}", tuple(node_cuffs[i])) for i in range(count)
     )
 
-    gluings = [Gluing(l, r, gluing_length, 0.0) for l, r in chain]
+    gluings = [Gluing(l, r, DEFAULT_GLUING_LENGTH, 0.0) for l, r in chain]
     crosscaps: list[CrosscapGluing] = []
     boundary: list[BoundarySlot] = []
     cusps: list[str] = []

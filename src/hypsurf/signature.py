@@ -171,6 +171,13 @@ def euler_characteristic(d: SurfaceDescription):
     raise InvalidInput(f"not a surface description: {d!r}")
 
 
+def chi_to_json(chi):
+    """JSON form of a chi value: an int, "-inf", or None (underdetermined)."""
+    if chi is None:
+        return None
+    return "-inf" if chi == NEG_INF else int(chi)
+
+
 @dataclass(frozen=True)
 class DoublingReport:
     """Both readings of the doubling formula next to the direct count.
@@ -252,13 +259,8 @@ class StandardnessVerdict:
     name: Optional[str] = None
 
     def to_json(self) -> dict:
-        if self.chi is None:
-            chi = None
-        elif self.chi == NEG_INF:
-            chi = "-inf"
-        else:
-            chi = int(self.chi)
-        out = {"standard": self.standard, "reason": self.reason.value, "chi": chi}
+        out = {"standard": self.standard, "reason": self.reason.value,
+               "chi": chi_to_json(self.chi)}
         if self.name is not None:
             out["name"] = self.name
         return out

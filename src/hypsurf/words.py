@@ -21,7 +21,8 @@ import numpy as np
 
 from hypsurf.errors import BudgetExceeded, IndexOutOfRange, InvalidInput, NotAnAutomorphism
 
-#: enumeration refuses to produce more than this many words by default
+#: `shortlex_levels`, which builds every word table, refuses a table of
+#: more than this many words
 DEFAULT_WORD_BUDGET = 5_000_000
 
 
@@ -195,9 +196,7 @@ def word_count(rank: int, max_length: int) -> int:
     return total
 
 
-def shortlex_levels(rank: int, max_length: int,
-                    budget: int = DEFAULT_WORD_BUDGET,
-                    keep=None) -> list[np.ndarray]:
+def shortlex_levels(rank: int, max_length: int, keep=None) -> list[np.ndarray]:
     """Levels 1..max_length of the shortlex tree of freely reduced words.
 
     Level L is an int8 matrix with one row per word of length L, in
@@ -209,14 +208,14 @@ def shortlex_levels(rank: int, max_length: int,
     and, for each, the index of its parent row in the previous (pruned)
     level (``None`` at level 1), and returns a boolean mask of the rows to
     keep; only kept rows are returned and grow children, so the parent rule
-    above holds for the unpruned table only.  The budget is the unpruned
-    `word_count`.
+    above holds for the unpruned table only.  The unpruned `word_count`
+    may not exceed `DEFAULT_WORD_BUDGET`, or BudgetExceeded is raised.
     """
     if max_length < 0:
         raise InvalidInput("max_length must be nonnegative")
     n = word_count(rank, max_length)
-    if n > budget:
-        raise BudgetExceeded(f"{n} words exceed the budget of {budget}")
+    if n > DEFAULT_WORD_BUDGET:
+        raise BudgetExceeded(f"{n} words exceed the budget of {DEFAULT_WORD_BUDGET}")
     if rank > 127:
         raise InvalidInput("the word table stores letters as int8: rank must be at most 127")
     fan = 2 * rank - 1
@@ -239,15 +238,14 @@ def shortlex_levels(rank: int, max_length: int,
     return levels
 
 
-def enumerate_reduced_words(rank: int, max_length: int,
-                            budget: int = DEFAULT_WORD_BUDGET) -> list[GroupWord]:
+def enumerate_reduced_words(rank: int, max_length: int) -> list[GroupWord]:
     """All freely reduced words of length <= max_length, in shortlex order.
 
     The library reads `shortlex_levels` (or `groups._word_levels`) instead;
     this object form stays for callers that want `GroupWord`s, and
     perfbench's tracer names it.
     """
-    levels = shortlex_levels(rank, max_length, budget)
+    levels = shortlex_levels(rank, max_length)
     return [GroupWord()] + [GroupWord(tuple(row)) for lv in levels for row in lv.tolist()]
 
 

@@ -10,8 +10,8 @@ import itertools
 
 import numpy as np
 
+from hypsurf import words
 from hypsurf.words import (
-    DEFAULT_WORD_BUDGET,
     GroupWord,
     _letter_key,
     free_reduce,
@@ -20,14 +20,13 @@ from hypsurf.words import (
 from hypsurf.errors import BudgetExceeded, InvalidInput
 
 
-def shortlex_levels(rank: int, max_length: int,
-                    budget: int = DEFAULT_WORD_BUDGET) -> list[np.ndarray]:
+def shortlex_levels(rank: int, max_length: int) -> list[np.ndarray]:
     """The unpruned word table, grown one level at a time."""
     if max_length < 0:
         raise InvalidInput("max_length must be nonnegative")
     n = word_count(rank, max_length)
-    if n > budget:
-        raise BudgetExceeded(f"{n} words exceed the budget of {budget}")
+    if n > words.DEFAULT_WORD_BUDGET:
+        raise BudgetExceeded(f"{n} words exceed the budget of {words.DEFAULT_WORD_BUDGET}")
     if rank > 127:
         raise InvalidInput("the word table stores letters as int8: rank must be at most 127")
     gens = np.arange(1, rank + 1, dtype=np.int8)
@@ -41,12 +40,11 @@ def shortlex_levels(rank: int, max_length: int,
     return levels
 
 
-def conjugacy_class_words(rank: int, n: int,
-                          budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
+def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
     """Class representatives from the least packed rotation code of every
     cyclically reduced row of the whole table and of its inverse (letter
     keys as base-2k digits; exact Python integers past int64)."""
-    levels = shortlex_levels(rank, n, budget)
+    levels = shortlex_levels(rank, n)
     base = 2 * rank
     reps: list[np.ndarray] = []
     for letters in levels:

@@ -32,6 +32,7 @@ from hypsurf.errors import (
     OrderViolation,
     TooFewPoints,
 )
+from hypsurf import words
 from hypsurf.groups import GroupRep, evaluate, schottky_rank2
 from hypsurf.words import GroupWord, enumerate_reduced_words, word_count
 
@@ -257,14 +258,20 @@ def test_conjugacy_class_words_match_the_packed_code_table(rank, n):
     assert np.array_equal(new, ref)
 
 
-def test_conjugacy_class_words_budget_is_the_word_count():
-    assert len(conjugacy_class_words(2, 5, budget=word_count(2, 5))) == 51
+def test_conjugacy_class_words_budget_is_the_word_count(monkeypatch):
+    # at the real budget, rank 2 passes n = 13 and stops at n = 14
+    assert word_count(2, 13) <= words.DEFAULT_WORD_BUDGET < word_count(2, 14)
+    assert conjugacy_class_words(2, 13).shape[1] == 13
     for table in (conjugacy_class_words, oracles.conjugacy_class_words):
-        with pytest.raises(BudgetExceeded):
-            table(2, 5, budget=word_count(2, 5) - 1)
         with pytest.raises(BudgetExceeded):
             table(2, 14)
     assert conjugacy_class_words(2, 0).shape == (0, 0)
+    monkeypatch.setattr(words, "DEFAULT_WORD_BUDGET", word_count(2, 5))
+    assert len(conjugacy_class_words(2, 5)) == 51
+    monkeypatch.setattr(words, "DEFAULT_WORD_BUDGET", word_count(2, 5) - 1)
+    for table in (conjugacy_class_words, oracles.conjugacy_class_words):
+        with pytest.raises(BudgetExceeded):
+            table(2, 5)
 
 
 # -- order_check ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -214,9 +215,10 @@ def test_exit_code_invalid_input(tmp_path, capsys):
     code, _, err = run_cli(capsys, "plan", "--sig", "0,0,2,0", "--lengths", "1,1")
     assert code == 2
     assert json.loads(err)["error"] == "NotHyperbolizable"
-    code, _, err = run_cli(capsys, "limit-set", "--group", "octagon", "--n", "9")
-    assert code == 2
-    assert json.loads(err)["error"] == "BudgetExceeded"
+    for n in ("8", "9"):  # n = 7 is the longest octagon table within the budget
+        code, _, err = run_cli(capsys, "limit-set", "--group", "octagon", "--n", n)
+        assert code == 2
+        assert json.loads(err)["error"] == "BudgetExceeded"
     code, _, err = run_cli(
         capsys, "boundary-map", "--group", "schottky", "--aut", "A=AA,B=B", "--n", "3"
     )
@@ -236,30 +238,51 @@ def test_exit_code_numeric_failure(capsys, monkeypatch):
     assert err.count("\n") == 1  # one-line error
 
 
-def test_echo_config_roundtrip(capsys):
-    code, out, _ = run_cli(
-        capsys, "limit-set", "--group", "octagon", "--n", "3", "--mode", "axes",
-        "--delta", "0.1", "--format", "csv", "--echo-config",
-    )
-    assert code == 0
-    cfg = json.loads(out)
-    assert cfg == {
-        "subcommand": "limit-set",
-        "max_word_length": 3,
-        "tol": cli.DEFAULT_IDENTITY_TOL,
-        "delta": 0.1,
-        "output_format": "csv",
-        "output_path": None,
-    }
-    code, out, _ = run_cli(capsys, "thirteen", "--echo-config")
-    assert code == 0
-    assert json.loads(out)["output_format"] == "json"
+TORUS_TWIST = ("boundary-map", "--group", "cusped-torus", "--aut", "A=AB,B=B", "--n", "3")
+
+
+@pytest.mark.parametrize("argv", [
+    (*TORUS_TWIST, "--m", "3"),
+    (*TORUS_TWIST, "--tol", "0.01"),
+    ("limit-set", "--group", "octagon", "--n", "2", "--delta", "0.1"),
+    ("limit-set", "--group", "octagon", "--n", "2", "--mode", "axes", "--base", "0,0"),
+    ("limit-set", "--group", "octagon", "--n", "2", "--separation", "4"),
+    ("limit-set", "--group", "cusped-torus", "--n", "2", "--mode", "orbit", "--separation", "4"),
+    (*TORUS_TWIST, "--check-identity", "--separation", "4"),
+])
+def test_flags_the_subcommand_would_ignore_are_invalid_input(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("bare, explicit", [
+    (("limit-set", "--group", "octagon", "--n", "3", "--mode", "orbit"),
+     ("--delta", "0.2", "--base", "0,0")),
+    (("limit-set", "--group", "schottky", "--n", "4"), ("--separation", "4.0")),
+    ((*TORUS_TWIST, "--check-identity"), ("--m", "3", "--tol", "0.001")),
+])
+def test_flags_that_apply_default_to_their_documented_values(bare, explicit, capsys):
+    assert cli.DEFAULT_SEPARATION == 4.0
+    assert cli.DEFAULT_DELTA == 0.2
+    assert (cli.DEFAULT_SEARCH_DEPTH, cli.DEFAULT_IDENTITY_TOL) == (3, 1e-3)
+    first = run_cli(capsys, *bare)
+    assert first[0] == 0 and first[2] == ""
+    assert run_cli(capsys, *bare, *explicit) == first
+
+
+def test_inner_search_table_is_budgeted(capsys):
+    code, out, err = run_cli(capsys, *TORUS_TWIST, "--check-identity", "--m", "14")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BudgetExceeded"
 
 
 @pytest.mark.parametrize("argv", [
     ("chi", "desc.json", "--format", "csv"),
     ("plan", "--sig", "2,0,0,0", "--format", "json"),
     ("limit-set", "--group", "octagon", "--n", "2", "--seed", "7"),
+    ("thirteen", "--echo-config"),
 ])
 def test_flags_that_do_nothing_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -395,3 +418,22 @@ def test_import_builds_no_parser_and_main_builds_one():
     assert after_import == 0
     assert one_build > 1  # the top-level parser and its subcommand parsers
     assert after_two_calls == one_build
+
+
+def readme_cli_lines() -> list[str]:
+    """The `hypsurf ...` lines of README's CLI block, continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("hypsurf ")]
+
+
+def test_readme_cli_lines_run(tmp_path, capsys, monkeypatch):
+    lines = readme_cli_lines()
+    assert {line.split()[1] for line in lines} == {
+        "classify", "chi", "double", "thirteen", "pants", "plan", "limit-set", "boundary-map"}
+    monkeypatch.chdir(tmp_path)
+    write_desc(tmp_path, {"kind": "finite", "g": 1, "c": 0, "b": 1, "a": 0})
+    for line in lines:
+        code, out, err = run_cli(capsys, *shlex.split(line, comments=True)[1:])
+        assert (code, err) == (0, ""), line

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hypsurf import words as words_module
 from hypsurf.errors import BudgetExceeded, IndexOutOfRange, InvalidInput, NotAnAutomorphism
 from hypsurf.words import (
     GroupWord,
@@ -115,15 +116,18 @@ def test_enumeration_shortlex_order_and_determinism():
     assert ws == enumerate_reduced_words(3, 3)
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
+    assert words_module.DEFAULT_WORD_BUDGET == 5_000_000
     with pytest.raises(BudgetExceeded):
         enumerate_reduced_words(4, 8)
-    with pytest.raises(BudgetExceeded):
-        enumerate_reduced_words(2, 5, budget=10)
     with pytest.raises(InvalidInput):
         enumerate_reduced_words(2, -1)
     with pytest.raises(InvalidInput):  # the table stores letters as int8
         enumerate_reduced_words(128, 1)
+    # the budget is read when the table is built
+    monkeypatch.setattr(words_module, "DEFAULT_WORD_BUDGET", 10)
+    with pytest.raises(BudgetExceeded):
+        enumerate_reduced_words(2, 5)
 
 
 def _same_array(x, y):
@@ -148,7 +152,7 @@ def test_shortlex_levels_without_keep_is_unchanged(rank, n):
         assert np.array_equal(parent, np.arange(len(rows)) // (2 * rank - 1))
 
 
-def test_shortlex_levels_keep_prunes_whole_subtrees():
+def test_shortlex_levels_keep_prunes_whole_subtrees(monkeypatch):
     # drop every row whose last letter is a: the words without a, in order
     pruned = shortlex_levels(2, 6, keep=lambda rows, parent: rows[:, -1] != -1)
     for rows, ref in zip(pruned, oracles.shortlex_levels(2, 6)):
@@ -164,8 +168,15 @@ def test_shortlex_levels_keep_prunes_whole_subtrees():
 
     assert all(_same_array(x, y) for x, y in zip(shortlex_levels(3, 4, keep=keep_no_leading_b), kept))
     assert prefix_found == [True] * 3
-    with pytest.raises(BudgetExceeded):  # the budget is the unpruned count
-        shortlex_levels(2, 5, budget=word_count(2, 5) - 1, keep=lambda rows, parent: rows[:, 0] == 1)
+    # the budget is the unpruned count: the keep mask below leaves 1/4 of it
+    def first_a(rows, parent):
+        return rows[:, 0] == 1
+
+    monkeypatch.setattr(words_module, "DEFAULT_WORD_BUDGET", word_count(2, 5))
+    assert len(shortlex_levels(2, 5, keep=first_a)) == 5
+    monkeypatch.setattr(words_module, "DEFAULT_WORD_BUDGET", word_count(2, 5) - 1)
+    with pytest.raises(BudgetExceeded):
+        shortlex_levels(2, 5, keep=first_a)
 
 
 def _random_letter_matrix(rng, rank, count, width):
