@@ -326,11 +326,12 @@ def _dedup_on_circle(tin: np.ndarray, tout: np.ndarray, letters: np.ndarray):
     order = np.argsort(tin, kind="stable")
     tin, tout, letters = tin[order], tout[order], letters[order]
     keep = np.ones(len(tin), dtype=bool)
-    # only entries within TOL_ANGLE of their predecessor can collide
+    # only entries within TOL_ANGLE of their predecessor can collide; j is
+    # the last kept entry before i, carried forward over dropped entries
+    j = 0
     for i in np.flatnonzero(np.diff(tin) <= TOL_ANGLE) + 1:
-        j = i - 1
-        while not keep[j]:
-            j -= 1
+        if keep[i - 1]:
+            j = i - 1
         if tin[i] - tin[j] > TOL_ANGLE:
             continue
         if _circular_distance(tout[i], tout[j]) > OUT_CONSISTENCY_TOL:

@@ -7,8 +7,9 @@ machine-readable JSON or CSV with floats at 17 significant digits;
 identical flags give byte-identical output.  Only limit-set and
 boundary-map take --format; the other subcommands print JSON.  A flag
 that a subcommand would ignore (--m or --tol without --check-identity,
---delta or --base without --mode orbit, --separation with a group other
-than schottky) is rejected as invalid input.
+--format with --check-identity but no -o, --delta or --base without
+--mode orbit, --separation with a group other than schottky) is rejected
+as invalid input.
 
 Exit codes: 0 success, 2 invalid input, 3 numeric failure (ambiguous
 classification, length mismatches, order violations); errors are a
@@ -187,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float,
                     help=f"identity tolerance, radians (default {DEFAULT_IDENTITY_TOL})")
     sp.add_argument("--separation", type=float, help=_SEPARATION_HELP)
-    sp.add_argument("--format", choices=("json", "csv"), default="csv", dest="output_format")
+    sp.add_argument("--format", choices=("json", "csv"), dest="output_format")
     _add_common(sp)
     return p
 
@@ -314,6 +315,9 @@ def run(argv) -> int:
     elif cmd == "boundary-map":
         if not args.check_identity:
             _reject_given(args, ("m", "tol"), "with --check-identity")
+        elif args.output_format is not None and args.output_path is None:
+            raise InvalidInput("--format: with --check-identity, only used with -o")
+        output_format = "csv" if args.output_format is None else args.output_format
         rep = _group_from_args(args)
         phi = FreeAutomorphism.from_spec(args.aut, rank=rep.rank)
         sample = induced_boundary_sample(rep, phi, args.max_word_length)
@@ -323,10 +327,10 @@ def run(argv) -> int:
             verdict = is_boundary_identity(rep, sample, m=m, tol=tol).to_json()
             verdict["order"] = order_check(sample).orientation
             if args.output_path is not None:
-                _emit_sample(sample, args.output_format, args.output_path)
+                _emit_sample(sample, output_format, args.output_path)
             _emit(dump_json(verdict), None)
         else:
-            _emit_sample(sample, args.output_format, args.output_path)
+            _emit_sample(sample, output_format, args.output_path)
     else:  # pragma: no cover - argparse enforces the choices
         raise InvalidInput(f"unknown subcommand {cmd!r}")
     return 0

@@ -45,12 +45,14 @@ PARABOLIC_MIN_B = 1e-6
 TOL_AXIS = 1e-9
 
 
-def reduce_angle(theta: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
-    t = math.fmod(theta, TWO_PI)
-    if t < 0.0:
-        t += TWO_PI
-    if t >= TWO_PI:  # fmod can land exactly on 2*pi after the shift
+def reduce_angle(theta):
+    """Reduce an angle, or each angle of an array, to [0, 2*pi)."""
+    # float % and np.mod both shift a negative fmod remainder up by 2*pi,
+    # which lands exactly on 2*pi for a tiny negative angle
+    t = theta % TWO_PI
+    if isinstance(t, np.ndarray):
+        t[t >= TWO_PI] -= TWO_PI
+    elif t >= TWO_PI:
         t -= TWO_PI
     return t
 
@@ -85,7 +87,10 @@ class IdealPoint:
     theta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", reduce_angle(float(self.theta)))
+        theta = float(self.theta)
+        if not math.isfinite(theta):
+            raise InvalidInput(f"ideal point angle {theta!r} is not finite")
+        object.__setattr__(self, "theta", reduce_angle(theta))
 
     @property
     def z(self) -> complex:

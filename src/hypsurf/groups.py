@@ -33,6 +33,7 @@ from hypsurf.disk import (
     MobiusIsometry,
     circle_fixed_points,
     is_certainly_hyperbolic,
+    reduce_angle,
     translation_along,
 )
 from hypsurf.errors import (
@@ -285,12 +286,12 @@ def limit_sample(
     if mode is SampleMode.ORBIT_PROJECTION:
         z0 = base.z
         if abs(z0) > 1.0 - delta:
-            theta_parts.append(np.array([cmath.phase(z0) % (2.0 * math.pi)]))
+            theta_parts.append(np.array([reduce_angle(cmath.phase(z0))]))
             letter_parts.append(np.zeros((1, width), dtype=np.int8))
         for lv in levels:
             z = (lv.a * z0 + lv.b) / (np.conj(lv.b) * z0 + np.conj(lv.a))
             mask = np.abs(z) > 1.0 - delta
-            theta_parts.append(np.mod(np.angle(z[mask]), 2.0 * math.pi))
+            theta_parts.append(reduce_angle(np.angle(z[mask])))
             letter_parts.append(pad(lv.letters[mask]))
     else:
         for lv in levels:
@@ -298,7 +299,7 @@ def limit_sample(
             mask = cyc & is_certainly_hyperbolic(lv.a, lv.b)
             rows = pad(lv.letters[mask])
             for z in circle_fixed_points(lv.a[mask], lv.b[mask]):
-                theta_parts.append(np.mod(np.angle(z), 2.0 * math.pi))
+                theta_parts.append(reduce_angle(np.angle(z)))
                 letter_parts.append(rows)
     if not theta_parts or sum(len(t) for t in theta_parts) == 0:
         raise EmptySample(
@@ -438,7 +439,7 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
         x = _cdiv(_cmul(ga, x) + gb, _cmul(gb.conj(), x) + ga.conj())
         z[live] = _cdiv(x, np.hypot(x.real, x.imag))
     out = np.full(count, np.nan)
-    out[ok] = np.mod(list(map(math.atan2, z.imag.tolist(), z.real.tolist())), 2.0 * math.pi)
+    out[ok] = reduce_angle(np.array(list(map(math.atan2, z.imag.tolist(), z.real.tolist()))))
     return out
 
 

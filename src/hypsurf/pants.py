@@ -131,7 +131,7 @@ class Gluing:
     slot_from: str
     slot_to: str
     length: float
-    twist: float = 0.0
+    twist: ClassVar[float] = 0.0
 
 
 @dataclass(frozen=True)
@@ -150,13 +150,19 @@ class BoundarySlot:
 class PantsDecompositionPlan:
     """Pants nodes plus a complete accounting of their 3P cuff slots:
     every slot is glued, crosscap-identified, an external boundary, or a
-    cusp, exactly once."""
+    cusp, exactly once.  Construction runs `_check_plan`, so every plan
+    object has passed it."""
 
     pants: tuple[PantsNode, ...]
     gluings: tuple[Gluing, ...]
     crosscap_gluings: tuple[CrosscapGluing, ...]
     boundary_slots: tuple[BoundarySlot, ...]
     cusp_slots: tuple[str, ...]
+
+    def __post_init__(self):
+        # frozen and made of tuples, a plan that passed stays valid;
+        # `dataclasses.replace` builds a new object, checked in turn
+        _check_plan(self)
 
     @cached_property
     def _slot_lengths(self) -> dict[str, float]:
@@ -169,17 +175,6 @@ class PantsDecompositionPlan:
             return self._slot_lengths[slot]
         except KeyError:
             raise InvalidInput(f"slot {slot!r} names no pants cuff") from None
-
-    @cached_property
-    def _checked(self) -> bool:
-        _check_plan(self)
-        return True
-
-    def check(self) -> None:
-        """Run `_check_plan` once per plan object.  The plan is frozen and
-        holds only tuples, so a check that passed stays passed; a copy made
-        by `dataclasses.replace` is a new object and is checked again."""
-        self._checked  # the first read runs the check and caches True
 
     def all_slots(self) -> list[str]:
         return [f"{p.node_id}.c{i}" for p in self.pants for i in range(3)]
@@ -206,10 +201,13 @@ def plan_decomposition(
     """Generalized pants decomposition of the finite-type surface s.
 
     Cutting g handle curves and c crosscap curves leaves a sphere with
-    2g + c + b holes and a punctures, which a chain of -chi(s) pants
-    fills; handle holes are reglued in pairs, crosscap holes are
-    self-identified, boundary holes keep the prescribed lengths, and
-    punctures become cusps.  Internal curves have length 1 and twist 0.
+    2g + c + b holes and a punctures, which a chain of n = -chi(s) pants
+    fills: pants i and i+1 are glued along p{i}.c2 and p{i+1}.c0.  The
+    hole slots, in chain order p0.c0, p0.c1, p1.c1, ..., p{n-1}.c1,
+    p{n-1}.c2, are taken in runs: 2g handle slots reglued in pairs, c
+    crosscap slots self-identified, b boundary slots with the prescribed
+    lengths, and a cusp slots.  Internal curves have length 1 and twist 0.
+    The plan is validated as it is constructed.
     """
     chi = s.chi()
     if chi >= 0:
@@ -223,73 +221,23 @@ def plan_decomposition(
         if not (x > 0.0) or not math.isfinite(x):
             raise NegativeLength(f"boundary length {x!r} must be positive")
 
-    # hole roles, in deterministic order: handle pairs, crosscaps,
-    # boundary circles, cusps
-    holes: list[tuple[str, float]] = []
-    for _ in range(2 * s.g):
-        holes.append(("handle", DEFAULT_GLUING_LENGTH))
-    for _ in range(s.c):
-        holes.append(("crosscap", DEFAULT_GLUING_LENGTH))
-    for x in lengths:
-        holes.append(("boundary", x))
-    for _ in range(s.a):
-        holes.append(("cusp", 0.0))
-    m = len(holes)
-    count = m - 2  # = -chi
-
-    # chain layout: pants i owns hole slots, consecutive pants share a
-    # curve; slot_role fills in (node, cuff) order
-    slot_role: dict[str, tuple[str, float]] = {}
-    chain: list[tuple[str, str]] = []
-    unplaced = iter(holes)
-    node_cuffs: list[list[float]] = [[0.0, 0.0, 0.0] for _ in range(count)]
-    for i in range(count):
-        slots = [f"p{i}.c{k}" for k in range(3)]
-        if count == 1:
-            owned = [0, 1, 2]
-        elif i == 0:
-            owned = [0, 1]
-        elif i == count - 1:
-            owned = [1, 2]
-        else:
-            owned = [1]
-        if i < count - 1:
-            chain.append((f"p{i}.c2", f"p{i+1}.c0"))
-            node_cuffs[i][2] = DEFAULT_GLUING_LENGTH
-            node_cuffs[i + 1][0] = DEFAULT_GLUING_LENGTH
-        for k in owned:
-            role, length = next(unplaced)
-            slot_role[slots[k]] = (role, length)
-            node_cuffs[i][k] = length
-
-    pants = tuple(
-        PantsNode(f"p{i}", tuple(node_cuffs[i])) for i in range(count)
+    count = -chi
+    slots = ["p0.c0", *(f"p{i}.c1" for i in range(count)), f"p{count - 1}.c2"]
+    h, c = 2 * s.g, 2 * s.g + s.c  # ends of the handle and crosscap runs
+    hole_lengths = (DEFAULT_GLUING_LENGTH,) * c + lengths + (0.0,) * s.a
+    chain = (DEFAULT_GLUING_LENGTH,) * (count - 1)
+    cuffs = zip(hole_lengths[:1] + chain, hole_lengths[1:-1], chain + hole_lengths[-1:])
+    return PantsDecompositionPlan(
+        pants=tuple(PantsNode(f"p{i}", triple) for i, triple in enumerate(cuffs)),
+        gluings=tuple(
+            Gluing(f"p{i}.c2", f"p{i + 1}.c0", DEFAULT_GLUING_LENGTH) for i in range(count - 1)
+        ) + tuple(
+            Gluing(x, y, DEFAULT_GLUING_LENGTH) for x, y in zip(slots[0:h:2], slots[1:h:2])
+        ),
+        crosscap_gluings=tuple(CrosscapGluing(x, DEFAULT_GLUING_LENGTH) for x in slots[h:c]),
+        boundary_slots=tuple(map(BoundarySlot, slots[c:c + s.b], lengths)),
+        cusp_slots=tuple(slots[c + s.b:]),
     )
-
-    gluings = [Gluing(l, r, DEFAULT_GLUING_LENGTH, 0.0) for l, r in chain]
-    crosscaps: list[CrosscapGluing] = []
-    boundary: list[BoundarySlot] = []
-    cusps: list[str] = []
-    handle_buffer: list[str] = []
-    for slot, (role, length) in slot_role.items():
-        if role == "handle":
-            handle_buffer.append(slot)
-            if len(handle_buffer) == 2:
-                gluings.append(Gluing(handle_buffer[0], handle_buffer[1], length, 0.0))
-                handle_buffer.clear()
-        elif role == "crosscap":
-            crosscaps.append(CrosscapGluing(slot, length))
-        elif role == "boundary":
-            boundary.append(BoundarySlot(slot, length))
-        else:
-            cusps.append(slot)
-    assert not handle_buffer
-
-    plan = PantsDecompositionPlan(
-        pants, tuple(gluings), tuple(crosscaps), tuple(boundary), tuple(cusps)
-    )
-    plan.check()
-    return plan
 
 
 def _check_plan(plan: PantsDecompositionPlan) -> None:
@@ -347,10 +295,9 @@ class MetricSummary:
 
 
 def realize(plan: PantsDecompositionPlan) -> MetricSummary:
-    """Fit the pants metrics together: validates the plan, builds each
-    pants' hexagon geometry, and totals the area (2*pi per pants).  Each
-    distinct cuff triple is built once."""
-    plan.check()
+    """Fit the pants metrics together: build each pants' hexagon geometry
+    and total the area (2*pi per pants).  Each distinct cuff triple is
+    built once.  The plan was validated when it was constructed."""
     for cuffs in dict.fromkeys(p.cuff_lengths for p in plan.pants):
         build_pants(CuffLengths(*cuffs))
     cuffs = tuple((slot, plan.slot_length(slot)) for slot in plan.all_slots())

@@ -11,6 +11,7 @@ from hypsurf.boundary import (
     _dedup_on_circle,
     conjugacy_class_words,
     induced_boundary_sample,
+    substitute_rows,
     is_boundary_identity,
     order_check,
     random_nielsen_automorphism,
@@ -33,7 +34,14 @@ from hypsurf.errors import (
     TooFewPoints,
 )
 from hypsurf import words
-from hypsurf.groups import GroupRep, evaluate, schottky_rank2
+from hypsurf.groups import (
+    GroupRep,
+    attracting_angles,
+    cusped_torus_group,
+    evaluate,
+    octagon_group,
+    schottky_rank2,
+)
 from hypsurf.words import GroupWord, enumerate_reduced_words, word_count
 
 import oracles
@@ -222,6 +230,42 @@ def test_dedup_matches_the_pairs_loop():
     assert tin_k.tolist() == [p[0] for p in pairs]
     assert tout_k.tolist() == [p[1] for p in pairs]
     assert [GroupWord.from_row(r) for r in rows] == [p[2] for p in pairs]
+
+
+def _dedup_input(rep, spec, n):
+    # the hyperbolic entries `induced_boundary_sample` hands to the dedup
+    phi = FreeAutomorphism.from_spec(spec, rank=rep.rank)
+    classes = conjugacy_class_words(rep.rank, n)
+    tin = attracting_angles(rep, classes)
+    tout = attracting_angles(rep, substitute_rows(phi.images, classes))
+    ok = ~(np.isnan(tin) | np.isnan(tout))
+    return tin[ok], tout[ok], classes[ok]
+
+
+def _dedup_outcome(dedup, tin, tout, letters):
+    try:
+        return [(a.dtype, a.shape, a.tobytes()) for a in dedup(tin, tout, letters)]
+    except OrderViolation as e:
+        return (str(e), e.triple)
+
+
+@pytest.mark.parametrize("make_group, spec, ns", [
+    # the four boundary-verdict inputs of the benchmark
+    pytest.param(cusped_torus_group, "A=AB,B=B", (9,), id="torus-twist-n9"),
+    pytest.param(cusped_torus_group, "A=A,B=B", (8,), id="torus-identity-n8"),
+    pytest.param(octagon_group, "A=A,B=ABa,C=ACa,D=ADa", (5,), id="octagon-inner-a-n5"),
+    pytest.param(lambda: schottky_rank2(2.0), "A=AB,B=B", (8,), id="schottky2-twist-n8"),
+    # saturated Schottky samples: long collision clusters, some inconsistent
+    *(pytest.param(lambda sep=sep: schottky_rank2(sep), spec, range(1, 10),
+                   id=f"schottky{sep:g}-{spec}-n1to9")
+      for sep in (6.0, 10.0) for spec in ("A=AB,B=B", "A=A,B=B")),
+])
+def test_dedup_matches_the_walk_back_oracle(make_group, spec, ns):
+    rep = make_group()
+    for n in ns:
+        arrays = _dedup_input(rep, spec, n)
+        assert (_dedup_outcome(_dedup_on_circle, *arrays)
+                == _dedup_outcome(oracles.dedup_on_circle, *arrays)), n
 
 
 def _class_words_by_definition(rank, n):

@@ -249,6 +249,7 @@ TORUS_TWIST = ("boundary-map", "--group", "cusped-torus", "--aut", "A=AB,B=B", "
     ("limit-set", "--group", "octagon", "--n", "2", "--separation", "4"),
     ("limit-set", "--group", "cusped-torus", "--n", "2", "--mode", "orbit", "--separation", "4"),
     (*TORUS_TWIST, "--check-identity", "--separation", "4"),
+    (*TORUS_TWIST, "--check-identity", "--format", "json"),
 ])
 def test_flags_the_subcommand_would_ignore_are_invalid_input(argv, capsys):
     code, out, err = run_cli(capsys, *argv)
@@ -262,6 +263,7 @@ def test_flags_the_subcommand_would_ignore_are_invalid_input(argv, capsys):
      ("--delta", "0.2", "--base", "0,0")),
     (("limit-set", "--group", "schottky", "--n", "4"), ("--separation", "4.0")),
     ((*TORUS_TWIST, "--check-identity"), ("--m", "3", "--tol", "0.001")),
+    (TORUS_TWIST, ("--format", "csv")),
 ])
 def test_flags_that_apply_default_to_their_documented_values(bare, explicit, capsys):
     assert cli.DEFAULT_SEPARATION == 4.0
@@ -270,6 +272,27 @@ def test_flags_that_apply_default_to_their_documented_values(bare, explicit, cap
     first = run_cli(capsys, *bare)
     assert first[0] == 0 and first[2] == ""
     assert run_cli(capsys, *bare, *explicit) == first
+
+
+@pytest.mark.parametrize("argv", [
+    ("limit-set", "--group", "schottky", "--mode", "orbit", "--n", "6"),
+    ("boundary-map", "--group", "schottky", "--aut", "A=AB,B=B", "--n", "6"),
+])
+def test_angles_print_below_two_pi(argv, capsys):
+    # A's fixed point sits at angle 0, computed as a tiny negative angle
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows[0][0] == "0" and rows[0][-1] == "A"
+    assert max(float(x) for row in rows for x in row[:-1]) < 2 * math.pi
+
+
+def test_saturated_schottky_boundary_map_keeps_nine_rows(capsys):
+    # a sample whose dedup drops long runs of colliding entries
+    code, out, err = run_cli(capsys, "boundary-map", "--group", "schottky", "--separation",
+                             "10", "--aut", "A=AB,B=B", "--n", "11")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1 + 9
 
 
 def test_inner_search_table_is_budgeted(capsys):

@@ -24,6 +24,7 @@ from hypsurf.disk import (
     fixed_points,
     geodesic_through,
     hyp_distance,
+    reduce_angle,
     translation_along,
 )
 from hypsurf.errors import (
@@ -52,6 +53,18 @@ def test_ideal_point_angle_reduction():
     assert IdealPoint(2.0 * math.pi).theta == 0.0
     assert IdealPoint(-0.5).theta == pytest.approx(2.0 * math.pi - 0.5)
     assert IdealPoint(7.0).close_to(IdealPoint(7.0 - 2.0 * math.pi))
+    for theta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidInput):
+            IdealPoint(theta)
+
+
+def test_reduce_angle_of_a_tiny_negative_angle_is_zero():
+    tiny = -1e-17
+    assert tiny % (2.0 * math.pi) == 2.0 * math.pi  # the plain shift rounds up
+    angles = [tiny, -0.5, 7.0, 0.0, -2.0 * math.pi]
+    reduced = reduce_angle(np.array(angles))
+    assert reduced.tolist() == [reduce_angle(t) for t in angles]
+    assert reduced[0] == 0.0 and reduced.max() < 2.0 * math.pi
 
 
 def test_distance_identity_case():

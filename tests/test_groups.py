@@ -18,6 +18,7 @@ from hypsurf.disk import (
     classify,
     fixed_points,
     is_certainly_hyperbolic,
+    reduce_angle,
     translation_along,
 )
 from hypsurf.errors import (
@@ -403,7 +404,7 @@ def scalar_attracting_angle(rep, w):
         g = rep.letter_isometry(letter)
         z = (g.a * z + g.b) / (g.b.conjugate() * z + g.a.conjugate())
         z /= abs(z)
-    return cmath.phase(z) % (2.0 * math.pi)
+    return reduce_angle(cmath.phase(z))
 
 
 def _random_conjugates(rep, count, rng):

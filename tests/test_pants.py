@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from hypsurf.cli import dump_json
 from hypsurf.disk import MobiusIsometry
 from hypsurf.errors import (
     InvalidInput,
@@ -22,6 +23,8 @@ from hypsurf.pants import (
     realize,
 )
 from hypsurf.signature import Signature
+
+import oracles
 
 # frozen from the walk-closure solver below, symmetric cuffs (2, 2, 2)
 SEAM_222 = 1.7049128323580138
@@ -203,17 +206,15 @@ def test_realize_detects_length_mismatch():
         else p
         for p in plan.pants
     )
-    bad = replace(plan, pants=bad_pants)
     with pytest.raises(LengthMismatch) as info:
-        realize(bad)
+        realize(replace(plan, pants=bad_pants))
     assert len(info.value.offending) >= 1
 
 
 def test_realize_detects_broken_slot_accounting():
     plan = plan_decomposition(Signature(0, 0, 3, 0), (1.0, 1.0, 1.0))
-    bad = replace(plan, cusp_slots=("p0.c0",))  # p0.c0 is also a boundary slot
-    with pytest.raises(InvalidInput):
-        realize(bad)
+    with pytest.raises(InvalidInput):  # p0.c0 is also a boundary slot
+        realize(replace(plan, cusp_slots=("p0.c0",)))
 
 
 @pytest.mark.parametrize("slot", ["p0.c3", "p0", "x.y.z", "p9.c0", "", "p0.c", "p0.c0.", "p0.C0"])
@@ -239,6 +240,7 @@ def test_plan_is_checked_once_per_object(monkeypatch):
 
     monkeypatch.setattr(pants, "_check_plan", counting)
     plan = plan_decomposition(Signature(1, 1, 1, 1), (2.5,))
+    assert calls == [plan]  # checked at construction
     summary = realize(plan)
     assert len(calls) == 1
     realize(plan)
@@ -246,6 +248,35 @@ def test_plan_is_checked_once_per_object(monkeypatch):
     copy = replace(plan)
     assert realize(copy) == summary
     assert len(calls) == 2 and calls[1] is copy
+
+
+#: the (g, c, b, a) rungs of the benchmark's pants ladder
+PLAN_LADDER = (
+    (2, 0, 0, 0), (10, 0, 0, 0), (40, 0, 0, 0), (150, 0, 0, 0), (0, 300, 0, 0),
+    (0, 0, 3, 0), (20, 0, 60, 0), (0, 0, 0, 300), (50, 40, 30, 80), (3, 2, 5, 4),
+)
+
+
+def _plan_output(build, s, lengths):
+    # what `hypsurf plan` prints
+    plan = build(s, lengths)
+    payload = plan.to_json()
+    payload["summary"] = realize(plan).to_json()
+    return dump_json(payload)
+
+
+def test_plan_matches_the_two_pass_oracle():
+    small = [
+        (g, c, b, a)
+        for g in range(5) for c in range(9) for b in range(9) for a in range(9)
+        if 2 * g + c + b + a <= 8 and Signature(g, c, b, a).chi() < 0
+    ]
+    rng = random.Random(10)
+    for sig in small + list(PLAN_LADDER):
+        s = Signature(*sig)
+        lengths = tuple(round(rng.uniform(0.5, 6.0), 6) for _ in range(s.b))
+        assert (_plan_output(plan_decomposition, s, lengths)
+                == _plan_output(oracles.plan_decomposition, s, lengths)), sig
 
 
 def test_plan_json_schema():
