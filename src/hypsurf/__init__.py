@@ -11,18 +11,9 @@ automorphisms (`boundary`), and a CLI (`cli`).
 from hypsurf.disk import (
     DiskPoint,
     Geodesic,
-    HalfPlane,
     IdealPoint,
-    IsometryClass,
     MobiusIsometry,
-    Side,
     apply,
-    axis,
-    classify,
-    euclidean_diameter,
-    fixed_points,
-    geodesic_through,
-    hyp_distance,
     translation_along,
 )
 from hypsurf.words import GroupWord

@@ -19,6 +19,7 @@ import numpy as np
 from hypsurf.disk import TOL_ANGLE, TWO_PI
 from hypsurf.errors import (
     InvalidInput,
+    NotAnAutomorphism,
     NumericFailure,
     OrderViolation,
     TooFewPoints,
@@ -130,9 +131,6 @@ class FreeAutomorphism:
             f"{chr(ord('A') + i)}={w}" for i, w in enumerate(self.images)
         )
 
-    def apply(self, w: GroupWord) -> GroupWord:
-        return substitute(self.images, w)
-
     def compose(self, other: "FreeAutomorphism") -> "FreeAutomorphism":
         """self after other."""
         if self.rank != other.rank:
@@ -141,9 +139,6 @@ class FreeAutomorphism:
             compose_images(self.images, other.images),
             compose_images(other.inverse_images, self.inverse_images),
         )
-
-    def invert(self) -> "FreeAutomorphism":
-        return FreeAutomorphism(self.inverse_images, self.images)
 
 
 def random_nielsen_automorphism(
@@ -206,9 +201,6 @@ class CircleMapSample:
 
     def __len__(self) -> int:
         return len(self.theta_in)
-
-    def word(self, i: int) -> GroupWord:
-        return GroupWord.from_row(self.letters[i])
 
     def to_csv_rows(self):
         return csv_blocks("theta_in,theta_out,word", (self.theta_in, self.theta_out),
@@ -284,6 +276,14 @@ def induced_boundary_sample(
     """Pair attracting fixed points of w with those of phi(w) over one
     word per conjugacy class of length <= n.
 
+    phi must act on the group: w -> phi(w) is well defined there when phi
+    maps every relator into their normal closure.  The test made is that
+    each phi(r) is conjugate to some relator or its inverse, otherwise
+    NotAnAutomorphism is raised.  With one relator this is also necessary
+    (Magnus: elements of a free group with the same normal closure are
+    conjugate up to inversion); with more relators it is sufficient but
+    not necessary.  A free group (no relators) takes every phi.
+
     Classes whose element or image is not certifiably hyperbolic are
     skipped and counted; more than half skipped (all of them included)
     aborts with NumericFailure.  The sample is deduplicated on theta_in:
@@ -295,6 +295,13 @@ def induced_boundary_sample(
         raise InvalidInput("induced_boundary_sample needs n >= 1")
     if phi.rank != rep.rank:
         raise InvalidInput(f"automorphism rank {phi.rank} != group rank {rep.rank}")
+    relator_classes = {r.conjugacy_class_rep() for r in rep.relators}
+    for r in rep.relators:
+        image = substitute(phi.images, r)
+        if image.conjugacy_class_rep() not in relator_classes:
+            raise NotAnAutomorphism(
+                f"{phi.spec_string()} does not act on the group: it maps the relator {r} "
+                f"to {image}, which is not conjugate to a relator or its inverse")
     classes = conjugacy_class_words(rep.rank, n)
     tin = attracting_angles(rep, classes)
     tout = attracting_angles(rep, substitute_rows(phi.images, classes))
@@ -364,10 +371,6 @@ class OrderCheckResult:
     orientation: Optional[str]  # "preserving" | "reversing" | None
     violation: Optional[tuple] = None
 
-    @property
-    def preserving(self) -> bool:
-        return self.orientation == "preserving"
-
 
 def order_check(s: CircleMapSample) -> OrderCheckResult:
     """Scan consecutive output triples for a constant cyclic orientation:
@@ -430,6 +433,8 @@ def is_boundary_identity(
     """
     if m < 0:
         raise InvalidInput("search depth must be nonnegative")
+    if not tol >= 0.0:
+        raise InvalidInput(f"identity tolerance must be a nonnegative number, got {tol!r}")
     zout = np.exp(1j * sample.theta_out)
     unturn = np.exp(-1j * sample.theta_in)
     # the identity row, then the table in shortlex order, zero-padded to m

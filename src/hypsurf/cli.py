@@ -11,9 +11,10 @@ that a subcommand would ignore (--m or --tol without --check-identity,
 --mode orbit, --separation with a group other than schottky) is rejected
 as invalid input.
 
-Exit codes: 0 success, 2 invalid input, 3 numeric failure (ambiguous
-classification, length mismatches, order violations); errors are a
-one-line JSON object on stderr.
+Exit codes: 0 success, 2 invalid input (an automorphism that does not
+act on the group included), 3 numeric failure (order violations, too
+many non-hyperbolic classes, entries too large to normalize); errors are
+a one-line JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -291,7 +292,8 @@ def run(argv) -> int:
         _emit(dump_json(build_pants(CuffLengths(*lengths)).to_json()), args.output_path)
     elif cmd == "plan":
         sig = _parse_floats(args.sig)
-        if len(sig) != 4 or any(x != int(x) for x in sig):
+        # float.is_integer is False for inf and nan too
+        if len(sig) != 4 or not all(x.is_integer() for x in sig):
             raise InvalidInput("--sig needs four integers g,c,b,a")
         s = Signature(*(int(x) for x in sig))
         plan = plan_decomposition(s, _parse_floats(args.lengths))

@@ -20,24 +20,7 @@ class NumericFailure(HypsurfError):
 
 # --- disk -----------------------------------------------------------------
 
-class AmbiguousClass(NumericFailure):
-    """Trace lies inside the classification tolerance band and the map is
-    neither clearly parabolic nor the identity."""
-
-
-class IdentityInput(InvalidInput):
-    pass
-
-
-class NotHyperbolic(InvalidInput):
-    pass
-
-
 class CoincidentPoints(InvalidInput):
-    pass
-
-
-class EmptySet(InvalidInput):
     pass
 
 

@@ -182,7 +182,7 @@ class EndpointSample:
 
     ``angles`` is sorted strictly increasing in [0, 2*pi) after dedup at
     TOL_ANGLE.  Provenance is kept as a zero-padded int8 letter matrix
-    aligned with ``angles``; `word` / `__iter__` decode rows on demand, so
+    aligned with ``angles`` (`GroupWord.from_row` decodes a row), so
     million-point samples stay cheap to hold.  CSV and JSON rendering read
     the two arrays directly, without per-row `GroupWord` objects; CSV rows
     come in fixed-size blocks (`csv_blocks`), so a caller that writes them
@@ -195,16 +195,6 @@ class EndpointSample:
 
     def __len__(self) -> int:
         return len(self.angles)
-
-    def word(self, i: int) -> GroupWord:
-        return GroupWord.from_row(self.letters[i])
-
-    def ideal_point(self, i: int) -> IdealPoint:
-        return IdealPoint(float(self.angles[i]))
-
-    def __iter__(self) -> Iterator[tuple[IdealPoint, GroupWord]]:
-        for i in range(len(self.angles)):
-            yield self.ideal_point(i), self.word(i)
 
     def to_csv_rows(self) -> Iterator[str]:
         return csv_blocks("theta,word", (self.angles,), self.letters)

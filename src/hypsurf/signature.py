@@ -36,12 +36,8 @@ class Signature:
     def __post_init__(self):
         for name in ("g", "c", "b", "a"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise InvalidInput(f"{name} must be a nonnegative integer, got {v!r}")
-
-    @property
-    def orientable(self) -> bool:
-        return self.c == 0
 
     def chi(self) -> int:
         return 2 - 2 * self.g - self.c - self.b - self.a
@@ -70,27 +66,15 @@ def canonicalize(s: Signature) -> CanonicalSignature:
 class FiniteType:
     signature: Signature
 
-    @property
-    def kind(self) -> str:
-        return "finite"
-
 
 @dataclass(frozen=True)
 class HalfPlaneSurface:
     """The half plane R x [0, oo): one noncompact boundary line."""
 
-    @property
-    def kind(self) -> str:
-        return "half_plane"
-
 
 @dataclass(frozen=True)
 class Strip:
     """The doubly infinite strip [0, 1] x R: two noncompact boundary lines."""
-
-    @property
-    def kind(self) -> str:
-        return "strip"
 
 
 @dataclass(frozen=True)
@@ -104,10 +88,6 @@ class InfiniteType:
     def __post_init__(self):
         if not (self.infinite_boundary or self.infinite_chi):
             raise InvalidInput("InfiniteType needs at least one flag set")
-
-    @property
-    def kind(self) -> str:
-        return "infinite"
 
 
 SurfaceDescription = Union[FiniteType, HalfPlaneSurface, Strip, InfiniteType]
@@ -137,16 +117,18 @@ def description_from_json(obj: dict) -> SurfaceDescription:
         raise InvalidInput("surface description JSON needs a 'kind' field")
     if kind == "finite":
         try:
-            sig = Signature(int(obj["g"]), int(obj["c"]), int(obj["b"]), int(obj["a"]))
-        except (KeyError, TypeError, ValueError) as e:
-            raise InvalidInput(f"bad finite-type description: {e}")
-        return FiniteType(sig)
+            return FiniteType(Signature(obj["g"], obj["c"], obj["b"], obj["a"]))
+        except KeyError as e:
+            raise InvalidInput(f"bad finite-type description: no {e} field")
     if kind == "half_plane":
         return HalfPlaneSurface()
     if kind == "strip":
         return Strip()
     if kind == "infinite":
-        return InfiniteType(bool(obj.get("inf_boundary", False)), bool(obj.get("inf_chi", False)))
+        flags = (obj.get("inf_boundary", False), obj.get("inf_chi", False))
+        if not all(isinstance(f, bool) for f in flags):
+            raise InvalidInput(f"inf_boundary and inf_chi must be JSON booleans, got {flags!r}")
+        return InfiniteType(*flags)
     raise InvalidInput(f"unknown surface kind {kind!r}")
 
 

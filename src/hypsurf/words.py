@@ -69,10 +69,6 @@ class GroupWord:
         return cls(tuple(int(x) for x in row if x != 0))
 
     @classmethod
-    def identity(cls) -> "GroupWord":
-        return cls(())
-
-    @classmethod
     def generator(cls, index: int, power: int = 1) -> "GroupWord":
         """Word for the 0-based generator raised to a power."""
         if index < 0:
@@ -89,33 +85,14 @@ class GroupWord:
     def inverse(self) -> "GroupWord":
         return GroupWord(tuple(-a for a in reversed(self.letters)))
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def is_cyclically_reduced(self) -> bool:
-        return len(self.letters) < 2 or self.letters[0] != -self.letters[-1]
-
     def cyclic_reduction(self) -> "GroupWord":
         letters = self.letters
         while len(letters) >= 2 and letters[0] == -letters[-1]:
             letters = letters[1:-1]
         return GroupWord(letters)
 
-    def cyclic_split(self) -> tuple["GroupWord", "GroupWord"]:
-        """(u, v) with self = u v u^-1 as reduced words and v cyclically
-        reduced."""
-        letters = self.letters
-        i, j = 0, len(letters)
-        while j - i >= 2 and letters[i] == -letters[j - 1]:
-            i += 1
-            j -= 1
-        return GroupWord(letters[:i]), GroupWord(letters[i:j])
-
     def max_index(self) -> int:
         return max((abs(a) for a in self.letters), default=0)
-
-    def sort_key(self):
-        return (len(self.letters), tuple(_letter_key(a) for a in self.letters))
 
     def conjugacy_class_rep(self) -> "GroupWord":
         """Lex-least among all cyclic rotations of the cyclic reduction and

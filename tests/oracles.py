@@ -1,4 +1,5 @@
-"""Reference implementations that the array fast paths replaced.
+"""Reference implementations that the array fast paths replaced, and
+references that tests of the library measure against.
 
 They are kept only as test oracles: each new path must reproduce its
 reference exactly, arrays bit for bit, dtype and shape included.
@@ -20,13 +21,14 @@ from hypsurf.words import (
     word_count,
 )
 from hypsurf.boundary import OUT_CONSISTENCY_TOL, _circular_distance
-from hypsurf.disk import TOL_ANGLE, TWO_PI
+from hypsurf.disk import TOL_ANGLE, TWO_PI, DiskPoint
 from hypsurf.errors import (
     BudgetExceeded,
     InvalidInput,
     LengthCountMismatch,
     NegativeLength,
     NotHyperbolizable,
+    NumericFailure,
     OrderViolation,
 )
 from hypsurf.pants import (
@@ -217,3 +219,12 @@ def dedup_on_circle(tin: np.ndarray, tout: np.ndarray, letters: np.ndarray):
         )
     end = len(tin) - len(wrap)
     return tin[:end], tout[:end], letters[:end]
+
+
+def hyp_distance(p: DiskPoint, q: DiskPoint) -> float:
+    """Hyperbolic distance (curvature -1): the reference under which the
+    isometries must preserve distance."""
+    t = abs(p.z - q.z) / abs(1.0 - p.z.conjugate() * q.z)
+    if t >= 1.0:
+        raise NumericFailure("distance overflow near the boundary")
+    return 2.0 * math.atanh(t)

@@ -258,6 +258,30 @@ def test_flags_the_subcommand_would_ignore_are_invalid_input(argv, capsys):
     assert json.loads(err)["error"] == "InvalidInput"
 
 
+@pytest.mark.parametrize("aut", ["A=AB", "A=BA", "A=B,B=A"])
+def test_automorphisms_that_do_not_act_on_the_octagon_group_are_invalid_input(aut, capsys):
+    # phi(r) is not conjugate to the relator r or to r^-1: A=AB once gave
+    # a verdict and A=BA an OrderViolation
+    code, out, err = run_cli(capsys, "boundary-map", "--group", "octagon", "--aut", aut,
+                             "--n", "4", "--check-identity")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "NotAnAutomorphism"
+
+
+@pytest.mark.parametrize("argv", [
+    ("plan", "--sig", "inf,0,0,0"),  # once a bare OverflowError
+    ("plan", "--sig", "nan,0,0,0"),  # once a bare ValueError
+    ("plan", "--sig", "0,0,-inf,0"),
+    ("limit-set", "--group", "octagon", "--n", "2", "--mode", "orbit", "--base", "nan,0"),
+    (*TORUS_TWIST, "--check-identity", "--tol", "nan"),  # once "identity":false
+    (*TORUS_TWIST, "--check-identity", "--tol", "-0.1"),
+])
+def test_non_finite_and_negative_numbers_are_invalid_input(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "InvalidInput"
+
 @pytest.mark.parametrize("bare, explicit", [
     (("limit-set", "--group", "octagon", "--n", "3", "--mode", "orbit"),
      ("--delta", "0.2", "--base", "0,0")),

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from dataclasses import replace
@@ -28,6 +29,8 @@ import oracles
 
 # frozen from the walk-closure solver below, symmetric cuffs (2, 2, 2)
 SEAM_222 = 1.7049128323580138
+# the rotation by pi/2 about the origin
+QUARTER_TURN = MobiusIsometry(cmath.exp(0.25j * math.pi), 0)
 
 
 def hexagon_walk_defect(sides):
@@ -37,7 +40,7 @@ def hexagon_walk_defect(sides):
     m = MobiusIsometry.identity()
     for s in sides:
         step = MobiusIsometry(math.cosh(s / 2), math.sinh(s / 2))
-        m = m.compose(step).compose(MobiusIsometry.rotation(math.pi / 2))
+        m = m.compose(step).compose(QUARTER_TURN)
     return min(max(abs(m.a - 1), abs(m.b)), max(abs(m.a + 1), abs(m.b)))
 
 
@@ -56,7 +59,7 @@ def test_symmetric_seam_against_bisection_solver():
         m = MobiusIsometry.identity()
         for s in (1.0, d, 1.0, d, 1.0, d):
             m = m.compose(MobiusIsometry(math.cosh(s / 2), math.sinh(s / 2)))
-            m = m.compose(MobiusIsometry.rotation(math.pi / 2))
+            m = m.compose(QUARTER_TURN)
         return m.a.imag
 
     root = brentq(defect_signed, 1.0, 3.0, xtol=1e-13)

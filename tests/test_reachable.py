@@ -1,0 +1,186 @@
+"""Every function in src/hypsurf is run by the CLI or a script, or is
+named in `UNREACHED` with its reason.
+
+The README's CLI lines, one small argv for each error exit of each
+subcommand, and the three experiment scripts run here under a
+`sys.setprofile` hook that records every Python function entered.  A
+function that none of them enters is code that only tests reach, so the
+set of such functions must equal the allowlist below.
+"""
+
+import ast
+import contextlib
+import io
+import json
+import runpy
+import shlex
+import sys
+from pathlib import Path
+
+import pytest
+
+import hypsurf
+from hypsurf import cli
+
+from test_cli import readme_cli_lines
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(hypsurf.__file__).resolve().parent
+
+TRACER_NAMED = "perfbench's tracer rebinds it"
+ACCEPTANCE_ONLY = "only tests/test_acceptance.py runs it"
+
+UNREACHED = {
+    "groups.attracting_angle": TRACER_NAMED,
+    "words.enumerate_reduced_words": TRACER_NAMED,
+    "boundary.random_nielsen_automorphism": ACCEPTANCE_ONLY,
+    "boundary.FreeAutomorphism.compose": ACCEPTANCE_ONLY,
+    "disk.apply": ACCEPTANCE_ONLY,
+    "pants.hexagon_identity_residual": ACCEPTANCE_ONLY,
+    "pants.PantsGeometry.seams": ACCEPTANCE_ONLY,
+    "signature.all_finite_descriptions": ACCEPTANCE_ONLY,
+    "errors.LengthMismatch.__init__":
+        "the CLI builds plans only with plan_decomposition, which glues equal lengths",
+}
+
+DESCRIPTIONS = {
+    "desc.json": {"kind": "finite", "g": 1, "c": 0, "b": 1, "a": 0},
+    "crosscap.json": {"kind": "finite", "g": 0, "c": 1, "b": 1, "a": 0},
+    "closed.json": {"kind": "finite", "g": 2, "c": 0, "b": 0, "a": 0},
+    "strip.json": {"kind": "strip"},
+    "half.json": {"kind": "half_plane"},
+    "boundary-only.json": {"kind": "infinite", "inf_boundary": True, "inf_chi": False},
+    "infinite.json": {"kind": "infinite", "inf_boundary": False, "inf_chi": True},
+    "unknown.json": {"kind": "torus"},
+    "no-kind.json": {"g": 1},
+    "short.json": {"kind": "finite", "g": 1},
+}
+
+#: (exit code, argv): the error exits, plus the variants the README lines miss
+RUNS = [
+    (0, "classify strip.json"), (0, "classify half.json"), (0, "classify closed.json"),
+    (0, "classify crosscap.json"),
+    (0, "classify boundary-only.json"), (0, "chi infinite.json"),
+    (0, "double half.json"), (0, "double crosscap.json --report"),
+    (2, "chi missing.json"), (2, "chi not-json.json"), (2, "chi no-kind.json"),
+    (2, "chi unknown.json"), (2, "chi short.json"), (2, "chi boundary-only.json"),
+    (2, "double closed.json"), (2, "double crosscap.json"), (2, "double infinite.json"),
+    (0, "pants --lengths 0,1,2"), (2, "pants --lengths 1,1"), (2, "pants --lengths=-1,1,1"),
+    (0, "plan --sig 1,2,2,1 --lengths 1,2"), (2, "plan --sig 0,0,2,0 --lengths 1,1"),
+    (2, "plan --sig 0,0,3,0 --lengths 1"), (2, "plan --sig 1.5,0,0,0"),
+    (2, "plan --sig 1,0,0"),
+    (0, "limit-set --group cusped-torus --n 2 --mode orbit --format json"),
+    (2, "limit-set --group octagon --n 8"), (2, "limit-set --group octagon --n 0"),
+    (2, "limit-set --group octagon --n 2 --mode orbit --delta 2"),
+    (2, "limit-set --group octagon --n 1 --mode orbit --delta 0.001"),
+    (2, "limit-set --group octagon --n 2 --mode orbit --base 2,0"),
+    (2, "limit-set --group octagon --n 2 --separation 4"),
+    (2, "limit-set --group schottky --separation 1 --n 2"),
+    (0, "boundary-map --group schottky --aut A=AB,B=B --n 3"),
+    (0, "boundary-map --group cusped-torus --aut A=a,B=B --n 3 --check-identity -o out.json"
+        " --format json"),
+    (2, "boundary-map --group octagon --aut A=AB --n 2"),
+    (2, "boundary-map --group schottky --aut A=AA,B=B --n 3"),
+    (2, "boundary-map --group schottky --aut A --n 3"),
+    (2, "boundary-map --group cusped-torus --aut A=AB,B=B --n 0"),
+    (2, "boundary-map --group cusped-torus --aut A=AB,B=B --n 1 --check-identity"),
+    (2, "boundary-map --group cusped-torus --aut A=AB,B=B --n 3 --check-identity --m -1"),
+    (2, "boundary-map --group cusped-torus --aut A=AB,B=B --n 3 --m 2"),
+    (3, "boundary-map --group schottky --separation 12 --aut A=AB,B=B --n 4"),
+]
+
+SCRIPTS = [
+    ("cantor_gaps.py", "--n 3 --n2 4"),
+    ("limit_set_density.py", "--max-n 3"),
+    ("mapping_class_residuals.py", "--n 3 --max-depth 1"),
+]
+
+
+def defined_functions() -> dict[tuple[str, int], str]:
+    """(file, first line of the code object) -> "module.Qual.name" for
+    every def in the package, nested ones included."""
+    out = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # a decorated function's code starts at its first decorator
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[(path, first)] = prefix + child.name
+                visit(child, path, f"{prefix}{child.name}.<locals>.")
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), str(path), f"{path.stem}.")
+    return out
+
+
+def clear_caches():
+    # a cached function that an earlier test filled would not be entered
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("hypsurf."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+def run_everything(workdir: Path):
+    for name, obj in DESCRIPTIONS.items():
+        (workdir / name).write_text(json.dumps(obj))
+    (workdir / "not-json.json").write_text("{")
+    codes = []
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        for line in readme_cli_lines():
+            codes.append((0, line, cli.main(shlex.split(line, comments=True)[1:])))
+        for expected, line in RUNS:
+            codes.append((expected, line, cli.main(line.split())))
+        for name, args in SCRIPTS:
+            argv = sys.argv
+            sys.argv = [name, *args.split()]
+            try:
+                runpy.run_path(str(ROOT / "scripts" / name), run_name="__main__")
+            except SystemExit as e:
+                codes.append((0, name, e.code))
+            finally:
+                sys.argv = argv
+    return codes
+
+
+@pytest.fixture(scope="module")
+def trace(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("reach")
+    defined = defined_functions()
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_firstlineno))
+
+    clear_caches()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(workdir)
+        sys.setprofile(hook)
+        try:
+            codes = run_everything(workdir)
+        finally:
+            sys.setprofile(None)
+    reached = {name for key, name in defined.items() if key in entered}
+    return codes, set(defined.values()) - reached
+
+
+def test_every_run_exits_as_expected(trace):
+    codes, _ = trace
+    assert [(line, code) for expected, line, code in codes if code != expected] == []
+
+
+def test_unreached_functions_are_the_allowlist(trace):
+    _, unreached = trace
+    assert unreached - set(UNREACHED) == set(), "only tests reach these"
+    assert set(UNREACHED) - unreached == set(), "reached now: drop them from UNREACHED"
+
+
+def test_allowlisted_names_exist():
+    assert set(UNREACHED) <= set(defined_functions().values())

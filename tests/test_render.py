@@ -34,7 +34,7 @@ def test_json_words_match_group_word_strings(octagon):
     s = limit_sample(octagon, DiskPoint(0), 3, SampleMode.ORBIT_PROJECTION)
     obj = s.to_json()
     assert obj["angles"] == [float(t) for t in s.angles]
-    assert obj["words"] == [str(s.word(i)) for i in range(len(s))]
+    assert obj["words"] == [str(GroupWord.from_row(row)) for row in s.letters]
 
 
 def test_orbit_basepoint_beyond_cutoff_renders_identity_row(octagon):

@@ -48,6 +48,13 @@ def test_signature_rejects_negative_counts():
         S(0, 0, 1.5, 0)
 
 
+def test_signature_rejects_bools():
+    # bool is an int subclass, so True would otherwise count as 1
+    for counts in ((True, 0, 0, 0), (0, 0, 0, False)):
+        with pytest.raises(InvalidInput):
+            S(*counts)
+
+
 def test_chi_values_from_the_formula():
     table = {
         (0, 0, 0, 0): 2,   # sphere
@@ -245,3 +252,16 @@ def test_description_json_roundtrip():
         description_from_json({})
     with pytest.raises(InvalidInput):
         description_from_json({"kind": "finite", "g": 1})
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "finite", "g": 1.5, "c": 0, "b": 0, "a": 0},  # once read as the torus
+    {"kind": "finite", "g": 1.0, "c": 0, "b": 0, "a": 0},
+    {"kind": "finite", "g": True, "c": 0, "b": 0, "a": 0},  # once read as g = 1
+    {"kind": "finite", "g": "1", "c": 0, "b": 0, "a": 0},
+    {"kind": "infinite", "inf_boundary": "no"},  # once read as true
+    {"kind": "infinite", "inf_boundary": True, "inf_chi": 1},
+], ids=["g-1.5", "g-1.0", "g-true", "g-string", "inf_boundary-string", "inf_chi-1"])
+def test_description_json_values_are_not_coerced(obj):
+    with pytest.raises(InvalidInput):
+        description_from_json(obj)

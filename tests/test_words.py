@@ -46,7 +46,7 @@ def test_construction_rejects_unreduced():
         GroupWord((1, -1))
     with pytest.raises(InvalidInput):
         GroupWord((0,))
-    assert GroupWord.reduced((1, -1)).is_identity()
+    assert GroupWord.reduced((1, -1)) == GroupWord()
 
 
 def test_string_roundtrip():
@@ -54,7 +54,7 @@ def test_string_roundtrip():
     assert w.letters == (1, -2, 3, -1)
     assert str(w) == "AbCa"
     assert str(GroupWord()) == "1"
-    assert W("1").is_identity()
+    assert W("1") == GroupWord()
     with pytest.raises(InvalidInput):
         W("A#B")
 
@@ -69,11 +69,9 @@ def test_cyclic_reduction_and_split():
     u = W("aB")
     v = W("AAb")
     w = u * v * u.inverse()
-    uu, vv = w.cyclic_split()
-    assert uu == u and vv == v
     assert w.cyclic_reduction() == v
-    assert v.is_cyclically_reduced()
-    assert not w.is_cyclically_reduced()
+    assert v.cyclic_reduction() == v
+    assert W("Aba").cyclic_reduction() == W("b")
 
 
 def test_conjugacy_class_rep_merges_rotations_and_inverse():
@@ -111,7 +109,8 @@ def test_enumeration_brute_force_oracle():
 
 def test_enumeration_shortlex_order_and_determinism():
     ws = enumerate_reduced_words(3, 3)
-    keys = [w.sort_key() for w in ws]
+    # shortlex: by length, then letter by letter with A < a < B < b < ...
+    keys = [(len(w), [2 * (abs(x) - 1) + (x < 0) for x in w.letters]) for w in ws]
     assert keys == sorted(keys)
     assert ws == enumerate_reduced_words(3, 3)
 
