@@ -16,8 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from hypsurf.disk import TOL_ANGLE, TWO_PI
+from hypsurf.disk import TWO_PI, angle_distance, circle_net
 from hypsurf.errors import (
+    IndexOutOfRange,
     InvalidInput,
     NotAnAutomorphism,
     NumericFailure,
@@ -115,6 +116,8 @@ class FreeAutomorphism:
             if len(lhs) != 1 or not lhs.isupper():
                 raise InvalidInput(f"assignment target must be a single generator, got {lhs!r}")
             idx = ord(lhs) - ord("A")
+            if rank is not None and idx >= rank:
+                raise IndexOutOfRange(f"generator {lhs} outside rank {rank}")
             if idx in assignments:
                 raise InvalidInput(f"generator {lhs} assigned twice")
             assignments[idx] = GroupWord.from_string(rhs.strip())
@@ -191,8 +194,8 @@ def random_nielsen_automorphism(
 class CircleMapSample:
     """Finite boundary-map sample: theta_in[i] maps to theta_out[i], and
     row i of ``letters`` (zero-padded int8, as in `EndpointSample`) is the
-    class representative both came from.  Sorted by theta_in, which is
-    strictly increasing after dedup."""
+    class representative both came from.  theta_in is the net
+    `disk.circle_net` keeps, strictly increasing."""
 
     theta_in: np.ndarray
     theta_out: np.ndarray
@@ -286,10 +289,10 @@ def induced_boundary_sample(
 
     Classes whose element or image is not certifiably hyperbolic are
     skipped and counted; more than half skipped (all of them included)
-    aborts with NumericFailure.  The sample is deduplicated on theta_in:
-    an entry within TOL_ANGLE of the last kept one (or, at the wraparound,
-    of the first) is dropped and must agree with it on theta_out.  The
-    whole sample must be cyclically order-consistent.
+    aborts with NumericFailure.  The sample is reduced to the
+    `disk.circle_net` of theta_in, and an entry the net drops must agree
+    on theta_out, within OUT_CONSISTENCY_TOL, with the kept entry it
+    collides with.  The whole sample must be cyclically order-consistent.
     """
     if n < 1:
         raise InvalidInput("induced_boundary_sample needs n >= 1")
@@ -326,44 +329,30 @@ def induced_boundary_sample(
 
 
 def _dedup_on_circle(tin: np.ndarray, tout: np.ndarray, letters: np.ndarray):
-    """Sort a sampled map by theta_in (stably) and drop every entry within
-    TOL_ANGLE of the last kept one, then trailing entries within TOL_ANGLE
-    of the first + 2*pi; a dropped entry must agree on theta_out with the
-    one it collides with, or OrderViolation is raised."""
-    order = np.argsort(tin, kind="stable")
+    """Reduce a sampled map to the `disk.circle_net` of theta_in.  Each
+    dropped entry must agree on theta_out with the last kept entry before
+    it, and each folded entry with the first, or OrderViolation is raised."""
+    order, keep, end = circle_net(tin)
     tin, tout, letters = tin[order], tout[order], letters[order]
-    keep = np.ones(len(tin), dtype=bool)
-    # only entries within TOL_ANGLE of their predecessor can collide; j is
-    # the last kept entry before i, carried forward over dropped entries
-    j = 0
-    for i in np.flatnonzero(np.diff(tin) <= TOL_ANGLE) + 1:
-        if keep[i - 1]:
-            j = i - 1
-        if tin[i] - tin[j] > TOL_ANGLE:
-            continue
-        if _circular_distance(tout[i], tout[j]) > OUT_CONSISTENCY_TOL:
-            kept, dropped = letter_rows_to_strings(letters[[j, i]])
-            raise OrderViolation(
-                f"colliding inputs map to distinct outputs ({kept} vs {dropped})",
-                triple=((float(tin[j]), float(tout[j])), (float(tin[i]), float(tout[i]))),
-            )
-        keep[i] = False
-    tin, tout, letters = tin[keep], tout[keep], letters[keep]
-    wrap = np.flatnonzero(tin[0] + TWO_PI - tin[1:] <= TOL_ANGLE) + 1
-    clash = wrap[_circular_distance(tout[wrap], tout[0]) > OUT_CONSISTENCY_TOL]
+    kept, dropped = np.flatnonzero(keep), np.flatnonzero(~keep)
+    owner = kept[np.searchsorted(kept, dropped) - 1]
+    clash = np.flatnonzero(angle_distance(tout[dropped], tout[owner]) > OUT_CONSISTENCY_TOL)
+    if len(clash):
+        i, j = dropped[clash[0]], owner[clash[0]]
+        kept_word, dropped_word = letter_rows_to_strings(letters[[j, i]])
+        raise OrderViolation(
+            f"colliding inputs map to distinct outputs ({kept_word} vs {dropped_word})",
+            triple=((float(tin[j]), float(tout[j])), (float(tin[i]), float(tout[i]))),
+        )
+    kept, folded = kept[:end], kept[end:]
+    clash = folded[angle_distance(tout[folded], tout[0]) > OUT_CONSISTENCY_TOL]
     if len(clash):
         j = clash[-1]
         raise OrderViolation(
             "colliding inputs map to distinct outputs at the wraparound",
             triple=((float(tin[j]), float(tout[j])), (float(tin[0]), float(tout[0]))),
         )
-    end = len(tin) - len(wrap)
-    return tin[:end], tout[:end], letters[:end]
-
-
-def _circular_distance(t1, t2):
-    d = np.mod(np.abs(t1 - t2), TWO_PI)
-    return np.minimum(d, TWO_PI - d)
+    return tin[kept], tout[kept], letters[kept]
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ isometries, stored as normalized matrices
 
 acting by z -> (a z + b) / (conj(b) z + conj(a)); the hyperbolicity guard
 and the circle fixed points of such a matrix, known up to a positive
-scale; translations along geodesics.  Everything here is immutable and
-pure.
+scale; translations along geodesics; and `circle_net`, the one rule by
+which sampled angles are merged at TOL_ANGLE.  Everything here is
+immutable and pure.
 """
 
 from __future__ import annotations
@@ -48,10 +49,55 @@ def reduce_angle(theta):
     return t
 
 
-def angle_distance(t1: float, t2: float) -> float:
-    """Shortest circular distance between two angles, in [0, pi]."""
+def angle_distance(t1, t2):
+    """Shortest circular distance between two angles, or elementwise
+    between arrays of angles, in [0, pi]."""
     d = abs(reduce_angle(t1) - reduce_angle(t2))
-    return min(d, TWO_PI - d)
+    return np.minimum(d, TWO_PI - d)
+
+
+def circle_net(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Merge a nonempty array of angles in [0, 2*pi) into a TOL_ANGLE net
+    of the circle.
+
+    The angles are sorted stably (equal angles keep their input order).
+    An angle within TOL_ANGLE of the last kept angle is dropped, and kept
+    angles within TOL_ANGLE of the first + 2*pi fold into the first.  So
+    kept neighbours, wraparound included, are more than TOL_ANGLE apart,
+    and every angle lies within TOL_ANGLE of a kept one.
+
+    Returns ``(order, keep, end)``: the sorting permutation, the mask of
+    kept angles in sorted order, and how many kept angles come before the
+    folded ones; the net is ``theta[order][keep][:end]``.
+    """
+    order = np.argsort(theta, kind="stable")
+    t = theta[order]
+    n = len(t)
+    # the first angle of each run, a stretch of angles each within
+    # TOL_ANGLE of the one before, is kept
+    keep = np.empty(n, dtype=bool)
+    keep[0] = True
+    np.greater(np.diff(t), TOL_ANGLE, out=keep[1:])
+    # inside a run, so is the first angle beyond TOL_ANGLE of the last kept
+    # one, until the next run start; a run of two spans at most TOL_ANGLE,
+    # so the rounds start only from longer runs
+    last = np.flatnonzero(keep[:-2] & ~keep[1:-1] & ~keep[2:])
+    while len(last):
+        # an angle past the rounded sum t + TOL_ANGLE is more than
+        # TOL_ANGLE from t (it lies an ulp of the sum on, and TOL_ANGLE's odd
+        # last bit rounds the one tie up), but so may angles equal to a sum
+        # that rounded up: step back over those
+        nxt = np.searchsorted(t, t[last] + TOL_ANGLE, side="right")
+        while (step := t[nxt - 1] - t[last] > TOL_ANGLE).any():
+            nxt -= step
+        nxt = nxt[nxt < n]
+        last = nxt[~keep[nxt]]
+        keep[last] = True
+    # near 2*pi the subtraction is exact, so every folded angle lies at or
+    # past the rounded t[0] + 2*pi - TOL_ANGLE
+    tail = max(1, int(np.searchsorted(t, t[0] + TWO_PI - TOL_ANGLE)))
+    folded = np.count_nonzero(keep[tail:] & (t[0] + TWO_PI - t[tail:] <= TOL_ANGLE))
+    return order, keep, int(np.count_nonzero(keep) - folded)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from hypsurf.disk import (
-    TOL_ANGLE,
     TOL_AXIS,
     TWO_PI,
     DiskPoint,
@@ -32,6 +31,7 @@ from hypsurf.disk import (
     IdealPoint,
     MobiusIsometry,
     circle_fixed_points,
+    circle_net,
     is_certainly_hyperbolic,
     reduce_angle,
     translation_along,
@@ -180,8 +180,8 @@ class SampleMode(Enum):
 class EndpointSample:
     """Finite subset of the circle at infinity with word provenance.
 
-    ``angles`` is sorted strictly increasing in [0, 2*pi) after dedup at
-    TOL_ANGLE.  Provenance is kept as a zero-padded int8 letter matrix
+    ``angles`` is the net `disk.circle_net` keeps, strictly increasing in
+    [0, 2*pi).  Provenance is kept as a zero-padded int8 letter matrix
     aligned with ``angles`` (`GroupWord.from_row` decodes a row), so
     million-point samples stay cheap to hold.  CSV and JSON rendering read
     the two arrays directly, without per-row `GroupWord` objects; CSV rows
@@ -224,24 +224,6 @@ def csv_blocks(header: str, columns: tuple[np.ndarray, ...],
             cells[k::width] = column[i:j].tolist()
         cells[width - 1::width] = words
         yield "\n".join([row] * len(words)) % tuple(cells)
-
-
-def _dedup_sorted_circle(theta: np.ndarray):
-    """Collapse TOL_ANGLE-clusters of angles (wraparound included) to one
-    representative each: the first in angle order, the earlier index
-    breaking exact ties."""
-    srt = np.lexsort((np.arange(len(theta)), theta))
-    th = theta[srt]
-    keep = np.empty(len(th), dtype=bool)
-    keep[0] = True
-    np.greater(np.diff(th), TOL_ANGLE, out=keep[1:])
-    idx = srt[keep]
-    th = th[keep]
-    # wraparound: trailing angles within TOL_ANGLE of first + 2*pi collapse into it
-    while len(th) > 1 and th[0] + TWO_PI - th[-1] <= TOL_ANGLE:
-        th = th[:-1]
-        idx = idx[:-1]
-    return th, idx
 
 
 def limit_sample(
@@ -297,8 +279,9 @@ def limit_sample(
         )
     theta = np.concatenate(theta_parts)
     letters = np.vstack(letter_parts)
-    th, idx = _dedup_sorted_circle(theta)
-    return EndpointSample(mode, th, letters[idx])
+    order, keep, end = circle_net(theta)
+    idx = order[keep][:end]
+    return EndpointSample(mode, theta[idx], letters[idx])
 
 
 def _circular_gaps(s: EndpointSample) -> np.ndarray:
@@ -471,7 +454,9 @@ def schottky_rank2(separation: float) -> GroupRep:
     which pins the limit set to a Cantor set; this holds once
     cosh(separation/2) > sqrt(2).
     """
-    if not separation > 0.0:
+    if not math.isfinite(separation):
+        raise InvalidInput(f"separation {separation!r} must be finite")
+    if separation <= 0.0:
         raise InvalidInput("separation must be positive")
     g1 = translation_along(Geodesic(IdealPoint(0.0), IdealPoint(math.pi)), separation)
     g2 = translation_along(

@@ -43,7 +43,9 @@ class CuffLengths:
     def __post_init__(self):
         for name in ("x1", "x2", "x3"):
             v = float(getattr(self, name))
-            if not (v >= 0.0) or not math.isfinite(v):
+            if not math.isfinite(v):
+                raise InvalidInput(f"cuff length {name} = {v!r} must be finite")
+            if v < 0.0:
                 raise NegativeLength(f"cuff length {name} = {v!r} must be >= 0")
             object.__setattr__(self, name, v)
 
@@ -218,7 +220,9 @@ def plan_decomposition(
             f"{s.b} boundary circles but {len(lengths)} lengths given"
         )
     for x in lengths:
-        if not (x > 0.0) or not math.isfinite(x):
+        if not math.isfinite(x):
+            raise InvalidInput(f"boundary length {x!r} must be finite")
+        if x <= 0.0:
             raise NegativeLength(f"boundary length {x!r} must be positive")
 
     count = -chi

@@ -20,7 +20,7 @@ from hypsurf.words import (
     letter_rows_to_strings,
     word_count,
 )
-from hypsurf.boundary import OUT_CONSISTENCY_TOL, _circular_distance
+from hypsurf.boundary import OUT_CONSISTENCY_TOL
 from hypsurf.disk import TOL_ANGLE, TWO_PI, DiskPoint
 from hypsurf.errors import (
     BudgetExceeded,
@@ -118,7 +118,9 @@ def plan_decomposition(
             f"{s.b} boundary circles but {len(lengths)} lengths given"
         )
     for x in lengths:
-        if not (x > 0.0) or not math.isfinite(x):
+        if not math.isfinite(x):
+            raise InvalidInput(f"boundary length {x!r} must be finite")
+        if x <= 0.0:
             raise NegativeLength(f"boundary length {x!r} must be positive")
 
     # hole roles, in deterministic order: handle pairs, crosscaps,
@@ -219,6 +221,29 @@ def dedup_on_circle(tin: np.ndarray, tout: np.ndarray, letters: np.ndarray):
         )
     end = len(tin) - len(wrap)
     return tin[:end], tout[:end], letters[:end]
+
+
+def inner_conjugator(images: tuple[GroupWord, ...], m: int):
+    """The word g with |g| <= m and images[i] == g x_i g^-1 for every
+    generator x_i, or None: an exact test that the automorphism with these
+    images is inner.  g is unique when the rank is at least 2, because
+    then the free group has trivial centre; it is looked up in the word
+    table, the empty word first.  On a surface group the test is
+    sufficient for being inner but not necessary, so compare it only on
+    free groups."""
+    rank = len(images)
+    candidates = [GroupWord()] + [GroupWord.from_row(row)
+                                    for level in shortlex_levels(rank, m) for row in level]
+    for g in candidates:
+        ginv = g.inverse()
+        if all(g * GroupWord.generator(i) * ginv == w for i, w in enumerate(images)):
+            return g
+    return None
+
+
+def _circular_distance(t1, t2):
+    d = np.mod(np.abs(t1 - t2), TWO_PI)
+    return np.minimum(d, TWO_PI - d)
 
 
 def hyp_distance(p: DiskPoint, q: DiskPoint) -> float:

@@ -487,3 +487,49 @@ def test_fifty_random_automorphisms_preserve_order():
         verdict = order_check(s)
         assert verdict.orientation == "preserving"
         assert verdict.violation is None
+
+
+# -- the exact inner-automorphism oracle ---------------------------------------
+
+
+@pytest.mark.parametrize("make_group", [
+    pytest.param(cusped_torus_group, id="cusped-torus"),
+    pytest.param(lambda: schottky_rank2(2.0), id="schottky2"),
+])
+def test_inner_automorphisms_are_boundary_identities(make_group):
+    rep = make_group()
+    conjugators = [GroupWord()] + [GroupWord.from_row(row)
+                                   for level in words.shortlex_levels(2, 2) for row in level]
+    assert len(conjugators) == 17
+    for g in conjugators:
+        phi = FreeAutomorphism.inner(2, g)
+        assert oracles.inner_conjugator(phi.images, 2) == g
+        result = is_boundary_identity(rep, induced_boundary_sample(rep, phi, 6), m=2)
+        assert result.identity, g
+        assert result.best_inner == g.inverse(), g
+    # g = AB
+    phi = FreeAutomorphism.from_spec("A=ABAba,B=ABa")
+    result = is_boundary_identity(rep, induced_boundary_sample(rep, phi, 6), m=2)
+    assert oracles.inner_conjugator(phi.images, 2) == W("AB")
+    assert str(result.best_inner) == "ba" and result.residual < 1e-12
+
+
+@pytest.mark.parametrize("make_group", [
+    pytest.param(cusped_torus_group, id="cusped-torus"),
+    pytest.param(lambda: schottky_rank2(2.0), id="schottky2"),
+])
+def test_random_automorphisms_agree_with_the_exact_inner_check(make_group):
+    rep = make_group()
+    rng = random.Random(20261018)
+    rejected = 0
+    for _ in range(30):
+        phi = random_nielsen_automorphism(2, rng.randrange(1, 6), rng,
+                                          max_total_image_length=8)
+        g = oracles.inner_conjugator(phi.images, 2)
+        result = is_boundary_identity(rep, induced_boundary_sample(rep, phi, 4), m=2)
+        if g is None:
+            rejected += 1
+            assert not result.identity, phi.spec_string()
+        else:
+            assert result.identity and result.best_inner == g.inverse(), phi.spec_string()
+    assert rejected >= 20

@@ -275,12 +275,26 @@ def test_automorphisms_that_do_not_act_on_the_octagon_group_are_invalid_input(au
     ("limit-set", "--group", "octagon", "--n", "2", "--mode", "orbit", "--base", "nan,0"),
     (*TORUS_TWIST, "--check-identity", "--tol", "nan"),  # once "identity":false
     (*TORUS_TWIST, "--check-identity", "--tol", "-0.1"),
+    # the next four once exited as NegativeLength or NonpositiveLength
+    ("pants", "--lengths", "nan,1,1"),
+    ("pants", "--lengths", "inf,1,1"),
+    ("plan", "--sig", "0,0,3,0", "--lengths", "inf,1,1"),
+    ("limit-set", "--group", "schottky", "--separation", "inf", "--n", "2"),
 ])
 def test_non_finite_and_negative_numbers_are_invalid_input(argv, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "InvalidInput"
+
+
+def test_assignment_beyond_the_rank_is_index_out_of_range(capsys):
+    # C=A was once dropped, and the identity map's sample printed
+    code, out, err = run_cli(capsys, "boundary-map", "--group", "cusped-torus",
+                             "--aut", "C=A", "--n", "2")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "IndexOutOfRange"
+
 
 @pytest.mark.parametrize("bare, explicit", [
     (("limit-set", "--group", "octagon", "--n", "3", "--mode", "orbit"),

@@ -14,15 +14,18 @@ from hypsurf.disk import (
     Geodesic,
     IdealPoint,
     MobiusIsometry,
+    TWO_PI,
     angle_distance,
     apply,
     circle_fixed_points,
+    circle_net,
     is_certainly_hyperbolic,
     reduce_angle,
     translation_along,
 )
 from hypsurf.errors import CoincidentPoints, InvalidInput, NonpositiveLength, NumericFailure
 
+import oracles
 from oracles import hyp_distance
 
 LN3 = 1.0986122886681098  # 2 * atanh(1/2), cross-checked by quadrature below
@@ -75,6 +78,72 @@ def test_reduce_angle_of_a_tiny_negative_angle_is_zero():
     reduced = reduce_angle(np.array(angles))
     assert reduced.tolist() == [reduce_angle(t) for t in angles]
     assert reduced[0] == 0.0 and reduced.max() < 2.0 * math.pi
+
+
+@st.composite
+def clustered_angles(draw):
+    """Angles in [0, 2*pi) bunched into clusters whose steps are near
+    TOL_ANGLE, so runs of close angles can be wider than TOL_ANGLE; some
+    clusters sit at 0 and straddle the wraparound."""
+    centers = draw(st.lists(
+        st.one_of(st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True),
+                  st.sampled_from([0.0, 1e-10, TWO_PI - 1e-10])),
+        min_size=1, max_size=8))
+    step = draw(st.sampled_from([0.3, 0.5, 0.9, 1.0, 1.1])) * TOL_ANGLE
+    angles = [c + k * step for c in centers
+              for k in draw(st.lists(st.integers(-4, 6), min_size=1, max_size=12))]
+    return reduce_angle(np.array(angles))
+
+
+def test_angle_distance_takes_arrays():
+    t1, t2 = np.array([0.1, 6.2, 3.0]), np.array([6.2, 0.1, -3.0])
+    assert angle_distance(t1, t2).tolist() == [angle_distance(a, b) for a, b in zip(t1, t2)]
+
+
+@given(clustered_angles())
+def test_circle_net_is_a_tol_angle_net(theta):
+    order, keep, end = circle_net(theta)
+    srt = theta[order]
+    assert sorted(order.tolist()) == list(range(len(theta)))
+    ties = np.flatnonzero(np.diff(srt) == 0)
+    assert np.all(np.diff(srt) >= 0) and np.all(order[ties] < order[ties + 1])
+    net = srt[keep][:end]
+    # kept angles strictly increase, and kept neighbours, wraparound
+    # included, are more than TOL_ANGLE apart
+    assert np.all(np.diff(net) > TOL_ANGLE)
+    assert len(net) == 1 or net[0] + TWO_PI - net[-1] > TOL_ANGLE
+    # every angle is within TOL_ANGLE after a kept one (net[0] is the
+    # least angle), or within TOL_ANGLE before the first + 2*pi
+    before = net[np.searchsorted(net, theta, side="right") - 1]
+    assert np.all((theta - before <= TOL_ANGLE) | (net[0] + TWO_PI - theta <= TOL_ANGLE))
+
+
+def test_circle_net_matches_the_walk_back_oracle():
+    rng = np.random.default_rng(12)
+    centers = rng.uniform(0.0, TWO_PI, 60)
+    centers[:3] = (0.0, 2e-10, TWO_PI - 3e-10)
+    theta = reduce_angle(np.repeat(centers, 30) + rng.integers(-3, 8, 1800) * 3e-10)
+    order, keep, end = circle_net(theta)
+    net, _, rows = oracles.dedup_on_circle(theta, theta, np.arange(len(theta))[:, None])
+    assert theta[order][keep][:end].tobytes() == net.tobytes()
+    assert order[keep][:end].tolist() == rows[:, 0].tolist()
+    # runs wider than TOL_ANGLE keep more than their first angle, and a
+    # kept angle near 2*pi folds into the first
+    runs = 1 + np.count_nonzero(np.diff(np.sort(theta)) > TOL_ANGLE)
+    assert np.count_nonzero(keep) > runs
+    assert end < np.count_nonzero(keep)
+
+
+def test_circle_net_at_a_sum_that_rounds_up():
+    # base + TOL_ANGLE rounds up to an angle more than TOL_ANGLE past base,
+    # which is kept; searchsorted alone would keep the angle after it
+    base = 4.000119396378733
+    edge = base + TOL_ANGLE
+    assert edge - base > TOL_ANGLE
+    theta = np.array([base, base + 0.5 * TOL_ANGLE, edge, edge, edge + 0.5 * TOL_ANGLE])
+    order, keep, end = circle_net(theta)
+    assert theta[order][keep][:end].tolist() == [base, edge]
+    assert order[keep][:end].tolist() == [0, 2]
 
 
 def test_distance_identity_case():

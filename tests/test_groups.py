@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from hypsurf import groups
 from hypsurf.disk import (
     DiskPoint,
     Geodesic,
@@ -14,6 +15,7 @@ from hypsurf.disk import (
     angle_distance,
     apply,
     circle_fixed_points,
+    circle_net,
     is_certainly_hyperbolic,
     reduce_angle,
     translation_along,
@@ -44,6 +46,8 @@ from hypsurf.groups import (
 )
 from hypsurf.boundary import FreeAutomorphism, conjugacy_class_words
 from hypsurf.words import GroupWord, enumerate_reduced_words, substitute, word_count
+
+import oracles
 
 W = GroupWord.from_string
 
@@ -165,6 +169,28 @@ def test_limit_sample_axis_size_strictly_increases(octagon):
         assert s.angles[0] >= 0 and s.angles[-1] < 2 * math.pi
         sizes.append(len(s))
     assert sizes == sorted(sizes) and len(set(sizes)) == 4
+
+
+@pytest.mark.parametrize("make_group, n, rows", [
+    # the chain rule this replaced kept 1,868 rows here, leaving 6,424
+    # endpoints farther than TOL_ANGLE from every kept one
+    pytest.param(lambda: schottky_rank2(4.0), 9, 2188, id="schottky4-n9"),
+    pytest.param(octagon_group, 4, 2736, id="octagon-n4"),
+])
+def test_limit_sample_is_the_net_of_its_endpoints(make_group, n, rows, monkeypatch):
+    seen = []
+
+    def traced(theta):
+        seen.append((theta.copy(), circle_net(theta)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(groups, "circle_net", traced)
+    s = limit_sample(make_group(), DiskPoint(0), n, SampleMode.AXIS_ENDPOINTS)
+    [(theta, (order, keep, end))] = seen
+    net, _, kept = oracles.dedup_on_circle(theta, theta, np.arange(len(theta))[:, None])
+    assert len(s) == rows
+    assert s.angles.tobytes() == net.tobytes()
+    assert order[keep][:end].tolist() == kept[:, 0].tolist()
 
 
 def test_limit_sample_orbit_mode_basepoint_stability(octagon):
