@@ -52,6 +52,9 @@ DEFAULT_IDENTITY_TOL = 1e-3
 DEFAULT_SEARCH_DEPTH = 3
 #: theta_out disagreement allowed between colliding theta_in entries
 OUT_CONSISTENCY_TOL = 1e-7
+#: sample points behind each inner correction's lower bound, and inner
+#: corrections bounded per broadcast (memory O(block x points))
+_BOUND_POINTS, _BOUND_BLOCK = 16, 4096
 
 
 @dataclass(frozen=True)
@@ -364,17 +367,26 @@ class OrderCheckResult:
 def order_check(s: CircleMapSample) -> OrderCheckResult:
     """Scan consecutive output triples for a constant cyclic orientation:
     (a, b, c) is positively ordered when b comes before c going
-    counterclockwise from a."""
+    counterclockwise from a.
+
+    A triple with two bitwise equal outputs (d1 == 0, d2 == 0 or d1 == d2)
+    is a resolution collapse with no orientation; only the others count,
+    and with none the orientation is None."""
     m = len(s)
     if m < 3:
         raise TooFewPoints("order check needs at least 3 sample points")
     a = s.theta_out
-    positive = np.mod(np.roll(a, -1) - a, TWO_PI) < np.mod(np.roll(a, -2) - a, TWO_PI)
-    if positive.all():
+    d1, d2 = np.mod(np.roll(a, -1) - a, TWO_PI), np.mod(np.roll(a, -2) - a, TWO_PI)
+    decided = (d1 != 0) & (d2 != 0) & (d1 != d2)
+    positive = d1 < d2
+    signs = positive[decided]
+    if not len(signs):
+        return OrderCheckResult(None)
+    if signs.all():
         return OrderCheckResult("preserving")
-    if not positive.any():
+    if not signs.any():
         return OrderCheckResult("reversing")
-    i = int(np.argmax(positive != positive[0]))
+    i = int(np.argmax(decided & (positive != signs[0])))
     triple = tuple(
         (float(s.theta_in[j]), float(s.theta_out[j])) for j in ((i + k) % m for k in range(3))
     )
@@ -414,31 +426,47 @@ def is_boundary_identity(
     The freedom is exactly an inner correction: the sample's outputs are
     post-composed with the Mobius action of u over all words u of length
     <= m, and the map passes if some u brings the max angular deviation
-    below tol.  u's matrix is read from the word table (`_word_levels`),
-    where it is known up to a positive scale, which the action ignores;
-    so no entry bound limits the search.  Ties within twice the best
-    residual are reported as near-minimizers instead of pretending
-    uniqueness.
+    (`_residual`) below tol.  u's matrix is read from the word table
+    (`_word_levels`), where it is known up to a positive scale, which the
+    action ignores; so no entry bound limits the search.  Ties within
+    twice the best residual are reported as near-minimizers instead of
+    pretending uniqueness.
+
+    The search is an exact branch and bound.  Each u's lower bound is its
+    residual over _BOUND_POINTS points spread over the sample, computed as
+    one u x point broadcast per _BOUND_BLOCK rows of u.  u is visited in
+    ascending bound order (stable sort) until a bound exceeds twice the
+    best residual so far; an unvisited u's residual is at least its bound,
+    so it is neither the minimum nor a near-minimizer.  This rests on each
+    bound being the max of the very floats the full pass computes at those
+    points, not on a margin (an identity-like residual is about 1e-17, all
+    rounding): the broadcast runs the full pass's numpy loops, u's entries
+    at stride 0 on the inner axis as a scalar's, and a test pins the two
+    bit for bit.
     """
     if m < 0:
         raise InvalidInput("search depth must be nonnegative")
     if not tol >= 0.0:
         raise InvalidInput(f"identity tolerance must be a nonnegative number, got {tol!r}")
+    if not len(sample):
+        raise TooFewPoints("the inner-correction search needs a nonempty sample")
     zout = np.exp(1j * sample.theta_out)
     unturn = np.exp(-1j * sample.theta_in)
     # the identity row, then the table in shortlex order, zero-padded to m
-    rows, ua, ub = [np.zeros((1, m), dtype=np.int8)], [1.0 + 0j], [0j]
-    for level in _word_levels(rep, m):
-        rows.append(np.pad(level.letters, ((0, 0), (0, m - level.letters.shape[1]))))
-        ua += level.a.tolist()
-        ub += level.b.tolist()
-    residuals = np.empty(len(ua))
-    for i, (a, b) in enumerate(zip(ua, ub)):
-        w = (a * zout + b) / (b.conjugate() * zout + a.conjugate())
-        residuals[i] = np.abs(np.angle(w * unturn)).max()
+    levels = _word_levels(rep, m)
+    ua = np.concatenate([[1.0 + 0j]] + [level.a for level in levels])
+    ub = np.concatenate([[0j]] + [level.b for level in levels])
+    _, bounds = _lower_bounds(ua, ub, zout, unturn)
+    residuals, best_res = np.full(len(ua), np.inf), np.inf
+    for i in np.argsort(bounds, kind="stable").tolist():
+        if bounds[i] > 2.0 * best_res:
+            break
+        residuals[i] = _residual(ua[i], ub[i], zout, unturn)
+        best_res = min(best_res, residuals[i])
     best = int(np.argmin(residuals))  # the first minimum: shortlex wins ties
     best_res = float(residuals[best])
-    letters = np.vstack(rows)
+    letters = np.vstack([np.zeros((1, m), dtype=np.int8)] + [
+        np.pad(level.letters, ((0, 0), (0, m - level.letters.shape[1]))) for level in levels])
     return BoundaryIdentityResult(
         identity=best_res <= tol,
         best_inner=GroupWord.from_row(letters[best]),
@@ -448,3 +476,20 @@ def is_boundary_identity(
         sample_size=len(sample),
         skipped=sample.skipped,
     )
+
+
+def _residual(a, b, zout: np.ndarray, unturn: np.ndarray):
+    """Max deviation of u's action on zout from exp(i theta_in) = 1/unturn,
+    over the last axis: for one u, or for a (rows, 1) column of them."""
+    w = (a * zout + b) / (b.conjugate() * zout + a.conjugate())
+    return np.abs(np.angle(w * unturn)).max(axis=-1)
+
+
+def _lower_bounds(ua: np.ndarray, ub: np.ndarray, zout: np.ndarray, unturn: np.ndarray):
+    """The bound points' indices and every u's `_residual` over them."""
+    k = min(_BOUND_POINTS, len(zout))
+    at = np.arange(k) * len(zout) // k
+    return at, np.concatenate([
+        _residual(ua[i:i + _BOUND_BLOCK, None], ub[i:i + _BOUND_BLOCK, None],
+                  zout[at], unturn[at])
+        for i in range(0, len(ua), _BOUND_BLOCK)])

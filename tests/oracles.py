@@ -20,7 +20,7 @@ from hypsurf.words import (
     letter_rows_to_strings,
     word_count,
 )
-from hypsurf.boundary import OUT_CONSISTENCY_TOL
+from hypsurf.boundary import OUT_CONSISTENCY_TOL, BoundaryIdentityResult
 from hypsurf.disk import TOL_ANGLE, TWO_PI, DiskPoint
 from hypsurf.errors import (
     BudgetExceeded,
@@ -31,6 +31,7 @@ from hypsurf.errors import (
     NumericFailure,
     OrderViolation,
 )
+from hypsurf.groups import _word_levels
 from hypsurf.pants import (
     DEFAULT_GLUING_LENGTH,
     BoundarySlot,
@@ -221,6 +222,39 @@ def dedup_on_circle(tin: np.ndarray, tout: np.ndarray, letters: np.ndarray):
         )
     end = len(tin) - len(wrap)
     return tin[:end], tout[:end], letters[:end]
+
+
+def inner_search(rep, sample, m: int, tol: float) -> BoundaryIdentityResult:
+    """`boundary.is_boundary_identity` computing the full residual of every
+    inner correction u, one numpy pass over the sample per u."""
+    if m < 0:
+        raise InvalidInput("search depth must be nonnegative")
+    if not tol >= 0.0:
+        raise InvalidInput(f"identity tolerance must be a nonnegative number, got {tol!r}")
+    zout = np.exp(1j * sample.theta_out)
+    unturn = np.exp(-1j * sample.theta_in)
+    # the identity row, then the table in shortlex order, zero-padded to m
+    rows, ua, ub = [np.zeros((1, m), dtype=np.int8)], [1.0 + 0j], [0j]
+    for level in _word_levels(rep, m):
+        rows.append(np.pad(level.letters, ((0, 0), (0, m - level.letters.shape[1]))))
+        ua += level.a.tolist()
+        ub += level.b.tolist()
+    residuals = np.empty(len(ua))
+    for i, (a, b) in enumerate(zip(ua, ub)):
+        w = (a * zout + b) / (b.conjugate() * zout + a.conjugate())
+        residuals[i] = np.abs(np.angle(w * unturn)).max()
+    best = int(np.argmin(residuals))  # the first minimum: shortlex wins ties
+    best_res = float(residuals[best])
+    letters = np.vstack(rows)
+    return BoundaryIdentityResult(
+        identity=best_res <= tol,
+        best_inner=GroupWord.from_row(letters[best]),
+        residual=best_res,
+        near_minimizers=tuple(GroupWord.from_row(letters[i])
+                              for i in np.flatnonzero(residuals <= 2.0 * best_res)),
+        sample_size=len(sample),
+        skipped=sample.skipped,
+    )
 
 
 def inner_conjugator(images: tuple[GroupWord, ...], m: int):

@@ -1,10 +1,12 @@
 import cmath
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
+from hypsurf import boundary, cli
 from hypsurf.boundary import (
     OUT_CONSISTENCY_TOL,
     CircleMapSample,
@@ -19,6 +21,8 @@ from hypsurf.boundary import (
 )
 from hypsurf.disk import (
     TOL_ANGLE,
+    TWO_PI,
+    circle_fixed_points,
     Geodesic,
     IdealPoint,
     MobiusIsometry,
@@ -36,6 +40,7 @@ from hypsurf.errors import (
 from hypsurf import words
 from hypsurf.groups import (
     GroupRep,
+    _word_levels,
     attracting_angles,
     cusped_torus_group,
     evaluate,
@@ -376,6 +381,46 @@ def test_orientation_multiplicative(schottky):
     assert orientations["swap2"] == "preserving"  # reversing x reversing
 
 
+#: products of transvections whose samples hold two classes with the same
+#: theta_out to the last bit (a resolution collapse, not a crossing)
+TIED_OUTPUTS = [
+    "boundary-map --group schottky --separation 2 --aut A=bba,B=ABABB --n 5",
+    "boundary-map --group cusped-torus --aut A=BAABA,B=BA --n 6",
+]
+
+
+@pytest.mark.parametrize("argv", TIED_OUTPUTS)
+def test_order_check_passes_over_tied_outputs(argv, tmp_path, capsys):
+    assert cli.main(argv.split() + ["-o", str(tmp_path / "map.csv")]) == 0
+    assert cli.main(argv.split() + ["--check-identity"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == "preserving"
+
+
+def _tied_sample(theta_out):
+    tin = np.linspace(0.0, 6.0, len(theta_out))
+    return CircleMapSample(tin, np.asarray(theta_out), np.zeros((len(tin), 1), np.int8))
+
+
+def test_order_check_tie_in_a_decreasing_map_is_still_reversing():
+    tout = np.mod(-np.linspace(0.0, 6.0, 12), TWO_PI)
+    tout[5] = tout[4]
+    assert order_check(_tied_sample(tout)).orientation == "reversing"
+
+
+def test_order_check_tie_does_not_hide_a_crossing():
+    tout = np.linspace(0.0, 6.0, 12)
+    tout[5] = tout[4]
+    tout[[8, 9]] = tout[[9, 8]]
+    verdict = order_check(_tied_sample(tout))
+    assert verdict.orientation is None
+    assert verdict.violation is not None and len(verdict.violation) == 3
+
+
+def test_order_check_undecided_when_every_triple_is_tied():
+    verdict = order_check(_tied_sample([1.0, 1.0, 2.0, 2.0]))
+    assert verdict == boundary.OrderCheckResult(None)
+
+
 # -- is_boundary_identity ---------------------------------------------------------
 
 
@@ -435,6 +480,112 @@ def test_near_minimizers_reported(cusped_torus):
     r = is_boundary_identity(cusped_torus, sample, m=0)
     assert r.near_minimizers == (GroupWord(),)
     assert r.to_json()["best_inner"] == "1"
+
+
+def test_inner_search_rejects_an_empty_sample(cusped_torus):
+    empty = CircleMapSample(np.zeros(0), np.zeros(0), np.zeros((0, 1), np.int8))
+    with pytest.raises(TooFewPoints):
+        is_boundary_identity(cusped_torus, empty)
+
+
+#: the boundary-verdict operations: (group, automorphism, n)
+VERDICT_OPS = [
+    (cusped_torus_group, "A=AB,B=B", 9),
+    (cusped_torus_group, "A=A,B=B", 8),
+    (octagon_group, "A=A,B=ABa,C=ACa,D=ADa", 5),
+    (lambda: schottky_rank2(2.0), "A=AB,B=B", 8),
+]
+
+
+def _fixed_points_of_a(rep):
+    """A's two fixed points mapped to themselves: u = 1, A, AA and AAA all
+    fix them, so their residuals are all rounding."""
+    a = rep.letter_isometry(1)
+    theta = np.sort(np.mod(np.angle(circle_fixed_points(a.a, a.b)), TWO_PI))
+    return CircleMapSample(theta, theta, np.array([[1], [1]], np.int8))
+
+
+def _search_cases():
+    """(rep, sample, m, tol) over which the pruned search must be the full one."""
+    for make, aut, n in VERDICT_OPS:
+        rep = make()
+        yield rep, induced_boundary_sample(rep, FreeAutomorphism.from_spec(aut), n), 3, 1e-3
+    rng = random.Random(20261019)
+    for make in (cusped_torus_group, lambda: schottky_rank2(2.0)):
+        rep = make()
+        for _ in range(20):
+            phi = random_nielsen_automorphism(2, rng.randrange(1, 6), rng,
+                                              max_total_image_length=8)
+            sample = induced_boundary_sample(rep, phi, 4)
+            for m in range(4):
+                yield rep, sample, m, 1e-3
+    rep = cusped_torus_group()
+    small = induced_boundary_sample(rep, FreeAutomorphism.from_spec("A=AB,B=B"), 2)
+    assert len(small) < boundary._BOUND_POINTS
+    yield rep, small, 3, 1e-3
+    yield rep, _fixed_points_of_a(rep), 3, 1e-3
+
+
+def test_pruned_inner_search_is_the_full_search():
+    cases = list(_search_cases())
+    assert len(cases) == 4 + 2 * 20 * 4 + 2
+    for rep, sample, m, tol in cases:
+        fast = is_boundary_identity(rep, sample, m=m, tol=tol)
+        full = oracles.inner_search(rep, sample, m, tol)
+        assert fast.to_json() == full.to_json()
+        assert repr(fast.residual) == repr(full.residual)
+    # the last case is the built-in tie: 1 is exact, and every power of A
+    # fixes both points to rounding
+    assert str(full.best_inner) == "1" and full.residual == 0.0
+    zout, unturn = np.exp(1j * sample.theta_out), np.exp(-1j * sample.theta_in)
+    for level in _word_levels(rep, 3):
+        # A^t and a^t: every letter equal to the first, which is A or a
+        power = (level.letters == level.letters[:, :1]).all(axis=1)
+        power &= np.abs(level.letters[:, 0]) == 1
+        a, b = level.a[power], level.b[power]
+        assert len(a) == 2
+        assert 0 < boundary._residual(a[:, None], b[:, None], zout, unturn).max() < 1e-13
+
+
+def test_inner_bound_is_the_full_pass_at_its_points_bit_for_bit():
+    for rep, sample, m, _ in _search_cases():
+        zout = np.exp(1j * sample.theta_out)
+        unturn = np.exp(-1j * sample.theta_in)
+        levels = _word_levels(rep, m)
+        ua = [1.0 + 0j] + [a for level in levels for a in level.a.tolist()]
+        ub = [0j] + [b for level in levels for b in level.b.tolist()]
+        at, bounds = boundary._lower_bounds(np.array(ua), np.array(ub), zout, unturn)
+        assert len(at) == min(boundary._BOUND_POINTS, len(sample))
+        full = np.array([
+            np.abs(np.angle((a * zout + b) / (b.conjugate() * zout + a.conjugate()) * unturn))
+            for a, b in zip(ua, ub)])
+        assert bounds.tobytes() == full[:, at].max(axis=1).tobytes()
+
+
+def test_inner_bound_is_exact_across_blocks(monkeypatch):
+    rep = cusped_torus_group()
+    sample = induced_boundary_sample(rep, FreeAutomorphism.from_spec("A=AB,B=B"), 5)
+    whole = is_boundary_identity(rep, sample, m=3)
+    monkeypatch.setattr(boundary, "_BOUND_BLOCK", 7)
+    assert is_boundary_identity(rep, sample, m=3) == whole
+
+
+def test_inner_search_prunes_the_octagon(monkeypatch):
+    full = []
+    residual = boundary._residual
+
+    def counted(a, b, zout, unturn):
+        if np.ndim(a) == 0:
+            full.append(a)
+        return residual(a, b, zout, unturn)
+
+    monkeypatch.setattr(boundary, "_residual", counted)
+    rep = octagon_group()
+    sample = induced_boundary_sample(rep, FreeAutomorphism.from_spec(VERDICT_OPS[2][1]), 5)
+    result = is_boundary_identity(rep, sample, m=3)
+    assert str(result.best_inner) == "a"
+    assert 1 + sum(len(level.a) for level in _word_levels(rep, 3)) == 457
+    assert 1 <= len(full) <= 16
 
 
 # -- functoriality and inverses ----------------------------------------------------
