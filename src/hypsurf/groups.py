@@ -16,6 +16,7 @@ sorted angles with shortlex tie-break), so repeated runs are byte-identical.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -47,6 +48,7 @@ from hypsurf.words import (
     GroupWord,
     _letter_key,
     letter_rows_to_strings,
+    letter_text,
     shortlex_levels,
 )
 
@@ -209,21 +211,84 @@ class EndpointSample:
 
 def csv_blocks(header: str, columns: tuple[np.ndarray, ...],
                letters: np.ndarray) -> Iterator[str]:
-    """CSV text of float columns (at 17 significant digits) and a word
-    column read from a zero-padded letter matrix: the header, then blocks
-    of `_RENDER_BLOCK_ROWS` rows, each rendered by one `%` format and
-    joined by newlines, so the items joined by newlines are the text."""
+    """CSV text of float columns, each value exactly `format(x, ".17g")`,
+    and a word column (`words.letter_text`): the header, then blocks of
+    `_RENDER_BLOCK_ROWS` rows, each one NUL-padded uint8 matrix whose other
+    bytes are the text.  The items joined by newlines are the text.
+
+    For 1e-4 <= x < 8 the digits are exact.  With d = floor(log10 x), 10**k
+    for k = 16 - d is an exact double, and Dekker's product gives
+    x * 10**k = p + e exactly.  When N = round(x * 10**k) has 17 digits,
+    p >= 2**53 is even, so N = p + rint(e), rounded half to even as
+    `%.17g` rounds; where N falls outside [10**16, 10**17), d moves by one
+    and N is taken again.  (With d one too large, N lands in range only for
+    x within a relative 5e-17 below a power of ten; no double here is.)
+    Zero, exponent forms, x >= 8, negative and non-finite values go
+    through `format` itself.
+    """
     yield header
-    width = len(columns) + 1
-    row = "%.17g," * len(columns) + "%s"
+    word_field = slice(25 * len(columns), -1)
     for i in range(0, len(letters), _RENDER_BLOCK_ROWS):
         j = i + _RENDER_BLOCK_ROWS
-        words = letter_rows_to_strings(letters[i:j])
-        cells = [None] * (width * len(words))
-        for k, column in enumerate(columns):
-            cells[k::width] = column[i:j].tolist()
-        cells[width - 1::width] = words
-        yield "\n".join([row] * len(words)) % tuple(cells)
+        words = letter_text(letters[i:j])
+        # a float field is 24 columns (no %.17g text is longer) and a comma
+        text = np.zeros((len(words), word_field.start + words.shape[1] + 1), dtype=np.uint8)
+        for c, column in enumerate(columns):
+            _float_text(np.asarray(column[i:j], dtype=np.float64), text[:, 25 * c:25 * c + 24])
+            text[:, 25 * c + 24] = ord(",")
+        text[:, word_field] = words
+        text[:-1, -1] = ord("\n")  # the blocks are joined by newlines
+        yield text[text != 0].tobytes().decode("ascii")
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    # the four digits of q as one uint32 (item 10_000 + q: trailing zeros
+    # as NUL), and as 7 bytes the text through the first digit D at
+    # exponent d, and then "." if d = 0 and f = 1 (item 20 * -d + 10 * f + D)
+    quads = [f"{q:04d}" for q in range(10_000)]
+    quads += [q.rstrip("0").ljust(4, "\0") for q in quads]
+    heads = [(f"0.{'0' * (shift - 1)}{lead}" if shift else f"{lead}{'.' * frac}").ljust(7, "\0")
+             for shift in range(5) for frac in (0, 1) for lead in range(10)]
+    return (np.frombuffer("".join(quads).encode(), dtype=np.uint32),
+            np.frombuffer("".join(heads).encode(), dtype="V7"))
+
+
+def _rounded_scaled(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """round(x * 10**k) half to even, where that lies in [2**53, 2**63)."""
+    scale = np.array([float(10**i) for i in range(23)])[k]  # exact doubles
+    p = x * scale
+    # Dekker: split each factor into 26-bit halves, then p + e = x * scale
+    t, u = 134217729.0 * x, 134217729.0 * scale  # 2**27 + 1
+    xh, sh = t - (t - x), u - (u - scale)
+    xl, sl = x - xh, scale - sh
+    e = ((xh * sh - p) + xh * sl + xl * sh) + xl * sl
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _float_text(x: np.ndarray, text: np.ndarray) -> None:
+    """Write `format(v, ".17g")` of each v in x, NUL-padded, into the rows
+    of a 24-column uint8 matrix."""
+    fast = (x >= 1e-4) & (x < 8.0)
+    v = np.where(fast, x, 1.0)
+    exp10 = np.floor(np.log10(v)).astype(np.intp)
+    n = _rounded_scaled(v, 16 - exp10)
+    redo = np.flatnonzero((n < 10**16) | (n >= 10**17))
+    while redo.size:
+        exp10[redo] += np.where(n[redo] < 10**16, -1, 1)
+        n[redo] = _rounded_scaled(v[redo], 16 - exp10[redo])
+        redo = redo[(n[redo] < 10**16) | (n[redo] >= 10**17)]
+    lead, rest = np.divmod(n, 10**16)
+    quads = np.divmod(rest // 10**8, 10**4) + np.divmod(rest % 10**8, 10**4)
+    digits, heads = _digit_tables()
+    head = np.take(heads, 20 * -exp10 + 10 * (rest != 0) + lead)
+    text[:, :7] = head.view(np.uint8).reshape(-1, 7)
+    strip = np.full(len(x), 10_000)  # until a nonzero quad, from the right
+    for q in (3, 2, 1, 0):
+        text[:, 7 + 4 * q:11 + 4 * q] = digits[quads[q] + strip].view(np.uint8).reshape(-1, 4)
+        strip[quads[q] != 0] = 0
+    for r in np.flatnonzero(~fast):
+        text[r] = list(format(float(x[r]), ".17g").encode().ljust(24, b"\0"))
 
 
 def limit_sample(

@@ -144,18 +144,26 @@ def _letter_ascii_table() -> np.ndarray:
     return table
 
 
-def letter_rows_to_strings(letters: np.ndarray) -> list[str]:
-    """String forms of the rows of a zero-padded int8 letter matrix, as
-    `GroupWord.__str__` writes them ("1" for an empty row)."""
+def letter_text(letters: np.ndarray) -> np.ndarray:
+    """The rows of a zero-padded int8 letter matrix as `GroupWord.__str__`
+    writes them ("1" for an empty row), as a NUL-padded uint8 ASCII matrix
+    at least one column wide."""
     letters = np.asarray(letters)
-    count, width = letters.shape
     if np.any((letters > 26) | (letters < -26)):
         raise InvalidInput("string form supports at most 26 generators")
     letters = letters.astype(np.int8, copy=False)
-    if width == 0:
-        return ["1"] * count
+    if letters.shape[1] == 0:
+        letters = np.zeros((len(letters), 1), dtype=np.int8)
     text = _letter_ascii_table()[letters.view(np.uint8)]
     text[letters[:, 0] == 0, 0] = ord("1")
+    return text
+
+
+def letter_rows_to_strings(letters: np.ndarray) -> list[str]:
+    """String forms of the rows of a zero-padded int8 letter matrix, as
+    `GroupWord.__str__` writes them ("1" for an empty row)."""
+    text = letter_text(letters)
+    width = text.shape[1]
     # a fixed-width bytes field drops its trailing NUL padding
     return text.view(f"S{width}").ravel().astype(f"U{width}").tolist()
 

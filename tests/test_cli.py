@@ -481,6 +481,18 @@ def test_import_builds_no_parser_and_main_builds_one():
     assert after_two_calls == one_build
 
 
+def test_python_dash_m_runs_the_cli(capsys):
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "hypsurf", "thirteen"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, out, err = run_cli(capsys, "thirteen")
+    assert (code, err) == (0, "")
+    assert proc.stdout == out
+
+
 def readme_cli_lines() -> list[str]:
     """The `hypsurf ...` lines of README's CLI block, continuations joined."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
