@@ -348,6 +348,3 @@ def main(argv=None) -> int:
         sys.stderr.write(dump_json({"error": type(e).__name__, "message": str(e)}) + "\n")
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -242,21 +242,23 @@ def csv_blocks(header: str, columns: tuple[np.ndarray, ...],
 
 
 @functools.cache
-def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the four digits of q as one uint32 (item 10_000 + q: trailing zeros
-    # as NUL), and as 7 bytes the text through the first digit D at
-    # exponent d, and then "." if d = 0 and f = 1 (item 20 * -d + 10 * f + D)
+    # as NUL); as 7 bytes the text through the first digit D at exponent
+    # d = 0 (item D, or 10 + D with a point after it) or d < 0 (item
+    # 10 * (1 - d) + D); and 10**k for k <= 22, exact doubles
     quads = [f"{q:04d}" for q in range(10_000)]
     quads += [q.rstrip("0").ljust(4, "\0") for q in quads]
-    heads = [(f"0.{'0' * (shift - 1)}{lead}" if shift else f"{lead}{'.' * frac}").ljust(7, "\0")
-             for shift in range(5) for frac in (0, 1) for lead in range(10)]
+    heads = ["{}", "{}."] + ["0." + "0" * zeros + "{}" for zeros in range(4)]
+    heads = [head.format(lead).ljust(7, "\0") for head in heads for lead in range(10)]
     return (np.frombuffer("".join(quads).encode(), dtype=np.uint32),
-            np.frombuffer("".join(heads).encode(), dtype="V7"))
+            np.frombuffer("".join(heads).encode(), dtype="V7"),
+            np.array([float(10**k) for k in range(23)]))
 
 
 def _rounded_scaled(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """round(x * 10**k) half to even, where that lies in [2**53, 2**63)."""
-    scale = np.array([float(10**i) for i in range(23)])[k]  # exact doubles
+    scale = _digit_tables()[2][k]
     p = x * scale
     # Dekker: split each factor into 26-bit halves, then p + e = x * scale
     t, u = 134217729.0 * x, 134217729.0 * scale  # 2**27 + 1
@@ -280,8 +282,8 @@ def _float_text(x: np.ndarray, text: np.ndarray) -> None:
         redo = redo[(n[redo] < 10**16) | (n[redo] >= 10**17)]
     lead, rest = np.divmod(n, 10**16)
     quads = np.divmod(rest // 10**8, 10**4) + np.divmod(rest % 10**8, 10**4)
-    digits, heads = _digit_tables()
-    head = np.take(heads, 20 * -exp10 + 10 * (rest != 0) + lead)
+    digits, heads, _ = _digit_tables()
+    head = np.take(heads, 10 * np.where(exp10 < 0, 1 - exp10, rest != 0) + lead)
     text[:, :7] = head.view(np.uint8).reshape(-1, 7)
     strip = np.full(len(x), 10_000)  # until a nonzero quad, from the right
     for q in (3, 2, 1, 0):
