@@ -11,8 +11,9 @@ that a subcommand would ignore (--m or --tol without --check-identity,
 --mode orbit, --separation with a group other than schottky) is rejected
 as invalid input.
 
-Exit codes: 0 success, 2 invalid input (an automorphism that does not
-act on the group included), 3 numeric failure (order violations, too
+Exit codes: 0 success, 1 stdout closed by its reader (quietly), 2 invalid
+input (an automorphism that does not act on the group included, a plan
+of more than MAX_PANTS pants), 3 numeric failure (order violations, too
 many non-hyperbolic classes, entries too large to normalize); errors are
 a one-line JSON object on stderr.
 """
@@ -24,6 +25,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional
@@ -340,7 +342,13 @@ def run(argv) -> int:
 
 def main(argv=None) -> int:
     try:
-        return run(sys.argv[1:] if argv is None else argv)
+        code = run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: the flush at exit goes to os.devnull (`signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except NumericFailure as e:
         sys.stderr.write(dump_json({"error": type(e).__name__, "message": str(e)}) + "\n")
         return 3

@@ -25,7 +25,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from hypsurf.disk import (
-    TOL_AXIS,
     TWO_PI,
     DiskPoint,
     Geodesic,
@@ -373,54 +372,12 @@ def gap_profile(s: EndpointSample) -> list[float]:
 
 # ---------------------------------------------------------------------------
 # stable boundary data for long words
-#
-# The angles below are taken in CPython's scalar complex arithmetic, bit for
-# bit, over whole arrays of words: numpy's complex multiply and divide loops
-# round differently, so products and quotients are written out on the real
-# and imaginary parts (complex addition, conjugation and `np.hypot` agree).
-
-
-def _cmul(x, y):
-    """x * y as CPython multiplies complex numbers."""
-    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
-
-
-def _cdiv(x, y):
-    """x / y as CPython divides complex numbers: Smith's method, dividing
-    through by the larger part of y.
-
-    A real y must be positive (a modulus), and is taken as complex(y, 0.0):
-    the ratio of the parts is then +0.0 and the divisor y itself, so the
-    branch selects drop out but the products with 0.0 stay, because they
-    set the signs of zero parts.
-    """
-    if not np.iscomplexobj(y):
-        out = np.empty(np.broadcast(x, y).shape, dtype=complex)
-        out.real = (x.real + x.imag * 0.0) / y
-        out.imag = (x.imag - x.real * 0.0) / y
-        return out
-    big = np.abs(y.real) >= np.abs(y.imag)
-    p, q = np.where(big, y.real, y.imag), np.where(big, y.imag, y.real)
-    ratio = q / p
-    denom = p + q * ratio
-    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
-    out.real = (np.where(big, x.real, x.imag) + np.where(big, x.imag, x.real) * ratio) / denom
-    out.imag = np.where(big, x.imag - x.real * ratio, x.imag * ratio - x.real) / denom
-    return out
-
-
-def _pow2(x: np.ndarray) -> np.ndarray:
-    # CPython's float ** 2 is libm pow, which rounds differently from x * x
-    return np.array([v ** 2 for v in x.tolist()])
 
 
 def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
     """Attracting fixed-point angle of the word in every row of a
-    zero-padded letter matrix; NaN where the word's conjugacy class is not
-    certifiably hyperbolic (the empty word included).
+    zero-padded letter matrix; NaN where the word's conjugacy class fails
+    `disk.is_certainly_hyperbolic` (the empty word included).
 
     Stable for words far beyond `evaluate`'s range: the cyclic core v of
     w = u v u^-1 has its axis through the thick part of the orbit, so its
@@ -455,31 +412,25 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
         live = np.flatnonzero(core > c)
         key = _letter_key(letters[live, start[live] + c])
         ga, gb, x, y = la[key], lb[key], a[live], b[live]
-        x, y = _cmul(x, ga) + _cmul(y, gb.conj()), _cmul(x, gb) + _cmul(y, ga.conj())
-        m = np.maximum(np.hypot(x.real, x.imag), np.hypot(y.real, y.imag))
+        x, y = x * ga + y * gb.conj(), x * gb + y * ga.conj()
+        m = np.maximum(np.abs(x), np.abs(y))
         big = m > 1.0
-        x[big] = _cdiv(x[big], m[big])
-        y[big] = _cdiv(y[big], m[big])
+        x[big] /= m[big]
+        y[big] /= m[big]
         a[live], b[live] = x, y
 
-    # `disk.is_certainly_hyperbolic` and `disk.circle_fixed_points` as they
-    # compute on Python scalars
-    b2 = _pow2(np.hypot(b.real, b.imag))
-    disc = b2 - _pow2(a.imag)
-    ok = disc > TOL_AXIS * _pow2(np.hypot(a.real, a.imag))
-    a, b, disc = a[ok], b[ok], disc[ok]
-    root = np.sqrt(disc) * (a.real / np.abs(a.real))
-    z = _cdiv(_cmul(1j, a.imag) + root, b.conj())
-    z = _cdiv(z, np.hypot(z.real, z.imag))
+    ok = is_certainly_hyperbolic(a, b)
+    z, _ = circle_fixed_points(a[ok], b[ok])
+    z /= np.abs(z)
     walk, lead = letters[ok], start[ok]
     for c in range(lead.max(initial=0) - 1, -1, -1):
         live = np.flatnonzero(lead > c)
         key = _letter_key(walk[live, c])
         ga, gb, x = la[key], lb[key], z[live]
-        x = _cdiv(_cmul(ga, x) + gb, _cmul(gb.conj(), x) + ga.conj())
-        z[live] = _cdiv(x, np.hypot(x.real, x.imag))
+        x = (ga * x + gb) / (gb.conj() * x + ga.conj())
+        z[live] = x / np.abs(x)
     out = np.full(count, np.nan)
-    out[ok] = reduce_angle(np.array(list(map(math.atan2, z.imag.tolist(), z.real.tolist()))))
+    out[ok] = reduce_angle(np.angle(z))
     return out
 
 

@@ -17,6 +17,7 @@ from functools import cached_property
 from typing import ClassVar
 
 from hypsurf.errors import (
+    BudgetExceeded,
     InvalidInput,
     LengthCountMismatch,
     LengthMismatch,
@@ -30,6 +31,8 @@ PANTS_AREA = 2.0 * math.pi
 CUSP_HOROCYCLE_LENGTH = 2.0
 #: length of every internal gluing curve
 DEFAULT_GLUING_LENGTH = 1.0
+#: the most pants `plan_decomposition` builds
+MAX_PANTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -209,11 +212,14 @@ def plan_decomposition(
     p{n-1}.c2, are taken in runs: 2g handle slots reglued in pairs, c
     crosscap slots self-identified, b boundary slots with the prescribed
     lengths, and a cusp slots.  Internal curves have length 1 and twist 0.
-    The plan is validated as it is constructed.
+    The plan is validated as it is constructed.  A surface that needs more
+    than `MAX_PANTS` pants raises BudgetExceeded before any is built.
     """
     chi = s.chi()
     if chi >= 0:
         raise NotHyperbolizable(f"chi = {chi} >= 0 admits no hyperbolic metric")
+    if -chi > MAX_PANTS:
+        raise BudgetExceeded(f"{-chi} pants exceed the budget of {MAX_PANTS}")
     lengths = tuple(float(x) for x in boundary_lengths)
     if len(lengths) != s.b:
         raise LengthCountMismatch(

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,15 @@ def test_plan_genus_two(capsys):
     obj = json.loads(out)
     assert len(obj["pants"]) == 2 and len(obj["gluings"]) == 3
     assert obj["summary"]["total_area"] == pytest.approx(4 * math.pi)
+
+
+@pytest.mark.parametrize("sig", ["50002,0,0,0", "1e300,0,0,0"])
+def test_plans_past_max_pants_are_refused_before_any_is_built(sig, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "plan", "--sig", sig)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "BudgetExceeded"
 
 
 def test_limit_set_csv_and_determinism(capsys):
@@ -202,6 +212,24 @@ def test_boundary_verdicts_match_the_reference_class_table_and_substitution(
     assert [json.loads(r[1])["identity"] for r in fast] == [False, True, True, False]
     assert all(r[3].startswith(b"theta_in,theta_out,word\n") for r in fast)
     assert fast == reference
+
+
+@pytest.mark.parametrize("argv, pinned", zip(BOUNDARY_VERDICT_ARGVS, [
+    (False, "1", ["1"], 1751, 2, "preserving"),
+    (True, "1", ["1"], 659, 2, "preserving"),
+    (True, "a", ["a"], 2045, 0, "preserving"),
+    (False, "1", ["1"], 660, 0, "preserving"),
+]), ids=["torus-twist-n9", "torus-identity-n8", "octagon-inner-a-n5", "schottky2-twist-n8"])
+def test_boundary_verdict_fields(argv, pinned, capsys):
+    code, out, err = run_cli(capsys, "boundary-map", *argv, "--check-identity")
+    assert (code, err) == (0, "")
+    v = json.loads(out)
+    fields = ("identity", "best_inner", "near_minimizers", "sample_size", "skipped", "order")
+    assert tuple(v[k] for k in fields) == pinned
+    if v["identity"]:
+        assert v["residual"] <= 1e-13
+    else:
+        assert v["residual"] >= 0.2
 
 
 def test_exit_code_invalid_input(tmp_path, capsys):
@@ -491,6 +519,25 @@ def test_python_dash_m_runs_the_cli(capsys):
     code, out, err = run_cli(capsys, "thirteen")
     assert (code, err) == (0, "")
     assert proc.stdout == out
+
+
+def test_a_closed_stdout_exits_1_quietly():
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    # the CSV is far larger than a pipe buffer, so the writer is still going
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hypsurf", "limit-set", "--group", "octagon", "--n", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"theta,word\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (1, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def readme_cli_lines() -> list[str]:

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,7 +30,6 @@ from hypsurf.errors import (
 )
 from hypsurf.groups import (
     OCTAGON_RELATOR,
-    _cdiv,
     EndpointSample,
     GroupRep,
     SampleMode,
@@ -478,31 +478,60 @@ def _oracle_cases():
     yield "rank1-power", GroupRep((g,)), [power, power.inverse(), GroupWord((-1,) * 7)]
 
 
+def mp_attracting_angle(rep, w):
+    """`scalar_attracting_angle` at 60 digits from the same double entries
+    and with the same cyclic split; mpmath's exponents need no rescaling."""
+    def entries(letter):
+        g = rep.letter_isometry(letter)
+        return mpmath.mpc(g.a), mpmath.mpc(g.b)
+
+    k, n = 0, len(w)
+    while n - 2 * k >= 2 and w.letters[k] == -w.letters[n - 1 - k]:
+        k += 1
+    with mpmath.workdps(60):
+        a, b = mpmath.mpc(1), mpmath.mpc(0)
+        for letter in w.letters[k:n - k]:
+            ga, gb = entries(letter)
+            a, b = a * ga + b * mpmath.conj(gb), a * gb + b * mpmath.conj(ga)
+        root = mpmath.sqrt(abs(b) ** 2 - a.imag ** 2) * mpmath.sign(a.real)
+        z = (1j * a.imag + root) / mpmath.conj(b)
+        for letter in reversed(w.letters[:k]):
+            ga, gb = entries(letter)
+            z = (ga * z + gb) / (mpmath.conj(gb) * z + mpmath.conj(ga))
+        return float(mpmath.arg(z) % (2 * mpmath.pi))
+
+
 @pytest.mark.parametrize("rep, words", [c[1:] for c in _oracle_cases()],
                          ids=[c[0] for c in _oracle_cases()])
-def test_attracting_angles_match_scalar_loop_bit_for_bit(rep, words):
-    got = attracting_angles(rep, letter_matrix(words)).tolist()
-    for w, theta in zip(words, got):
-        ref = scalar_attracting_angle(rep, w)
-        if ref is None:
-            assert math.isnan(theta), str(w)
-        else:
-            assert theta.hex() == ref.hex(), str(w)
+def test_attracting_angles_agree_with_the_scalar_loop_and_mpmath(rep, words):
+    got = attracting_angles(rep, letter_matrix(words))
+    ref = [scalar_attracting_angle(rep, w) for w in words]
+    assert np.isnan(got).tolist() == [r is None for r in ref]
+    hyperbolic = [i for i, r in enumerate(ref) if r is not None]
+    err = angle_distance(got[hyperbolic], np.array([ref[i] for i in hyperbolic]))
+    assert err.max(initial=0.0) <= 8e-15
+    spot = random.Random(11).sample(hyperbolic, min(400, len(hyperbolic)))
+    exact = np.array([mp_attracting_angle(rep, words[i]) for i in spot])
+    assert angle_distance(got[spot], exact).max(initial=0.0) <= 4e-15
 
 
-def test_cdiv_by_a_modulus_is_cpython_division_by_complex_m_0():
-    parts = [0.0, -0.0, 1.0, -1.0, 0.1, -2.5e-300, 3.0e300, 1e-320, math.pi, -7.25]
-    xs = [complex(re, im) for re in parts for im in parts]
-    ms = [1.0, 0.3, 1.5, 1e-3, 4.5e300, math.sqrt(2.0), 17.0]  # no quotient overflows
-    x = np.array([v for v in xs for _ in ms])
-    m = np.array(ms * len(xs))
-    got = _cdiv(x, m)
-    for v, d, g in zip(x.tolist(), m.tolist(), got.tolist()):
-        ref = v / complex(d, 0.0)  # complex / float rounds differently on newer CPythons
-        assert (g.real.hex(), g.imag.hex()) == (ref.real.hex(), ref.imag.hex()), (v, d)
-    # the complex path, for a divisor with a zero imaginary part as well
-    y = m.astype(complex)
-    assert _cdiv(x, y).tobytes() == got.tobytes()
+def test_limit_sample_and_attracting_angles_share_disks_guard_and_formula(
+        octagon, monkeypatch):
+    calls = []
+
+    def spy(f):
+        def call(*args):
+            calls.append(f.__name__)
+            return f(*args)
+        return call
+
+    for f in (is_certainly_hyperbolic, circle_fixed_points):
+        monkeypatch.setattr(groups, f.__name__, spy(f))
+    limit_sample(octagon, DiskPoint(0), 2, SampleMode.AXIS_ENDPOINTS)
+    assert {"is_certainly_hyperbolic", "circle_fixed_points"} == set(calls)
+    calls.clear()
+    attracting_angles(octagon, letter_matrix([W("AB"), W("aCbD")]))
+    assert {"is_certainly_hyperbolic", "circle_fixed_points"} == set(calls)
 
 
 def test_attracting_angles_skips_and_rejects(cusped_torus):

@@ -8,6 +8,7 @@ import pytest
 from hypsurf.cli import dump_json
 from hypsurf.disk import MobiusIsometry
 from hypsurf.errors import (
+    BudgetExceeded,
     InvalidInput,
     LengthCountMismatch,
     LengthMismatch,
@@ -157,6 +158,16 @@ def test_plan_rejects_nonhyperbolizable_and_count_mismatch():
         plan_decomposition(Signature(0, 0, 3, 0), (1.0,))
     with pytest.raises(NegativeLength):
         plan_decomposition(Signature(0, 0, 3, 0), (1.0, -2.0, 3.0))
+
+
+def test_plan_refuses_more_than_max_pants(monkeypatch):
+    assert pants.MAX_PANTS == 100_000
+    with pytest.raises(BudgetExceeded):
+        plan_decomposition(Signature(10**300, 0, 0, 0))
+    monkeypatch.setattr(pants, "MAX_PANTS", 3)
+    assert len(plan_decomposition(Signature(2, 0, 0, 1)).pants) == 3
+    with pytest.raises(BudgetExceeded):
+        plan_decomposition(Signature(2, 0, 0, 2))
 
 
 def test_plan_totals_on_random_signatures():

@@ -68,7 +68,7 @@ RUNS = [
     (0, "pants --lengths 0,1,2"), (2, "pants --lengths 1,1"), (2, "pants --lengths=-1,1,1"),
     (0, "plan --sig 1,2,2,1 --lengths 1,2"), (2, "plan --sig 0,0,2,0 --lengths 1,1"),
     (2, "plan --sig 0,0,3,0 --lengths 1"), (2, "plan --sig 1.5,0,0,0"),
-    (2, "plan --sig 1,0,0"),
+    (2, "plan --sig 1,0,0"), (2, "plan --sig 50002,0,0,0"),
     (0, "limit-set --group cusped-torus --n 2 --mode orbit --format json"),
     (2, "limit-set --group octagon --n 8"), (2, "limit-set --group octagon --n 0"),
     (2, "limit-set --group octagon --n 2 --mode orbit --delta 2"),
