@@ -9,9 +9,9 @@ Cantor limit set, while a shrinking top gap signals density.
 import argparse
 import sys
 
-from hypsurf.cli import dump_json
 from hypsurf.disk import DiskPoint
 from hypsurf.groups import SampleMode, gap_profile, limit_sample, schottky_rank2
+from hypsurf.text import dump_json
 
 
 def main() -> int:

@@ -8,7 +8,6 @@ Writes one CSV row per word length: n, sample size, max gap, top-5 gaps.
 import argparse
 import sys
 
-from hypsurf.cli import format_float
 from hypsurf.disk import DiskPoint
 from hypsurf.groups import (
     SampleMode,
@@ -19,6 +18,7 @@ from hypsurf.groups import (
     octagon_group,
     schottky_rank2,
 )
+from hypsurf.text import format_float
 
 GROUPS = {
     "octagon": octagon_group,

@@ -11,8 +11,8 @@ import argparse
 import sys
 
 from hypsurf.boundary import FreeAutomorphism, induced_boundary_sample, is_boundary_identity
-from hypsurf.cli import dump_json
 from hypsurf.groups import cusped_torus_group
+from hypsurf.text import dump_json
 from hypsurf.words import GroupWord
 
 CASES = {

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from hypsurf.disk import TWO_PI, angle_distance, circle_net
+from hypsurf.disk import TOL_ANGLE, TWO_PI, angle_distance, circle_net
 from hypsurf.errors import (
     IndexOutOfRange,
     InvalidInput,
@@ -31,14 +31,13 @@ from hypsurf.groups import (
     # unused here: perfbench's tracer and its tests rebind this copy too
     attracting_angle,
     attracting_angles,
-    csv_blocks,
 )
+from hypsurf.text import sample_csv
 from hypsurf.words import (
     GroupWord,
     _letter_key,
     compose_images,
     invert_images,
-    letter_rows_to_strings,
     shortlex_levels,
     substitute,
     substitute_rows,
@@ -209,18 +208,9 @@ class CircleMapSample:
         return len(self.theta_in)
 
     def to_csv_rows(self):
-        return csv_blocks("theta_in,theta_out,word", (self.theta_in, self.theta_out),
+        """The CSV text as chunks that concatenate to it (`text.sample_csv`)."""
+        return sample_csv("theta_in,theta_out,word", (self.theta_in, self.theta_out),
                           self.letters)
-
-    def to_json(self) -> dict:
-        return {
-            "pairs": [
-                {"theta_in": tin, "theta_out": tout, "word": w}
-                for tin, tout, w in zip(self.theta_in.tolist(), self.theta_out.tolist(),
-                                        letter_rows_to_strings(self.letters))
-            ],
-            "skipped": self.skipped,
-        }
 
 
 def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
@@ -342,7 +332,7 @@ def _dedup_on_circle(tin: np.ndarray, tout: np.ndarray, letters: np.ndarray):
     clash = np.flatnonzero(angle_distance(tout[dropped], tout[owner]) > OUT_CONSISTENCY_TOL)
     if len(clash):
         i, j = dropped[clash[0]], owner[clash[0]]
-        kept_word, dropped_word = letter_rows_to_strings(letters[[j, i]])
+        kept_word, dropped_word = GroupWord.from_row(letters[j]), GroupWord.from_row(letters[i])
         raise OrderViolation(
             f"colliding inputs map to distinct outputs ({kept_word} vs {dropped_word})",
             triple=((float(tin[j]), float(tout[j])), (float(tin[i]), float(tout[i]))),
@@ -369,15 +359,18 @@ def order_check(s: CircleMapSample) -> OrderCheckResult:
     (a, b, c) is positively ordered when b comes before c going
     counterclockwise from a.
 
-    A triple with two bitwise equal outputs (d1 == 0, d2 == 0 or d1 == d2)
-    is a resolution collapse with no orientation; only the others count,
-    and with none the orientation is None."""
+    A triple is decided only when each pair of its outputs is more than
+    TOL_ANGLE apart on the circle, the resolution of the theta_in net:
+    closer outputs are a tie at double resolution with no orientation.
+    Only decided triples count, and with none the orientation is None."""
     m = len(s)
     if m < 3:
         raise TooFewPoints("order check needs at least 3 sample points")
     a = s.theta_out
     d1, d2 = np.mod(np.roll(a, -1) - a, TWO_PI), np.mod(np.roll(a, -2) - a, TWO_PI)
-    decided = (d1 != 0) & (d2 != 0) & (d1 != d2)
+    # apart[i]: outputs i and i + 1 are more than TOL_ANGLE apart on the circle
+    apart = (d1 > TOL_ANGLE) & (d1 < TWO_PI - TOL_ANGLE)
+    decided = apart & np.roll(apart, -1) & (d2 > TOL_ANGLE) & (d2 < TWO_PI - TOL_ANGLE)
     positive = d1 < d2
     signs = positive[decided]
     if not len(signs):

@@ -3,8 +3,10 @@
 Subcommands mirror the modules: chi / classify / double / thirteen for
 the signature calculus, pants / plan for hyperbolic metrics, limit-set
 for endpoint samples, boundary-map for sampled circle maps.  Output is
-machine-readable JSON or CSV with floats at 17 significant digits;
-identical flags give byte-identical output.  Only limit-set and
+machine-readable JSON or CSV, all of it rendered by hypsurf.text: every
+float is exactly format(x, ".17g"), and a sample's CSV or JSON is
+rendered block by block from its arrays.  Identical flags give
+byte-identical output.  Only limit-set and
 boundary-map take --format; the other subcommands print JSON.  A flag
 that a subcommand would ignore (--m or --tol without --check-identity,
 --format with --check-identity but no -o, --delta or --base without
@@ -22,17 +24,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
-import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional
 
 from hypsurf.boundary import (
     DEFAULT_IDENTITY_TOL,
     DEFAULT_SEARCH_DEPTH,
+    CircleMapSample,
     FreeAutomorphism,
     induced_boundary_sample,
     is_boundary_identity,
@@ -61,75 +61,10 @@ from hypsurf.signature import (
     is_standard,
     thirteen_list,
 )
+from hypsurf.text import circle_map_json, dump_json, endpoint_json
 
 DEFAULT_SEPARATION = 4.0
 _SEPARATION_HELP = f"schottky only: translation length (default {DEFAULT_SEPARATION})"
-
-
-def format_float(x: float) -> str:
-    return format(x, ".17g")
-
-
-def dump_json(obj) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
-    out: list[str] = []
-    _write_json(obj, out)
-    return "".join(out)
-
-
-def _float_texts(values) -> list[str]:
-    """`format_float` of each value; raises InvalidInput on a non-finite one."""
-    texts = list(map(format, values, itertools.repeat(".17g")))
-    # of all %.17g renderings only nan, inf and -inf contain an "n"
-    if "n" in "".join(texts):
-        raise InvalidInput("non-finite float has no JSON encoding here")
-    return texts
-
-
-def _write_json(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            raise InvalidInput("non-finite float has no JSON encoding here")
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        # json.dumps of a str returns exactly this
-        out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, (list, tuple)):
-        kinds = set(map(type, obj))
-        if kinds == {float}:
-            out.append(f"[{','.join(_float_texts(obj))}]")
-            return
-        if kinds == {str}:
-            out.append(f"[{','.join(map(encode_basestring_ascii, obj))}]")
-            return
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(",")
-            _write_json(v, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        if obj and set(map(type, obj.values())) == {float}:
-            keys = map(encode_basestring_ascii, map(str, obj))
-            members = map("{}:{}".format, keys, _float_texts(obj.values()))
-            out.append("{" + ",".join(members) + "}")
-            return
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(encode_basestring_ascii(str(k)))
-            out.append(":")
-            _write_json(v, out)
-        out.append("}")
-    else:
-        raise InvalidInput(f"cannot serialize {type(obj).__name__}")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -196,29 +131,34 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit_lines(lines: Iterable[str], path: Optional[str]) -> None:
-    """Write each item and a newline to the file at path, or to stdout.
-    Items are written as they come: a sample's CSV arrives in blocks of
-    rows (`groups.csv_blocks`), so its whole text is never held at once."""
+def _emit_text(chunks: Iterable[str], path: Optional[str]) -> None:
+    """Write the chunks and a final newline to the file at path, or to
+    stdout.  Chunks are written as they come: a sample's text arrives in
+    blocks of rows (`text`), so its whole text is never held at once."""
     f = sys.stdout if path is None else open(path, "w", encoding="utf-8")
     try:
-        for text in lines:
-            f.write(text)
-            f.write("\n")
+        for chunk in chunks:
+            f.write(chunk)
+        f.write("\n")
     finally:
         if path is not None:
             f.close()
 
 
 def _emit(text: str, path: Optional[str]) -> None:
-    _emit_lines((text,), path)
+    _emit_text((text,), path)
 
 
 def _emit_sample(sample, output_format: str, path: Optional[str]) -> None:
+    """Write a sample's CSV or JSON, rendered from its arrays."""
     if output_format == "csv":
-        _emit_lines(sample.to_csv_rows(), path)
+        chunks = sample.to_csv_rows()
+    elif isinstance(sample, CircleMapSample):
+        chunks = circle_map_json(sample.theta_in, sample.theta_out, sample.letters,
+                                 sample.skipped)
     else:
-        _emit(dump_json(sample.to_json()), path)
+        chunks = endpoint_json(sample.mode.value, sample.angles, sample.letters)
+    _emit_text(chunks, path)
 
 
 def _load_description(path: str):

@@ -132,42 +132,6 @@ class GroupWord:
         return cls(tuple(letters))
 
 
-@functools.cache
-def _letter_ascii_table() -> np.ndarray:
-    # indexed by the letter's int8 bit pattern read as uint8, so -k sits
-    # at 256 - k; 0 (padding) and letters beyond 26 map to NUL
-    table = np.zeros(256, dtype=np.uint8)
-    for k in range(1, 27):
-        table[k] = ord("A") + k - 1
-        table[256 - k] = ord("a") + k - 1
-    table.flags.writeable = False
-    return table
-
-
-def letter_text(letters: np.ndarray) -> np.ndarray:
-    """The rows of a zero-padded int8 letter matrix as `GroupWord.__str__`
-    writes them ("1" for an empty row), as a NUL-padded uint8 ASCII matrix
-    at least one column wide."""
-    letters = np.asarray(letters)
-    if np.any((letters > 26) | (letters < -26)):
-        raise InvalidInput("string form supports at most 26 generators")
-    letters = letters.astype(np.int8, copy=False)
-    if letters.shape[1] == 0:
-        letters = np.zeros((len(letters), 1), dtype=np.int8)
-    text = _letter_ascii_table()[letters.view(np.uint8)]
-    text[letters[:, 0] == 0, 0] = ord("1")
-    return text
-
-
-def letter_rows_to_strings(letters: np.ndarray) -> list[str]:
-    """String forms of the rows of a zero-padded int8 letter matrix, as
-    `GroupWord.__str__` writes them ("1" for an empty row)."""
-    text = letter_text(letters)
-    width = text.shape[1]
-    # a fixed-width bytes field drops its trailing NUL padding
-    return text.view(f"S{width}").ravel().astype(f"U{width}").tolist()
-
-
 def word_count(rank: int, max_length: int) -> int:
     """Number of freely reduced words of length <= max_length, identity
     included: 1 + sum 2k(2k-1)^(i-1)."""

@@ -17,7 +17,6 @@ from hypsurf.words import (
     GroupWord,
     _letter_key,
     free_reduce,
-    letter_rows_to_strings,
     word_count,
 )
 from hypsurf.boundary import OUT_CONSISTENCY_TOL, BoundaryIdentityResult
@@ -205,7 +204,7 @@ def dedup_on_circle(tin: np.ndarray, tout: np.ndarray, letters: np.ndarray):
         if tin[i] - tin[j] > TOL_ANGLE:
             continue
         if _circular_distance(tout[i], tout[j]) > OUT_CONSISTENCY_TOL:
-            kept, dropped = letter_rows_to_strings(letters[[j, i]])
+            kept, dropped = GroupWord.from_row(letters[j]), GroupWord.from_row(letters[i])
             raise OrderViolation(
                 f"colliding inputs map to distinct outputs ({kept} vs {dropped})",
                 triple=((float(tin[j]), float(tout[j])), (float(tin[i]), float(tout[i]))),

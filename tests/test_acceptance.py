@@ -19,7 +19,6 @@ from hypsurf.boundary import (
     order_check,
     random_nielsen_automorphism,
 )
-from hypsurf.cli import dump_json
 from hypsurf.disk import DiskPoint, IdealPoint, apply
 from hypsurf.errors import NonorientableDoubleUnsupported
 from hypsurf.groups import (
@@ -47,6 +46,7 @@ from hypsurf.signature import (
     is_standard,
     thirteen_list,
 )
+from hypsurf.text import dump_json
 from hypsurf.words import GroupWord, word_count
 
 WORD_CAP = 5_000_000
@@ -197,7 +197,7 @@ def _criterion6_artifacts():
     sample4 = limit_sample(octagon_group(), DiskPoint(0), 4, SampleMode.AXIS_ENDPOINTS)
     return {
         "density_stats.json": stats.encode(),
-        "octagon_axes_n4.csv": "\n".join(sample4.to_csv_rows()).encode(),
+        "octagon_axes_n4.csv": "".join(sample4.to_csv_rows()).encode(),
     }
 
 
@@ -218,7 +218,7 @@ def _criterion7_artifacts():
         s = limit_sample(rep, DiskPoint(0), n, SampleMode.AXIS_ENDPOINTS)
         rows.append({"n": n, "sample_size": len(s), "top_gap": gap_profile(s)[0]})
         if n == 6:
-            out["schottky_axes_n6.csv"] = "\n".join(s.to_csv_rows()).encode()
+            out["schottky_axes_n6.csv"] = "".join(s.to_csv_rows()).encode()
     out["cantor_stats.json"] = dump_json(
         {"group": "schottky", "separation": 4.0, "rows": rows,
          "top_gap_change": abs(rows[0]["top_gap"] - rows[1]["top_gap"])}
@@ -278,7 +278,7 @@ def _criterion8_artifacts():
         }
     )
     return {
-        "octagon_inner_n4.csv": "\n".join(sample.to_csv_rows()).encode(),
+        "octagon_inner_n4.csv": "".join(sample.to_csv_rows()).encode(),
         "boundary_verdicts.json": verdicts.encode(),
     }
 

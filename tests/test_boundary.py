@@ -396,6 +396,20 @@ def test_order_check_passes_over_tied_outputs(argv, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["order"] == "preserving"
 
 
+#: powers of the twist and a product of twists on the punctured torus:
+#: mapping classes, whose boundary maps are circle homeomorphisms, and
+#: whose samples hold outputs tied to within TOL_ANGLE but not bitwise
+TWIST_PRODUCTS = [f"A=A{'B' * k},B=B" for k in range(1, 10)] + ["A=AAB,B=AB"]
+
+
+@pytest.mark.parametrize("aut", TWIST_PRODUCTS)
+def test_order_check_passes_over_outputs_tied_within_tol_angle(aut, capsys):
+    argv = ["boundary-map", "--group", "cusped-torus", "--aut", aut, "--n", "10",
+            "--check-identity"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == "preserving"
+
+
 def _tied_sample(theta_out):
     tin = np.linspace(0.0, 6.0, len(theta_out))
     return CircleMapSample(tin, np.asarray(theta_out), np.zeros((len(tin), 1), np.int8))

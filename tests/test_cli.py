@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hypsurf import boundary, cli
+from hypsurf import boundary, cli, text
 from hypsurf.errors import InvalidInput, NumericFailure
 
 import oracles
@@ -391,9 +391,9 @@ def test_limit_set_base_needs_re_and_im(base, capsys):
 
 
 def test_float_formatting_17_significant_digits():
-    assert cli.format_float(2 * math.pi) == "6.2831853071795862"
-    assert cli.dump_json({"x": 0.1}) == '{"x":0.10000000000000001}'
-    assert cli.dump_json([1, True, None, "s"]) == '[1,true,null,"s"]'
+    assert text.format_float(2 * math.pi) == "6.2831853071795862"
+    assert text.dump_json({"x": 0.1}) == '{"x":0.10000000000000001}'
+    assert text.dump_json([1, True, None, "s"]) == '[1,true,null,"s"]'
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -402,44 +402,44 @@ def test_dump_json_rejects_non_finite_in_long_float_list(bad):
         values = [0.25] * 1000
         values[where] = bad
         with pytest.raises(InvalidInput):
-            cli.dump_json(values)
+            text.dump_json(values)
         with pytest.raises(InvalidInput):
-            cli.dump_json({"angles": tuple(values)})
+            text.dump_json({"angles": tuple(values)})
         with pytest.raises(InvalidInput):
-            cli.dump_json({f"p{i}.c0": v for i, v in enumerate(values)})
+            text.dump_json({f"p{i}.c0": v for i, v in enumerate(values)})
 
 
 def test_dump_json_float_list_matches_per_element_formatting():
     values = [0.1, -2.5e-300, 1e300, 5e-324, -0.0, 2 * math.pi]
-    expected = "[" + ",".join(cli.format_float(x) for x in values) + "]"
-    assert cli.dump_json(values) == expected
-    assert cli.dump_json(tuple(values)) == expected
+    expected = "[" + ",".join(text.format_float(x) for x in values) + "]"
+    assert text.dump_json(values) == expected
+    assert text.dump_json(tuple(values)) == expected
 
 
 def test_dump_json_bools_and_ints_stay_off_the_float_path():
-    assert cli.dump_json([True, 1.0]) == "[true,1]"
-    assert cli.dump_json([1, 2.0]) == "[1,2]"
-    assert cli.dump_json([False]) == "[false]"
-    assert cli.dump_json([3]) == "[3]"
+    assert text.dump_json([True, 1.0]) == "[true,1]"
+    assert text.dump_json([1, 2.0]) == "[1,2]"
+    assert text.dump_json([False]) == "[false]"
+    assert text.dump_json([3]) == "[3]"
 
 
 def test_dump_json_string_list_escapes_like_json_dumps():
     values = ['plain', 'quote"', "back\\slash", "new\nline", "tab\t", "\u00e9", "\u2028", "\x00"]
     expected = "[" + ",".join(json.dumps(v) for v in values) + "]"
-    assert cli.dump_json(values) == expected
-    assert json.loads(cli.dump_json(values)) == values
+    assert text.dump_json(values) == expected
+    assert json.loads(text.dump_json(values)) == values
     keys = values + ["", 7, -1, 2.5, True, None]
     expected_keys = [json.dumps(str(k)) for k in keys]
     mixed = {k: i for i, k in enumerate(keys)}
-    assert cli.dump_json(mixed) == (
+    assert text.dump_json(mixed) == (
         "{" + ",".join(f"{k}:{i}" for i, k in enumerate(expected_keys)) + "}"
     )
     floats = {k: 0.5 * i for i, k in enumerate(keys)}
-    assert cli.dump_json(floats) == (
-        "{" + ",".join(f"{k}:{cli.format_float(0.5 * i)}" for i, k in enumerate(expected_keys)) + "}"
+    assert text.dump_json(floats) == (
+        "{" + ",".join(f"{k}:{text.format_float(0.5 * i)}" for i, k in enumerate(expected_keys)) + "}"
     )
     # an "n" in a key is not a non-finite value
-    assert cli.dump_json({"nan": 1.0, "inf": 0.25}) == '{"nan":1,"inf":0.25}'
+    assert text.dump_json({"nan": 1.0, "inf": 0.25}) == '{"nan":1,"inf":0.25}'
 
 
 def test_repeated_in_process_calls_stay_independent(tmp_path, capsys):

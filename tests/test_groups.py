@@ -45,6 +45,7 @@ from hypsurf.groups import (
     schottky_rank2,
 )
 from hypsurf.boundary import FreeAutomorphism, conjugacy_class_words
+from hypsurf.text import endpoint_json
 from hypsurf.words import GroupWord, enumerate_reduced_words, substitute, word_count
 
 import oracles
@@ -569,8 +570,9 @@ def test_sample_word_provenance(make_rep, n):
 def test_sample_csv_and_json_deterministic(octagon):
     s1 = limit_sample(octagon, DiskPoint(0), 3, SampleMode.AXIS_ENDPOINTS)
     s2 = limit_sample(octagon, DiskPoint(0), 3, SampleMode.AXIS_ENDPOINTS)
-    assert "\n".join(s1.to_csv_rows()) == "\n".join(s2.to_csv_rows())
-    assert s1.to_json() == s2.to_json()
-    rows = "\n".join(s1.to_csv_rows()).split("\n")
+    assert "".join(s1.to_csv_rows()) == "".join(s2.to_csv_rows())
+    json1, json2 = ("".join(endpoint_json(s.mode.value, s.angles, s.letters)) for s in (s1, s2))
+    assert json1 == json2
+    rows = "".join(s1.to_csv_rows()).split("\n")
     assert rows[0] == "theta,word"
     assert len(rows) == len(s1) + 1

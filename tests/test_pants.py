@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import pytest
 
-from hypsurf.cli import dump_json
 from hypsurf.disk import MobiusIsometry
 from hypsurf.errors import (
     BudgetExceeded,
@@ -25,6 +24,7 @@ from hypsurf.pants import (
     realize,
 )
 from hypsurf.signature import Signature
+from hypsurf.text import dump_json
 
 import oracles
 

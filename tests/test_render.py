@@ -1,33 +1,45 @@
-"""Array-native rendering of endpoint samples against the per-row
-`GroupWord` and `%.17g` formulas it replaced."""
+"""Array-native rendering of samples (`hypsurf.text`) against the per-row
+`GroupWord`, `%.17g` and `json.dumps` formulas it replaced."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypsurf import cli, groups
+from hypsurf import cli, text
 from hypsurf.boundary import CircleMapSample, FreeAutomorphism, induced_boundary_sample
 from hypsurf.disk import DiskPoint
 from hypsurf.errors import InvalidInput
 from hypsurf.groups import (
-    _RENDER_BLOCK_ROWS,
     EndpointSample,
     SampleMode,
-    csv_blocks,
     cusped_torus_group,
     limit_sample,
     octagon_group,
     schottky_rank2,
 )
-from hypsurf.words import GroupWord, letter_rows_to_strings
+from hypsurf.words import GroupWord
 
 
 def csv_lines(s) -> list[str]:
-    # to_csv_rows yields the header, then blocks of rows joined by newlines
-    return "\n".join(s.to_csv_rows()).split("\n")
+    # to_csv_rows yields chunks that concatenate to the text
+    return "".join(s.to_csv_rows()).split("\n")
+
+
+def endpoint_json_text(s: EndpointSample) -> str:
+    return "".join(text.endpoint_json(s.mode.value, s.angles, s.letters))
+
+
+def letter_strings(letters) -> list[str]:
+    return [bytes(row).replace(b"\0", b"").decode() for row in text.letter_text(letters)]
 
 
 def reference_csv_rows(s: EndpointSample) -> list[str]:
@@ -40,13 +52,13 @@ def reference_csv_rows(s: EndpointSample) -> list[str]:
 
 def test_streamed_csv_matches_per_row_formula_across_blocks(octagon):
     s = limit_sample(octagon, DiskPoint(0), 6, SampleMode.AXIS_ENDPOINTS)
-    assert len(s) > 2 * _RENDER_BLOCK_ROWS
+    assert len(s) > 2 * text._RENDER_BLOCK_ROWS
     assert csv_lines(s) == reference_csv_rows(s)
 
 
 def test_json_words_match_group_word_strings(octagon):
     s = limit_sample(octagon, DiskPoint(0), 3, SampleMode.ORBIT_PROJECTION)
-    obj = s.to_json()
+    obj = json.loads(endpoint_json_text(s))
     assert obj["angles"] == [float(t) for t in s.angles]
     assert obj["words"] == [str(GroupWord.from_row(row)) for row in s.letters]
 
@@ -57,7 +69,7 @@ def test_orbit_basepoint_beyond_cutoff_renders_identity_row(octagon):
     rows = csv_lines(s)
     assert rows == reference_csv_rows(s)
     assert sum(row.endswith(",1") for row in rows) == 1
-    assert s.to_json()["words"].count("1") == 1
+    assert json.loads(endpoint_json_text(s))["words"].count("1") == 1
 
 
 def test_all_letters_render_like_group_word():
@@ -65,16 +77,16 @@ def test_all_letters_render_like_group_word():
     letters = np.zeros((len(words), 3), dtype=np.int8)
     for i, w in enumerate(words):
         letters[i, : len(w)] = w
-    assert letter_rows_to_strings(letters) == [str(GroupWord(w)) for w in words]
-    assert letter_rows_to_strings(np.zeros((2, 0), dtype=np.int8)) == ["1", "1"]
+    assert letter_strings(letters) == [str(GroupWord(w)) for w in words]
+    assert letter_strings(np.zeros((2, 0), dtype=np.int8)) == ["1", "1"]
     with pytest.raises(InvalidInput):
-        letter_rows_to_strings(np.array([[257]]))  # would wrap to 1 ("A") as int8
+        text.letter_text(np.array([[257]]))  # would wrap to 1 ("A") as int8
 
 
 @pytest.mark.parametrize("letter", [27, -27, 127, -128])
 def test_letter_beyond_26_raises(letter):
     with pytest.raises(InvalidInput):
-        letter_rows_to_strings(np.array([[1, letter]], dtype=np.int8))
+        text.letter_text(np.array([[1, letter]], dtype=np.int8))
     s = EndpointSample(SampleMode.AXIS_ENDPOINTS, np.array([0.5]),
                        np.array([[letter]], dtype=np.int8))
     with pytest.raises(InvalidInput):
@@ -100,11 +112,11 @@ def test_stdout_csv_ends_in_one_newline(capsys, tmp_path):
 def assert_renders_like_format(x):
     # the float field of a one-column CSV whose words are all empty
     x = np.asarray(x, dtype=np.float64)
-    text = "\n".join(csv_blocks("x", (x,), np.zeros((len(x), 0), np.int8)))
-    if text != "x\n" + ",1\n".join(map(cli.format_float, x.tolist())) + ",1":
-        lines = text.split("\n")[1:]
+    csv = "".join(text.sample_csv("x", (x,), np.zeros((len(x), 0), np.int8)))
+    if csv != "x\n" + ",1\n".join(map(text.format_float, x.tolist())) + ",1":
+        lines = csv.split("\n")[1:]
         bad = next(i for i, v in enumerate(x.tolist())
-                   if lines[i] != cli.format_float(v) + ",1")
+                   if lines[i] != text.format_float(v) + ",1")
         raise AssertionError(f"{x[bad]!r} renders as {lines[bad]!r}")
 
 
@@ -160,7 +172,7 @@ BOUNDARY_VERDICT = [
 
 
 def test_circle_map_csv_matches_per_row_formula_in_small_blocks(monkeypatch):
-    monkeypatch.setattr(groups, "_RENDER_BLOCK_ROWS", 7)
+    monkeypatch.setattr(text, "_RENDER_BLOCK_ROWS", 7)
     short_last_block = False
     for make_group, aut, n in BOUNDARY_VERDICT:
         rep = make_group()
@@ -173,7 +185,7 @@ def test_circle_map_csv_matches_per_row_formula_in_small_blocks(monkeypatch):
             for tin, tout, word in zip(s.theta_in.tolist(), s.theta_out.tolist(), words)]
         blocks = list(s.to_csv_rows())
         assert len(blocks) == 1 + -(-len(s) // 7)
-        assert "\n".join(blocks).split("\n") == reference
+        assert "".join(blocks).split("\n") == reference
     assert short_last_block
 
 
@@ -185,3 +197,130 @@ def test_empty_circle_map_sample_renders_its_header_alone():
 def test_angle_zero_renders_through_the_fallback(capsys):
     assert cli.main(["limit-set", "--group", "cusped-torus", "--n", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == ["theta,word", "0,A"]
+
+
+# ---------------------------------------------------------------------------
+# JSON: the block renderer against a reference built value by value
+
+
+def reference_json(s) -> str:
+    """The CLI's JSON of a sample, one `format(x, ".17g")` and one
+    `json.dumps(word)` at a time, with its final newline."""
+    words = [json.dumps(str(GroupWord.from_row(row))) for row in s.letters]
+    if isinstance(s, CircleMapSample):
+        pairs = ",".join(
+            f'{{"theta_in":{tin:.17g},"theta_out":{tout:.17g},"word":{word}}}'
+            for tin, tout, word in zip(s.theta_in.tolist(), s.theta_out.tolist(), words))
+        return f'{{"pairs":[{pairs}],"skipped":{s.skipped}}}\n'
+    angles = ",".join(format(x, ".17g") for x in s.angles.tolist())
+    return (f'{{"mode":{json.dumps(s.mode.value)},"angles":[{angles}],'
+            f'"words":[{",".join(words)}]}}\n')
+
+
+def set_block_rows_not_dividing(monkeypatch, count: int) -> int:
+    rows = next(r for r in range(7, 64) if count % r)
+    monkeypatch.setattr(text, "_RENDER_BLOCK_ROWS", rows)
+    return rows
+
+
+#: (argv, the sample the CLI renders for it)
+JSON_RUNS = [
+    (f"limit-set --group {group} --n {n} --mode {mode}",
+     lambda make=make, n=n, mode=mode: limit_sample(make(), DiskPoint(0), n, SampleMode(mode)))
+    for group, make, n in (("octagon", octagon_group, 3),
+                           ("schottky", lambda: schottky_rank2(4.0), 4),
+                           ("cusped-torus", cusped_torus_group, 4))
+    for mode in ("orbit", "axes")
+] + [
+    (f"boundary-map --group {group} --aut {aut} --n {n}",
+     lambda make=make, aut=aut, n=n: induced_boundary_sample(
+         make(), FreeAutomorphism.from_spec(aut, rank=make().rank), n))
+    for group, make, aut, n in (("cusped-torus", cusped_torus_group, "A=AB,B=B", 6),
+                                ("octagon", octagon_group, "A=A,B=ABa,C=ACa,D=ADa", 4))
+]
+
+
+@pytest.mark.parametrize("argv, sample", JSON_RUNS, ids=[argv for argv, _ in JSON_RUNS])
+def test_cli_json_matches_per_value_reference_in_short_blocks(argv, sample, monkeypatch,
+                                                              tmp_path):
+    s = sample()
+    rows = set_block_rows_not_dividing(monkeypatch, len(s))
+    assert len(s) > 2 * rows
+    path = tmp_path / "s.json"
+    assert cli.main(argv.split() + ["--format", "json", "-o", str(path)]) == 0
+    assert path.read_text() == reference_json(s)
+
+
+#: 0, both sides of 1e-4 (the fixed-form fast path's edge), exponent forms,
+#: a subnormal, values up to and beyond 2*pi, and 8 (outside the fast path)
+EDGE_ANGLES = np.array([
+    0.0, np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0), 1e-5, 1.5e-7, 5e-324,
+    0.1, 0.5, 3.0, np.nextafter(2 * math.pi, 0.0), 2 * math.pi, np.nextafter(2 * math.pi, 7.0),
+    7.999999999999999, 8.0, 1e300,
+])
+
+
+def edge_letters(count: int) -> np.ndarray:
+    # the empty word, single letters of every sign and longer words
+    letters = np.zeros((count, 3), dtype=np.int8)
+    for i in range(1, count):
+        letters[i, : 1 + i % 3] = [(i % 4 + 1) * (-1) ** i] * (1 + i % 3)
+    return letters
+
+
+@pytest.mark.parametrize("rows", [5, 7, 64])
+def test_json_of_edge_values_matches_per_value_reference(rows, monkeypatch, tmp_path):
+    monkeypatch.setattr(text, "_RENDER_BLOCK_ROWS", rows)
+    letters = edge_letters(len(EDGE_ANGLES))
+    samples = [
+        EndpointSample(SampleMode.AXIS_ENDPOINTS, EDGE_ANGLES, letters),
+        CircleMapSample(EDGE_ANGLES, EDGE_ANGLES[::-1].copy(), letters, skipped=3),
+        EndpointSample(SampleMode.ORBIT_PROJECTION, EDGE_ANGLES[:1], letters[:1]),
+        CircleMapSample(np.zeros(0), np.zeros(0), np.zeros((0, 1), np.int8)),
+    ]
+    path = tmp_path / "s.json"
+    for s in samples:
+        cli._emit_sample(s, "json", str(path))
+        assert path.read_text() == reference_json(s)
+    assert path.read_text() == '{"pairs":[],"skipped":0}\n'
+    cli._emit_sample(samples[0], "json", str(path))
+    assert json.loads(path.read_text())["words"][:3] == ["1", "bb", "CCC"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_json_value_exits_2_before_any_output(bad, monkeypatch, tmp_path, capsys):
+    angles = np.linspace(0.0, 6.0, 20)
+    angles[13] = bad
+    letters = edge_letters(20)
+    monkeypatch.setattr(text, "_RENDER_BLOCK_ROWS", 4)
+    monkeypatch.setattr(cli, "limit_sample", lambda *args, **kwargs: EndpointSample(
+        SampleMode.AXIS_ENDPOINTS, angles, letters))
+    monkeypatch.setattr(cli, "induced_boundary_sample", lambda *args: CircleMapSample(
+        np.linspace(0.0, 6.0, 20), angles, letters))
+    for argv in ("limit-set --group octagon --n 2 --format json",
+                 "boundary-map --group cusped-torus --aut A=AB,B=B --n 2 --format json"):
+        assert cli.main(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert cli.main(argv.split() + ["-o", str(tmp_path / "s.json")]) == 2
+        assert not (tmp_path / "s.json").exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidInput"
+        assert json.loads(err) == {"error": "InvalidInput",
+                                   "message": "non-finite float has no JSON encoding here"}
+
+
+def test_importing_the_cli_builds_no_text_table():
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = textwrap.dedent("""
+        import json
+        import hypsurf.cli
+        from hypsurf import text
+        print(json.dumps([text._digit_tables.cache_info().currsize,
+                          text._letter_ascii_table.cache_info().currsize]))
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 0]
