@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from hypsurf.disk import TOL_ANGLE, TWO_PI, angle_distance, circle_net
+from hypsurf.disk import TOL_ANGLE, TWO_PI, circle_net
 from hypsurf.errors import (
     IndexOutOfRange,
     InvalidInput,
@@ -49,8 +49,6 @@ MAX_SKIP_FRACTION = 0.5
 DEFAULT_IDENTITY_TOL = 1e-3
 #: default inner-correction search depth
 DEFAULT_SEARCH_DEPTH = 3
-#: theta_out disagreement allowed between colliding theta_in entries
-OUT_CONSISTENCY_TOL = 1e-7
 #: sample points behind each inner correction's lower bound, and inner
 #: corrections bounded per broadcast (memory O(block x points))
 _BOUND_POINTS, _BOUND_BLOCK = 16, 4096
@@ -282,10 +280,12 @@ def induced_boundary_sample(
 
     Classes whose element or image is not certifiably hyperbolic are
     skipped and counted; more than half skipped (all of them included)
-    aborts with NumericFailure.  The sample is reduced to the
-    `disk.circle_net` of theta_in, and an entry the net drops must agree
-    on theta_out, within OUT_CONSISTENCY_TOL, with the kept entry it
-    collides with.  The whole sample must be cyclically order-consistent.
+    aborts with NumericFailure.  theta_in, theta_out and the words are
+    indexed by the `disk.circle_net` of theta_in, as `limit_sample` indexes
+    its angles and words: an entry the net drops is a tie with a kept one
+    at TOL_ANGLE, so it carries no order information.  The kept entries
+    must be cyclically order-consistent (`order_check`), or
+    OrderViolation is raised.
     """
     if n < 1:
         raise InvalidInput("induced_boundary_sample needs n >= 1")
@@ -308,44 +308,16 @@ def induced_boundary_sample(
             f"{skipped} of {len(classes)} classes skipped as non-hyperbolic; "
             "representation data looks wrong"
         )
-    tin, tout, letters = _dedup_on_circle(tin[hyperbolic], tout[hyperbolic],
-                                          classes[hyperbolic])
-    sample = CircleMapSample(tin, tout, letters, skipped)
-    if len(sample) >= 3:
-        verdict = order_check(sample)
-        if verdict.violation is not None:
-            raise OrderViolation(
-                "sampled map is not cyclically order-consistent",
-                triple=verdict.violation,
-            )
+    tin, tout, classes = tin[hyperbolic], tout[hyperbolic], classes[hyperbolic]
+    net = circle_net(tin)
+    sample = CircleMapSample(tin[net], tout[net], classes[net], skipped)
+    verdict = order_check(sample)
+    if verdict.violation is not None:
+        raise OrderViolation(
+            "sampled map is not cyclically order-consistent",
+            triple=verdict.violation,
+        )
     return sample
-
-
-def _dedup_on_circle(tin: np.ndarray, tout: np.ndarray, letters: np.ndarray):
-    """Reduce a sampled map to the `disk.circle_net` of theta_in.  Each
-    dropped entry must agree on theta_out with the last kept entry before
-    it, and each folded entry with the first, or OrderViolation is raised."""
-    order, keep, end = circle_net(tin)
-    tin, tout, letters = tin[order], tout[order], letters[order]
-    kept, dropped = np.flatnonzero(keep), np.flatnonzero(~keep)
-    owner = kept[np.searchsorted(kept, dropped) - 1]
-    clash = np.flatnonzero(angle_distance(tout[dropped], tout[owner]) > OUT_CONSISTENCY_TOL)
-    if len(clash):
-        i, j = dropped[clash[0]], owner[clash[0]]
-        kept_word, dropped_word = GroupWord.from_row(letters[j]), GroupWord.from_row(letters[i])
-        raise OrderViolation(
-            f"colliding inputs map to distinct outputs ({kept_word} vs {dropped_word})",
-            triple=((float(tin[j]), float(tout[j])), (float(tin[i]), float(tout[i]))),
-        )
-    kept, folded = kept[:end], kept[end:]
-    clash = folded[angle_distance(tout[folded], tout[0]) > OUT_CONSISTENCY_TOL]
-    if len(clash):
-        j = clash[-1]
-        raise OrderViolation(
-            "colliding inputs map to distinct outputs at the wraparound",
-            triple=((float(tin[j]), float(tout[j])), (float(tin[0]), float(tout[0]))),
-        )
-    return tin[kept], tout[kept], letters[kept]
 
 
 @dataclass(frozen=True)
@@ -362,10 +334,9 @@ def order_check(s: CircleMapSample) -> OrderCheckResult:
     A triple is decided only when each pair of its outputs is more than
     TOL_ANGLE apart on the circle, the resolution of the theta_in net:
     closer outputs are a tie at double resolution with no orientation.
-    Only decided triples count, and with none the orientation is None."""
+    Only decided triples count, and with none (fewer than three points
+    included) the orientation is None."""
     m = len(s)
-    if m < 3:
-        raise TooFewPoints("order check needs at least 3 sample points")
     a = s.theta_out
     d1, d2 = np.mod(np.roll(a, -1) - a, TWO_PI), np.mod(np.roll(a, -2) - a, TWO_PI)
     # apart[i]: outputs i and i + 1 are more than TOL_ANGLE apart on the circle

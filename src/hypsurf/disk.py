@@ -56,19 +56,18 @@ def angle_distance(t1, t2):
     return np.minimum(d, TWO_PI - d)
 
 
-def circle_net(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def circle_net(theta: np.ndarray) -> np.ndarray:
     """Merge a nonempty array of angles in [0, 2*pi) into a TOL_ANGLE net
-    of the circle.
+    of the circle, and return the indices of the kept angles in increasing
+    order of angle: the net is ``theta[circle_net(theta)]``.
 
     The angles are sorted stably (equal angles keep their input order).
     An angle within TOL_ANGLE of the last kept angle is dropped, and kept
     angles within TOL_ANGLE of the first + 2*pi fold into the first.  So
     kept neighbours, wraparound included, are more than TOL_ANGLE apart,
-    and every angle lies within TOL_ANGLE of a kept one.
-
-    Returns ``(order, keep, end)``: the sorting permutation, the mask of
-    kept angles in sorted order, and how many kept angles come before the
-    folded ones; the net is ``theta[order][keep][:end]``.
+    and every angle lies within TOL_ANGLE of a kept one.  A dropped angle
+    is a tie with a kept one at that resolution; samplers index every
+    array aligned with theta by the same net.
     """
     order = np.argsort(theta, kind="stable")
     t = theta[order]
@@ -97,7 +96,8 @@ def circle_net(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     # past the rounded t[0] + 2*pi - TOL_ANGLE
     tail = max(1, int(np.searchsorted(t, t[0] + TWO_PI - TOL_ANGLE)))
     folded = np.count_nonzero(keep[tail:] & (t[0] + TWO_PI - t[tail:] <= TOL_ANGLE))
-    return order, keep, int(np.count_nonzero(keep) - folded)
+    kept = order[keep]
+    return kept[:len(kept) - folded]
 
 
 @dataclass(frozen=True)

@@ -247,9 +247,8 @@ def limit_sample(
         )
     theta = np.concatenate(theta_parts)
     letters = np.vstack(letter_parts)
-    order, keep, end = circle_net(theta)
-    idx = order[keep][:end]
-    return EndpointSample(mode, theta[idx], letters[idx])
+    net = circle_net(theta)
+    return EndpointSample(mode, theta[net], letters[net])
 
 
 def _circular_gaps(s: EndpointSample) -> np.ndarray:

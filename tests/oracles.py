@@ -19,7 +19,7 @@ from hypsurf.words import (
     free_reduce,
     word_count,
 )
-from hypsurf.boundary import OUT_CONSISTENCY_TOL, BoundaryIdentityResult
+from hypsurf.boundary import BoundaryIdentityResult
 from hypsurf.disk import TOL_ANGLE, TWO_PI, DiskPoint
 from hypsurf.errors import (
     BudgetExceeded,
@@ -28,7 +28,6 @@ from hypsurf.errors import (
     NegativeLength,
     NotHyperbolizable,
     NumericFailure,
-    OrderViolation,
 )
 from hypsurf.groups import _word_levels
 from hypsurf.pants import (
@@ -190,37 +189,21 @@ def plan_decomposition(
     )
 
 
-def dedup_on_circle(tin: np.ndarray, tout: np.ndarray, letters: np.ndarray):
-    """`boundary._dedup_on_circle` finding the last kept entry by walking
-    back over the dropped ones (quadratic in the length of a cluster)."""
-    order = np.argsort(tin, kind="stable")
-    tin, tout, letters = tin[order], tout[order], letters[order]
-    keep = np.ones(len(tin), dtype=bool)
-    # only entries within TOL_ANGLE of their predecessor can collide
-    for i in np.flatnonzero(np.diff(tin) <= TOL_ANGLE) + 1:
+def circle_net(theta: np.ndarray) -> np.ndarray:
+    """`disk.circle_net` finding the last kept angle by walking back over
+    the dropped ones (quadratic in the length of a cluster)."""
+    order = np.argsort(theta, kind="stable")
+    t = theta[order]
+    keep = np.ones(len(t), dtype=bool)
+    # only angles within TOL_ANGLE of their predecessor can be dropped
+    for i in np.flatnonzero(np.diff(t) <= TOL_ANGLE) + 1:
         j = i - 1
         while not keep[j]:
             j -= 1
-        if tin[i] - tin[j] > TOL_ANGLE:
-            continue
-        if _circular_distance(tout[i], tout[j]) > OUT_CONSISTENCY_TOL:
-            kept, dropped = GroupWord.from_row(letters[j]), GroupWord.from_row(letters[i])
-            raise OrderViolation(
-                f"colliding inputs map to distinct outputs ({kept} vs {dropped})",
-                triple=((float(tin[j]), float(tout[j])), (float(tin[i]), float(tout[i]))),
-            )
-        keep[i] = False
-    tin, tout, letters = tin[keep], tout[keep], letters[keep]
-    wrap = np.flatnonzero(tin[0] + TWO_PI - tin[1:] <= TOL_ANGLE) + 1
-    clash = wrap[_circular_distance(tout[wrap], tout[0]) > OUT_CONSISTENCY_TOL]
-    if len(clash):
-        j = clash[-1]
-        raise OrderViolation(
-            "colliding inputs map to distinct outputs at the wraparound",
-            triple=((float(tin[j]), float(tout[j])), (float(tin[0]), float(tout[0]))),
-        )
-    end = len(tin) - len(wrap)
-    return tin[:end], tout[:end], letters[:end]
+        keep[i] = t[i] - t[j] > TOL_ANGLE
+    kept = order[keep]
+    wrap = np.count_nonzero(theta[kept[0]] + TWO_PI - theta[kept[1:]] <= TOL_ANGLE)
+    return kept[:len(kept) - wrap]
 
 
 def inner_search(rep, sample, m: int, tol: float) -> BoundaryIdentityResult:
@@ -272,11 +255,6 @@ def inner_conjugator(images: tuple[GroupWord, ...], m: int):
         if all(g * GroupWord.generator(i) * ginv == w for i, w in enumerate(images)):
             return g
     return None
-
-
-def _circular_distance(t1, t2):
-    d = np.mod(np.abs(t1 - t2), TWO_PI)
-    return np.minimum(d, TWO_PI - d)
 
 
 def hyp_distance(p: DiskPoint, q: DiskPoint) -> float:

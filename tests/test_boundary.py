@@ -8,26 +8,20 @@ import pytest
 
 from hypsurf import boundary, cli
 from hypsurf.boundary import (
-    OUT_CONSISTENCY_TOL,
     CircleMapSample,
     FreeAutomorphism,
-    _dedup_on_circle,
     conjugacy_class_words,
     induced_boundary_sample,
-    substitute_rows,
     is_boundary_identity,
     order_check,
     random_nielsen_automorphism,
 )
 from hypsurf.disk import (
-    TOL_ANGLE,
     TWO_PI,
     circle_fixed_points,
-    Geodesic,
     IdealPoint,
     MobiusIsometry,
     apply,
-    translation_along,
 )
 from hypsurf.errors import (
     BudgetExceeded,
@@ -169,127 +163,6 @@ def test_sample_rejects_rank_mismatch(octagon):
         induced_boundary_sample(octagon, FreeAutomorphism.identity(2), 2)
 
 
-def test_sample_detects_inconsistent_collisions():
-    # two generators sharing an attracting fixed point, with an
-    # automorphism separating their images: colliding theta_in must not
-    # be silently resolved
-    t1 = translation_along(Geodesic(IdealPoint(0), IdealPoint(math.pi)), 2.0)
-    t2 = translation_along(Geodesic(IdealPoint(0), IdealPoint(math.pi / 2)), 2.0)
-    rep = GroupRep((t1, t2))
-    invert_b = FreeAutomorphism((W("A"), W("b")), (W("A"), W("b")))
-    with pytest.raises(OrderViolation):
-        induced_boundary_sample(rep, invert_b, 1)
-
-
-def _dedup_by_pairs(tin, tout, letters):
-    # the tuple loop the array dedup replaced
-    raw = sorted(zip(tin.tolist(), tout.tolist(), [GroupWord.from_row(r) for r in letters]),
-                 key=lambda p: p[0])
-    pairs = [raw[0]]
-    for t_in, t_out, w in raw[1:]:
-        if t_in - pairs[-1][0] <= TOL_ANGLE:
-            assert _circ(t_out, pairs[-1][1]) <= OUT_CONSISTENCY_TOL
-            continue
-        pairs.append((t_in, t_out, w))
-    while len(pairs) > 1 and pairs[0][0] + 2 * math.pi - pairs[-1][0] <= TOL_ANGLE:
-        assert _circ(pairs[-1][1], pairs[0][1]) <= OUT_CONSISTENCY_TOL
-        pairs.pop()
-    return pairs
-
-
-def _circ(t1, t2):
-    d = abs(t1 - t2) % (2 * math.pi)
-    return min(d, 2 * math.pi - d)
-
-
-def _rows(count):
-    # distinct provenance rows, one per entry
-    i = np.arange(count)
-    return np.column_stack([i // 100 + 1, i % 100 + 1]).astype(np.int8)
-
-
-def test_dedup_collides_with_the_last_kept_entry():
-    # 0.6e-9 collides with 0; 1.2e-9 is within TOL_ANGLE of 0.6e-9 but
-    # not of 0, the last kept entry, so it stays
-    tin = np.array([1.0, 1.2e-9, 0.6e-9, 0.0])
-    tin_k, tout_k, _ = _dedup_on_circle(tin, tin + 0.5, _rows(4))
-    assert tin_k.tolist() == [0.0, 1.2e-9, 1.0]
-    assert tout_k.tolist() == [0.5, 0.5 + 1.2e-9, 1.5]
-
-
-def test_dedup_wraparound_and_stable_ties():
-    two_pi = 2 * math.pi
-    tin = np.array([two_pi - 4e-10, 3.0, 1e-10, two_pi - 1e-10, 3.0])
-    letters = np.array([[1], [2], [-1], [-2], [1]], dtype=np.int8)
-    tin_k, tout_k, rows = _dedup_on_circle(tin, np.mod(tin + 1.0, two_pi), letters)
-    assert tin_k.tolist() == [1e-10, 3.0]
-    assert rows[:, 0].tolist() == [-1, 2]  # the first of two equal inputs is kept
-
-
-def test_dedup_rejects_colliding_inputs_with_distinct_outputs():
-    with pytest.raises(OrderViolation, match=r"\(A vs B\)") as e:
-        _dedup_on_circle(np.array([0.5, 0.5 + 1e-10]), np.array([1.0, 2.0]),
-                         np.array([[1], [2]], dtype=np.int8))
-    assert e.value.triple == ((0.5, 1.0), (0.5 + 1e-10, 2.0))
-    with pytest.raises(OrderViolation, match="wraparound"):
-        _dedup_on_circle(np.array([1e-10, 1.0, 2 * math.pi - 1e-10]),
-                         np.array([1.0, 2.0, 3.0]), _rows(3))
-
-
-def test_dedup_matches_the_pairs_loop():
-    rng = np.random.default_rng(3)
-    # clustered inputs: many collisions, chains longer than TOL_ANGLE,
-    # exact ties and entries near both ends of [0, 2*pi)
-    centers = rng.uniform(0, 2 * math.pi, 40)
-    centers[:2] = (1e-10, 2 * math.pi - 3e-10)
-    tin = np.repeat(centers, 25) + rng.integers(0, 6, 1000) * 4e-10
-    tin = np.mod(tin, 2 * math.pi)
-    tout = np.mod(tin + 0.25, 2 * math.pi)
-    letters = _rows(1000)
-    tin_k, tout_k, rows = _dedup_on_circle(tin, tout, letters)
-    pairs = _dedup_by_pairs(tin, tout, letters)
-    assert len(pairs) < 200
-    assert tin_k.tolist() == [p[0] for p in pairs]
-    assert tout_k.tolist() == [p[1] for p in pairs]
-    assert [GroupWord.from_row(r) for r in rows] == [p[2] for p in pairs]
-
-
-def _dedup_input(rep, spec, n):
-    # the hyperbolic entries `induced_boundary_sample` hands to the dedup
-    phi = FreeAutomorphism.from_spec(spec, rank=rep.rank)
-    classes = conjugacy_class_words(rep.rank, n)
-    tin = attracting_angles(rep, classes)
-    tout = attracting_angles(rep, substitute_rows(phi.images, classes))
-    ok = ~(np.isnan(tin) | np.isnan(tout))
-    return tin[ok], tout[ok], classes[ok]
-
-
-def _dedup_outcome(dedup, tin, tout, letters):
-    try:
-        return [(a.dtype, a.shape, a.tobytes()) for a in dedup(tin, tout, letters)]
-    except OrderViolation as e:
-        return (str(e), e.triple)
-
-
-@pytest.mark.parametrize("make_group, spec, ns", [
-    # the four boundary-verdict inputs of the benchmark
-    pytest.param(cusped_torus_group, "A=AB,B=B", (9,), id="torus-twist-n9"),
-    pytest.param(cusped_torus_group, "A=A,B=B", (8,), id="torus-identity-n8"),
-    pytest.param(octagon_group, "A=A,B=ABa,C=ACa,D=ADa", (5,), id="octagon-inner-a-n5"),
-    pytest.param(lambda: schottky_rank2(2.0), "A=AB,B=B", (8,), id="schottky2-twist-n8"),
-    # saturated Schottky samples: long collision clusters, some inconsistent
-    *(pytest.param(lambda sep=sep: schottky_rank2(sep), spec, range(1, 10),
-                   id=f"schottky{sep:g}-{spec}-n1to9")
-      for sep in (6.0, 10.0) for spec in ("A=AB,B=B", "A=A,B=B")),
-])
-def test_dedup_matches_the_walk_back_oracle(make_group, spec, ns):
-    rep = make_group()
-    for n in ns:
-        arrays = _dedup_input(rep, spec, n)
-        assert (_dedup_outcome(_dedup_on_circle, *arrays)
-                == _dedup_outcome(oracles.dedup_on_circle, *arrays)), n
-
-
 def _class_words_by_definition(rank, n):
     # the cyclically reduced words of the tree in shortlex order, deduped
     # on the scalar class representative, first of each kept
@@ -363,10 +236,32 @@ def test_order_check_violation_lists_triple(cusped_torus):
     assert verdict.violation is not None and len(verdict.violation) == 3
 
 
+def test_sample_raises_on_a_crossing_between_kept_entries(cusped_torus, monkeypatch):
+    # the net drops only ties, so a crossing between kept entries is still
+    # an OrderViolation: the identity with the outputs of A and B swapped
+    calls = []
+
+    def swapped(rep, letters):
+        t = attracting_angles(rep, letters)
+        calls.append(t)
+        if len(calls) == 2:  # theta_out
+            t[[0, 1]] = t[[1, 0]]
+        return t
+
+    monkeypatch.setattr(boundary, "attracting_angles", swapped)
+    with pytest.raises(OrderViolation) as e:
+        induced_boundary_sample(cusped_torus, FreeAutomorphism.identity(2), 4)
+    assert len(e.value.triple) == 3
+    tin, _ = calls
+    assert {tin[0], tin[1]} & {t for t, _ in e.value.triple}
+
+
 def test_order_check_needs_three_points(cusped_torus):
+    # fewer than three points hold no triple, so no orientation
     s = induced_boundary_sample(cusped_torus, FreeAutomorphism.identity(2), 4)
-    with pytest.raises(TooFewPoints):
-        order_check(CircleMapSample(s.theta_in[:2], s.theta_out[:2], s.letters[:2]))
+    for m in (0, 1, 2):
+        sample = CircleMapSample(s.theta_in[:m], s.theta_out[:m], s.letters[:m])
+        assert order_check(sample) == boundary.OrderCheckResult(None)
 
 
 def test_orientation_multiplicative(schottky):
@@ -381,15 +276,21 @@ def test_orientation_multiplicative(schottky):
     assert orientations["swap2"] == "preserving"  # reversing x reversing
 
 
-#: products of transvections whose samples hold two classes with the same
-#: theta_out to the last bit (a resolution collapse, not a crossing)
-TIED_OUTPUTS = [
+#: automorphisms whose samples hold ties at double resolution: products of
+#: transvections with two classes of the same theta_out to the last bit (a
+#: resolution collapse, not a crossing), and the twist on Schottky groups,
+#: whose theta_in ties within TOL_ANGLE stretch to theta_out gaps of 1e-6
+#: (once rejected as colliding inputs with distinct outputs)
+TIED_SAMPLES = [
     "boundary-map --group schottky --separation 2 --aut A=bba,B=ABABB --n 5",
     "boundary-map --group cusped-torus --aut A=BAABA,B=BA --n 6",
+    "boundary-map --group schottky --aut A=AB,B=B --n 7",
+    "boundary-map --group schottky --aut A=AB,B=B --n 10",
+    "boundary-map --group schottky --separation 12 --aut A=AB,B=B --n 4",
 ]
 
 
-@pytest.mark.parametrize("argv", TIED_OUTPUTS)
+@pytest.mark.parametrize("argv", TIED_SAMPLES)
 def test_order_check_passes_over_tied_outputs(argv, tmp_path, capsys):
     assert cli.main(argv.split() + ["-o", str(tmp_path / "map.csv")]) == 0
     assert cli.main(argv.split() + ["--check-identity"]) == 0

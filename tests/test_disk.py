@@ -102,12 +102,14 @@ def test_angle_distance_takes_arrays():
 
 @given(clustered_angles())
 def test_circle_net_is_a_tol_angle_net(theta):
-    order, keep, end = circle_net(theta)
-    srt = theta[order]
-    assert sorted(order.tolist()) == list(range(len(theta)))
-    ties = np.flatnonzero(np.diff(srt) == 0)
-    assert np.all(np.diff(srt) >= 0) and np.all(order[ties] < order[ties + 1])
-    net = srt[keep][:end]
+    kept = circle_net(theta)
+    assert len(set(kept.tolist())) == len(kept)
+    net = theta[kept]
+    # of equal angles, the first in input order is kept
+    first = {}
+    for i, t in enumerate(theta.tolist()):
+        first.setdefault(t, i)
+    assert kept.tolist() == [first[t] for t in net.tolist()]
     # kept angles strictly increase, and kept neighbours, wraparound
     # included, are more than TOL_ANGLE apart
     assert np.all(np.diff(net) > TOL_ANGLE)
@@ -123,15 +125,15 @@ def test_circle_net_matches_the_walk_back_oracle():
     centers = rng.uniform(0.0, TWO_PI, 60)
     centers[:3] = (0.0, 2e-10, TWO_PI - 3e-10)
     theta = reduce_angle(np.repeat(centers, 30) + rng.integers(-3, 8, 1800) * 3e-10)
-    order, keep, end = circle_net(theta)
-    net, _, rows = oracles.dedup_on_circle(theta, theta, np.arange(len(theta))[:, None])
-    assert theta[order][keep][:end].tobytes() == net.tobytes()
-    assert order[keep][:end].tolist() == rows[:, 0].tolist()
+    kept = circle_net(theta)
+    assert kept.dtype == np.intp
+    assert kept.tolist() == oracles.circle_net(theta).tolist()
     # runs wider than TOL_ANGLE keep more than their first angle, and a
     # kept angle near 2*pi folds into the first
     runs = 1 + np.count_nonzero(np.diff(np.sort(theta)) > TOL_ANGLE)
-    assert np.count_nonzero(keep) > runs
-    assert end < np.count_nonzero(keep)
+    assert len(kept) > runs
+    # (an angle beyond TOL_ANGLE past the last kept one is covered by the fold)
+    assert np.any(theta > theta[kept[-1]] + TOL_ANGLE)
 
 
 def test_circle_net_at_a_sum_that_rounds_up():
@@ -141,9 +143,21 @@ def test_circle_net_at_a_sum_that_rounds_up():
     edge = base + TOL_ANGLE
     assert edge - base > TOL_ANGLE
     theta = np.array([base, base + 0.5 * TOL_ANGLE, edge, edge, edge + 0.5 * TOL_ANGLE])
-    order, keep, end = circle_net(theta)
-    assert theta[order][keep][:end].tolist() == [base, edge]
-    assert order[keep][:end].tolist() == [0, 2]
+    assert circle_net(theta).tolist() == [0, 2]
+
+
+def test_circle_net_collides_with_the_last_kept_angle():
+    # 0.6e-9 collides with 0; 1.2e-9 is within TOL_ANGLE of 0.6e-9 but
+    # not of 0, the last kept angle, so it stays
+    theta = np.array([1.0, 1.2e-9, 0.6e-9, 0.0])
+    assert circle_net(theta).tolist() == [3, 1, 0]
+
+
+def test_circle_net_wraparound_and_stable_ties():
+    # 2*pi - 4e-10 and 2*pi - 1e-10 fold into 1e-10; of the two equal
+    # angles 3.0, the first in input order is kept
+    theta = np.array([TWO_PI - 4e-10, 3.0, 1e-10, TWO_PI - 1e-10, 3.0])
+    assert circle_net(theta).tolist() == [2, 1]
 
 
 def test_distance_identity_case():

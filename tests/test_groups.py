@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hypsurf import groups
+from hypsurf import boundary, groups
 from hypsurf.disk import (
     DiskPoint,
     Geodesic,
@@ -44,9 +44,15 @@ from hypsurf.groups import (
     octagon_group,
     schottky_rank2,
 )
-from hypsurf.boundary import FreeAutomorphism, conjugacy_class_words
+from hypsurf.boundary import FreeAutomorphism, conjugacy_class_words, induced_boundary_sample
 from hypsurf.text import endpoint_json
-from hypsurf.words import GroupWord, enumerate_reduced_words, substitute, word_count
+from hypsurf.words import (
+    GroupWord,
+    enumerate_reduced_words,
+    substitute,
+    substitute_rows,
+    word_count,
+)
 
 import oracles
 
@@ -172,13 +178,47 @@ def test_limit_sample_axis_size_strictly_increases(octagon):
     assert sizes == sorted(sizes) and len(set(sizes)) == 4
 
 
-@pytest.mark.parametrize("make_group, n, rows", [
+def _axis_endpoints(rep, n):
+    s = limit_sample(rep, DiskPoint(0), n, SampleMode.AXIS_ENDPOINTS)
+    return s.angles, ()
+
+
+def _boundary_map(spec):
+    def sample(rep, n):
+        # the hyperbolic entries `induced_boundary_sample` takes the net of
+        phi = FreeAutomorphism.from_spec(spec, rank=rep.rank)
+        classes = conjugacy_class_words(rep.rank, n)
+        tin = attracting_angles(rep, classes)
+        tout = attracting_angles(rep, substitute_rows(phi.images, classes))
+        ok = ~(np.isnan(tin) | np.isnan(tout))
+        s = induced_boundary_sample(rep, phi, n)
+        return s.theta_in, ((s.theta_in, tin[ok]), (s.theta_out, tout[ok]),
+                            (s.letters, classes[ok]))
+    return sample
+
+
+@pytest.mark.parametrize("make_group, sample, ns, rows", [
     # the chain rule this replaced kept 1,868 rows here, leaving 6,424
     # endpoints farther than TOL_ANGLE from every kept one
-    pytest.param(lambda: schottky_rank2(4.0), 9, 2188, id="schottky4-n9"),
-    pytest.param(octagon_group, 4, 2736, id="octagon-n4"),
+    pytest.param(lambda: schottky_rank2(4.0), _axis_endpoints, (9,), 2188, id="schottky4-n9"),
+    pytest.param(octagon_group, _axis_endpoints, (4,), 2736, id="octagon-n4"),
+    # the four boundary-verdict inputs of the benchmark
+    pytest.param(cusped_torus_group, _boundary_map("A=AB,B=B"), (9,), None,
+                 id="torus-twist-n9"),
+    pytest.param(cusped_torus_group, _boundary_map("A=A,B=B"), (8,), None,
+                 id="torus-identity-n8"),
+    pytest.param(octagon_group, _boundary_map("A=A,B=ABa,C=ACa,D=ADa"), (5,), None,
+                 id="octagon-inner-a-n5"),
+    pytest.param(lambda: schottky_rank2(2.0), _boundary_map("A=AB,B=B"), (8,), None,
+                 id="schottky2-twist-n8"),
+    # saturated Schottky samples: long clusters of theta_in within TOL_ANGLE
+    *(pytest.param(lambda sep=sep: schottky_rank2(sep), _boundary_map(spec), range(1, 10), None,
+                   id=f"schottky{sep:g}-{spec}-n1to9")
+      for sep in (6.0, 10.0) for spec in ("A=AB,B=B", "A=A,B=B")),
 ])
-def test_limit_sample_is_the_net_of_its_endpoints(make_group, n, rows, monkeypatch):
+def test_limit_sample_is_the_net_of_its_endpoints(make_group, sample, ns, rows, monkeypatch):
+    # `limit_sample` and `induced_boundary_sample` keep the walk-back
+    # oracle's net of their angles, and index every aligned array by it
     seen = []
 
     def traced(theta):
@@ -186,12 +226,20 @@ def test_limit_sample_is_the_net_of_its_endpoints(make_group, n, rows, monkeypat
         return seen[-1][1]
 
     monkeypatch.setattr(groups, "circle_net", traced)
-    s = limit_sample(make_group(), DiskPoint(0), n, SampleMode.AXIS_ENDPOINTS)
-    [(theta, (order, keep, end))] = seen
-    net, _, kept = oracles.dedup_on_circle(theta, theta, np.arange(len(theta))[:, None])
-    assert len(s) == rows
-    assert s.angles.tobytes() == net.tobytes()
-    assert order[keep][:end].tolist() == kept[:, 0].tolist()
+    monkeypatch.setattr(boundary, "circle_net", traced)
+    rep = make_group()
+    for n in ns:
+        angles, aligned = sample(rep, n)
+        [(theta, net)] = seen
+        seen.clear()
+        assert net.tolist() == oracles.circle_net(theta).tolist(), n
+        assert angles.tobytes() == theta[net].tobytes()
+        for kept, entries in aligned:
+            kept_entries = entries[net]
+            assert kept.dtype == kept_entries.dtype and kept.shape == kept_entries.shape
+            assert kept.tobytes() == kept_entries.tobytes(), n
+    if rows is not None:
+        assert len(angles) == rows
 
 
 def test_limit_sample_orbit_mode_basepoint_stability(octagon):
