@@ -56,6 +56,7 @@ from hypsurf.pants import (
 from hypsurf.boundary import (
     CircleMapSample,
     FreeAutomorphism,
+    certify_automorphism,
     induced_boundary_sample,
     is_boundary_identity,
     order_check,

@@ -11,8 +11,8 @@ at infinity up to an inner correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -36,9 +36,8 @@ from hypsurf.text import sample_csv
 from hypsurf.words import (
     GroupWord,
     _letter_key,
-    compose_images,
-    invert_images,
     shortlex_levels,
+    stack_padded,
     substitute,
     substitute_rows,
 )
@@ -56,28 +55,23 @@ _BOUND_POINTS, _BOUND_BLOCK = 16, 4096
 
 @dataclass(frozen=True)
 class FreeAutomorphism:
-    """Automorphism of the rank-k free group, images and inverse images.
+    """Endomorphism of the rank-k free group, generator i -> images[i].
 
-    Construction verifies that the two maps compose to the identity in
-    both orders, letter for letter.
+    Construction checks only that the images use the k generators; that
+    the map is an automorphism of a given group is certified where the
+    group is known (`certify_automorphism`).
     """
 
     images: tuple[GroupWord, ...]
-    inverse_images: tuple[GroupWord, ...]
 
     def __post_init__(self):
         images = tuple(self.images)
-        inv = tuple(self.inverse_images)
-        if len(images) != len(inv) or not images:
-            raise InvalidInput("images and inverse_images must have equal positive rank")
+        if not images:
+            raise InvalidInput("an automorphism needs a positive rank")
+        for w in images:
+            if w.max_index() > len(images):
+                raise IndexOutOfRange(f"image {w} uses a generator outside rank {len(images)}")
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "inverse_images", inv)
-        for i in range(len(images)):
-            x = GroupWord.generator(i)
-            if substitute(images, inv[i]) != x or substitute(inv, images[i]) != x:
-                raise InvalidInput(
-                    "images and inverse_images do not compose to the identity"
-                )
 
     @property
     def rank(self) -> int:
@@ -85,24 +79,13 @@ class FreeAutomorphism:
 
     @classmethod
     def identity(cls, rank: int) -> "FreeAutomorphism":
-        gens = tuple(GroupWord.generator(i) for i in range(rank))
-        return cls(gens, gens)
+        return cls(tuple(GroupWord.generator(i) for i in range(rank)))
 
     @classmethod
     def inner(cls, rank: int, conjugator: GroupWord) -> "FreeAutomorphism":
         """w -> g w g^-1 for g the given conjugator."""
         ginv = conjugator.inverse()
-        return cls(
-            tuple(conjugator * GroupWord.generator(i) * ginv for i in range(rank)),
-            tuple(ginv * GroupWord.generator(i) * conjugator for i in range(rank)),
-        )
-
-    @classmethod
-    def from_images(cls, images: Sequence[GroupWord]) -> "FreeAutomorphism":
-        """Build from images alone; the inverse is found by Whitehead
-        reduction (raises NotAnAutomorphism if there is none)."""
-        images = tuple(images)
-        return cls(images, invert_images(images))
+        return cls(tuple(conjugator * GroupWord.generator(i) * ginv for i in range(rank)))
 
     @classmethod
     def from_spec(cls, spec: str, rank: Optional[int] = None) -> "FreeAutomorphism":
@@ -124,10 +107,7 @@ class FreeAutomorphism:
         n = rank if rank is not None else (max(assignments) + 1 if assignments else 0)
         if n < 1:
             raise InvalidInput("empty automorphism spec")
-        images = tuple(
-            assignments.get(i, GroupWord.generator(i)) for i in range(n)
-        )
-        return cls.from_images(images)
+        return cls(tuple(assignments.get(i, GroupWord.generator(i)) for i in range(n)))
 
     def spec_string(self) -> str:
         return ",".join(
@@ -138,10 +118,7 @@ class FreeAutomorphism:
         """self after other."""
         if self.rank != other.rank:
             raise InvalidInput("rank mismatch")
-        return FreeAutomorphism(
-            compose_images(self.images, other.images),
-            compose_images(other.inverse_images, self.inverse_images),
-        )
+        return FreeAutomorphism(tuple(substitute(self.images, w) for w in other.images))
 
 
 def random_nielsen_automorphism(
@@ -172,15 +149,10 @@ def random_nielsen_automorphism(
             sign = rng.choice((1, -1))
             on_left = rng.choice((False, True))
             t = GroupWord.generator(j, sign)
+            x = GroupWord.generator(i)
             imgs = [GroupWord.generator(k) for k in range(rank)]
-            invs = [GroupWord.generator(k) for k in range(rank)]
-            if on_left:
-                imgs[i] = t * GroupWord.generator(i)
-                invs[i] = t.inverse() * GroupWord.generator(i)
-            else:
-                imgs[i] = GroupWord.generator(i) * t
-                invs[i] = GroupWord.generator(i) * t.inverse()
-            phi = phi.compose(FreeAutomorphism(tuple(imgs), tuple(invs)))
+            imgs[i] = t * x if on_left else x * t
+            phi = phi.compose(FreeAutomorphism(tuple(imgs)))
         total = sum(len(w) for w in phi.images)
         if max_total_image_length is None or total <= max_total_image_length:
             return phi
@@ -195,12 +167,14 @@ class CircleMapSample:
     """Finite boundary-map sample: theta_in[i] maps to theta_out[i], and
     row i of ``letters`` (zero-padded int8, as in `EndpointSample`) is the
     class representative both came from.  theta_in is the net
-    `disk.circle_net` keeps, strictly increasing."""
+    `disk.circle_net` keeps, strictly increasing.  ``orientation`` is the
+    `order_check` verdict `induced_boundary_sample` reached on it."""
 
     theta_in: np.ndarray
     theta_out: np.ndarray
     letters: np.ndarray
     skipped: int = 0
+    orientation: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.theta_in)
@@ -246,7 +220,7 @@ def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
         return keep
 
     levels = shortlex_levels(rank, n, keep=prenecklace)
-    reps = [np.zeros((0, n), dtype=np.int8)]
+    reps = []
     for letters, period in zip(levels, periods):
         t = letters.shape[1]
         rows = letters[(t % period == 0) & (letters[:, 0] != -letters[:, -1])]
@@ -258,8 +232,46 @@ def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
         least = np.logical_and.reduce([
             word <= np.ascontiguousarray(inverse[:, r:r + t]).view(f"S{t}")[:, 0]
             for r in range(t)])
-        reps.append(np.pad(rows[least], ((0, 0), (0, n - t))))
-    return np.vstack(reps)
+        reps.append(rows[least])
+    return stack_padded(reps, n)
+
+
+#: [A, B]: an endomorphism of F(A, B) is an automorphism if and only if it
+#: maps the commutator to a conjugate of itself or of its inverse (Nielsen;
+#: Magnus, Karrass & Solitar, Combinatorial Group Theory, 1966, section 3.5)
+COMMUTATOR = GroupWord((1, 2, -1, -2))
+
+
+def certify_automorphism(rep: GroupRep, phi: FreeAutomorphism) -> None:
+    """Raise NotAnAutomorphism unless phi acts on the group of rep as an
+    automorphism, decided exactly by one conjugacy test and no search.
+
+    A group with relators tests them: each phi(r) must be conjugate to a
+    relator or its inverse, so phi acts on the group.  With the one
+    relator r of a closed surface group, every automorphism of the free
+    group that acts on the surface group passes (Magnus: elements with
+    the same normal closure are conjugate up to inversion), and a phi that
+    passes acts as +-1 on H_2 (Hopf's formula), so it is onto, and surface
+    groups are Hopfian: phi acts as an automorphism even where it is not
+    one of the free group.  A free group of rank 2 tests the commutator
+    the same way (`COMMUTATOR`).  A free group of any other rank has no
+    such test and raises InvalidInput.
+    """
+    if rep.relators:
+        tested, what = rep.relators, "a relator"
+    elif rep.rank == 2:
+        tested, what = (COMMUTATOR,), "the commutator"
+    else:
+        raise InvalidInput(
+            f"automorphisms are certified for groups with relators and for the free "
+            f"group of rank 2, not for the free group of rank {rep.rank}")
+    classes = {w.conjugacy_class_rep() for w in tested}
+    for w in tested:
+        image = substitute(phi.images, w)
+        if image.conjugacy_class_rep() not in classes:
+            raise NotAnAutomorphism(
+                f"{phi.spec_string()} is not an automorphism of the group: it maps {w} "
+                f"to {image}, which is not conjugate to {what} or its inverse")
 
 
 def induced_boundary_sample(
@@ -270,13 +282,8 @@ def induced_boundary_sample(
     """Pair attracting fixed points of w with those of phi(w) over one
     word per conjugacy class of length <= n.
 
-    phi must act on the group: w -> phi(w) is well defined there when phi
-    maps every relator into their normal closure.  The test made is that
-    each phi(r) is conjugate to some relator or its inverse, otherwise
-    NotAnAutomorphism is raised.  With one relator this is also necessary
-    (Magnus: elements of a free group with the same normal closure are
-    conjugate up to inversion); with more relators it is sufficient but
-    not necessary.  A free group (no relators) takes every phi.
+    phi must be an automorphism of the group (`certify_automorphism`),
+    or NotAnAutomorphism is raised.
 
     Classes whose element or image is not certifiably hyperbolic are
     skipped and counted; more than half skipped (all of them included)
@@ -285,19 +292,13 @@ def induced_boundary_sample(
     its angles and words: an entry the net drops is a tie with a kept one
     at TOL_ANGLE, so it carries no order information.  The kept entries
     must be cyclically order-consistent (`order_check`), or
-    OrderViolation is raised.
+    OrderViolation is raised; the sample carries the orientation found.
     """
     if n < 1:
         raise InvalidInput("induced_boundary_sample needs n >= 1")
     if phi.rank != rep.rank:
         raise InvalidInput(f"automorphism rank {phi.rank} != group rank {rep.rank}")
-    relator_classes = {r.conjugacy_class_rep() for r in rep.relators}
-    for r in rep.relators:
-        image = substitute(phi.images, r)
-        if image.conjugacy_class_rep() not in relator_classes:
-            raise NotAnAutomorphism(
-                f"{phi.spec_string()} does not act on the group: it maps the relator {r} "
-                f"to {image}, which is not conjugate to a relator or its inverse")
+    certify_automorphism(rep, phi)
     classes = conjugacy_class_words(rep.rank, n)
     tin = attracting_angles(rep, classes)
     tout = attracting_angles(rep, substitute_rows(phi.images, classes))
@@ -317,7 +318,7 @@ def induced_boundary_sample(
             "sampled map is not cyclically order-consistent",
             triple=verdict.violation,
         )
-    return sample
+    return replace(sample, orientation=verdict.orientation)
 
 
 @dataclass(frozen=True)
@@ -429,8 +430,8 @@ def is_boundary_identity(
         best_res = min(best_res, residuals[i])
     best = int(np.argmin(residuals))  # the first minimum: shortlex wins ties
     best_res = float(residuals[best])
-    letters = np.vstack([np.zeros((1, m), dtype=np.int8)] + [
-        np.pad(level.letters, ((0, 0), (0, m - level.letters.shape[1]))) for level in levels])
+    letters = stack_padded([np.zeros((1, 0), dtype=np.int8)]
+                           + [level.letters for level in levels], m)
     return BoundaryIdentityResult(
         identity=best_res <= tol,
         best_inner=GroupWord.from_row(letters[best]),

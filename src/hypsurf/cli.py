@@ -36,7 +36,6 @@ from hypsurf.boundary import (
     FreeAutomorphism,
     induced_boundary_sample,
     is_boundary_identity,
-    order_check,
 )
 from hypsurf.disk import DiskPoint
 from hypsurf.errors import HypsurfError, InvalidInput, NumericFailure
@@ -269,7 +268,7 @@ def run(argv) -> int:
             m = DEFAULT_SEARCH_DEPTH if args.m is None else args.m
             tol = DEFAULT_IDENTITY_TOL if args.tol is None else args.tol
             verdict = is_boundary_identity(rep, sample, m=m, tol=tol).to_json()
-            verdict["order"] = order_check(sample).orientation
+            verdict["order"] = sample.orientation
             if args.output_path is not None:
                 _emit_sample(sample, output_format, args.output_path)
             _emit(dump_json(verdict), None)

@@ -43,7 +43,7 @@ from hypsurf.errors import (
     NumericFailure,
 )
 from hypsurf.text import sample_csv
-from hypsurf.words import GroupWord, _letter_key, shortlex_levels
+from hypsurf.words import GroupWord, _letter_key, shortlex_levels, stack_padded
 
 #: relator products must land this close to +/- identity
 TOL_RELATOR = 1e-6
@@ -151,6 +151,7 @@ def _word_levels(rep: GroupRep, n: int) -> list[_Level]:
         pa, pb = np.repeat(prev.a, fan), np.repeat(prev.b, fan)
         key = _letter_key(letters[:, -1].astype(np.intp))
         ma, mb = la[key], lb[key]
+        # keep as written: from 16,384 rows numpy swaps pb * mb.conjugate() (FMA rounds it apart)
         a = pa * ma + pb * mb.conjugate()
         b = pa * mb + pb * ma.conjugate()
         if np.abs(a).max() > _RESCALE_AT:
@@ -216,13 +217,6 @@ def limit_sample(
     letter_parts: list[np.ndarray] = []
     width = max(lv.letters.shape[1] for lv in levels) if levels else 0
 
-    def pad(rows: np.ndarray) -> np.ndarray:
-        if rows.shape[1] == width:
-            return rows
-        out = np.zeros((rows.shape[0], width), dtype=np.int8)
-        out[:, : rows.shape[1]] = rows
-        return out
-
     if mode is SampleMode.ORBIT_PROJECTION:
         z0 = base.z
         if abs(z0) > 1.0 - delta:
@@ -232,12 +226,12 @@ def limit_sample(
             z = (lv.a * z0 + lv.b) / (np.conj(lv.b) * z0 + np.conj(lv.a))
             mask = np.abs(z) > 1.0 - delta
             theta_parts.append(reduce_angle(np.angle(z[mask])))
-            letter_parts.append(pad(lv.letters[mask]))
+            letter_parts.append(lv.letters[mask])
     else:
         for lv in levels:
             cyc = lv.letters[:, 0] != -lv.letters[:, -1]
             mask = cyc & is_certainly_hyperbolic(lv.a, lv.b)
-            rows = pad(lv.letters[mask])
+            rows = lv.letters[mask]
             for z in circle_fixed_points(lv.a[mask], lv.b[mask]):
                 theta_parts.append(reduce_angle(np.angle(z)))
                 letter_parts.append(rows)
@@ -246,7 +240,7 @@ def limit_sample(
             "no qualifying boundary points; increase n or loosen delta"
         )
     theta = np.concatenate(theta_parts)
-    letters = np.vstack(letter_parts)
+    letters = stack_padded(letter_parts, width)
     net = circle_net(theta)
     return EndpointSample(mode, theta[net], letters[net])
 
@@ -313,6 +307,7 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
         live = np.flatnonzero(core > c)
         key = _letter_key(letters[live, start[live] + c])
         ga, gb, x, y = la[key], lb[key], a[live], b[live]
+        # keep as written: from 16,384 rows numpy swaps y * gb.conj() (FMA rounds it apart)
         x, y = x * ga + y * gb.conj(), x * gb + y * ga.conj()
         m = np.maximum(np.abs(x), np.abs(y))
         big = m > 1.0

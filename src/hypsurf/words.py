@@ -13,13 +13,11 @@ matrix levels of `groups` and the conjugacy classes of `boundary` read it.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from hypsurf.errors import BudgetExceeded, IndexOutOfRange, InvalidInput, NotAnAutomorphism
+from hypsurf.errors import BudgetExceeded, IndexOutOfRange, InvalidInput
 
 #: `shortlex_levels`, which builds every word table, refuses a table of
 #: more than this many words
@@ -86,10 +84,10 @@ class GroupWord:
         return GroupWord(tuple(-a for a in reversed(self.letters)))
 
     def cyclic_reduction(self) -> "GroupWord":
-        letters = self.letters
-        while len(letters) >= 2 and letters[0] == -letters[-1]:
-            letters = letters[1:-1]
-        return GroupWord(letters)
+        letters, k = self.letters, 0
+        while len(letters) - 2 * k >= 2 and letters[k] == -letters[-1 - k]:
+            k += 1
+        return GroupWord(letters[k:len(letters) - k])
 
     def max_index(self) -> int:
         return max((abs(a) for a in self.letters), default=0)
@@ -100,12 +98,12 @@ class GroupWord:
         w = self.cyclic_reduction().letters
         if not w:
             return GroupWord(())
-        candidates = []
-        for base in (w, GroupWord(w).inverse().letters):
-            for r in range(len(base)):
-                candidates.append(base[r:] + base[:r])
-        best = min(candidates, key=lambda ls: tuple(_letter_key(a) for a in ls))
-        return GroupWord(best)
+        bases = (w, GroupWord(w).inverse().letters)
+        keys = [tuple(_letter_key(a) for a in base) for base in bases]
+        # one rotation at a time: memory linear in the length of w
+        i, r = min(((i, r) for i in range(2) for r in range(len(w))),
+                   key=lambda ir: keys[ir[0]][ir[1]:] + keys[ir[0]][:ir[1]])
+        return GroupWord(bases[i][r:] + bases[i][:r])
 
     # -- string form -------------------------------------------------------
 
@@ -198,6 +196,17 @@ def enumerate_reduced_words(rank: int, max_length: int) -> list[GroupWord]:
     return [GroupWord()] + [GroupWord(tuple(row)) for lv in levels for row in lv.tolist()]
 
 
+def stack_padded(blocks, width: int) -> np.ndarray:
+    """Letter matrices no wider than ``width`` stacked in order into one
+    int8 matrix, each row zero-padded to ``width``."""
+    out = np.zeros((sum(len(b) for b in blocks), width), dtype=np.int8)
+    at = 0
+    for b in blocks:
+        out[at:at + len(b), :b.shape[1]] = b
+        at += len(b)
+    return out
+
+
 def substitute(images: tuple[GroupWord, ...], w: GroupWord) -> GroupWord:
     """Apply the endomorphism generator_i -> images[i] to a word."""
     pieces: list[int] = []
@@ -252,128 +261,8 @@ def substitute_rows(images: tuple[GroupWord, ...], letters: np.ndarray) -> np.nd
     return out
 
 
-def compose_images(outer: tuple[GroupWord, ...],
-                   inner: tuple[GroupWord, ...]) -> tuple[GroupWord, ...]:
-    """Images of the composite map outer after inner."""
-    return tuple(substitute(outer, w) for w in inner)
-
-
-def _identity_images(rank: int) -> tuple[GroupWord, ...]:
-    return tuple(GroupWord.generator(i) for i in range(rank))
-
-
-def _plateau_descend(start, total, moves):
-    """BFS through tuples of equal total length until one Whitehead move
-    strictly decreases it; returns (tuple, move path, new total) or None."""
-    frontier = [(start, ())]
-    visited = {tuple(w.letters for w in start)}
-    while frontier:
-        nxt = []
-        for tup, path in frontier:
-            for mv in moves:
-                cand = tuple(substitute(tup, w) for w in mv)
-                cand_total = sum(len(w) for w in cand)
-                if cand_total < total:
-                    return cand, path + (mv,), cand_total
-                if cand_total == total:
-                    key = tuple(w.letters for w in cand)
-                    if key not in visited:
-                        visited.add(key)
-                        nxt.append((cand, path + (mv,)))
-            if len(visited) > _PLATEAU_CAP:
-                raise NotAnAutomorphism(
-                    "plateau search exceeded its cap; cannot certify invertibility"
-                )
-        frontier = nxt
-    return None
-
-
-@functools.cache
-def _whitehead_moves(rank: int) -> tuple[tuple[GroupWord, ...], ...]:
-    """Type-I moves (permute/invert generators) and type-II moves with a
-    fixed multiplier, as image tuples; built once per rank."""
-    gens = _identity_images(rank)
-    moves = []
-    # type I: swap a pair, or invert one generator
-    for i in range(rank):
-        imgs = list(gens)
-        imgs[i] = gens[i].inverse()
-        moves.append(tuple(imgs))
-        for j in range(i + 1, rank):
-            imgs = list(gens)
-            imgs[i], imgs[j] = gens[j], gens[i]
-            moves.append(tuple(imgs))
-    # type II: multiplier t, each other generator x -> x, xt, t^-1 x, or t^-1 x t
-    for tj in range(rank):
-        for sign in (1, -1):
-            t = GroupWord.generator(tj, sign)
-            others = [i for i in range(rank) if i != tj]
-            for combo in itertools.product(range(4), repeat=len(others)):
-                if not any(combo):
-                    continue
-                imgs = list(gens)
-                for i, action in zip(others, combo):
-                    x = gens[i]
-                    if action == 1:
-                        imgs[i] = x * t
-                    elif action == 2:
-                        imgs[i] = t.inverse() * x
-                    elif action == 3:
-                        imgs[i] = t.inverse() * x * t
-                moves.append(tuple(imgs))
-    return tuple(moves)
-
-
-#: plateau search gives up past this many equal-length tuples
-_PLATEAU_CAP = 20000
-
-
 def invert_images(images: tuple[GroupWord, ...]) -> tuple[GroupWord, ...]:
-    """Invert the endomorphism generator_i -> images[i], or prove it is not
-    an automorphism.
-
-    Whitehead reduction on the image tuple: moves are applied by
-    precomposition until the tuple is a signed permutation of the
-    generators; the accumulated moves then compose to the inverse.  Basis
-    tuples admit length non-increasing paths to the standard basis, so the
-    search descends greedily and breadth-first-searches plateaus of equal
-    total length in between; a plateau with no exit is a proof of
-    non-invertibility (up to the search cap).
-    """
-    rank = len(images)
-    for w in images:
-        if w.max_index() > rank:
-            raise IndexOutOfRange("image uses a generator outside the rank")
-    moves = _whitehead_moves(rank)
-    current = tuple(images)
-    applied: list[tuple[GroupWord, ...]] = []
-    total = sum(len(w) for w in current)
-    while total > rank:
-        descent = _plateau_descend(current, total, moves)
-        if descent is None:
-            raise NotAnAutomorphism(f"images do not define an automorphism: {images}")
-        current, path, total = descent
-        applied.extend(path)
-    # current must now be a signed permutation of the basis
-    perm_images = list(_identity_images(rank))
-    seen = set()
-    for i, w in enumerate(current):
-        if len(w) != 1:
-            raise NotAnAutomorphism(f"images do not define an automorphism: {images}")
-        a = w.letters[0]
-        if abs(a) in seen:
-            raise NotAnAutomorphism(f"images do not define an automorphism: {images}")
-        seen.add(abs(a))
-        perm_images[abs(a) - 1] = GroupWord.generator(i, 1 if a > 0 else -1)
-    applied.append(tuple(perm_images))
-    # inverse = composition of the applied moves, innermost first
-    inv = _identity_images(rank)
-    for mv in applied:
-        inv = compose_images(inv, mv)
-    # sanity: both composites must be the identity on the nose
-    for i in range(rank):
-        if substitute(images, inv[i]) != GroupWord.generator(i):
-            raise NotAnAutomorphism(f"inversion check failed for {images}")
-        if substitute(inv, images[i]) != GroupWord.generator(i):
-            raise NotAnAutomorphism(f"inversion check failed for {images}")
-    return inv
+    """Not provided: `boundary.induced_boundary_sample` certifies an
+    automorphism by a conjugacy test and never needs its inverse.  The name
+    stays only because perfbench's tracer rebinds it; calling it raises."""
+    raise NotImplementedError("hypsurf does not invert automorphisms")

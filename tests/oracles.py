@@ -7,6 +7,7 @@ reference exactly, arrays bit for bit, dtype and shape included.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -17,6 +18,7 @@ from hypsurf.words import (
     GroupWord,
     _letter_key,
     free_reduce,
+    substitute,
     word_count,
 )
 from hypsurf.boundary import BoundaryIdentityResult
@@ -26,6 +28,7 @@ from hypsurf.errors import (
     InvalidInput,
     LengthCountMismatch,
     NegativeLength,
+    NotAnAutomorphism,
     NotHyperbolizable,
     NumericFailure,
 )
@@ -100,6 +103,144 @@ def substitute_rows(images: tuple[GroupWord, ...], letters: np.ndarray) -> np.nd
     out = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.int8)
     out[np.arange(out.shape[1]) < lengths[:, None]] = list(itertools.chain.from_iterable(rows))
     return out
+
+
+def conjugacy_class_rep(w: GroupWord) -> GroupWord:
+    """`GroupWord.conjugacy_class_rep` by its definition: every rotation of
+    the cyclic reduction, peeled one letter pair at a time, and of its
+    inverse, built up front."""
+    letters = w.letters
+    while len(letters) >= 2 and letters[0] == -letters[-1]:
+        letters = letters[1:-1]
+    if not letters:
+        return GroupWord(())
+    candidates = [base[r:] + base[:r]
+                  for base in (letters, GroupWord(letters).inverse().letters)
+                  for r in range(len(base))]
+    return GroupWord(min(candidates, key=lambda ls: tuple(_letter_key(a) for a in ls)))
+
+
+def compose_images(outer: tuple[GroupWord, ...],
+                   inner: tuple[GroupWord, ...]) -> tuple[GroupWord, ...]:
+    """Images of the composite map outer after inner."""
+    return tuple(substitute(outer, w) for w in inner)
+
+
+def _identity_images(rank: int) -> tuple[GroupWord, ...]:
+    return tuple(GroupWord.generator(i) for i in range(rank))
+
+
+class PlateauCapReached(Exception):
+    """`invert_images` gave up: neither an inverse nor a proof."""
+
+
+#: plateau search gives up past this many equal-length tuples
+_PLATEAU_CAP = 20000
+
+
+def _plateau_descend(start, total, moves):
+    """BFS through tuples of equal total length until one Whitehead move
+    strictly decreases it; returns (tuple, move path, new total) or None."""
+    frontier = [(start, ())]
+    visited = {tuple(w.letters for w in start)}
+    while frontier:
+        nxt = []
+        for tup, path in frontier:
+            for mv in moves:
+                cand = tuple(substitute(tup, w) for w in mv)
+                cand_total = sum(len(w) for w in cand)
+                if cand_total < total:
+                    return cand, path + (mv,), cand_total
+                if cand_total == total:
+                    key = tuple(w.letters for w in cand)
+                    if key not in visited:
+                        visited.add(key)
+                        nxt.append((cand, path + (mv,)))
+            if len(visited) > _PLATEAU_CAP:
+                raise PlateauCapReached(f"plateau of more than {_PLATEAU_CAP} tuples")
+        frontier = nxt
+    return None
+
+
+@functools.cache
+def _whitehead_moves(rank: int) -> tuple[tuple[GroupWord, ...], ...]:
+    """Type-I moves (permute/invert generators) and type-II moves with a
+    fixed multiplier, as image tuples; built once per rank."""
+    gens = _identity_images(rank)
+    moves = []
+    # type I: swap a pair, or invert one generator
+    for i in range(rank):
+        imgs = list(gens)
+        imgs[i] = gens[i].inverse()
+        moves.append(tuple(imgs))
+        for j in range(i + 1, rank):
+            imgs = list(gens)
+            imgs[i], imgs[j] = gens[j], gens[i]
+            moves.append(tuple(imgs))
+    # type II: multiplier t, each other generator x -> x, xt, t^-1 x, or t^-1 x t
+    for tj in range(rank):
+        for sign in (1, -1):
+            t = GroupWord.generator(tj, sign)
+            others = [i for i in range(rank) if i != tj]
+            for combo in itertools.product(range(4), repeat=len(others)):
+                if not any(combo):
+                    continue
+                imgs = list(gens)
+                for i, action in zip(others, combo):
+                    x = gens[i]
+                    if action == 1:
+                        imgs[i] = x * t
+                    elif action == 2:
+                        imgs[i] = t.inverse() * x
+                    elif action == 3:
+                        imgs[i] = t.inverse() * x * t
+                moves.append(tuple(imgs))
+    return tuple(moves)
+
+
+def invert_images(images: tuple[GroupWord, ...]) -> tuple[GroupWord, ...]:
+    """The inverse of the endomorphism generator_i -> images[i] of a free
+    group, or NotAnAutomorphism with a proof that there is none; the
+    reference that `boundary.certify_automorphism` replaced.
+
+    Whitehead reduction on the image tuple: moves are applied by
+    precomposition until the tuple is a signed permutation of the
+    generators; the accumulated moves then compose to the inverse.  Basis
+    tuples admit length non-increasing paths to the standard basis, so the
+    search descends greedily and breadth-first-searches plateaus of equal
+    total length in between; a plateau with no exit is a proof of
+    non-invertibility.  A plateau past `_PLATEAU_CAP` raises
+    PlateauCapReached, which proves nothing.
+    """
+    rank = len(images)
+    moves = _whitehead_moves(rank)
+    current = tuple(images)
+    applied: list[tuple[GroupWord, ...]] = []
+    total = sum(len(w) for w in current)
+    while total > rank:
+        descent = _plateau_descend(current, total, moves)
+        if descent is None:
+            raise NotAnAutomorphism(f"images do not define an automorphism: {images}")
+        current, path, total = descent
+        applied.extend(path)
+    # current must now be a signed permutation of the basis
+    perm_images = list(_identity_images(rank))
+    seen = set()
+    for i, w in enumerate(current):
+        if len(w) != 1 or abs(w.letters[0]) in seen:
+            raise NotAnAutomorphism(f"images do not define an automorphism: {images}")
+        a = w.letters[0]
+        seen.add(abs(a))
+        perm_images[abs(a) - 1] = GroupWord.generator(i, 1 if a > 0 else -1)
+    applied.append(tuple(perm_images))
+    # inverse = composition of the applied moves, innermost first
+    inv = _identity_images(rank)
+    for mv in applied:
+        inv = compose_images(inv, mv)
+    # both composites must be the identity on the nose
+    gens = _identity_images(rank)
+    assert compose_images(images, inv) == gens and compose_images(inv, images) == gens
+    return inv
 
 
 def plan_decomposition(

@@ -10,6 +10,7 @@ from hypsurf import boundary, cli
 from hypsurf.boundary import (
     CircleMapSample,
     FreeAutomorphism,
+    certify_automorphism,
     conjugacy_class_words,
     induced_boundary_sample,
     is_boundary_identity,
@@ -25,6 +26,7 @@ from hypsurf.disk import (
 )
 from hypsurf.errors import (
     BudgetExceeded,
+    IndexOutOfRange,
     InvalidInput,
     NotAnAutomorphism,
     NumericFailure,
@@ -55,23 +57,25 @@ def rotation(theta):
 # -- FreeAutomorphism ---------------------------------------------------------
 
 
-def test_automorphism_validates_inverse():
+def test_automorphism_validates_images():
+    with pytest.raises(IndexOutOfRange):
+        FreeAutomorphism((W("AC"), W("B")))
     with pytest.raises(InvalidInput):
-        FreeAutomorphism((W("AB"), W("B")), (W("AB"), W("B")))
-    FreeAutomorphism((W("AB"), W("B")), (W("Ab"), W("B")))
+        FreeAutomorphism(())
+    # an endomorphism that is no automorphism is still built: the group decides
+    assert FreeAutomorphism((W("AA"), W("B"))).spec_string() == "A=AA,B=B"
 
 
 def test_automorphism_from_images_and_spec():
-    phi = FreeAutomorphism.from_images((W("AB"), W("B")))
-    assert phi.inverse_images == (W("Ab"), W("B"))
+    phi = FreeAutomorphism((W("AB"), W("B")))
     psi = FreeAutomorphism.from_spec("A=AB,B=B")
     assert psi == phi
     assert psi.spec_string() == "A=AB,B=B"
     # omitted generators stay fixed when the rank says they exist
     rho = FreeAutomorphism.from_spec("A=AB", rank=2)
     assert rho == phi
-    with pytest.raises(NotAnAutomorphism):
-        FreeAutomorphism.from_spec("A=AA,B=B")
+    with pytest.raises(IndexOutOfRange):
+        FreeAutomorphism.from_spec("A=AC,B=B")
     with pytest.raises(InvalidInput):
         FreeAutomorphism.from_spec("A=AB,A=B")
     with pytest.raises(InvalidInput):
@@ -83,10 +87,82 @@ def test_automorphism_compose_invert():
     psi = FreeAutomorphism.from_spec("A=A,B=BA")
     comp = phi.compose(psi)
     assert substitute(comp.images, W("A")) == substitute(phi.images, substitute(psi.images, W("A")))
-    inverse = FreeAutomorphism(comp.inverse_images, comp.images)
+    # (phi psi)^-1 = psi^-1 phi^-1, written out, is the Whitehead oracle's inverse
+    inverse = FreeAutomorphism.from_spec("A=A,B=Ba").compose(FreeAutomorphism.from_spec("A=Ab,B=B"))
+    assert inverse.images == oracles.invert_images(comp.images)
     assert comp.compose(inverse).images == FreeAutomorphism.identity(2).images
+    assert inverse.compose(comp).images == FreeAutomorphism.identity(2).images
     inner = FreeAutomorphism.inner(2, W("AB"))
     assert substitute(inner.images, W("B")) == W("AB") * W("B") * W("ba")
+
+
+# -- certifying automorphisms --------------------------------------------------
+
+
+def _random_endomorphism(rng):
+    letters = (1, -1, 2, -2)
+    return FreeAutomorphism(tuple(
+        GroupWord.reduced([rng.choice(letters) for _ in range(rng.randrange(6))])
+        for _ in range(2)))
+
+
+def _certified(rep, phi):
+    try:
+        certify_automorphism(rep, phi)
+    except NotAnAutomorphism:
+        return False
+    return True
+
+
+def test_commutator_test_agrees_with_whitehead_inversion(cusped_torus):
+    # seeded random endomorphisms of F(A, B), images of length <= 5: the
+    # commutator test accepts exactly those the Whitehead oracle inverts
+    rng = random.Random(18)
+    accepted = 0
+    for _ in range(3000):
+        phi = _random_endomorphism(rng)
+        try:
+            oracles.invert_images(phi.images)
+            invertible = True
+        except NotAnAutomorphism:
+            invertible = False
+        assert _certified(cusped_torus, phi) == invertible, phi.spec_string()
+        accepted += invertible
+    assert 400 < accepted < 600  # 524 of the 3,000
+
+
+def test_random_nielsen_automorphisms_are_certified(cusped_torus, monkeypatch):
+    rng = random.Random(7)
+    for n_moves in range(12):
+        for _ in range(10):
+            certify_automorphism(cusped_torus, random_nielsen_automorphism(2, n_moves, rng))
+    # 40 moves: certified by one substitution of the commutator, no search
+    phi = random_nielsen_automorphism(2, 40, rng)
+    assert sum(len(w) for w in phi.images) >= 80
+    calls = []
+    monkeypatch.setattr(boundary, "substitute",
+                        lambda images, w: calls.append(w) or substitute(images, w))
+    certify_automorphism(cusped_torus, phi)
+    assert calls == [boundary.COMMUTATOR]
+
+
+def test_octagon_is_certified_by_its_relator_alone(octagon, monkeypatch):
+    # A -> AbCd fixes the relator AbCdaBcD; after it, an inner automorphism
+    phi = FreeAutomorphism.inner(4, W("ABCDabcdAC")).compose(
+        FreeAutomorphism.from_spec("A=AbCd", rank=4))
+    calls = []
+    monkeypatch.setattr(boundary, "substitute",
+                        lambda images, w: calls.append(w) or substitute(images, w))
+    certify_automorphism(octagon, phi)
+    assert calls == list(octagon.relators)
+
+
+def test_free_groups_of_rank_other_than_two_are_not_certified():
+    for rank in (1, 3):
+        rep = GroupRep(tuple(MobiusIsometry(1.25, 0.75) for _ in range(rank)))
+        with pytest.raises(InvalidInput) as info:
+            induced_boundary_sample(rep, FreeAutomorphism.identity(rank), 2)
+        assert not isinstance(info.value, NotAnAutomorphism)
 
 
 # -- sampling ------------------------------------------------------------------
@@ -130,10 +206,12 @@ def test_sample_empty_when_nothing_hyperbolic():
 
 
 def test_sample_fails_loudly_when_only_parabolic():
-    # one parabolic generator: every power is parabolic
-    rep = GroupRep((MobiusIsometry(1 + 1j, 1),))
+    # two parabolics fixing i, translation lengths 2 and 2 sqrt 2 apart:
+    # every word is parabolic or, like the commutator, the identity
+    s = math.sqrt(2.0)
+    rep = GroupRep((MobiusIsometry(1 + 1j, 1), MobiusIsometry(1 + 1j * s, s)))
     with pytest.raises(NumericFailure, match="classes skipped"):
-        induced_boundary_sample(rep, FreeAutomorphism.identity(1), 4)
+        induced_boundary_sample(rep, FreeAutomorphism.identity(2), 4)
 
 
 def test_sample_loud_failure_on_majority_skips():
@@ -265,7 +343,7 @@ def test_order_check_needs_three_points(cusped_torus):
 
 
 def test_orientation_multiplicative(schottky):
-    swap = FreeAutomorphism((W("B"), W("A")), (W("B"), W("A")))
+    swap = FreeAutomorphism((W("B"), W("A")))
     ident = FreeAutomorphism.identity(2)
     orientations = {}
     for name, phi in (("swap", swap), ("id", ident), ("swap2", swap.compose(swap))):
@@ -527,8 +605,7 @@ def test_sample_functoriality(cusped_torus):
 def test_sample_inverse_reverses_pairs(cusped_torus):
     phi = FreeAutomorphism.from_spec("A=AB,B=B")
     s = induced_boundary_sample(cusped_torus, phi, 4)
-    s_inv = induced_boundary_sample(
-        cusped_torus, FreeAutomorphism(phi.inverse_images, phi.images), 6)
+    s_inv = induced_boundary_sample(cusped_torus, FreeAutomorphism.from_spec("A=Ab,B=B"), 6)
     forward = {}
     for tin, tout in zip(s.theta_in.tolist(), s.theta_out.tolist()):
         forward[round(tin, 9)] = tout

@@ -296,6 +296,21 @@ def test_automorphisms_that_do_not_act_on_the_octagon_group_are_invalid_input(au
     assert json.loads(err)["error"] == "NotAnAutomorphism"
 
 
+@pytest.mark.parametrize("group", ["schottky", "cusped-torus"])
+@pytest.mark.parametrize("aut, error", [
+    ("A=AA,B=B", "NotAnAutomorphism"),
+    ("A=AB,B=BA", "NotAnAutomorphism"),
+    ("A=AC,B=B", "IndexOutOfRange"),  # C lies outside the rank
+])
+def test_endomorphisms_of_the_free_group_that_are_not_automorphisms_are_invalid_input(
+        group, aut, error, capsys):
+    # the commutator ABab must map to a conjugate of itself or its inverse
+    code, out, err = run_cli(capsys, "boundary-map", "--group", group, "--aut", aut,
+                             "--n", "3")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == error
+
+
 @pytest.mark.parametrize("argv", [
     ("plan", "--sig", "inf,0,0,0"),  # once a bare OverflowError
     ("plan", "--sig", "nan,0,0,0"),  # once a bare ValueError

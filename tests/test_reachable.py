@@ -33,6 +33,7 @@ ACCEPTANCE_ONLY = "only tests/test_acceptance.py runs it"
 UNREACHED = {
     "groups.attracting_angle": TRACER_NAMED,
     "words.enumerate_reduced_words": TRACER_NAMED,
+    "words.invert_images": TRACER_NAMED,
     "boundary.random_nielsen_automorphism": ACCEPTANCE_ONLY,
     "boundary.FreeAutomorphism.compose": ACCEPTANCE_ONLY,
     "disk.apply": ACCEPTANCE_ONLY,

@@ -10,11 +10,8 @@ from hypsurf import words as words_module
 from hypsurf.errors import BudgetExceeded, IndexOutOfRange, InvalidInput, NotAnAutomorphism
 from hypsurf.words import (
     GroupWord,
-    _whitehead_moves,
-    compose_images,
     enumerate_reduced_words,
     free_reduce,
-    invert_images,
     shortlex_levels,
     substitute,
     substitute_rows,
@@ -81,6 +78,23 @@ def test_conjugacy_class_rep_merges_rotations_and_inverse():
     assert len(reps) == 1
     # inverse collapses into the same class representative
     assert W("AB").conjugacy_class_rep() == W("AB").inverse().conjugacy_class_rep()
+
+
+@given(words(max_len=8), words(max_len=5))
+def test_conjugacy_class_rep_matches_its_definition(v, u):
+    w = u * v * u.inverse()
+    assert w.conjugacy_class_rep() == oracles.conjugacy_class_rep(w)
+    assert w.conjugacy_class_rep() == v.conjugacy_class_rep()
+
+
+def test_conjugacy_class_rep_of_a_long_word():
+    # a conjugator of 4,000 letters peels in one pass, and the 1,006
+    # rotations of the core and its inverse are compared one at a time
+    u, v = W("AB" * 2000), W("A" + "Ba" * 250 + "BA")
+    w = u * v * u.inverse()
+    assert len(w) == 8000 + len(v)
+    assert w.cyclic_reduction() == v
+    assert w.conjugacy_class_rep() == oracles.conjugacy_class_rep(v)
 
 
 def test_enumeration_counts():
@@ -197,7 +211,7 @@ def _long_images():
         i, j = rng.sample(range(3), 2)
         mv = list(gens)
         mv[i] = gens[i] * GroupWord.generator(j, rng.choice((1, -1)))
-        images = compose_images(images, tuple(mv))
+        images = oracles.compose_images(images, tuple(mv))
     return images
 
 
@@ -231,7 +245,7 @@ def test_substitute_rows_matches_row_by_row_oracle(images):
 ], ids=["twist", "inner", "long"])
 def test_substitute_rows_inverse_images_restore_the_rows(images):
     rows = oracles.conjugacy_class_words(len(images), 4)
-    back = substitute_rows(invert_images(images), substitute_rows(images, rows))
+    back = substitute_rows(oracles.invert_images(images), substitute_rows(images, rows))
     assert _same_array(back, rows)
 
 
@@ -240,13 +254,6 @@ def test_substitute_rows_rejects_letters_outside_rank():
     for bad in ([[1, 3]], [[-3, 0]], [[2, -2, 1, 5]]):
         with pytest.raises(IndexOutOfRange):
             substitute_rows(images, np.array(bad, dtype=np.int8))
-
-
-def test_whitehead_moves_are_built_once_per_rank():
-    moves = _whitehead_moves(4)
-    assert isinstance(moves, tuple) and len(moves) == 514
-    assert _whitehead_moves(4) is moves
-    assert len(_whitehead_moves(2)) == 2 + 1 + 2 * 2 * 3
 
 
 @given(words(), words())
@@ -260,27 +267,38 @@ def test_substitute_index_range():
         substitute((W("A"),), W("B"))
 
 
+# -- the Whitehead inversion, a test oracle (tests/oracles.py) that the
+# commutator test of `boundary.certify_automorphism` is checked against
+
+
+def test_whitehead_moves_are_built_once_per_rank():
+    moves = oracles._whitehead_moves(4)
+    assert isinstance(moves, tuple) and len(moves) == 514
+    assert oracles._whitehead_moves(4) is moves
+    assert len(oracles._whitehead_moves(2)) == 2 + 1 + 2 * 2 * 3
+
+
 def test_invert_images_known_cases():
-    inv = invert_images((W("AB"), W("B")))
+    inv = oracles.invert_images((W("AB"), W("B")))
     assert inv == (W("Ab"), W("B"))
-    inv = invert_images((W("A"), W("ABa")))
+    inv = oracles.invert_images((W("A"), W("ABa")))
     assert inv == (W("A"), W("aBA"))
-    inv = invert_images((W("b"), W("A")))
-    assert compose_images((W("b"), W("A")), inv) == (W("A"), W("B"))
+    inv = oracles.invert_images((W("b"), W("A")))
+    assert oracles.compose_images((W("b"), W("A")), inv) == (W("A"), W("B"))
 
 
 def test_invert_images_identity():
     gens = (W("A"), W("B"), W("C"))
-    assert invert_images(gens) == gens
+    assert oracles.invert_images(gens) == gens
 
 
 def test_invert_images_rejects_non_automorphisms():
     with pytest.raises(NotAnAutomorphism):
-        invert_images((W("AA"), W("B")))
+        oracles.invert_images((W("AA"), W("B")))
     with pytest.raises(NotAnAutomorphism):
-        invert_images((W("AB"), W("BA")))
+        oracles.invert_images((W("AB"), W("BA")))
     with pytest.raises(NotAnAutomorphism):
-        invert_images((W("A"), W("A")))
+        oracles.invert_images((W("A"), W("A")))
 
 
 def test_invert_images_random_compositions():
@@ -295,7 +313,7 @@ def test_invert_images_random_compositions():
                 j = rng.randrange(3)
             mv = list(gens)
             mv[i] = gens[i] * GroupWord.generator(j, rng.choice((1, -1)))
-            images = compose_images(images, tuple(mv))
-        inv = invert_images(images)
-        assert compose_images(images, inv) == tuple(gens)
-        assert compose_images(inv, images) == tuple(gens)
+            images = oracles.compose_images(images, tuple(mv))
+        inv = oracles.invert_images(images)
+        assert oracles.compose_images(images, inv) == tuple(gens)
+        assert oracles.compose_images(inv, images) == tuple(gens)
