@@ -60,7 +60,7 @@ from hypsurf.signature import (
     is_standard,
     thirteen_list,
 )
-from hypsurf.text import circle_map_json, dump_json, endpoint_json
+from hypsurf.text import circle_map_json, dump_json, endpoint_json, plan_json
 
 DEFAULT_SEPARATION = 4.0
 _SEPARATION_HELP = f"schottky only: translation length (default {DEFAULT_SEPARATION})"
@@ -238,9 +238,7 @@ def run(argv) -> int:
             raise InvalidInput("--sig needs four integers g,c,b,a")
         s = Signature(*(int(x) for x in sig))
         plan = plan_decomposition(s, _parse_floats(args.lengths))
-        payload = plan.to_json()
-        payload["summary"] = realize(plan).to_json()
-        _emit(dump_json(payload), args.output_path)
+        _emit(plan_json(plan, realize(plan)), args.output_path)
     elif cmd == "limit-set":
         if args.mode == "orbit":
             mode = SampleMode.ORBIT_PROJECTION

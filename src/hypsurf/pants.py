@@ -11,10 +11,12 @@ the annular ends.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar
+from typing import ClassVar, NoReturn
 
 from hypsurf.errors import (
     BudgetExceeded,
@@ -85,12 +87,48 @@ class PantsGeometry:
 def _seam(xi: float, xj: float, xk: float) -> float:
     """Perpendicular distance between cuffs i and j; the third cuff sits
     opposite.  cosh d = (cosh(xi/2) cosh(xj/2) + cosh(xk/2)) / (sinh(xi/2) sinh(xj/2));
-    a cusp on either adjacent cuff pushes the seam to infinity."""
+    a cusp on either adjacent cuff pushes the seam to infinity.  Where a
+    term of that quotient leaves the normal doubles (cuffs beyond about
+    1400, or so short that the sinh product underflows), the seam comes
+    from `_seam_in_logs` instead."""
     if xi == 0.0 or xj == 0.0:
         return math.inf
-    num = math.cosh(0.5 * xi) * math.cosh(0.5 * xj) + math.cosh(0.5 * xk)
-    den = math.sinh(0.5 * xi) * math.sinh(0.5 * xj)
-    return math.acosh(num / den)
+    if 0.5 * min(xi, xj) >= sys.float_info.min:
+        try:
+            num = math.cosh(0.5 * xi) * math.cosh(0.5 * xj) + math.cosh(0.5 * xk)
+            den = math.sinh(0.5 * xi) * math.sinh(0.5 * xj)
+        except OverflowError:
+            pass
+        else:
+            if den >= sys.float_info.min and (ratio := num / den) < math.inf:
+                return math.acosh(ratio)
+    return _seam_in_logs(xi, xj, xk)
+
+
+def _seam_in_logs(xi: float, xj: float, xk: float) -> float:
+    """`_seam` for positive xi, xj at any finite size.  With the
+    exponentials of the half lengths divided out,
+    cosh d = ((1 + e^-xi)(1 + e^-xj) + 2 e^((xk - xi - xj)/2) (1 + e^-xk))
+             / ((1 - e^-xi)(1 - e^-xj)),
+    whose logarithm L has no term that overflows; then
+    d = 2 asinh(sqrt(expm1(L) / 2)), or L + log 2 once e^L overflows."""
+    near = math.log1p(math.exp(-xi)) + math.log1p(math.exp(-xj))
+    far = math.log(2.0) + 0.5 * (xk - xi - xj) + math.log1p(math.exp(-xk))
+    top = max(near, far) + math.log1p(math.exp(-abs(near - far)))
+    log_cosh = top - _log1mexp(xi) - _log1mexp(xj)
+    try:
+        return 2.0 * math.asinh(math.sqrt(0.5 * math.expm1(log_cosh)))
+    except OverflowError:
+        # acosh(e^L) = L + log 2 - O(e^-2L)
+        return log_cosh + math.log(2.0)
+
+
+def _log1mexp(x: float) -> float:
+    """log(1 - e^-x) for x > 0, to full relative precision at both ends
+    (Maechler, "Accurately computing log(1 - exp(-|a|))", 2012)."""
+    if x <= math.log(2.0):
+        return math.log(-math.expm1(-x))
+    return math.log1p(-math.exp(-x))
 
 
 def build_pants(x: CuffLengths) -> PantsGeometry:
@@ -170,33 +208,12 @@ class PantsDecompositionPlan:
         _check_plan(self)
 
     @cached_property
-    def _slot_lengths(self) -> dict[str, float]:
-        """Slot -> cuff length; of nodes that share an id, the first wins."""
-        first = {p.node_id: p.cuff_lengths for p in reversed(self.pants)}
-        return {f"{node}.c{k}": x for node, cuffs in first.items() for k, x in enumerate(cuffs)}
-
-    def slot_length(self, slot: str) -> float:
-        try:
-            return self._slot_lengths[slot]
-        except KeyError:
-            raise InvalidInput(f"slot {slot!r} names no pants cuff") from None
-
-    def all_slots(self) -> list[str]:
-        return [f"{p.node_id}.c{i}" for p in self.pants for i in range(3)]
-
-    def to_json(self) -> dict:
-        return {
-            "pants": [
-                {"id": p.node_id, "cuff_lengths": list(p.cuff_lengths)} for p in self.pants
-            ],
-            "gluings": [
-                {"from": g.slot_from, "to": g.slot_to, "length": g.length, "twist": g.twist}
-                for g in self.gluings
-            ],
-            "crosscaps": [{"slot": c.slot, "length": c.length} for c in self.crosscap_gluings],
-            "boundary": [{"slot": s.slot, "length": s.length} for s in self.boundary_slots],
-            "cusps": list(self.cusp_slots),
-        }
+    def slot_table(self) -> tuple[tuple[str, ...], tuple[float, ...]]:
+        """Every cuff slot in (node, cuff) order and its cuff length: the
+        one length table, read from the pants tuples once."""
+        slots = tuple([f"{p.node_id}{k}" for p in self.pants for k in (".c0", ".c1", ".c2")])
+        lengths = tuple([x for p in self.pants for x in p.cuff_lengths])
+        return slots, lengths
 
 
 def plan_decomposition(
@@ -251,68 +268,101 @@ def plan_decomposition(
 
 
 def _check_plan(plan: PantsDecompositionPlan) -> None:
-    """Validate slot accounting and glued-length equality.  Broken
-    accounting raises InvalidInput; unequal glued lengths raise
-    LengthMismatch carrying the offending gluings."""
-    seen: dict[str, str] = {}
+    """Validate slot accounting, then lengths.
 
-    def claim(slot: str, how: str):
+    Every pants has three cuffs and an id of its own, and the claimed
+    slots (two per gluing, one per crosscap, boundary slot and cusp) are
+    the cuff slots, each claimed once; otherwise InvalidInput, with the
+    slot used twice or the missing and extra slots named.  A crosscap
+    needs a positive length (NegativeLength).  A gluing joins two cuffs
+    of its own length, a crosscap or boundary slot has its cuff's length
+    and a cusp's cuff is 0; otherwise LengthMismatch carrying the
+    offending entries.  NaN equals nothing, so it fails every length test.
+    """
+    slots, lengths = plan.slot_table
+    length_of = dict(zip(slots, lengths))
+    claimed = [s for g in plan.gluings for s in (g.slot_from, g.slot_to)]
+    claimed += [c.slot for c in plan.crosscap_gluings]
+    claimed += [b.slot for b in plan.boundary_slots]
+    claimed += plan.cusp_slots
+    # three cuffs a pants, as many distinct slots as claims, and the
+    # claims are those slots
+    if not (all(len(p.cuff_lengths) == 3 for p in plan.pants)
+            and len(length_of) == len(lengths) == len(claimed)
+            and length_of.keys() == set(claimed)):
+        _raise_accounting(plan, slots)
+    for c in plan.crosscap_gluings:
+        if not (c.length > 0.0):
+            raise NegativeLength(f"crosscap cuff {c.slot} needs positive length")
+    bad = [g for g in plan.gluings
+           if not length_of[g.slot_from] == length_of[g.slot_to] == g.length]
+    if bad:
+        raise LengthMismatch(
+            f"{len(bad)} gluings join unequal cuff lengths", offending=bad
+        )
+    off = [c for c in plan.crosscap_gluings if not length_of[c.slot] == c.length]
+    off += [b for b in plan.boundary_slots if not length_of[b.slot] == b.length]
+    off += [s for s in plan.cusp_slots if not length_of[s] == 0.0]
+    if off:
+        raise LengthMismatch(
+            f"{len(off)} crosscap, boundary or cusp slots differ from their cuffs",
+            offending=off,
+        )
+
+
+def _raise_accounting(plan: PantsDecompositionPlan, slots: tuple[str, ...]) -> NoReturn:
+    """Name what breaks a plan's slot accounting: claims in order (a
+    crosscap's length checked as it is claimed), then missing and extra
+    slots, then pants ids used twice and pants without three cuffs."""
+    seen: dict[str, str] = {}
+    claims = itertools.chain(
+        ((s, "gluing", None) for g in plan.gluings for s in (g.slot_from, g.slot_to)),
+        ((c.slot, "crosscap", c) for c in plan.crosscap_gluings),
+        ((b.slot, "boundary", None) for b in plan.boundary_slots),
+        ((s, "cusp", None) for s in plan.cusp_slots),
+    )
+    for slot, how, crosscap in claims:
         if slot in seen:
             raise InvalidInput(f"slot {slot} used twice ({seen[slot]} and {how})")
         seen[slot] = how
-
-    for g in plan.gluings:
-        claim(g.slot_from, "gluing")
-        claim(g.slot_to, "gluing")
-    for c in plan.crosscap_gluings:
-        claim(c.slot, "crosscap")
-        if not (c.length > 0.0):
-            raise NegativeLength(f"crosscap cuff {c.slot} needs positive length")
-    for b in plan.boundary_slots:
-        claim(b.slot, "boundary")
-    for s in plan.cusp_slots:
-        claim(s, "cusp")
-    slots = plan.all_slots()
+        if crosscap is not None and not (crosscap.length > 0.0):
+            raise NegativeLength(f"crosscap cuff {slot} needs positive length")
     slot_set = set(slots)
     missing = [s for s in slots if s not in seen]
     extra = [s for s in seen if s not in slot_set]
     if missing or extra:
         raise InvalidInput(f"slot accounting broken: missing {missing}, extra {extra}")
-    bad = [
-        g
-        for g in plan.gluings
-        if abs(plan.slot_length(g.slot_from) - plan.slot_length(g.slot_to)) > 0.0
-        or abs(plan.slot_length(g.slot_from) - g.length) > 0.0
-    ]
-    if bad:
-        raise LengthMismatch(
-            f"{len(bad)} gluings join unequal cuff lengths", offending=bad
-        )
+    ids: set[str] = set()
+    for p in plan.pants:
+        if p.node_id in ids:
+            raise InvalidInput(f"pants id {p.node_id} used twice")
+        ids.add(p.node_id)
+        if len(p.cuff_lengths) != 3:
+            raise InvalidInput(f"pants {p.node_id} has {len(p.cuff_lengths)} cuffs, not 3")
 
 
 @dataclass(frozen=True)
 class MetricSummary:
+    """Totals of a realized plan, and its length table: `slots[i]` has
+    cuff length `cuff_lengths[i]`."""
+
     total_area: float
     pants_count: int
-    cuff_lengths: tuple[tuple[str, float], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "total_area": self.total_area,
-            "pants_count": self.pants_count,
-            "cuff_lengths": {slot: length for slot, length in self.cuff_lengths},
-        }
+    slots: tuple[str, ...]
+    cuff_lengths: tuple[float, ...]
 
 
 def realize(plan: PantsDecompositionPlan) -> MetricSummary:
     """Fit the pants metrics together: build each pants' hexagon geometry
     and total the area (2*pi per pants).  Each distinct cuff triple is
-    built once.  The plan was validated when it was constructed."""
+    built once.  The plan was validated when it was constructed, and its
+    length table is the summary's."""
     for cuffs in dict.fromkeys(p.cuff_lengths for p in plan.pants):
         build_pants(CuffLengths(*cuffs))
-    cuffs = tuple((slot, plan.slot_length(slot)) for slot in plan.all_slots())
+    slots, lengths = plan.slot_table
     return MetricSummary(
         total_area=PANTS_AREA * len(plan.pants),
         pants_count=len(plan.pants),
-        cuff_lengths=cuffs,
+        slots=slots,
+        cuff_lengths=lengths,
     )

@@ -1,12 +1,15 @@
 """Text of every output: JSON and CSV with floats at 17 significant digits.
 
-Small payloads (verdicts, plans, signatures, script tables) go through
-`dump_json`, value by value.  A sample's CSV and JSON are rows of one
-fixed layout each, rendered by `_rows` from the sample's arrays: one
-NUL-padded uint8 matrix per `_RENDER_BLOCK_ROWS` rows, whose other bytes
-are the text.  Either way a float is exactly `format(x, ".17g")` and a
-word exactly `GroupWord.__str__`, and JSON text is what `json.dumps`
-writes for the same values with these floats and no spaces.
+Small payloads (verdicts, signatures, script tables) go through
+`dump_json`, value by value.  A plan's JSON is one fixed layout filled
+by `plan_json` from the plan's tuples and its summary's length table,
+with each slot name encoded once and each distinct float formatted
+once.  A sample's CSV and JSON are rows of one fixed layout each,
+rendered by `_rows` from the sample's arrays: one NUL-padded uint8
+matrix per `_RENDER_BLOCK_ROWS` rows, whose other bytes are the text.
+Every way a float is exactly `format(x, ".17g")` and a word exactly
+`GroupWord.__str__`, and JSON text is what `json.dumps` writes for the
+same values with these floats and no spaces.
 
 The sample renderers return their text as chunks whose concatenation is
 the whole text, without its final newline, so a caller that writes the
@@ -18,12 +21,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from json.encoder import encode_basestring_ascii
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from hypsurf.errors import InvalidInput
+from hypsurf.pants import Gluing
+
+if TYPE_CHECKING:
+    from hypsurf.pants import MetricSummary, PantsDecompositionPlan
 
 #: rows rendered per block by `_rows`
 _RENDER_BLOCK_ROWS = 65536
@@ -97,6 +105,57 @@ def _write_json(obj, out: list[str]) -> None:
         out.append("}")
     else:
         raise InvalidInput(f"cannot serialize {type(obj).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# plans, in one pass
+
+
+def plan_json(plan: PantsDecompositionPlan, summary: MetricSummary) -> str:
+    """`{"pants":[...],"gluings":[...],"crosscaps":[...],"boundary":[...],
+    "cusps":[...],"summary":{...}}` of a plan and `summary = realize(plan)`,
+    rendered from their tuples: the pants' cuffs and the summary's map are
+    the summary's length table, each slot name is encoded once, and each
+    distinct float is formatted once.  A non-finite float raises
+    InvalidInput here, before any text."""
+    gluings, crosscaps, boundary = plan.gluings, plan.crosscap_gluings, plan.boundary_slots
+    length = operator.attrgetter("length")
+    texts = _distinct_float_texts([*summary.cuff_lengths, *map(length, gluings),
+                                   *map(length, crosscaps), *map(length, boundary),
+                                   summary.total_area])
+    n = len(summary.cuff_lengths)
+    # the gluings', crosscaps' and boundary slots' texts follow the cuffs',
+    # taken in that order: zip stops at the last entry before taking a text
+    cuffs, lengths = iter(texts[:n]), iter(texts[n:])
+    slot_texts = list(map(encode_basestring_ascii, summary.slots))
+    quoted = dict(zip(summary.slots, slot_texts))
+    twist = format_float(Gluing.twist)
+    pants = [f'{{"id":{encode_basestring_ascii(p.node_id)},"cuff_lengths":[{a},{b},{c}]}}'
+             for p, a, b, c in zip(plan.pants, cuffs, cuffs, cuffs)]
+    gluing_texts = [f'{{"from":{quoted[g.slot_from]},"to":{quoted[g.slot_to]},'
+                    f'"length":{x},"twist":{twist}}}' for g, x in zip(gluings, lengths)]
+    crosscap_texts = [f'{{"slot":{quoted[c.slot]},"length":{x}}}'
+                      for c, x in zip(crosscaps, lengths)]
+    boundary_texts = [f'{{"slot":{quoted[b.slot]},"length":{x}}}'
+                      for b, x in zip(boundary, lengths)]
+    cusps = [quoted[s] for s in plan.cusp_slots]
+    cuff_map = map(":".join, zip(slot_texts, texts[:n]))
+    return (f'{{"pants":[{",".join(pants)}],"gluings":[{",".join(gluing_texts)}],'
+            f'"crosscaps":[{",".join(crosscap_texts)}],"boundary":[{",".join(boundary_texts)}],'
+            f'"cusps":[{",".join(cusps)}],"summary":{{"total_area":{texts[-1]},'
+            f'"pants_count":{summary.pants_count:d},"cuff_lengths":{{{",".join(cuff_map)}}}}}}}')
+
+
+def _distinct_float_texts(values: list[float]) -> list[str]:
+    """`format_float` of each value, each distinct value formatted once;
+    raises InvalidInput on a non-finite one."""
+    distinct = dict.fromkeys(values)
+    # 0.0 and -0.0 are one key but two texts
+    if 0.0 in distinct and min(map(math.copysign, itertools.repeat(1.0),
+                                   itertools.filterfalse(None, values))) < 0.0:
+        return _float_texts(values)
+    memo = dict(zip(distinct, _float_texts(distinct)))
+    return list(map(memo.__getitem__, values))
 
 
 # ---------------------------------------------------------------------------

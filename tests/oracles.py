@@ -38,10 +38,12 @@ from hypsurf.pants import (
     BoundarySlot,
     CrosscapGluing,
     Gluing,
+    MetricSummary,
     PantsDecompositionPlan,
     PantsNode,
 )
 from hypsurf.signature import Signature
+from hypsurf.text import dump_json
 
 
 def shortlex_levels(rank: int, max_length: int) -> list[np.ndarray]:
@@ -328,6 +330,32 @@ def plan_decomposition(
     return PantsDecompositionPlan(
         pants, tuple(gluings), tuple(crosscaps), tuple(boundary), tuple(cusps)
     )
+
+
+def plan_text(plan: PantsDecompositionPlan, summary: MetricSummary) -> str:
+    """`text.plan_json` as a payload of dicts and lists walked by
+    `dump_json`, value by value, with the summary's cuff map read from
+    the plan's own pants."""
+    payload = {
+        "pants": [
+            {"id": p.node_id, "cuff_lengths": list(p.cuff_lengths)} for p in plan.pants
+        ],
+        "gluings": [
+            {"from": g.slot_from, "to": g.slot_to, "length": g.length, "twist": g.twist}
+            for g in plan.gluings
+        ],
+        "crosscaps": [{"slot": c.slot, "length": c.length} for c in plan.crosscap_gluings],
+        "boundary": [{"slot": s.slot, "length": s.length} for s in plan.boundary_slots],
+        "cusps": list(plan.cusp_slots),
+        "summary": {
+            "total_area": summary.total_area,
+            "pants_count": summary.pants_count,
+            "cuff_lengths": {
+                f"{p.node_id}.c{k}": x for p in plan.pants for k, x in enumerate(p.cuff_lengths)
+            },
+        },
+    }
+    return dump_json(payload)
 
 
 def circle_net(theta: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
 import cmath
+import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -16,7 +18,11 @@ from hypsurf.errors import (
 )
 from hypsurf import pants
 from hypsurf.pants import (
+    BoundarySlot,
+    CrosscapGluing,
     CuffLengths,
+    Gluing,
+    MetricSummary,
     PantsNode,
     build_pants,
     hexagon_identity_residual,
@@ -24,7 +30,7 @@ from hypsurf.pants import (
     realize,
 )
 from hypsurf.signature import Signature
-from hypsurf.text import dump_json
+from hypsurf.text import plan_json
 
 import oracles
 
@@ -88,6 +94,42 @@ def test_permuted_cuffs_permute_seams():
     assert q.d12 == pytest.approx(p.d12, abs=1e-15)
     assert q.d23 == pytest.approx(p.d31, abs=1e-15)
     assert q.d31 == pytest.approx(p.d23, abs=1e-15)
+
+
+#: cuffs whose cosh or sinh product leaves the normal doubles
+EXTREME_CUFFS = [
+    (1e300, 1.0, 1.0), (1e300, 5e-324, 0.1), (5e-324, 0.1, 1e300), (1e-160, 1e-160, 1.0),
+    (5e-324, 5e-324, 5e-324), (1500.0, 1500.0, 3000.5), (2000.0, 1.0, 0.5),
+    (123456789.123, 1e-300, 2.0), (1e-310, 1000.0, 0.0), (1450.0, 60.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("cuffs", EXTREME_CUFFS)
+def test_seams_of_extreme_cuffs_against_mpmath(cuffs):
+    import mpmath
+
+    def seam(xi, xj, xk):
+        if xi == 0.0 or xj == 0.0:
+            return math.inf
+        a, b, c = (mpmath.mpf(x) / 2 for x in (xi, xj, xk))
+        with mpmath.workdps(60):
+            return float(mpmath.acosh((mpmath.cosh(a) * mpmath.cosh(b) + mpmath.cosh(c))
+                                      / (mpmath.sinh(a) * mpmath.sinh(b))))
+
+    x1, x2, x3 = cuffs
+    got = build_pants(CuffLengths(*cuffs)).seams()
+    want = (seam(x1, x2, x3), seam(x2, x3, x1), seam(x3, x1, x2))
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
+
+
+def test_seam_in_logs_agrees_with_the_direct_quotient():
+    # compared as cosh d, which both compute to a few ulps; a short seam
+    # itself is ill-conditioned in cosh d
+    rng = random.Random(5)
+    for _ in range(200):
+        xi, xj, xk = (math.exp(rng.uniform(-7.0, 4.0)) for _ in range(3))
+        assert math.cosh(pants._seam_in_logs(xi, xj, xk)) == pytest.approx(
+            math.cosh(pants._seam(xi, xj, xk)), rel=1e-13)
 
 
 def test_negative_cuff_rejected():
@@ -207,7 +249,7 @@ def test_realize_areas():
 def test_realize_boundary_lengths_survive():
     plan = plan_decomposition(Signature(0, 0, 3, 0), (1.0, 2.0, 3.0))
     summary = realize(plan)
-    lengths = dict(summary.cuff_lengths)
+    lengths = dict(zip(summary.slots, summary.cuff_lengths))
     for slot_obj, expect in zip(plan.boundary_slots, (1.0, 2.0, 3.0)):
         assert lengths[slot_obj.slot] == expect
 
@@ -232,16 +274,70 @@ def test_realize_detects_broken_slot_accounting():
 
 
 @pytest.mark.parametrize("slot", ["p0.c3", "p0", "x.y.z", "p9.c0", "", "p0.c", "p0.c0.", "p0.C0"])
-def test_slot_length_rejects_unknown_slots(slot):
+def test_plan_rejects_claims_of_unknown_slots(slot):
     plan = plan_decomposition(Signature(2, 0, 0, 0))
-    with pytest.raises(InvalidInput):
-        plan.slot_length(slot)
+    last = plan.gluings[-1]
+    with pytest.raises(InvalidInput, match="slot accounting broken"):
+        replace(plan, gluings=plan.gluings[:-1] + (Gluing(last.slot_from, slot, 1.0),))
 
 
-def test_slot_length_first_duplicate_node_wins():
+def test_plan_rejects_duplicate_node_ids():
     plan = plan_decomposition(Signature(0, 0, 3, 0), (1.0, 2.0, 3.0))
-    dup = replace(plan, pants=plan.pants + (PantsNode("p0", (4.0, 5.0, 6.0)),))
-    assert [dup.slot_length(f"p0.c{k}") for k in range(3)] == [1.0, 2.0, 3.0]
+    with pytest.raises(InvalidInput, match="pants id p0 used twice"):
+        replace(plan, pants=plan.pants + (PantsNode("p0", (4.0, 5.0, 6.0)),))
+
+
+def test_plan_rejects_a_pants_without_three_cuffs():
+    plan = plan_decomposition(Signature(0, 0, 3, 0), (1.0, 2.0, 3.0))
+    with pytest.raises(InvalidInput, match="pants p0 has 4 cuffs, not 3"):
+        replace(plan, pants=(PantsNode("p0", (1.0, 2.0, 3.0, 4.0)),))
+
+
+def test_plan_rejects_a_nan_gluing():
+    # abs(nan - nan) > 0.0 is False: a NaN gluing once passed
+    plan = plan_decomposition(Signature(2, 0, 0, 0))
+    nan = math.nan
+    pants = (PantsNode("p0", (1.0, 1.0, nan)), PantsNode("p1", (nan, 1.0, 1.0)))
+    gluings = (Gluing("p0.c2", "p1.c0", nan),) + plan.gluings[1:]
+    with pytest.raises(LengthMismatch) as info:
+        replace(plan, pants=pants, gluings=gluings)
+    assert info.value.offending == gluings[:1]
+
+
+def test_plan_rejects_a_boundary_slot_off_its_cuff():
+    plan = plan_decomposition(Signature(0, 0, 3, 0), (1.0, 2.0, 3.0))
+    moved = (BoundarySlot("p0.c1", 2.5),)
+    with pytest.raises(LengthMismatch) as info:
+        replace(plan, boundary_slots=plan.boundary_slots[:1] + moved + plan.boundary_slots[2:])
+    assert info.value.offending == moved
+
+
+def test_plan_rejects_a_crosscap_off_its_cuff():
+    plan = plan_decomposition(Signature(0, 1, 0, 2))
+    assert plan.crosscap_gluings == (CrosscapGluing("p0.c0", 1.0),)
+    with pytest.raises(LengthMismatch):
+        replace(plan, crosscap_gluings=(CrosscapGluing("p0.c0", 3.0),))
+
+
+def test_plan_rejects_a_cusp_with_a_nonzero_cuff():
+    plan = plan_decomposition(Signature(0, 0, 0, 3))
+    pants = (PantsNode("p0", (0.0, 0.5, 0.0)),)
+    with pytest.raises(LengthMismatch) as info:
+        replace(plan, pants=pants)
+    assert info.value.offending == ("p0.c1",)
+
+
+def test_plan_accounting_messages_name_the_fault():
+    plan = plan_decomposition(Signature(0, 0, 3, 0), (1.0, 1.0, 1.0))
+    with pytest.raises(InvalidInput, match=r"^slot p0.c0 used twice \(boundary and cusp\)$"):
+        replace(plan, cusp_slots=("p0.c0",))
+    with pytest.raises(InvalidInput,
+                       match=r"^slot accounting broken: missing \['p0.c2'\], extra \[\]$"):
+        replace(plan, boundary_slots=plan.boundary_slots[:2])
+    # a crosscap's length is checked as it is claimed, before a later slot used twice
+    with pytest.raises(NegativeLength, match="crosscap cuff p0.c0 needs positive length"):
+        replace(plan, crosscap_gluings=(CrosscapGluing("p0.c0", 0.0),),
+                boundary_slots=plan.boundary_slots[1:], cusp_slots=("p0.c1",))
 
 
 def test_plan_is_checked_once_per_object(monkeypatch):
@@ -271,35 +367,59 @@ PLAN_LADDER = (
 )
 
 
-def _plan_output(build, s, lengths):
-    # what `hypsurf plan` prints
-    plan = build(s, lengths)
-    payload = plan.to_json()
-    payload["summary"] = realize(plan).to_json()
-    return dump_json(payload)
+#: boundary lengths in each form of `%.17g`: subnormal, exponent, fixed
+#: with a leading zero, fixed without one, large exponent
+FLOAT_FORMS = (5e-324, 1e-300, 0.1, 123456789.123, 1e300)
 
 
 def test_plan_matches_the_two_pass_oracle():
+    # what `hypsurf plan` prints, against the plan laid out and rendered
+    # by the two-pass references
     small = [
         (g, c, b, a)
         for g in range(5) for c in range(9) for b in range(9) for a in range(9)
         if 2 * g + c + b + a <= 8 and Signature(g, c, b, a).chi() < 0
     ]
     rng = random.Random(10)
+    forms = itertools.cycle(FLOAT_FORMS)
+    used = set()
     for sig in small + list(PLAN_LADDER):
         s = Signature(*sig)
-        lengths = tuple(round(rng.uniform(0.5, 6.0), 6) for _ in range(s.b))
-        assert (_plan_output(plan_decomposition, s, lengths)
-                == _plan_output(oracles.plan_decomposition, s, lengths)), sig
+        lengths = tuple(next(forms) if k % 2 else round(rng.uniform(0.5, 6.0), 6)
+                        for k in range(s.b))
+        used.update(lengths)
+        plan = plan_decomposition(s, lengths)
+        reference = oracles.plan_decomposition(s, lengths)
+        assert plan_json(plan, realize(plan)) == oracles.plan_text(reference, realize(reference)), sig
+    assert used >= set(FLOAT_FORMS)
 
 
 def test_plan_json_schema():
     plan = plan_decomposition(Signature(1, 1, 1, 1), (2.5,))
-    obj = plan.to_json()
-    assert set(obj) == {"pants", "gluings", "crosscaps", "boundary", "cusps"}
-    assert all(set(g) == {"from", "to", "length", "twist"} for g in obj["gluings"])
-    assert all(set(c) == {"slot", "length"} for c in obj["crosscaps"])
+    obj = json.loads(plan_json(plan, realize(plan)))
+    assert list(obj) == ["pants", "gluings", "crosscaps", "boundary", "cusps", "summary"]
+    assert all(list(g) == ["from", "to", "length", "twist"] for g in obj["gluings"])
+    assert all(list(c) == ["slot", "length"] for c in obj["crosscaps"])
     assert obj["boundary"][0]["length"] == 2.5
+    assert list(obj["summary"]) == ["total_area", "pants_count", "cuff_lengths"]
+    assert list(obj["summary"]["cuff_lengths"]) == [f"p{i}.c{k}" for i in range(3) for k in range(3)]
+
+
+def test_plan_json_refuses_a_non_finite_float():
+    plan = plan_decomposition(Signature(0, 0, 3, 0), (1.0, 2.0, 3.0))
+    summary = realize(plan)
+    broken = MetricSummary(math.nan, summary.pants_count, summary.slots, summary.cuff_lengths)
+    with pytest.raises(InvalidInput, match="non-finite float has no JSON encoding here"):
+        plan_json(plan, broken)
+
+
+def test_plan_json_keeps_the_sign_of_zero():
+    # 0.0 and -0.0 are one value but two texts
+    plan = plan_decomposition(Signature(0, 0, 0, 3))
+    signed = replace(plan, pants=(PantsNode("p0", (0.0, -0.0, 0.0)),))
+    text = plan_json(signed, realize(signed))
+    assert text == oracles.plan_text(signed, realize(signed))
+    assert '"p0.c1":-0,' in text
 
 
 def test_pants_geometry_json_inf_marker():
