@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, NoReturn
@@ -87,48 +86,12 @@ class PantsGeometry:
 def _seam(xi: float, xj: float, xk: float) -> float:
     """Perpendicular distance between cuffs i and j; the third cuff sits
     opposite.  cosh d = (cosh(xi/2) cosh(xj/2) + cosh(xk/2)) / (sinh(xi/2) sinh(xj/2));
-    a cusp on either adjacent cuff pushes the seam to infinity.  Where a
-    term of that quotient leaves the normal doubles (cuffs beyond about
-    1400, or so short that the sinh product underflows), the seam comes
-    from `_seam_in_logs` instead."""
+    a cusp on either adjacent cuff pushes the seam to infinity."""
     if xi == 0.0 or xj == 0.0:
         return math.inf
-    if 0.5 * min(xi, xj) >= sys.float_info.min:
-        try:
-            num = math.cosh(0.5 * xi) * math.cosh(0.5 * xj) + math.cosh(0.5 * xk)
-            den = math.sinh(0.5 * xi) * math.sinh(0.5 * xj)
-        except OverflowError:
-            pass
-        else:
-            if den >= sys.float_info.min and (ratio := num / den) < math.inf:
-                return math.acosh(ratio)
-    return _seam_in_logs(xi, xj, xk)
-
-
-def _seam_in_logs(xi: float, xj: float, xk: float) -> float:
-    """`_seam` for positive xi, xj at any finite size.  With the
-    exponentials of the half lengths divided out,
-    cosh d = ((1 + e^-xi)(1 + e^-xj) + 2 e^((xk - xi - xj)/2) (1 + e^-xk))
-             / ((1 - e^-xi)(1 - e^-xj)),
-    whose logarithm L has no term that overflows; then
-    d = 2 asinh(sqrt(expm1(L) / 2)), or L + log 2 once e^L overflows."""
-    near = math.log1p(math.exp(-xi)) + math.log1p(math.exp(-xj))
-    far = math.log(2.0) + 0.5 * (xk - xi - xj) + math.log1p(math.exp(-xk))
-    top = max(near, far) + math.log1p(math.exp(-abs(near - far)))
-    log_cosh = top - _log1mexp(xi) - _log1mexp(xj)
-    try:
-        return 2.0 * math.asinh(math.sqrt(0.5 * math.expm1(log_cosh)))
-    except OverflowError:
-        # acosh(e^L) = L + log 2 - O(e^-2L)
-        return log_cosh + math.log(2.0)
-
-
-def _log1mexp(x: float) -> float:
-    """log(1 - e^-x) for x > 0, to full relative precision at both ends
-    (Maechler, "Accurately computing log(1 - exp(-|a|))", 2012)."""
-    if x <= math.log(2.0):
-        return math.log(-math.expm1(-x))
-    return math.log1p(-math.exp(-x))
+    num = math.cosh(0.5 * xi) * math.cosh(0.5 * xj) + math.cosh(0.5 * xk)
+    den = math.sinh(0.5 * xi) * math.sinh(0.5 * xj)
+    return math.acosh(num / den)
 
 
 def build_pants(x: CuffLengths) -> PantsGeometry:
@@ -343,26 +306,16 @@ def _raise_accounting(plan: PantsDecompositionPlan, slots: tuple[str, ...]) -> N
 
 @dataclass(frozen=True)
 class MetricSummary:
-    """Totals of a realized plan, and its length table: `slots[i]` has
-    cuff length `cuff_lengths[i]`."""
-
     total_area: float
     pants_count: int
-    slots: tuple[str, ...]
-    cuff_lengths: tuple[float, ...]
 
 
 def realize(plan: PantsDecompositionPlan) -> MetricSummary:
-    """Fit the pants metrics together: build each pants' hexagon geometry
-    and total the area (2*pi per pants).  Each distinct cuff triple is
-    built once.  The plan was validated when it was constructed, and its
-    length table is the summary's."""
+    """Fit the pants metrics together and total the area (2*pi per
+    pants).  A pants exists for every finite, nonnegative cuff triple, so
+    each distinct triple is checked as `CuffLengths` and no seam is
+    built: a plan's output carries none.  The plan's accounting was
+    validated when it was constructed; its lengths are `plan.slot_table`."""
     for cuffs in dict.fromkeys(p.cuff_lengths for p in plan.pants):
-        build_pants(CuffLengths(*cuffs))
-    slots, lengths = plan.slot_table
-    return MetricSummary(
-        total_area=PANTS_AREA * len(plan.pants),
-        pants_count=len(plan.pants),
-        slots=slots,
-        cuff_lengths=lengths,
-    )
+        CuffLengths(*cuffs)
+    return MetricSummary(total_area=PANTS_AREA * len(plan.pants), pants_count=len(plan.pants))

@@ -2,11 +2,11 @@
 
 Small payloads (verdicts, signatures, script tables) go through
 `dump_json`, value by value.  A plan's JSON is one fixed layout filled
-by `plan_json` from the plan's tuples and its summary's length table,
-with each slot name encoded once and each distinct float formatted
-once.  A sample's CSV and JSON are rows of one fixed layout each,
-rendered by `_rows` from the sample's arrays: one NUL-padded uint8
-matrix per `_RENDER_BLOCK_ROWS` rows, whose other bytes are the text.
+by `plan_json` from the plan's tuples and its `slot_table`, with each
+slot name encoded once and each distinct float formatted once.  A
+sample's CSV and JSON are rows of one fixed layout each, rendered by
+`_rows` from the sample's arrays: one NUL-padded uint8 matrix per
+`_RENDER_BLOCK_ROWS` rows, whose other bytes are the text.
 Every way a float is exactly `format(x, ".17g")` and a word exactly
 `GroupWord.__str__`, and JSON text is what `json.dumps` writes for the
 same values with these floats and no spaces.
@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from hypsurf.errors import InvalidInput
-from hypsurf.pants import Gluing
 
 if TYPE_CHECKING:
     from hypsurf.pants import MetricSummary, PantsDecompositionPlan
@@ -114,22 +113,25 @@ def _write_json(obj, out: list[str]) -> None:
 def plan_json(plan: PantsDecompositionPlan, summary: MetricSummary) -> str:
     """`{"pants":[...],"gluings":[...],"crosscaps":[...],"boundary":[...],
     "cusps":[...],"summary":{...}}` of a plan and `summary = realize(plan)`,
-    rendered from their tuples: the pants' cuffs and the summary's map are
-    the summary's length table, each slot name is encoded once, and each
-    distinct float is formatted once.  A non-finite float raises
-    InvalidInput here, before any text."""
+    rendered from the plan's tuples: the pants' cuffs and the summary's
+    map are `plan.slot_table`, of the summary only the area and the pants
+    count are read, each slot name is encoded once, and each distinct
+    float is formatted once.  A non-finite float raises InvalidInput
+    here, before any text."""
     gluings, crosscaps, boundary = plan.gluings, plan.crosscap_gluings, plan.boundary_slots
+    slots, cuff_lengths = plan.slot_table
     length = operator.attrgetter("length")
-    texts = _distinct_float_texts([*summary.cuff_lengths, *map(length, gluings),
+    texts = _distinct_float_texts([*cuff_lengths, *map(length, gluings),
                                    *map(length, crosscaps), *map(length, boundary),
                                    summary.total_area])
-    n = len(summary.cuff_lengths)
+    n = len(cuff_lengths)
     # the gluings', crosscaps' and boundary slots' texts follow the cuffs',
     # taken in that order: zip stops at the last entry before taking a text
     cuffs, lengths = iter(texts[:n]), iter(texts[n:])
-    slot_texts = list(map(encode_basestring_ascii, summary.slots))
-    quoted = dict(zip(summary.slots, slot_texts))
-    twist = format_float(Gluing.twist)
+    slot_texts = list(map(encode_basestring_ascii, slots))
+    quoted = dict(zip(slots, slot_texts))
+    # `Gluing.twist` is a class constant, read off a gluing
+    twist = format_float(gluings[0].twist) if gluings else ""
     pants = [f'{{"id":{encode_basestring_ascii(p.node_id)},"cuff_lengths":[{a},{b},{c}]}}'
              for p, a, b, c in zip(plan.pants, cuffs, cuffs, cuffs)]
     gluing_texts = [f'{{"from":{quoted[g.slot_from]},"to":{quoted[g.slot_to]},'

@@ -71,8 +71,7 @@ RUNS = [
     (2, "chi missing.json"), (2, "chi not-json.json"), (2, "chi no-kind.json"),
     (2, "chi unknown.json"), (2, "chi short.json"), (2, "chi boundary-only.json"),
     (2, "double closed.json"), (2, "double crosscap.json"), (2, "double infinite.json"),
-    (0, "pants --lengths 0,1,2"), (0, "pants --lengths 1e300,5e-324,0.1"),
-    (2, "pants --lengths 1,1"), (2, "pants --lengths=-1,1,1"),
+    (0, "pants --lengths 0,1,2"), (2, "pants --lengths 1,1"), (2, "pants --lengths=-1,1,1"),
     (0, "plan --sig 1,2,2,1 --lengths 1,2"), (2, "plan --sig 0,0,2,0 --lengths 1,1"),
     (2, "plan --sig 0,0,3,0 --lengths 1"), (2, "plan --sig 1.5,0,0,0"),
     (2, "plan --sig 1,0,0"), (2, "plan --sig 50002,0,0,0"),
