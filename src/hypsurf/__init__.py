@@ -31,14 +31,12 @@ from hypsurf.groups import (
     schottky_rank2,
 )
 from hypsurf.signature import (
-    CanonicalSignature,
     FiniteType,
     HalfPlaneSurface,
     InfiniteType,
     Signature,
     StandardnessVerdict,
     Strip,
-    canonicalize,
     double,
     doubling_report,
     euler_characteristic,

@@ -11,6 +11,7 @@ at infinity up to an inner correction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -411,8 +412,8 @@ def is_boundary_identity(
     """
     if m < 0:
         raise InvalidInput("search depth must be nonnegative")
-    if not tol >= 0.0:
-        raise InvalidInput(f"identity tolerance must be a nonnegative number, got {tol!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidInput(f"identity tolerance must be a finite nonnegative number, got {tol!r}")
     if not len(sample):
         raise TooFewPoints("the inner-correction search needs a nonempty sample")
     zout = np.exp(1j * sample.theta_out)

@@ -286,10 +286,7 @@ def main(argv=None) -> int:
         # the reader closed stdout: the flush at exit goes to os.devnull (`signal` docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except NumericFailure as e:
-        sys.stderr.write(dump_json({"error": type(e).__name__, "message": str(e)}) + "\n")
-        return 3
     except HypsurfError as e:
         sys.stderr.write(dump_json({"error": type(e).__name__, "message": str(e)}) + "\n")
-        return 2
+        return 3 if isinstance(e, NumericFailure) else 2
 

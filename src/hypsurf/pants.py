@@ -83,15 +83,46 @@ class PantsGeometry:
         }
 
 
+_LOG2 = math.log(2.0)
+
+
 def _seam(xi: float, xj: float, xk: float) -> float:
-    """Perpendicular distance between cuffs i and j; the third cuff sits
-    opposite.  cosh d = (cosh(xi/2) cosh(xj/2) + cosh(xk/2)) / (sinh(xi/2) sinh(xj/2));
-    a cusp on either adjacent cuff pushes the seam to infinity."""
+    """Perpendicular distance d between cuffs i and j; the third cuff sits
+    opposite.  The hexagon formula cosh d = (cosh(xi/2) cosh(xj/2) +
+    cosh(xk/2)) / (sinh(xi/2) sinh(xj/2)), divided through by
+    e^((xi + xj)/2), is
+
+        cosh d - 1 = u = 2 (e^-xi + e^-xj + e^((xk - xi - xj)/2)
+                            + e^(-(xk + xi + xj)/2)) / (expm1(-xi) expm1(-xj)),
+
+    a sum of positive terms, so log u = top + rest is a log-sum-exp that
+    no finite cuff overflows or underflows, and d = acosh(1 + u) =
+    log1p(u + sqrt(u (u + 2))).  Past u = e^300 that is log u + log 2 to
+    double precision, and below u = e^-40 it is sqrt(2u), taken as
+    e^(top/2) sqrt(2 e^rest) so that a seam whose u underflows stays
+    nonzero.  A cusp on either adjacent cuff pushes the seam to infinity."""
     if xi == 0.0 or xj == 0.0:
         return math.inf
-    num = math.cosh(0.5 * xi) * math.cosh(0.5 * xj) + math.cosh(0.5 * xk)
-    den = math.sinh(0.5 * xi) * math.sinh(0.5 * xj)
-    return math.acosh(num / den)
+    # xk - max cancels only when xk is within a factor 2 of it, and is exact there
+    opposite = 0.5 * ((xk - max(xi, xj)) - min(xi, xj))
+    exponents = (-xi, -xj, opposite, -0.5 * xk - 0.5 * xi - 0.5 * xj)
+    top = max(exponents)
+    rest = (math.log(2.0 * sum(math.exp(e - top) for e in exponents))
+            - _log1mexp(xi) - _log1mexp(xj))
+    log_u = top + rest
+    if log_u > 300.0:
+        return log_u + _LOG2
+    if log_u < -40.0:
+        return math.exp(0.5 * top) * math.sqrt(2.0 * math.exp(rest))
+    u = math.exp(log_u)
+    return math.log1p(u + math.sqrt(u * (u + 2.0)))
+
+
+def _log1mexp(x: float) -> float:
+    """log(1 - e^-x) for x > 0, accurate at both ends (Maechler 2012)."""
+    if x <= _LOG2:
+        return math.log(-math.expm1(-x))
+    return math.log1p(-math.exp(-x))
 
 
 def build_pants(x: CuffLengths) -> PantsGeometry:

@@ -4,15 +4,15 @@ Finite-type surfaces are recorded as (g, c, b, a) = handles, crosscaps,
 compact boundary circles, annular ends; two noncompact-boundary surfaces
 (the half plane and the doubly infinite strip) and the infinite-type
 cases are separate variants.  On top of this: Euler characteristic,
-the crosscap canonical form, doubling along the boundary, and the
-standard/nonstandard classifier with its 13-surface catalog.
+doubling along the boundary, and the standard/nonstandard classifier
+with its 13-surface catalog, one ordered table of description -> name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 from hypsurf.errors import (
     InvalidInput,
@@ -44,25 +44,6 @@ class Signature:
 
 
 @dataclass(frozen=True)
-class CanonicalSignature(Signature):
-    """Signature in crosscap normal form: a positive crosscap count
-    absorbs all handles (one handle plus one crosscap = three crosscaps)."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.g > 0 and self.c > 0:
-            raise InvalidInput("canonical form forbids g > 0 with c > 0")
-
-
-def canonicalize(s: Signature) -> CanonicalSignature:
-    """Trade handles for crosscaps when any crosscap is present; chi is
-    unchanged and the map is idempotent."""
-    if s.c > 0:
-        return CanonicalSignature(0, s.c + 2 * s.g, s.b, s.a)
-    return CanonicalSignature(s.g, 0, s.b, s.a)
-
-
-@dataclass(frozen=True)
 class FiniteType:
     signature: Signature
 
@@ -71,10 +52,14 @@ class FiniteType:
 class HalfPlaneSurface:
     """The half plane R x [0, oo): one noncompact boundary line."""
 
+    r: ClassVar[int] = 1  # noncompact boundary lines
+
 
 @dataclass(frozen=True)
 class Strip:
     """The doubly infinite strip [0, 1] x R: two noncompact boundary lines."""
+
+    r: ClassVar[int] = 2  # noncompact boundary lines
 
 
 @dataclass(frozen=True)
@@ -182,14 +167,13 @@ def double(d: SurfaceDescription) -> SurfaceDescription:
 
     An orientable (g, 0, b, a) with b > 0 doubles to the closed
     orientable surface of genus 2g + b - 1 with 2a annular ends; the half
-    plane doubles to the open disk and the strip to the open annulus.
-    Nonorientable signatures are not doubled here (the error still
-    carries chi of the double via the doubling formula).
+    plane and the strip double to the sphere with r annular ends (the open
+    disk and the open annulus).  Nonorientable signatures are not doubled
+    here (the error still carries chi of the double via the doubling
+    formula).
     """
-    if isinstance(d, HalfPlaneSurface):
-        return FiniteType(Signature(0, 0, 0, 1))
-    if isinstance(d, Strip):
-        return FiniteType(Signature(0, 0, 0, 2))
+    if isinstance(d, (HalfPlaneSurface, Strip)):
+        return FiniteType(Signature(0, 0, 0, d.r))
     if isinstance(d, FiniteType):
         s = d.signature
         if s.b == 0:
@@ -212,12 +196,7 @@ def doubling_report(d: SurfaceDescription) -> DoublingReport:
     chi = euler_characteristic(d)
     if chi == NEG_INF:
         raise InvalidInput("doubling report needs finite chi")
-    if isinstance(d, HalfPlaneSurface):
-        r = 1
-    elif isinstance(d, Strip):
-        r = 2
-    else:
-        r = 0
+    r = d.r if isinstance(d, (HalfPlaneSurface, Strip)) else 0
     try:
         doubled = double(d)
         chi_direct = euler_characteristic(doubled)
@@ -248,23 +227,23 @@ class StandardnessVerdict:
         return out
 
 
-# the 11 compact-boundary entries with chi >= 0, in canonical form
-_COMPACT_CATALOG: dict[tuple[int, int, int, int], str] = {
-    (0, 0, 0, 1): "open disk",
-    (0, 0, 1, 0): "closed disk",
-    (0, 0, 0, 2): "open annulus",
-    (0, 0, 1, 1): "half open annulus",
-    (0, 0, 2, 0): "closed annulus",
-    (0, 1, 0, 1): "open Möbius band",
-    (0, 1, 1, 0): "closed Möbius band",
-    (0, 0, 0, 0): "sphere",
-    (0, 1, 0, 0): "projective plane",
-    (1, 0, 0, 0): "torus",
-    (0, 2, 0, 0): "Klein bottle",
+#: the 13 surfaces with no standard metric, description -> name, in the
+#: order `thirteen_list` gives them; the descriptions hash by value
+_THIRTEEN: dict[SurfaceDescription, str] = {
+    FiniteType(Signature(0, 0, 0, 1)): "open disk",
+    FiniteType(Signature(0, 0, 1, 0)): "closed disk",
+    FiniteType(Signature(0, 0, 0, 2)): "open annulus",
+    FiniteType(Signature(0, 0, 1, 1)): "half open annulus",
+    FiniteType(Signature(0, 0, 2, 0)): "closed annulus",
+    FiniteType(Signature(0, 1, 0, 1)): "open Möbius band",
+    FiniteType(Signature(0, 1, 1, 0)): "closed Möbius band",
+    HalfPlaneSurface(): "half plane",
+    Strip(): "doubly infinite strip",
+    FiniteType(Signature(0, 0, 0, 0)): "sphere",
+    FiniteType(Signature(0, 1, 0, 0)): "projective plane",
+    FiniteType(Signature(1, 0, 0, 0)): "torus",
+    FiniteType(Signature(0, 2, 0, 0)): "Klein bottle",
 }
-
-HALF_PLANE_NAME = "half plane"
-STRIP_NAME = "doubly infinite strip"
 
 
 def is_standard(d: SurfaceDescription) -> StandardnessVerdict:
@@ -273,7 +252,9 @@ def is_standard(d: SurfaceDescription) -> StandardnessVerdict:
 
     Negative chi suffices; infinitely many boundary components or
     infinite chi also suffice; everything else is one of the 13 catalog
-    surfaces.  Total on all descriptions.
+    surfaces: chi >= 0 forces 2g + c + b + a <= 2, and the catalog lists
+    every finite description within that bound.  Total on all
+    descriptions.
     """
     if isinstance(d, InfiniteType):
         try:
@@ -281,46 +262,18 @@ def is_standard(d: SurfaceDescription) -> StandardnessVerdict:
         except UnderdeterminedChi:
             chi = None
         return StandardnessVerdict(True, Reason.INFINITE_TYPE_RULE, chi)
-    if isinstance(d, HalfPlaneSurface):
-        return StandardnessVerdict(False, Reason.IN_THIRTEEN_LIST, 1, HALF_PLANE_NAME)
-    if isinstance(d, Strip):
-        return StandardnessVerdict(False, Reason.IN_THIRTEEN_LIST, 1, STRIP_NAME)
-    if isinstance(d, FiniteType):
-        chi = d.signature.chi()
-        if chi < 0:
-            return StandardnessVerdict(True, Reason.NEGATIVE_CHI, chi)
-        canon = canonicalize(d.signature)
-        key = (canon.g, canon.c, canon.b, canon.a)
-        name = _COMPACT_CATALOG.get(key)
-        if name is None:  # unreachable: chi >= 0 forces 2g + c + b + a <= 2
-            raise AssertionError(f"no catalog entry for {key} with chi = {chi}")
-        return StandardnessVerdict(False, Reason.IN_THIRTEEN_LIST, chi, name)
-    raise InvalidInput(f"not a surface description: {d!r}")
+    # the type check comes first, so an unhashable argument is invalid input too
+    if not isinstance(d, (FiniteType, HalfPlaneSurface, Strip)):
+        raise InvalidInput(f"not a surface description: {d!r}")
+    chi = euler_characteristic(d)
+    if chi < 0:
+        return StandardnessVerdict(True, Reason.NEGATIVE_CHI, chi)
+    return StandardnessVerdict(False, Reason.IN_THIRTEEN_LIST, chi, _THIRTEEN[d])
 
 
 def thirteen_list() -> list[tuple[str, SurfaceDescription]]:
     """The 13 surfaces with no standard metric, with their fixed names."""
-    fin = {name: key for key, name in _COMPACT_CATALOG.items()}
-
-    def ft(name: str) -> tuple[str, SurfaceDescription]:
-        g, c, b, a = fin[name]
-        return name, FiniteType(Signature(g, c, b, a))
-
-    return [
-        ft("open disk"),
-        ft("closed disk"),
-        ft("open annulus"),
-        ft("half open annulus"),
-        ft("closed annulus"),
-        ft("open Möbius band"),
-        ft("closed Möbius band"),
-        (HALF_PLANE_NAME, HalfPlaneSurface()),
-        (STRIP_NAME, Strip()),
-        ft("sphere"),
-        ft("projective plane"),
-        ft("torus"),
-        ft("Klein bottle"),
-    ]
+    return [(name, d) for d, name in _THIRTEEN.items()]
 
 
 def all_finite_descriptions(max_complexity: int) -> list[FiniteType]:

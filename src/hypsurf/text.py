@@ -1,12 +1,13 @@
 """Text of every output: JSON and CSV with floats at 17 significant digits.
 
-Small payloads (verdicts, signatures, script tables) go through
-`dump_json`, value by value.  A plan's JSON is one fixed layout filled
-by `plan_json` from the plan's tuples and its `slot_table`, with each
-slot name encoded once and each distinct float formatted once.  A
-sample's CSV and JSON are rows of one fixed layout each, rendered by
-`_rows` from the sample's arrays: one NUL-padded uint8 matrix per
-`_RENDER_BLOCK_ROWS` rows, whose other bytes are the text.
+Small payloads (verdicts, signatures, pants, script tables) go through
+`dump_json`, one general path for every value.  A plan's JSON is one
+fixed layout filled by `plan_json` from the plan's tuples and its
+`slot_table`, with each slot name encoded once and each distinct float
+formatted once.  A sample's CSV and JSON are rows of one fixed layout
+each, rendered by `_rows` from the sample's arrays: one NUL-padded
+uint8 matrix per `_RENDER_BLOCK_ROWS` rows, whose other bytes are the
+text.
 Every way a float is exactly `format(x, ".17g")` and a word exactly
 `GroupWord.__str__`, and JSON text is what `json.dumps` writes for the
 same values with these floats and no spaces.
@@ -37,7 +38,7 @@ _RENDER_BLOCK_ROWS = 65536
 
 
 # ---------------------------------------------------------------------------
-# small payloads, value by value
+# small payloads
 
 
 def format_float(x: float) -> str:
@@ -49,15 +50,6 @@ def dump_json(obj) -> str:
     out: list[str] = []
     _write_json(obj, out)
     return "".join(out)
-
-
-def _float_texts(values) -> list[str]:
-    """`format_float` of each value; raises InvalidInput on a non-finite one."""
-    texts = list(map(format, values, itertools.repeat(".17g")))
-    # of all %.17g renderings only nan, inf and -inf contain an "n"
-    if "n" in "".join(texts):
-        raise InvalidInput("non-finite float has no JSON encoding here")
-    return texts
 
 
 def _write_json(obj, out: list[str]) -> None:
@@ -75,13 +67,6 @@ def _write_json(obj, out: list[str]) -> None:
         # json.dumps of a str returns exactly this
         out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, (list, tuple)):
-        kinds = set(map(type, obj))
-        if kinds == {float}:
-            out.append(f"[{','.join(_float_texts(obj))}]")
-            return
-        if kinds == {str}:
-            out.append(f"[{','.join(map(encode_basestring_ascii, obj))}]")
-            return
         out.append("[")
         for i, v in enumerate(obj):
             if i:
@@ -89,11 +74,6 @@ def _write_json(obj, out: list[str]) -> None:
             _write_json(v, out)
         out.append("]")
     elif isinstance(obj, dict):
-        if obj and set(map(type, obj.values())) == {float}:
-            keys = map(encode_basestring_ascii, map(str, obj))
-            members = map("{}:{}".format, keys, _float_texts(obj.values()))
-            out.append("{" + ",".join(members) + "}")
-            return
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
@@ -158,6 +138,15 @@ def _distinct_float_texts(values: list[float]) -> list[str]:
         return _float_texts(values)
     memo = dict(zip(distinct, _float_texts(distinct)))
     return list(map(memo.__getitem__, values))
+
+
+def _float_texts(values) -> list[str]:
+    """`format_float` of each value; raises InvalidInput on a non-finite one."""
+    texts = list(map(format, values, itertools.repeat(".17g")))
+    # of all %.17g renderings only nan, inf and -inf contain an "n"
+    if "n" in "".join(texts):
+        raise InvalidInput("non-finite float has no JSON encoding here")
+    return texts
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from hypsurf.signature import (
     Signature,
     Strip,
     all_finite_descriptions,
-    canonicalize,
     double,
     doubling_report,
     euler_characteristic,
@@ -94,12 +93,11 @@ def test_criterion_1_thirteen_surfaces():
     nonstandard = [d for d in _scan_descriptions() if not is_standard(d).standard]
     names = {is_standard(d).name for d in nonstandard}
     assert names == set(catalog_names)
-    # after canonicalize-equality the finite nonstandard descriptions are
-    # exactly the 11 compact-boundary catalog entries, once each
-    finite_canon = {
-        canonicalize(d.signature) for d in nonstandard if isinstance(d, FiniteType)
-    }
-    assert len(finite_canon) == 11
+    # the finite nonstandard descriptions are exactly the catalog's 11
+    # finite entries, once each
+    finite = {d for d in nonstandard if isinstance(d, FiniteType)}
+    assert finite == {d for _, d in thirteen_list() if isinstance(d, FiniteType)}
+    assert len(finite) == 11
     assert len(nonstandard) == 13  # 11 finite + half plane + strip
 
 

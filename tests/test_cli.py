@@ -68,10 +68,22 @@ def test_double_strip_with_report(tmp_path, capsys):
 def test_thirteen_catalog(capsys):
     code, out, _ = run_cli(capsys, "thirteen")
     assert code == 0
-    entries = json.loads(out)
-    assert len(entries) == 13
-    assert entries[0]["name"] == "open disk"
-    assert {"name": "torus", "description": {"kind": "finite", "g": 1, "c": 0, "b": 0, "a": 0}} in entries
+    finite = {"kind": "finite"}
+    assert json.loads(out) == [
+        {"name": "open disk", "description": {**finite, "g": 0, "c": 0, "b": 0, "a": 1}},
+        {"name": "closed disk", "description": {**finite, "g": 0, "c": 0, "b": 1, "a": 0}},
+        {"name": "open annulus", "description": {**finite, "g": 0, "c": 0, "b": 0, "a": 2}},
+        {"name": "half open annulus", "description": {**finite, "g": 0, "c": 0, "b": 1, "a": 1}},
+        {"name": "closed annulus", "description": {**finite, "g": 0, "c": 0, "b": 2, "a": 0}},
+        {"name": "open Möbius band", "description": {**finite, "g": 0, "c": 1, "b": 0, "a": 1}},
+        {"name": "closed Möbius band", "description": {**finite, "g": 0, "c": 1, "b": 1, "a": 0}},
+        {"name": "half plane", "description": {"kind": "half_plane"}},
+        {"name": "doubly infinite strip", "description": {"kind": "strip"}},
+        {"name": "sphere", "description": {**finite, "g": 0, "c": 0, "b": 0, "a": 0}},
+        {"name": "projective plane", "description": {**finite, "g": 0, "c": 1, "b": 0, "a": 0}},
+        {"name": "torus", "description": {**finite, "g": 1, "c": 0, "b": 0, "a": 0}},
+        {"name": "Klein bottle", "description": {**finite, "g": 0, "c": 2, "b": 0, "a": 0}},
+    ]
 
 
 def test_pants_json(capsys):
@@ -318,6 +330,7 @@ def test_endomorphisms_of_the_free_group_that_are_not_automorphisms_are_invalid_
     ("limit-set", "--group", "octagon", "--n", "2", "--mode", "orbit", "--base", "nan,0"),
     (*TORUS_TWIST, "--check-identity", "--tol", "nan"),  # once "identity":false
     (*TORUS_TWIST, "--check-identity", "--tol", "-0.1"),
+    (*TORUS_TWIST, "--check-identity", "--tol", "inf"),  # once passed a Dehn twist
     # the next four once exited as NegativeLength or NonpositiveLength
     ("pants", "--lengths", "nan,1,1"),
     ("pants", "--lengths", "inf,1,1"),

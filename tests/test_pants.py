@@ -5,6 +5,7 @@ import math
 import random
 from dataclasses import replace
 
+import mpmath
 import pytest
 
 from hypsurf.disk import MobiusIsometry
@@ -129,6 +130,37 @@ def test_seam_monotonicity_signs():
         assert up.d12 > base.d12       # opposite seam grows
         assert up.d23 < base.d23       # adjacent seams shrink
         assert up.d31 < base.d31
+
+
+def _seam_reference(xi, xj, xk):
+    """d = 2 asinh(sqrt(u/2)) = acosh(1 + u), u = (cosh((xi - xj)/2) +
+    cosh(xk/2)) / (sinh(xi/2) sinh(xj/2)), at 200 bits with xi - xj exact."""
+    with mpmath.workprec(200):
+        a, b, c = (mpmath.mpf(x) / 2 for x in (xi, xj, xk))
+        u = ((mpmath.cosh(mpmath.fsub(a, b, exact=True)) + mpmath.cosh(c))
+             / (mpmath.sinh(a) * mpmath.sinh(b)))
+        return 2 * mpmath.asinh(mpmath.sqrt(u / 2))
+
+
+@pytest.mark.parametrize("cuffs, seam", [
+    ((1e300, 1.0, 1.0), 1.4068),  # once a bare OverflowError
+    ((5e-324, 1.0, 1.0), 747.29),  # once a bare ZeroDivisionError
+    ((1e-160, 1e-160, 1.0), 739.66),  # once inf
+    ((40.0, 40.0, 1.0), 8.5036e-9),  # once 0: cosh d rounded to 1
+    ((1000.0, 1000.0, 1.0), 2.9394e-217),  # u is below the smallest double
+])
+def test_seam_where_the_direct_quotient_failed(cuffs, seam):
+    got = pants._seam(*cuffs)
+    assert abs(got - _seam_reference(*cuffs)) <= 1e-13 * got
+    assert got == pytest.approx(seam, rel=1e-4)
+
+
+def test_seam_against_mpmath_from_the_smallest_to_huge_cuffs():
+    cuffs = (5e-324, 1e-160, 1e-8, 0.5, 2.0, 40.0, 770.6, 1000.0, 1e300)
+    for triple in itertools.product(cuffs, repeat=3):
+        want = _seam_reference(*triple)
+        # or within one step of the smallest subnormal, where a seam rounds to 0
+        assert abs(pants._seam(*triple) - want) <= max(1e-13 * want, 5e-324), triple
 
 
 def test_plan_single_pants():

@@ -10,7 +10,6 @@ from hypsurf.errors import (
 )
 from hypsurf.signature import (
     NEG_INF,
-    CanonicalSignature,
     FiniteType,
     HalfPlaneSurface,
     InfiniteType,
@@ -18,7 +17,6 @@ from hypsurf.signature import (
     Signature,
     Strip,
     all_finite_descriptions,
-    canonicalize,
     description_from_json,
     description_to_json,
     double,
@@ -30,15 +28,6 @@ from hypsurf.signature import (
 
 S = Signature
 FT = FiniteType
-
-
-signatures = st.builds(
-    S,
-    st.integers(min_value=0, max_value=5),
-    st.integers(min_value=0, max_value=5),
-    st.integers(min_value=0, max_value=5),
-    st.integers(min_value=0, max_value=5),
-)
 
 
 def test_signature_rejects_negative_counts():
@@ -82,22 +71,6 @@ def test_chi_infinite_type():
         euler_characteristic(InfiniteType(infinite_boundary=True))
     with pytest.raises(InvalidInput):
         InfiniteType()
-
-
-def test_canonicalize_dycks_relation():
-    assert canonicalize(S(1, 1, 0, 0)) == CanonicalSignature(0, 3, 0, 0)
-    assert canonicalize(S(2, 0, 1, 1)) == CanonicalSignature(2, 0, 1, 1)
-    out = canonicalize(S(2, 1, 0, 0))
-    assert out == CanonicalSignature(0, 5, 0, 0)
-    assert out.chi() == S(2, 1, 0, 0).chi() == -3
-
-
-@given(signatures)
-def test_canonicalize_preserves_chi_and_is_idempotent(s):
-    c = canonicalize(s)
-    assert c.chi() == s.chi()
-    assert canonicalize(c) == c
-    assert not (c.g > 0 and c.c > 0)
 
 
 def test_double_closed_disk_is_sphere():
@@ -195,16 +168,17 @@ def test_scan_nonstandard_set_equals_catalog():
     assert found == catalog_names
 
 
-def test_every_nonneg_chi_matches_one_catalog_entry_after_canonicalize():
-    catalog = {
-        (d.signature.g, d.signature.c, d.signature.b, d.signature.a)
-        for _, d in thirteen_list()
-        if isinstance(d, FT)
-    }
-    for d in all_finite_descriptions(2):
-        if euler_characteristic(d) >= 0:
-            c = canonicalize(d.signature)
-            assert (c.g, c.c, c.b, c.a) in catalog
+def test_a_finite_description_is_a_catalog_entry_exactly_when_chi_is_nonnegative():
+    catalog = {d for _, d in thirteen_list()}
+    for d in all_finite_descriptions(12):
+        assert (d in catalog) == (euler_characteristic(d) >= 0)
+
+
+@pytest.mark.parametrize("not_a_description", [None, {"kind": "strip"}, [0, 0, 0, 1]])
+def test_is_standard_rejects_what_is_not_a_description(not_a_description):
+    # a dict or a list is unhashable: the type check must come before the lookup
+    with pytest.raises(InvalidInput):
+        is_standard(not_a_description)
 
 
 def test_doubling_preserves_standardness_where_defined():
