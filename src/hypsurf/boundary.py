@@ -412,8 +412,9 @@ def is_boundary_identity(
     """
     if m < 0:
         raise InvalidInput("search depth must be nonnegative")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InvalidInput(f"identity tolerance must be a finite nonnegative number, got {tol!r}")
+    # a residual is an angle in [0, pi], so a tol of pi or more passes every map
+    if not 0.0 <= tol < math.pi:
+        raise InvalidInput(f"identity tolerance must lie in [0, pi), got {tol!r}")
     if not len(sample):
         raise TooFewPoints("the inner-correction search needs a nonempty sample")
     zout = np.exp(1j * sample.theta_out)

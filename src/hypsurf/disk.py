@@ -56,27 +56,41 @@ def angle_distance(t1, t2):
     return np.minimum(d, TWO_PI - d)
 
 
+def circle_angle(z: np.ndarray) -> np.ndarray:
+    """The angle of each point of a complex array, in [0, 2*pi):
+    ``reduce_angle(np.angle(z))`` bit for bit, without the fmod."""
+    t = np.angle(z)
+    # on [-pi, pi] the remainder mod 2*pi is t or t + 2*pi, and -0.0 + 0.0
+    # is +0.0, as it is for %; a tiny negative t rounds up to 2*pi, as there
+    t += (t < 0.0) * TWO_PI
+    over = t >= TWO_PI
+    if over.any():
+        t[over] -= TWO_PI
+    return t
+
+
 def circle_net(theta: np.ndarray) -> np.ndarray:
     """Merge a nonempty array of angles in [0, 2*pi) into a TOL_ANGLE net
     of the circle, and return the indices of the kept angles in increasing
     order of angle: the net is ``theta[circle_net(theta)]``.
 
-    The angles are sorted stably (equal angles keep their input order).
     An angle within TOL_ANGLE of the last kept angle is dropped, and kept
     angles within TOL_ANGLE of the first + 2*pi fold into the first.  So
     kept neighbours, wraparound included, are more than TOL_ANGLE apart,
-    and every angle lies within TOL_ANGLE of a kept one.  A dropped angle
-    is a tie with a kept one at that resolution; samplers index every
-    array aligned with theta by the same net.
+    and every angle lies within TOL_ANGLE of a kept one.  Of exactly equal
+    angles, the earliest input entry is the one kept.  A dropped angle is
+    a tie with a kept one at that resolution; samplers index every array
+    aligned with theta by the same net.
     """
-    order = np.argsort(theta, kind="stable")
+    order = np.argsort(theta)
     t = theta[order]
     n = len(t)
     # the first angle of each run, a stretch of angles each within
     # TOL_ANGLE of the one before, is kept
     keep = np.empty(n, dtype=bool)
     keep[0] = True
-    np.greater(np.diff(t), TOL_ANGLE, out=keep[1:])
+    step = np.diff(t)
+    np.greater(step, TOL_ANGLE, out=keep[1:])
     # inside a run, so is the first angle beyond TOL_ANGLE of the last kept
     # one, until the next run start; a run of two spans at most TOL_ANGLE,
     # so the rounds start only from longer runs
@@ -87,8 +101,8 @@ def circle_net(theta: np.ndarray) -> np.ndarray:
         # last bit rounds the one tie up), but so may angles equal to a sum
         # that rounded up: step back over those
         nxt = np.searchsorted(t, t[last] + TOL_ANGLE, side="right")
-        while (step := t[nxt - 1] - t[last] > TOL_ANGLE).any():
-            nxt -= step
+        while (back := t[nxt - 1] - t[last] > TOL_ANGLE).any():
+            nxt -= back
         nxt = nxt[nxt < n]
         last = nxt[~keep[nxt]]
         keep[last] = True
@@ -96,6 +110,14 @@ def circle_net(theta: np.ndarray) -> np.ndarray:
     # past the rounded t[0] + 2*pi - TOL_ANGLE
     tail = max(1, int(np.searchsorted(t, t[0] + TWO_PI - TOL_ANGLE)))
     folded = np.count_nonzero(keep[tail:] & (t[0] + TWO_PI - t[tail:] <= TOL_ANGLE))
+    # every kept position starts its run of exactly equal angles, and the
+    # sort leaves such a run in any order: give the run's first position
+    # the least input index in the run
+    tie = np.flatnonzero(step == 0.0)  # t[tie] == t[tie + 1]
+    if len(tie):
+        pair = np.minimum(order[tie], order[tie + 1])
+        head = np.flatnonzero(np.diff(tie, prepend=-2) > 1)
+        order[tie[head]] = np.minimum.reduceat(pair, head)
     kept = order[keep]
     return kept[:len(kept) - folded]
 

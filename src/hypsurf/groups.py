@@ -9,8 +9,10 @@ and Cantor structure.
 
 The words come from the one shortlex table, `words.shortlex_levels`, with
 matrices up to a positive scale.  Sampling is vectorized level-by-level
-over numpy arrays but keeps a strict deterministic order (shortlex, then
-sorted angles with shortlex tie-break), so repeated runs are byte-identical.
+over numpy arrays but keeps a strict deterministic order: endpoints are
+taken by level, attracting before repelling, then shortlex within a level,
+and `disk.circle_net` keeps the earliest of exactly equal angles, so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from hypsurf.disk import (
     Geodesic,
     IdealPoint,
     MobiusIsometry,
+    circle_angle,
     circle_fixed_points,
     circle_net,
     is_certainly_hyperbolic,
@@ -43,7 +46,7 @@ from hypsurf.errors import (
     NumericFailure,
 )
 from hypsurf.text import sample_csv
-from hypsurf.words import GroupWord, _letter_key, shortlex_levels, stack_padded
+from hypsurf.words import GroupWord, _letter_key, shortlex_levels
 
 #: relator products must land this close to +/- identity
 TOL_RELATOR = 1e-6
@@ -119,8 +122,7 @@ def evaluate(rep: GroupRep, w: GroupWord) -> MobiusIsometry:
 # vectorized word/matrix tables
 
 
-@dataclass(frozen=True)
-class _Level:
+class _Level(NamedTuple):
     letters: np.ndarray  # int8, shape (count, length)
     a: np.ndarray        # complex128
     b: np.ndarray
@@ -195,6 +197,42 @@ class EndpointSample:
 
 
 
+def _endpoint_rows(rep: GroupRep, base: DiskPoint, n: int, mode: SampleMode,
+                   delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The angles of `limit_sample`'s endpoints before the net, the int32
+    row of each one's word, and the padded word table those rows index:
+    row 0 is the empty word, then levels 1..n in shortlex order."""
+    levels = _word_levels(rep, n)
+    words = np.zeros((1 + sum(len(lv.letters) for lv in levels), n), dtype=np.int8)
+    theta_parts: list[np.ndarray] = []
+    row_parts: list[np.ndarray] = []
+    z0 = base.z
+    if mode is SampleMode.ORBIT_PROJECTION and abs(z0) > 1.0 - delta:
+        theta_parts.append(np.array([reduce_angle(cmath.phase(z0))]))
+        row_parts.append(np.zeros(1, dtype=np.int32))
+    at = 1
+    while levels:
+        # a level's matrices are dropped as soon as its endpoints are taken
+        letters, a, b = levels.pop(0)
+        count, length = letters.shape
+        words[at:at + count, :length] = letters
+        if mode is SampleMode.ORBIT_PROJECTION:
+            z = (a * z0 + b) / (np.conj(b) * z0 + np.conj(a))
+            rows = np.flatnonzero(np.abs(z) > 1.0 - delta)
+            theta_parts.append(circle_angle(z[rows]))
+            row_parts.append((rows + at).astype(np.int32))
+        else:
+            cyc = letters[:, 0] != -letters[:, -1]
+            rows = np.flatnonzero(cyc & is_certainly_hyperbolic(a, b))
+            a, b = a[rows], b[rows]
+            rows = (rows + at).astype(np.int32)
+            for z in circle_fixed_points(a, b):  # attracting, then repelling
+                theta_parts.append(circle_angle(z))
+                row_parts.append(rows)
+        at += count
+    return np.concatenate(theta_parts), np.concatenate(row_parts), words
+
+
 def limit_sample(
     rep: GroupRep,
     base: DiskPoint,
@@ -212,37 +250,13 @@ def limit_sample(
         raise InvalidInput("limit_sample needs n >= 1")
     if mode is SampleMode.ORBIT_PROJECTION and not 0.0 < delta < 1.0:
         raise InvalidInput("delta must lie in (0, 1)")
-    levels = _word_levels(rep, n)
-    theta_parts: list[np.ndarray] = []
-    letter_parts: list[np.ndarray] = []
-    width = max(lv.letters.shape[1] for lv in levels) if levels else 0
-
-    if mode is SampleMode.ORBIT_PROJECTION:
-        z0 = base.z
-        if abs(z0) > 1.0 - delta:
-            theta_parts.append(np.array([reduce_angle(cmath.phase(z0))]))
-            letter_parts.append(np.zeros((1, width), dtype=np.int8))
-        for lv in levels:
-            z = (lv.a * z0 + lv.b) / (np.conj(lv.b) * z0 + np.conj(lv.a))
-            mask = np.abs(z) > 1.0 - delta
-            theta_parts.append(reduce_angle(np.angle(z[mask])))
-            letter_parts.append(lv.letters[mask])
-    else:
-        for lv in levels:
-            cyc = lv.letters[:, 0] != -lv.letters[:, -1]
-            mask = cyc & is_certainly_hyperbolic(lv.a, lv.b)
-            rows = lv.letters[mask]
-            for z in circle_fixed_points(lv.a[mask], lv.b[mask]):
-                theta_parts.append(reduce_angle(np.angle(z)))
-                letter_parts.append(rows)
-    if not theta_parts or sum(len(t) for t in theta_parts) == 0:
+    theta, rows, words = _endpoint_rows(rep, base, n, mode, delta)
+    if len(theta) == 0:
         raise EmptySample(
             "no qualifying boundary points; increase n or loosen delta"
         )
-    theta = np.concatenate(theta_parts)
-    letters = stack_padded(letter_parts, width)
     net = circle_net(theta)
-    return EndpointSample(mode, theta[net], letters[net])
+    return EndpointSample(mode, theta[net], np.take(words, rows[net], axis=0))
 
 
 def _circular_gaps(s: EndpointSample) -> np.ndarray:
@@ -326,7 +340,7 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
         x = (ga * x + gb) / (gb.conj() * x + ga.conj())
         z[live] = x / np.abs(x)
     out = np.full(count, np.nan)
-    out[ok] = reduce_angle(np.angle(z))
+    out[ok] = circle_angle(z)
     return out
 
 

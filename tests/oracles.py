@@ -7,6 +7,7 @@ reference exactly, arrays bit for bit, dtype and shape included.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -22,7 +23,14 @@ from hypsurf.words import (
     word_count,
 )
 from hypsurf.boundary import BoundaryIdentityResult
-from hypsurf.disk import TOL_ANGLE, TWO_PI, DiskPoint
+from hypsurf.disk import (
+    TOL_ANGLE,
+    TWO_PI,
+    DiskPoint,
+    circle_fixed_points,
+    is_certainly_hyperbolic,
+    reduce_angle,
+)
 from hypsurf.errors import (
     BudgetExceeded,
     InvalidInput,
@@ -32,7 +40,7 @@ from hypsurf.errors import (
     NotHyperbolizable,
     NumericFailure,
 )
-from hypsurf.groups import _word_levels
+from hypsurf.groups import DEFAULT_DELTA, EndpointSample, SampleMode, _word_levels
 from hypsurf.pants import (
     DEFAULT_GLUING_LENGTH,
     BoundarySlot,
@@ -373,6 +381,59 @@ def circle_net(theta: np.ndarray) -> np.ndarray:
     kept = order[keep]
     wrap = np.count_nonzero(theta[kept[0]] + TWO_PI - theta[kept[1:]] <= TOL_ANGLE)
     return kept[:len(kept) - wrap]
+
+
+def stable_circle_net(theta: np.ndarray) -> np.ndarray:
+    """`disk.circle_net` on a stable sort, which keeps the first of equal
+    angles in input order without a tie repair."""
+    order = np.argsort(theta, kind="stable")
+    t = theta[order]
+    n = len(t)
+    keep = np.empty(n, dtype=bool)
+    keep[0] = True
+    np.greater(np.diff(t), TOL_ANGLE, out=keep[1:])
+    last = np.flatnonzero(keep[:-2] & ~keep[1:-1] & ~keep[2:])
+    while len(last):
+        nxt = np.searchsorted(t, t[last] + TOL_ANGLE, side="right")
+        while (step := t[nxt - 1] - t[last] > TOL_ANGLE).any():
+            nxt -= step
+        nxt = nxt[nxt < n]
+        last = nxt[~keep[nxt]]
+        keep[last] = True
+    tail = max(1, int(np.searchsorted(t, t[0] + TWO_PI - TOL_ANGLE)))
+    folded = np.count_nonzero(keep[tail:] & (t[0] + TWO_PI - t[tail:] <= TOL_ANGLE))
+    kept = order[keep]
+    return kept[:len(kept) - folded]
+
+
+def limit_sample(rep, base: DiskPoint, n: int, mode, delta: float = DEFAULT_DELTA):
+    """`groups.limit_sample` gathering each level's letter rows by mask,
+    stacking them padded, and taking the stable net of the angles."""
+    levels = _word_levels(rep, n)
+    theta_parts, letter_parts = [], []
+    width = max(lv.letters.shape[1] for lv in levels)
+    if mode is SampleMode.ORBIT_PROJECTION:
+        z0 = base.z
+        if abs(z0) > 1.0 - delta:
+            theta_parts.append(np.array([reduce_angle(cmath.phase(z0))]))
+            letter_parts.append(np.zeros((1, width), dtype=np.int8))
+        for lv in levels:
+            z = (lv.a * z0 + lv.b) / (np.conj(lv.b) * z0 + np.conj(lv.a))
+            mask = np.abs(z) > 1.0 - delta
+            theta_parts.append(reduce_angle(np.angle(z[mask])))
+            letter_parts.append(lv.letters[mask])
+    else:
+        for lv in levels:
+            cyc = lv.letters[:, 0] != -lv.letters[:, -1]
+            mask = cyc & is_certainly_hyperbolic(lv.a, lv.b)
+            rows = lv.letters[mask]
+            for z in circle_fixed_points(lv.a[mask], lv.b[mask]):
+                theta_parts.append(reduce_angle(np.angle(z)))
+                letter_parts.append(rows)
+    theta = np.concatenate(theta_parts)
+    letters = words.stack_padded(letter_parts, width)
+    net = stable_circle_net(theta)
+    return EndpointSample(mode, theta[net], letters[net])
 
 
 def inner_search(rep, sample, m: int, tol: float) -> BoundaryIdentityResult:

@@ -331,6 +331,9 @@ def test_endomorphisms_of_the_free_group_that_are_not_automorphisms_are_invalid_
     (*TORUS_TWIST, "--check-identity", "--tol", "nan"),  # once "identity":false
     (*TORUS_TWIST, "--check-identity", "--tol", "-0.1"),
     (*TORUS_TWIST, "--check-identity", "--tol", "inf"),  # once passed a Dehn twist
+    # a residual is at most pi: these once passed the Dehn twist too
+    (*TORUS_TWIST, "--check-identity", "--tol", "3.2"),
+    (*TORUS_TWIST, "--check-identity", "--tol", "3.141592653589793"),
     # the next four once exited as NegativeLength or NonpositiveLength
     ("pants", "--lengths", "nan,1,1"),
     ("pants", "--lengths", "inf,1,1"),

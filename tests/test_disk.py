@@ -17,6 +17,7 @@ from hypsurf.disk import (
     TWO_PI,
     angle_distance,
     apply,
+    circle_angle,
     circle_fixed_points,
     circle_net,
     is_certainly_hyperbolic,
@@ -134,6 +135,47 @@ def test_circle_net_matches_the_walk_back_oracle():
     assert len(kept) > runs
     # (an angle beyond TOL_ANGLE past the last kept one is covered by the fold)
     assert np.any(theta > theta[kept[-1]] + TOL_ANGLE)
+
+
+@st.composite
+def tied_angles(draw):
+    """`clustered_angles` plus +-0.0 and angles within TOL_ANGLE below
+    2*pi, each repeated 1 to 5 times exactly (runs of 2 and of 3 or more
+    equal angles), in shuffled input order."""
+    distinct = draw(clustered_angles()).tolist() + draw(st.lists(st.sampled_from(
+        [0.0, -0.0, TWO_PI - 0.5 * TOL_ANGLE, math.nextafter(TWO_PI, 0.0)]), max_size=4))
+    copies = draw(st.lists(st.integers(1, 5), min_size=len(distinct), max_size=len(distinct)))
+    return np.array(draw(st.permutations([t for t, k in zip(distinct, copies)
+                                          for _ in range(k)])))
+
+
+@given(tied_angles())
+def test_circle_net_keeps_the_stable_sorts_indices(theta):
+    kept = circle_net(theta)
+    assert kept.dtype == np.intp
+    assert kept.tolist() == oracles.stable_circle_net(theta).tolist()
+
+
+def test_circle_net_keeps_the_stable_sorts_indices_on_many_ties():
+    # large enough for the sort's vectorized kernels, which leave runs of
+    # equal angles in any order
+    rng = np.random.default_rng(21)
+    distinct = np.concatenate([rng.uniform(0.0, TWO_PI, 20_000),
+                               rng.uniform(3.0, 3.0 + 500 * TOL_ANGLE, 20_000),
+                               [0.0, -0.0, TWO_PI - 0.5 * TOL_ANGLE]])
+    theta = rng.permutation(np.repeat(distinct, rng.integers(1, 6, len(distinct))))
+    assert circle_net(theta).tolist() == oracles.stable_circle_net(theta).tolist()
+
+
+def test_circle_angle_is_reduce_angle_of_the_angle_bit_for_bit():
+    rng = np.random.default_rng(5)
+    edge = [complex(1, -0.0), complex(-1, -0.0), -0j, complex(1, -5e-324), complex(1, -1e-17)]
+    z = np.concatenate([rng.normal(size=100_000) + 1j * rng.normal(size=100_000), edge])
+    got = circle_angle(z)
+    assert got.view(np.uint64).tolist() == reduce_angle(np.angle(z)).view(np.uint64).tolist()
+    # -0.0 becomes +0.0, and at 1 - 1e-17 i the sum with 2*pi rounds to 2*pi
+    assert got[-5:].view(np.uint64).tolist() == np.array(
+        [0.0, math.pi, math.pi, 0.0, 0.0]).view(np.uint64).tolist()
 
 
 def test_circle_net_at_a_sum_that_rounds_up():

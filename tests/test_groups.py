@@ -242,6 +242,40 @@ def test_limit_sample_is_the_net_of_its_endpoints(make_group, sample, ns, rows, 
         assert len(angles) == rows
 
 
+@pytest.mark.parametrize("make_group, n, mode, base", [
+    pytest.param(octagon_group, 5, SampleMode.AXIS_ENDPOINTS, 0, id="octagon-axes-n5"),
+    pytest.param(lambda: schottky_rank2(4.0), 10, SampleMode.AXIS_ENDPOINTS, 0,
+                 id="schottky4-axes-n10"),
+    pytest.param(cusped_torus_group, 8, SampleMode.AXIS_ENDPOINTS, 0, id="torus-axes-n8"),
+    pytest.param(octagon_group, 4, SampleMode.ORBIT_PROJECTION, 0.3 + 0.2j,
+                 id="octagon-orbit-base-inside"),
+    pytest.param(octagon_group, 4, SampleMode.ORBIT_PROJECTION, 0.9,
+                 id="octagon-orbit-base-outside"),
+    pytest.param(cusped_torus_group, 6, SampleMode.ORBIT_PROJECTION, -0.5 - 0.7j,
+                 id="torus-orbit-base-outside"),
+])
+def test_limit_sample_matches_the_letter_gathering_oracle(make_group, n, mode, base):
+    # the word of each endpoint is fetched by its row in one table, where
+    # the oracle gathers letter rows by mask and stacks them
+    rep, point = make_group(), DiskPoint(base)
+    s, ref = limit_sample(rep, point, n, mode), oracles.limit_sample(rep, point, n, mode)
+    assert np.array_equal(s.angles, ref.angles) and s.angles.tobytes() == ref.angles.tobytes()
+    assert np.array_equal(s.letters, ref.letters)
+    assert s.letters.dtype == np.int8 and s.letters.shape == (len(s), n)
+    # past 1 - delta the base point is an endpoint, and row 0, the empty word, its word
+    if mode is SampleMode.ORBIT_PROJECTION and abs(base) > 1.0 - groups.DEFAULT_DELTA:
+        assert not s.letters.any(axis=1).all()
+
+
+def test_circle_net_keeps_the_stable_sorts_indices_on_real_ties():
+    # the axis endpoints of Schottky(4) at n=10 before the net: 61,026
+    # neighbours in sorted order are exactly equal
+    theta, _, _ = groups._endpoint_rows(schottky_rank2(4.0), DiskPoint(0), 10,
+                                         SampleMode.AXIS_ENDPOINTS, groups.DEFAULT_DELTA)
+    assert np.count_nonzero(np.diff(np.sort(theta)) == 0.0) == 61_026
+    assert circle_net(theta).tolist() == oracles.stable_circle_net(theta).tolist()
+
+
 def test_limit_sample_orbit_mode_basepoint_stability(octagon):
     s0 = limit_sample(octagon, DiskPoint(0), 4, SampleMode.ORBIT_PROJECTION)
     s1 = limit_sample(octagon, DiskPoint(0.3 + 0.2j), 4, SampleMode.ORBIT_PROJECTION)
