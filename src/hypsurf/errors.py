@@ -84,11 +84,7 @@ class LengthCountMismatch(InvalidInput):
 
 
 class LengthMismatch(NumericFailure):
-    """Glued cuff slots disagree; carries the offending gluings."""
-
-    def __init__(self, message, offending=()):
-        super().__init__(message)
-        self.offending = tuple(offending)
+    """The two cuffs of a gluing, or a cusp's cuff and 0, disagree."""
 
 
 # --- boundary ----------------------------------------------------------------

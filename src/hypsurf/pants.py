@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar, NoReturn
 
 from hypsurf.errors import (
@@ -51,7 +50,8 @@ class CuffLengths:
                 raise InvalidInput(f"cuff length {name} = {v!r} must be finite")
             if v < 0.0:
                 raise NegativeLength(f"cuff length {name} = {v!r} must be >= 0")
-            object.__setattr__(self, name, v)
+            # -0.0 + 0.0 is +0.0: a cusp has one value and one text
+            object.__setattr__(self, name, v + 0.0)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x1, self.x2, self.x3)
@@ -156,58 +156,34 @@ def hexagon_identity_residual(x: CuffLengths, geometry: PantsGeometry) -> float:
 # ---------------------------------------------------------------------------
 # decomposition plans
 
-
-@dataclass(frozen=True)
-class PantsNode:
-    node_id: str
-    cuff_lengths: tuple[float, float, float]
+#: twist of every gluing
+GLUING_TWIST = 0.0
 
 
-@dataclass(frozen=True)
-class Gluing:
-    slot_from: str
-    slot_to: str
-    length: float
-    twist: ClassVar[float] = 0.0
-
-
-@dataclass(frozen=True)
-class CrosscapGluing:
-    slot: str
-    length: float
-
-
-@dataclass(frozen=True)
-class BoundarySlot:
-    slot: str
-    length: float
+def slot_name(slot: int) -> str:
+    """`p{i}.c{k}`, the name of slot 3i + k: cuff k of pants i."""
+    return f"p{slot // 3}.c{slot % 3}"
 
 
 @dataclass(frozen=True)
 class PantsDecompositionPlan:
-    """Pants nodes plus a complete accounting of their 3P cuff slots:
-    every slot is glued, crosscap-identified, an external boundary, or a
-    cusp, exactly once.  Construction runs `_check_plan`, so every plan
+    """Pants as cuff triples plus a complete accounting of their 3P cuff
+    slots by index.  Pants i is `p{i}`, and its cuff k is slot 3i + k.
+    Every slot is claimed exactly once: by a gluing (a slot pair), a
+    crosscap, an external boundary or a cusp.  Each length is stored
+    once, as its cuff.  Construction runs `_check_plan`, so every plan
     object has passed it."""
 
-    pants: tuple[PantsNode, ...]
-    gluings: tuple[Gluing, ...]
-    crosscap_gluings: tuple[CrosscapGluing, ...]
-    boundary_slots: tuple[BoundarySlot, ...]
-    cusp_slots: tuple[str, ...]
+    pants: tuple[tuple[float, float, float], ...]
+    gluings: tuple[tuple[int, int], ...]
+    crosscaps: tuple[int, ...]
+    boundary: tuple[int, ...]
+    cusps: tuple[int, ...]
 
     def __post_init__(self):
         # frozen and made of tuples, a plan that passed stays valid;
         # `dataclasses.replace` builds a new object, checked in turn
         _check_plan(self)
-
-    @cached_property
-    def slot_table(self) -> tuple[tuple[str, ...], tuple[float, ...]]:
-        """Every cuff slot in (node, cuff) order and its cuff length: the
-        one length table, read from the pants tuples once."""
-        slots = tuple([f"{p.node_id}{k}" for p in self.pants for k in (".c0", ".c1", ".c2")])
-        lengths = tuple([x for p in self.pants for x in p.cuff_lengths])
-        return slots, lengths
 
 
 def plan_decomposition(
@@ -242,97 +218,91 @@ def plan_decomposition(
         if x <= 0.0:
             raise NegativeLength(f"boundary length {x!r} must be positive")
 
-    count = -chi
-    slots = ["p0.c0", *(f"p{i}.c1" for i in range(count)), f"p{count - 1}.c2"]
-    h, c = 2 * s.g, 2 * s.g + s.c  # ends of the handle and crosscap runs
+    slots = 3 * -chi
+    holes = [0, *range(1, slots, 3), slots - 1]
+    # ends of the handle, crosscap and boundary runs
+    h, c, b = 2 * s.g, 2 * s.g + s.c, 2 * s.g + s.c + s.b
     hole_lengths = (DEFAULT_GLUING_LENGTH,) * c + lengths + (0.0,) * s.a
-    chain = (DEFAULT_GLUING_LENGTH,) * (count - 1)
-    cuffs = zip(hole_lengths[:1] + chain, hole_lengths[1:-1], chain + hole_lengths[-1:])
+    chain = (DEFAULT_GLUING_LENGTH,) * (-chi - 1)
     return PantsDecompositionPlan(
-        pants=tuple(PantsNode(f"p{i}", triple) for i, triple in enumerate(cuffs)),
-        gluings=tuple(
-            Gluing(f"p{i}.c2", f"p{i + 1}.c0", DEFAULT_GLUING_LENGTH) for i in range(count - 1)
-        ) + tuple(
-            Gluing(x, y, DEFAULT_GLUING_LENGTH) for x, y in zip(slots[0:h:2], slots[1:h:2])
-        ),
-        crosscap_gluings=tuple(CrosscapGluing(x, DEFAULT_GLUING_LENGTH) for x in slots[h:c]),
-        boundary_slots=tuple(map(BoundarySlot, slots[c:c + s.b], lengths)),
-        cusp_slots=tuple(slots[c + s.b:]),
+        pants=tuple(zip(hole_lengths[:1] + chain, hole_lengths[1:-1], chain + hole_lengths[-1:])),
+        gluings=tuple(zip(range(2, slots - 3, 3), range(3, slots, 3)))
+        + tuple(zip(holes[0:h:2], holes[1:h:2])),
+        crosscaps=tuple(holes[h:c]),
+        boundary=tuple(holes[c:b]),
+        cusps=tuple(holes[b:]),
     )
 
 
 def _check_plan(plan: PantsDecompositionPlan) -> None:
-    """Validate slot accounting, then lengths.
+    """The one check of a plan and of its cuffs, linear in its size.
 
-    Every pants has three cuffs and an id of its own, and the claimed
-    slots (two per gluing, one per crosscap, boundary slot and cusp) are
-    the cuff slots, each claimed once; otherwise InvalidInput, with the
-    slot used twice or the missing and extra slots named.  A crosscap
-    needs a positive length (NegativeLength).  A gluing joins two cuffs
-    of its own length, a crosscap or boundary slot has its cuff's length
-    and a cusp's cuff is 0; otherwise LengthMismatch carrying the
-    offending entries.  NaN equals nothing, so it fails every length test.
+    Every pants has three cuffs, every gluing two slots, and the claimed
+    slots (both of each gluing, each crosscap, boundary and cusp) are the
+    ints 0 .. 3P - 1, each claimed once; otherwise InvalidInput naming the
+    fault.  Every cuff is finite (InvalidInput) and at least +0
+    (NegativeLength, -0.0 included), the two cuffs of a gluing are equal
+    and a cusp's cuff is 0 (LengthMismatch), and a crosscap's cuff is
+    positive (NegativeLength).
     """
-    slots, lengths = plan.slot_table
-    length_of = dict(zip(slots, lengths))
-    claimed = [s for g in plan.gluings for s in (g.slot_from, g.slot_to)]
-    claimed += [c.slot for c in plan.crosscap_gluings]
-    claimed += [b.slot for b in plan.boundary_slots]
-    claimed += plan.cusp_slots
-    # three cuffs a pants, as many distinct slots as claims, and the
-    # claims are those slots
-    if not (all(len(p.cuff_lengths) == 3 for p in plan.pants)
-            and len(length_of) == len(lengths) == len(claimed)
-            and length_of.keys() == set(claimed)):
-        _raise_accounting(plan, slots)
-    for c in plan.crosscap_gluings:
-        if not (c.length > 0.0):
-            raise NegativeLength(f"crosscap cuff {c.slot} needs positive length")
-    bad = [g for g in plan.gluings
-           if not length_of[g.slot_from] == length_of[g.slot_to] == g.length]
-    if bad:
-        raise LengthMismatch(
-            f"{len(bad)} gluings join unequal cuff lengths", offending=bad
-        )
-    off = [c for c in plan.crosscap_gluings if not length_of[c.slot] == c.length]
-    off += [b for b in plan.boundary_slots if not length_of[b.slot] == b.length]
-    off += [s for s in plan.cusp_slots if not length_of[s] == 0.0]
-    if off:
-        raise LengthMismatch(
-            f"{len(off)} crosscap, boundary or cusp slots differ from their cuffs",
-            offending=off,
-        )
+    claimed = list(itertools.chain.from_iterable(plan.gluings))
+    claimed += plan.crosscaps
+    claimed += plan.boundary
+    claimed += plan.cusps
+    n = 3 * len(plan.pants)
+    if not ({*map(len, plan.pants)} <= {3} and {*map(len, plan.gluings)} <= {2}
+            and {*map(type, claimed)} <= {int}
+            and len(claimed) == len(set(claimed)) == n
+            and min(claimed, default=0) >= 0 and max(claimed, default=0) < n):
+        _raise_accounting(plan)
+    cuffs = list(itertools.chain.from_iterable(plan.pants))
+    for slot, x in enumerate(cuffs):
+        # NaN fails both tests, and only the sign tells -0.0 from 0.0
+        if not (0.0 < x < math.inf or x == 0.0 and math.copysign(1.0, x) > 0.0):
+            if not math.isfinite(x):
+                raise InvalidInput(f"cuff {slot_name(slot)} = {x!r} must be finite")
+            raise NegativeLength(f"cuff {slot_name(slot)} = {x!r} must be >= +0")
+    unequal = [f"{slot_name(i)}={cuffs[i]!r} to {slot_name(j)}={cuffs[j]!r}"
+               for i, j in plan.gluings if cuffs[i] != cuffs[j]]
+    if unequal:
+        raise LengthMismatch(f"{len(unequal)} gluings join unequal cuffs: {', '.join(unequal)}")
+    for slot in plan.crosscaps:
+        if cuffs[slot] == 0.0:
+            raise NegativeLength(f"crosscap cuff {slot_name(slot)} needs positive length")
+    for slot in plan.cusps:
+        if cuffs[slot] != 0.0:
+            raise LengthMismatch(f"cusp cuff {slot_name(slot)} = {cuffs[slot]!r} must be 0")
 
 
-def _raise_accounting(plan: PantsDecompositionPlan, slots: tuple[str, ...]) -> NoReturn:
-    """Name what breaks a plan's slot accounting: claims in order (a
-    crosscap's length checked as it is claimed), then missing and extra
-    slots, then pants ids used twice and pants without three cuffs."""
-    seen: dict[str, str] = {}
+def _raise_accounting(plan: PantsDecompositionPlan) -> NoReturn:
+    """Name what breaks a plan's slot accounting: a pants without three
+    cuffs, a gluing without two slots, then the claims in order (a slot
+    that is not an int, a slot used twice), then missing and extra slots.
+    An in-range slot is named `p{i}.c{k}`, any other by its value."""
+    for i, p in enumerate(plan.pants):
+        if len(p) != 3:
+            raise InvalidInput(f"pants p{i} has {len(p)} cuffs, not 3")
+    for g in plan.gluings:
+        if len(g) != 2:
+            raise InvalidInput(f"gluing {g!r} has {len(g)} slots, not 2")
+    n = 3 * len(plan.pants)
+    seen: dict[int, str] = {}
     claims = itertools.chain(
-        ((s, "gluing", None) for g in plan.gluings for s in (g.slot_from, g.slot_to)),
-        ((c.slot, "crosscap", c) for c in plan.crosscap_gluings),
-        ((b.slot, "boundary", None) for b in plan.boundary_slots),
-        ((s, "cusp", None) for s in plan.cusp_slots),
+        zip(itertools.chain.from_iterable(plan.gluings), itertools.repeat("gluing")),
+        zip(plan.crosscaps, itertools.repeat("crosscap")),
+        zip(plan.boundary, itertools.repeat("boundary")),
+        zip(plan.cusps, itertools.repeat("cusp")),
     )
-    for slot, how, crosscap in claims:
+    for slot, how in claims:
+        if type(slot) is not int:
+            raise InvalidInput(f"{how} slot {slot!r} is not an int")
         if slot in seen:
-            raise InvalidInput(f"slot {slot} used twice ({seen[slot]} and {how})")
+            name = slot_name(slot) if 0 <= slot < n else slot
+            raise InvalidInput(f"slot {name} used twice ({seen[slot]} and {how})")
         seen[slot] = how
-        if crosscap is not None and not (crosscap.length > 0.0):
-            raise NegativeLength(f"crosscap cuff {slot} needs positive length")
-    slot_set = set(slots)
-    missing = [s for s in slots if s not in seen]
-    extra = [s for s in seen if s not in slot_set]
-    if missing or extra:
-        raise InvalidInput(f"slot accounting broken: missing {missing}, extra {extra}")
-    ids: set[str] = set()
-    for p in plan.pants:
-        if p.node_id in ids:
-            raise InvalidInput(f"pants id {p.node_id} used twice")
-        ids.add(p.node_id)
-        if len(p.cuff_lengths) != 3:
-            raise InvalidInput(f"pants {p.node_id} has {len(p.cuff_lengths)} cuffs, not 3")
+    missing = [slot_name(s) for s in range(n) if s not in seen]
+    extra = [s for s in seen if not 0 <= s < n]
+    raise InvalidInput(f"slot accounting broken: missing {missing}, extra {extra}")
 
 
 @dataclass(frozen=True)
@@ -343,10 +313,7 @@ class MetricSummary:
 
 def realize(plan: PantsDecompositionPlan) -> MetricSummary:
     """Fit the pants metrics together and total the area (2*pi per
-    pants).  A pants exists for every finite, nonnegative cuff triple, so
-    each distinct triple is checked as `CuffLengths` and no seam is
-    built: a plan's output carries none.  The plan's accounting was
-    validated when it was constructed; its lengths are `plan.slot_table`."""
-    for cuffs in dict.fromkeys(p.cuff_lengths for p in plan.pants):
-        CuffLengths(*cuffs)
+    pants).  A pants exists for every finite, nonnegative cuff triple,
+    which is what constructing the plan checked, so no seam is built: a
+    plan's output carries none."""
     return MetricSummary(total_area=PANTS_AREA * len(plan.pants), pants_count=len(plan.pants))

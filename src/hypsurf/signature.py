@@ -95,11 +95,27 @@ def description_to_json(d: SurfaceDescription) -> dict:
     raise InvalidInput(f"not a surface description: {d!r}")
 
 
+#: the keys that each kind of surface description JSON may carry
+_DESCRIPTION_KEYS = {
+    "finite": {"kind", "g", "c", "b", "a"},
+    "half_plane": {"kind"},
+    "strip": {"kind"},
+    "infinite": {"kind", "inf_boundary", "inf_chi"},
+}
+
+
 def description_from_json(obj: dict) -> SurfaceDescription:
+    """The description a JSON object states.  A key that its kind does
+    not use is invalid input; omitted `inf_*` flags are false."""
     try:
         kind = obj["kind"]
     except (TypeError, KeyError):
         raise InvalidInput("surface description JSON needs a 'kind' field")
+    if not isinstance(kind, str) or kind not in _DESCRIPTION_KEYS:
+        raise InvalidInput(f"unknown surface kind {kind!r}")
+    unused = [key for key in obj if key not in _DESCRIPTION_KEYS[kind]]
+    if unused:
+        raise InvalidInput(f"a {kind} surface description has no field {', '.join(unused)}")
     if kind == "finite":
         try:
             return FiniteType(Signature(obj["g"], obj["c"], obj["b"], obj["a"]))
@@ -109,12 +125,10 @@ def description_from_json(obj: dict) -> SurfaceDescription:
         return HalfPlaneSurface()
     if kind == "strip":
         return Strip()
-    if kind == "infinite":
-        flags = (obj.get("inf_boundary", False), obj.get("inf_chi", False))
-        if not all(isinstance(f, bool) for f in flags):
-            raise InvalidInput(f"inf_boundary and inf_chi must be JSON booleans, got {flags!r}")
-        return InfiniteType(*flags)
-    raise InvalidInput(f"unknown surface kind {kind!r}")
+    flags = (obj.get("inf_boundary", False), obj.get("inf_chi", False))
+    if not all(isinstance(f, bool) for f in flags):
+        raise InvalidInput(f"inf_boundary and inf_chi must be JSON booleans, got {flags!r}")
+    return InfiniteType(*flags)
 
 
 def euler_characteristic(d: SurfaceDescription):

@@ -2,12 +2,11 @@
 
 Small payloads (verdicts, signatures, pants, script tables) go through
 `dump_json`, one general path for every value.  A plan's JSON is one
-fixed layout filled by `plan_json` from the plan's tuples and its
-`slot_table`, with each slot name encoded once and each distinct float
-formatted once.  A sample's CSV and JSON are rows of one fixed layout
-each, rendered by `_rows` from the sample's arrays: one NUL-padded
-uint8 matrix per `_RENDER_BLOCK_ROWS` rows, whose other bytes are the
-text.
+fixed layout filled by `plan_json` from the plan's index columns, with
+each distinct cuff formatted once.  A sample's CSV and JSON are rows of
+one fixed layout each, rendered by `_rows` from the sample's arrays: one
+NUL-padded uint8 matrix per `_RENDER_BLOCK_ROWS` rows, whose other bytes
+are the text.
 Every way a float is exactly `format(x, ".17g")` and a word exactly
 `GroupWord.__str__`, and JSON text is what `json.dumps` writes for the
 same values with these floats and no spaces.
@@ -22,16 +21,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from hypsurf.errors import InvalidInput
-
-if TYPE_CHECKING:
-    from hypsurf.pants import MetricSummary, PantsDecompositionPlan
+from hypsurf.pants import GLUING_TWIST, MetricSummary, PantsDecompositionPlan, slot_name
 
 #: rows rendered per block by `_rows`
 _RENDER_BLOCK_ROWS = 65536
@@ -93,49 +89,34 @@ def _write_json(obj, out: list[str]) -> None:
 def plan_json(plan: PantsDecompositionPlan, summary: MetricSummary) -> str:
     """`{"pants":[...],"gluings":[...],"crosscaps":[...],"boundary":[...],
     "cusps":[...],"summary":{...}}` of a plan and `summary = realize(plan)`,
-    rendered from the plan's tuples: the pants' cuffs and the summary's
-    map are `plan.slot_table`, of the summary only the area and the pants
-    count are read, each slot name is encoded once, and each distinct
-    float is formatted once.  A non-finite float raises InvalidInput
+    rendered from the plan's columns: the cuffs are formatted once, each
+    distinct value once, and a gluing's, crosscap's or boundary slot's
+    length is the text of its own cuff.  Of the summary only the area and
+    the pants count are read.  A non-finite float raises InvalidInput
     here, before any text."""
-    gluings, crosscaps, boundary = plan.gluings, plan.crosscap_gluings, plan.boundary_slots
-    slots, cuff_lengths = plan.slot_table
-    length = operator.attrgetter("length")
-    texts = _distinct_float_texts([*cuff_lengths, *map(length, gluings),
-                                   *map(length, crosscaps), *map(length, boundary),
-                                   summary.total_area])
-    n = len(cuff_lengths)
-    # the gluings', crosscaps' and boundary slots' texts follow the cuffs',
-    # taken in that order: zip stops at the last entry before taking a text
-    cuffs, lengths = iter(texts[:n]), iter(texts[n:])
-    slot_texts = list(map(encode_basestring_ascii, slots))
-    quoted = dict(zip(slots, slot_texts))
-    # `Gluing.twist` is a class constant, read off a gluing
-    twist = format_float(gluings[0].twist) if gluings else ""
-    pants = [f'{{"id":{encode_basestring_ascii(p.node_id)},"cuff_lengths":[{a},{b},{c}]}}'
-             for p, a, b, c in zip(plan.pants, cuffs, cuffs, cuffs)]
-    gluing_texts = [f'{{"from":{quoted[g.slot_from]},"to":{quoted[g.slot_to]},'
-                    f'"length":{x},"twist":{twist}}}' for g, x in zip(gluings, lengths)]
-    crosscap_texts = [f'{{"slot":{quoted[c.slot]},"length":{x}}}'
-                      for c, x in zip(crosscaps, lengths)]
-    boundary_texts = [f'{{"slot":{quoted[b.slot]},"length":{x}}}'
-                      for b, x in zip(boundary, lengths)]
-    cusps = [quoted[s] for s in plan.cusp_slots]
-    cuff_map = map(":".join, zip(slot_texts, texts[:n]))
-    return (f'{{"pants":[{",".join(pants)}],"gluings":[{",".join(gluing_texts)}],'
-            f'"crosscaps":[{",".join(crosscap_texts)}],"boundary":[{",".join(boundary_texts)}],'
-            f'"cusps":[{",".join(cusps)}],"summary":{{"total_area":{texts[-1]},'
+    texts = _distinct_float_texts(list(itertools.chain.from_iterable(plan.pants)))
+    area = _float_texts([summary.total_area])[0]
+    names = [f'"{slot_name(s)}"' for s in range(len(texts))]
+    twist = format_float(GLUING_TWIST)
+    cuffs = iter(texts)
+    pants = [f'{{"id":"p{i}","cuff_lengths":[{a},{b},{c}]}}'
+             for i, (a, b, c) in enumerate(zip(cuffs, cuffs, cuffs))]
+    gluings = [f'{{"from":{names[i]},"to":{names[j]},"length":{texts[i]},"twist":{twist}}}'
+               for i, j in plan.gluings]
+    crosscaps = [f'{{"slot":{names[i]},"length":{texts[i]}}}' for i in plan.crosscaps]
+    boundary = [f'{{"slot":{names[i]},"length":{texts[i]}}}' for i in plan.boundary]
+    cusps = [names[i] for i in plan.cusps]
+    cuff_map = map(":".join, zip(names, texts))
+    return (f'{{"pants":[{",".join(pants)}],"gluings":[{",".join(gluings)}],'
+            f'"crosscaps":[{",".join(crosscaps)}],"boundary":[{",".join(boundary)}],'
+            f'"cusps":[{",".join(cusps)}],"summary":{{"total_area":{area},'
             f'"pants_count":{summary.pants_count:d},"cuff_lengths":{{{",".join(cuff_map)}}}}}}}')
 
 
 def _distinct_float_texts(values: list[float]) -> list[str]:
-    """`format_float` of each value, each distinct value formatted once;
-    raises InvalidInput on a non-finite one."""
+    """`format_float` of each value, each distinct value formatted once, so
+    0.0 and -0.0 share one text; raises InvalidInput on a non-finite one."""
     distinct = dict.fromkeys(values)
-    # 0.0 and -0.0 are one key but two texts
-    if 0.0 in distinct and min(map(math.copysign, itertools.repeat(1.0),
-                                   itertools.filterfalse(None, values))) < 0.0:
-        return _float_texts(values)
     memo = dict(zip(distinct, _float_texts(distinct)))
     return list(map(memo.__getitem__, values))
 

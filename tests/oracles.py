@@ -41,15 +41,7 @@ from hypsurf.errors import (
     NumericFailure,
 )
 from hypsurf.groups import DEFAULT_DELTA, EndpointSample, SampleMode, _word_levels
-from hypsurf.pants import (
-    DEFAULT_GLUING_LENGTH,
-    BoundarySlot,
-    CrosscapGluing,
-    Gluing,
-    MetricSummary,
-    PantsDecompositionPlan,
-    PantsNode,
-)
+from hypsurf.pants import DEFAULT_GLUING_LENGTH
 from hypsurf.signature import Signature
 from hypsurf.text import dump_json
 
@@ -256,9 +248,12 @@ def invert_images(images: tuple[GroupWord, ...]) -> tuple[GroupWord, ...]:
 def plan_decomposition(
     s: Signature,
     boundary_lengths: tuple[float, ...] = (),
-) -> PantsDecompositionPlan:
+) -> dict:
     """`pants.plan_decomposition` as a role list laid along the chain,
-    then a second pass that sorts the slots by role."""
+    then a second pass that sorts the slots by role, built as the payload
+    that `text.plan_json` renders, less its summary: dicts and lists of
+    slot names and lengths, each gluing, crosscap and boundary slot with
+    a length of its own."""
     chi = s.chi()
     if chi >= 0:
         raise NotHyperbolizable(f"chi = {chi} >= 0 admits no hyperbolic metric")
@@ -312,58 +307,44 @@ def plan_decomposition(
             slot_role[slots[k]] = (role, length)
             node_cuffs[i][k] = length
 
-    pants = tuple(
-        PantsNode(f"p{i}", tuple(node_cuffs[i])) for i in range(count)
-    )
-
-    gluings = [Gluing(l, r, DEFAULT_GLUING_LENGTH) for l, r in chain]
-    crosscaps: list[CrosscapGluing] = []
-    boundary: list[BoundarySlot] = []
+    pants = [{"id": f"p{i}", "cuff_lengths": node_cuffs[i]} for i in range(count)]
+    gluings = [{"from": l, "to": r, "length": DEFAULT_GLUING_LENGTH, "twist": 0.0}
+               for l, r in chain]
+    crosscaps: list[dict] = []
+    boundary: list[dict] = []
     cusps: list[str] = []
     handle_buffer: list[str] = []
     for slot, (role, length) in slot_role.items():
         if role == "handle":
             handle_buffer.append(slot)
             if len(handle_buffer) == 2:
-                gluings.append(Gluing(handle_buffer[0], handle_buffer[1], length))
+                gluings.append({"from": handle_buffer[0], "to": handle_buffer[1],
+                                "length": length, "twist": 0.0})
                 handle_buffer.clear()
         elif role == "crosscap":
-            crosscaps.append(CrosscapGluing(slot, length))
+            crosscaps.append({"slot": slot, "length": length})
         elif role == "boundary":
-            boundary.append(BoundarySlot(slot, length))
+            boundary.append({"slot": slot, "length": length})
         else:
             cusps.append(slot)
     assert not handle_buffer
-
-    return PantsDecompositionPlan(
-        pants, tuple(gluings), tuple(crosscaps), tuple(boundary), tuple(cusps)
-    )
+    return {"pants": pants, "gluings": gluings, "crosscaps": crosscaps,
+            "boundary": boundary, "cusps": cusps}
 
 
-def plan_text(plan: PantsDecompositionPlan, summary: MetricSummary) -> str:
-    """`text.plan_json` as a payload of dicts and lists walked by
-    `dump_json`, value by value, with the summary's cuff map read from
-    the plan's own pants."""
-    payload = {
-        "pants": [
-            {"id": p.node_id, "cuff_lengths": list(p.cuff_lengths)} for p in plan.pants
-        ],
-        "gluings": [
-            {"from": g.slot_from, "to": g.slot_to, "length": g.length, "twist": g.twist}
-            for g in plan.gluings
-        ],
-        "crosscaps": [{"slot": c.slot, "length": c.length} for c in plan.crosscap_gluings],
-        "boundary": [{"slot": s.slot, "length": s.length} for s in plan.boundary_slots],
-        "cusps": list(plan.cusp_slots),
-        "summary": {
-            "total_area": summary.total_area,
-            "pants_count": summary.pants_count,
-            "cuff_lengths": {
-                f"{p.node_id}.c{k}": x for p in plan.pants for k, x in enumerate(p.cuff_lengths)
-            },
+def plan_text(payload: dict) -> str:
+    """`text.plan_json` of a reference payload: its summary (2*pi a pants,
+    and the cuff map read from the payload's own pants) added, then the
+    whole walked value by value by `dump_json`."""
+    pants = payload["pants"]
+    summary = {
+        "total_area": 2.0 * math.pi * len(pants),
+        "pants_count": len(pants),
+        "cuff_lengths": {
+            f"{p['id']}.c{k}": x for p in pants for k, x in enumerate(p["cuff_lengths"])
         },
     }
-    return dump_json(payload)
+    return dump_json({**payload, "summary": summary})
 
 
 def circle_net(theta: np.ndarray) -> np.ndarray:

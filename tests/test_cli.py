@@ -347,6 +347,19 @@ def test_non_finite_and_negative_numbers_are_invalid_input(argv, capsys):
     assert json.loads(err)["error"] == "InvalidInput"
 
 
+@pytest.mark.parametrize("description, key", [
+    ({"kind": "strip", "g": 3}, "g"),  # once classified as the strip
+    ({"kind": "finite", "g": 2, "c": 0, "b": 0, "a": 0, "extra": 1}, "extra"),
+])
+def test_description_keys_the_kind_does_not_use_are_invalid_input(
+        description, key, tmp_path, capsys):
+    code, out, err = run_cli(capsys, "classify", write_desc(tmp_path, description))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    obj = json.loads(err)
+    assert obj["error"] == "InvalidInput" and obj["message"].endswith(f"has no field {key}")
+
+
 def test_assignment_beyond_the_rank_is_index_out_of_range(capsys):
     # C=A was once dropped, and the identity map's sample printed
     code, out, err = run_cli(capsys, "boundary-map", "--group", "cusped-torus",

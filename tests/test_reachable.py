@@ -40,8 +40,6 @@ UNREACHED = {
     "pants.hexagon_identity_residual": ACCEPTANCE_ONLY,
     "pants.PantsGeometry.seams": ACCEPTANCE_ONLY,
     "signature.all_finite_descriptions": ACCEPTANCE_ONLY,
-    "errors.LengthMismatch.__init__":
-        "the CLI builds plans only with plan_decomposition, which glues equal lengths",
     "pants._raise_accounting":
         "the CLI builds plans only with plan_decomposition, whose slot accounting closes",
     "errors.OrderViolation.__init__":

@@ -235,7 +235,11 @@ def test_description_json_roundtrip():
     {"kind": "finite", "g": "1", "c": 0, "b": 0, "a": 0},
     {"kind": "infinite", "inf_boundary": "no"},  # once read as true
     {"kind": "infinite", "inf_boundary": True, "inf_chi": 1},
-], ids=["g-1.5", "g-1.0", "g-true", "g-string", "inf_boundary-string", "inf_chi-1"])
+    {"kind": "half_plane", "inf_chi": False},  # a key its kind does not use
+    {"kind": "infinite", "inf_chi": True, "b": 1},
+    {"kind": ["finite"]},
+], ids=["g-1.5", "g-1.0", "g-true", "g-string", "inf_boundary-string", "inf_chi-1",
+        "half_plane-inf_chi", "infinite-b", "kind-list"])
 def test_description_json_values_are_not_coerced(obj):
     with pytest.raises(InvalidInput):
         description_from_json(obj)
