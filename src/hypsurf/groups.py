@@ -134,6 +134,29 @@ def _letter_matrices(rep: GroupRep) -> tuple[np.ndarray, np.ndarray]:
     return np.array([m.a for m in mats]), np.array([m.b for m in mats])
 
 
+def _compose_rows(pa: np.ndarray, pb: np.ndarray, ma: np.ndarray, mb: np.ndarray):
+    """Entries a, b of the row-wise products of [[pa, pb], [conj pb, conj pa]]
+    and [[ma, mb], [conj mb, conj ma]]: a = pa ma + pb conj(mb) and
+    b = pa mb + pb conj(ma).  ma and mb are overwritten.
+
+    Each product is one explicit call with its operands in this order,
+    written to an array that is neither operand, so a row's value does not
+    depend on the length of its array.  numpy's FMA complex multiply rounds
+    the two operand orders apart, and both shortcuts swap them: from
+    16,384 elements it elides the temporary of ``pb * mb.conjugate()`` into
+    an in-place product, and a one-element product written over one of its
+    operands is taken in the other order.
+    """
+    a, b = pa * ma, pa * mb
+    np.conjugate(mb, out=mb)
+    term = np.multiply(pb, mb)
+    a += term
+    np.conjugate(ma, out=ma)
+    np.multiply(pb, ma, out=term)
+    b += term
+    return a, b
+
+
 def _word_levels(rep: GroupRep, n: int) -> list[_Level]:
     """Levels 1..n of the shortlex word table with their matrix entries.
 
@@ -152,10 +175,7 @@ def _word_levels(rep: GroupRep, n: int) -> list[_Level]:
         prev = levels[-1]
         pa, pb = np.repeat(prev.a, fan), np.repeat(prev.b, fan)
         key = _letter_key(letters[:, -1].astype(np.intp))
-        ma, mb = la[key], lb[key]
-        # keep as written: from 16,384 rows numpy swaps pb * mb.conjugate() (FMA rounds it apart)
-        a = pa * ma + pb * mb.conjugate()
-        b = pa * mb + pb * ma.conjugate()
+        a, b = _compose_rows(pa, pb, la[key], lb[key])
         if np.abs(a).max() > _RESCALE_AT:
             a /= _RESCALE_AT
             b /= _RESCALE_AT
@@ -320,9 +340,7 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
     for c in range(core.max(initial=0)):
         live = np.flatnonzero(core > c)
         key = _letter_key(letters[live, start[live] + c])
-        ga, gb, x, y = la[key], lb[key], a[live], b[live]
-        # keep as written: from 16,384 rows numpy swaps y * gb.conj() (FMA rounds it apart)
-        x, y = x * ga + y * gb.conj(), x * gb + y * ga.conj()
+        x, y = _compose_rows(a[live], b[live], la[key], lb[key])
         m = np.maximum(np.abs(x), np.abs(y))
         big = m > 1.0
         x[big] /= m[big]
