@@ -28,7 +28,7 @@ from hypsurf.errors import (
 )
 from hypsurf.groups import (
     GroupRep,
-    _word_levels,
+    _word_blocks,
     # unused here: perfbench's tracer and its tests rebind this copy too
     attracting_angle,
     attracting_angles,
@@ -393,7 +393,7 @@ def is_boundary_identity(
     post-composed with the Mobius action of u over all words u of length
     <= m, and the map passes if some u brings the max angular deviation
     (`_residual`) below tol.  u's matrix is read from the word table
-    (`_word_levels`), where it is known up to a positive scale, which the
+    (`_word_blocks`), where it is known up to a positive scale, which the
     action ignores; so no entry bound limits the search.  Ties within
     twice the best residual are reported as near-minimizers instead of
     pretending uniqueness.
@@ -420,9 +420,10 @@ def is_boundary_identity(
     zout = np.exp(1j * sample.theta_out)
     unturn = np.exp(-1j * sample.theta_in)
     # the identity row, then the table in shortlex order, zero-padded to m
-    levels = _word_levels(rep, m)
-    ua = np.concatenate([[1.0 + 0j]] + [level.a for level in levels])
-    ub = np.concatenate([[0j]] + [level.b for level in levels])
+    table = shortlex_levels(rep.rank, m)
+    blocks = list(_word_blocks(rep, table))
+    ua = np.concatenate([[1.0 + 0j]] + [block.a for block in blocks])
+    ub = np.concatenate([[0j]] + [block.b for block in blocks])
     _, bounds = _lower_bounds(ua, ub, zout, unturn)
     residuals, best_res = np.full(len(ua), np.inf), np.inf
     for i in np.argsort(bounds, kind="stable").tolist():
@@ -432,8 +433,7 @@ def is_boundary_identity(
         best_res = min(best_res, residuals[i])
     best = int(np.argmin(residuals))  # the first minimum: shortlex wins ties
     best_res = float(residuals[best])
-    letters = stack_padded([np.zeros((1, 0), dtype=np.int8)]
-                           + [level.letters for level in levels], m)
+    letters = stack_padded([np.zeros((1, 0), dtype=np.int8)] + table, m)
     return BoundaryIdentityResult(
         identity=best_res <= tol,
         best_inner=GroupWord.from_row(letters[best]),

@@ -89,8 +89,7 @@ def circle_net(theta: np.ndarray) -> np.ndarray:
     # TOL_ANGLE of the one before, is kept
     keep = np.empty(n, dtype=bool)
     keep[0] = True
-    step = np.diff(t)
-    np.greater(step, TOL_ANGLE, out=keep[1:])
+    np.greater(np.diff(t), TOL_ANGLE, out=keep[1:])
     # inside a run, so is the first angle beyond TOL_ANGLE of the last kept
     # one, until the next run start; a run of two spans at most TOL_ANGLE,
     # so the rounds start only from longer runs
@@ -113,7 +112,8 @@ def circle_net(theta: np.ndarray) -> np.ndarray:
     # every kept position starts its run of exactly equal angles, and the
     # sort leaves such a run in any order: give the run's first position
     # the least input index in the run
-    tie = np.flatnonzero(step == 0.0)  # t[tie] == t[tie + 1]
+    tie = np.flatnonzero(t[1:] == t[:-1])  # t[tie] == t[tie + 1]
+    del t
     if len(tie):
         pair = np.minimum(order[tie], order[tie + 1])
         head = np.flatnonzero(np.diff(tie, prepend=-2) > 1)

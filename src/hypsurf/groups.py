@@ -8,11 +8,17 @@ projected orbit points), with the gap statistics used to probe density
 and Cantor structure.
 
 The words come from the one shortlex table, `words.shortlex_levels`, with
-matrices up to a positive scale.  Sampling is vectorized level-by-level
-over numpy arrays but keeps a strict deterministic order: endpoints are
-taken by level, attracting before repelling, then shortlex within a level,
-and `disk.circle_net` keeps the earliest of exactly equal angles, so
-repeated runs are byte-identical.
+matrices up to a positive scale (`_word_blocks`).  Levels 1..n-1 are built
+whole, as the parents of the next; level n is built in blocks of the
+children of `_FRONTIER_BLOCK` parent rows, and a sample takes each block's
+endpoints and drops its matrices, so a full last level of matrices is never
+held at once.  The endpoints keep a strict deterministic order, whatever
+the blocks: by level, then all attracting fixed points (or orbit points)
+of the level, then all its repelling ones, each in shortlex order; and
+`disk.circle_net` keeps the earliest of exactly equal angles, so repeated
+runs are byte-identical.  Every product is row-local (`_compose_rows`): a
+row's bits do not depend on the length of the array it is computed in,
+so the blocks move no byte.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -46,7 +53,7 @@ from hypsurf.errors import (
     NumericFailure,
 )
 from hypsurf.text import sample_csv
-from hypsurf.words import GroupWord, _letter_key, shortlex_levels
+from hypsurf.words import GroupWord, _letter_key, shortlex_levels, stack_padded
 
 #: relator products must land this close to +/- identity
 TOL_RELATOR = 1e-6
@@ -55,8 +62,10 @@ DEFAULT_DELTA = 0.2
 #: beyond this entry magnitude the unit-determinant normalization of a
 #: word product is no longer certifiable in double precision
 MAX_ENTRY_MAGNITUDE = 1e6
-#: a word-table level with an entry past this is divided by it (exactly)
+#: a word-table block with an entry past this is divided by it (exactly)
 _RESCALE_AT = 2.0**256
+#: the last level of the word table is built from this many parent rows at a time
+_FRONTIER_BLOCK = 8192
 
 
 def _pm_identity_defect(m: MobiusIsometry) -> float:
@@ -103,7 +112,7 @@ def evaluate(rep: GroupRep, w: GroupWord) -> MobiusIsometry:
     Raises NumericFailure once entries grow past the range where the
     unit-determinant normalization is still meaningful; use
     `attracting_angle` for the boundary data of very long words, and
-    `_word_levels` for every product up to a length at once.  Kept for
+    `_word_blocks` for every product up to a length at once.  Kept for
     the relator check of `GroupRep` and for one-off products; perfbench's
     tracer also names it.
     """
@@ -122,8 +131,8 @@ def evaluate(rep: GroupRep, w: GroupWord) -> MobiusIsometry:
 # vectorized word/matrix tables
 
 
-class _Level(NamedTuple):
-    letters: np.ndarray  # int8, shape (count, length)
+class _Block(NamedTuple):
+    letters: np.ndarray  # int8, shape (count, length): consecutive rows of one level
     a: np.ndarray        # complex128
     b: np.ndarray
 
@@ -157,30 +166,39 @@ def _compose_rows(pa: np.ndarray, pb: np.ndarray, ma: np.ndarray, mb: np.ndarray
     return a, b
 
 
-def _word_levels(rep: GroupRep, n: int) -> list[_Level]:
-    """Levels 1..n of the shortlex word table with their matrix entries.
+def _word_blocks(rep: GroupRep, table: list[np.ndarray]) -> Iterator[_Block]:
+    """The matrix entries of a shortlex word table (`shortlex_levels`), as
+    consecutive blocks of its rows in table order.
 
-    Each word's matrix is its parent row's times its last letter's, up to
-    a positive scale: a level is divided by `_RESCALE_AT` when its largest
-    entry passes it, and is otherwise left as the product.
+    Levels 1..n-1 come whole, one block each, because each is the parent of
+    the next.  The last level comes in blocks of the children of
+    `_FRONTIER_BLOCK` parent rows, so a consumer that drops each block once
+    it is read never holds a full last level of matrices.  Each word's
+    matrix is its parent row's times its last letter's (`_compose_rows`),
+    up to a positive scale: a block is divided by `_RESCALE_AT` when its
+    largest entry passes it, and is otherwise left as the product.  That
+    division is exact, so the blocking changes no angle.
     """
-    table = shortlex_levels(rep.rank, n)
     if not table:
-        return []
-    # level 1 is the alphabet in key order
+        return
     la, lb = _letter_matrices(rep)
     fan = 2 * rep.rank - 1
-    levels = [_Level(table[0], la, lb)]
+    # level 1 is the alphabet in key order
+    a, b = la, lb
+    yield _Block(table[0], a, b)
     for letters in table[1:]:
-        prev = levels[-1]
-        pa, pb = np.repeat(prev.a, fan), np.repeat(prev.b, fan)
-        key = _letter_key(letters[:, -1].astype(np.intp))
-        a, b = _compose_rows(pa, pb, la[key], lb[key])
-        if np.abs(a).max() > _RESCALE_AT:
-            a /= _RESCALE_AT
-            b /= _RESCALE_AT
-        levels.append(_Level(letters, a, b))
-    return levels
+        step = _FRONTIER_BLOCK if letters is table[-1] else len(a)
+        for lo in range(0, len(a), step):
+            rows = letters[lo * fan:(lo + step) * fan]
+            key = _letter_key(rows[:, -1].astype(np.intp))
+            ca, cb = _compose_rows(np.repeat(a[lo:lo + step], fan),
+                                   np.repeat(b[lo:lo + step], fan), la[key], lb[key])
+            if np.abs(ca).max() > _RESCALE_AT:
+                ca /= _RESCALE_AT
+                cb /= _RESCALE_AT
+            yield _Block(rows, ca, cb)
+        # the next level's parents: this level, whole unless it was the last
+        a, b = ca, cb
 
 
 # ---------------------------------------------------------------------------
@@ -221,36 +239,49 @@ def _endpoint_rows(rep: GroupRep, base: DiskPoint, n: int, mode: SampleMode,
                    delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The angles of `limit_sample`'s endpoints before the net, the int32
     row of each one's word, and the padded word table those rows index:
-    row 0 is the empty word, then levels 1..n in shortlex order."""
-    levels = _word_levels(rep, n)
-    words = np.zeros((1 + sum(len(lv.letters) for lv in levels), n), dtype=np.int8)
-    theta_parts: list[np.ndarray] = []
-    row_parts: list[np.ndarray] = []
+    row 0 is the empty word, then levels 1..n in shortlex order.
+
+    The endpoints come by level; within a level, all attracting fixed
+    points (or orbit points), then all repelling ones, each in shortlex
+    order.  They are read off one `_word_blocks` block at a time and
+    written into arrays allocated up front, so a block's matrices are
+    dropped as soon as its endpoints are taken.
+    """
+    table = shortlex_levels(rep.rank, n)
+    words = stack_padded([np.zeros((1, 0), dtype=np.int8)] + table, n)
+    orbit = mode is SampleMode.ORBIT_PROJECTION
+    # a row gives one orbit point, or two axis endpoints
+    theta = np.empty(len(words) if orbit else 2 * len(words))
+    rows = np.empty(len(theta), dtype=np.int32)
+    # a level's repelling endpoints wait here until its attracting ones are in
+    repelling = np.empty(0 if orbit else len(words))
+    used = 0
     z0 = base.z
-    if mode is SampleMode.ORBIT_PROJECTION and abs(z0) > 1.0 - delta:
-        theta_parts.append(np.array([reduce_angle(cmath.phase(z0))]))
-        row_parts.append(np.zeros(1, dtype=np.int32))
+    if orbit and abs(z0) > 1.0 - delta:
+        theta[0], rows[0], used = reduce_angle(cmath.phase(z0)), 0, 1
     at = 1
-    while levels:
-        # a level's matrices are dropped as soon as its endpoints are taken
-        letters, a, b = levels.pop(0)
-        count, length = letters.shape
-        words[at:at + count, :length] = letters
-        if mode is SampleMode.ORBIT_PROJECTION:
-            z = (a * z0 + b) / (np.conj(b) * z0 + np.conj(a))
-            rows = np.flatnonzero(np.abs(z) > 1.0 - delta)
-            theta_parts.append(circle_angle(z[rows]))
-            row_parts.append((rows + at).astype(np.int32))
-        else:
-            cyc = letters[:, 0] != -letters[:, -1]
-            rows = np.flatnonzero(cyc & is_certainly_hyperbolic(a, b))
-            a, b = a[rows], b[rows]
-            rows = (rows + at).astype(np.int32)
-            for z in circle_fixed_points(a, b):  # attracting, then repelling
-                theta_parts.append(circle_angle(z))
-                row_parts.append(rows)
-        at += count
-    return np.concatenate(theta_parts), np.concatenate(row_parts), words
+    for _, level in groupby(_word_blocks(rep, table), key=lambda blk: blk.letters.shape[1]):
+        k = 0  # the level's attracting endpoints (or orbit points) so far
+        for letters, a, b in level:
+            if orbit:
+                z = (a * z0 + b) / (np.conj(b) * z0 + np.conj(a))
+                hit = np.flatnonzero(np.abs(z) > 1.0 - delta)
+                first = z[hit]
+            else:
+                cyc = letters[:, 0] != -letters[:, -1]
+                hit = np.flatnonzero(cyc & is_certainly_hyperbolic(a, b))
+                first, second = circle_fixed_points(a[hit], b[hit])
+                repelling[k:k + len(hit)] = circle_angle(second)
+            theta[used + k:used + k + len(hit)] = circle_angle(first)
+            rows[used + k:used + k + len(hit)] = hit + at
+            k += len(hit)
+            at += len(letters)
+        if not orbit:
+            theta[used + k:used + 2 * k] = repelling[:k]
+            rows[used + k:used + 2 * k] = rows[used:used + k]
+            k *= 2
+        used += k
+    return theta[:used], rows[:used], words
 
 
 def limit_sample(

@@ -188,7 +188,7 @@ def shortlex_levels(rank: int, max_length: int, keep=None) -> list[np.ndarray]:
 def enumerate_reduced_words(rank: int, max_length: int) -> list[GroupWord]:
     """All freely reduced words of length <= max_length, in shortlex order.
 
-    The library reads `shortlex_levels` (or `groups._word_levels`) instead;
+    The library reads `shortlex_levels` (or `groups._word_blocks`) instead;
     this object form stays for callers that want `GroupWord`s, and
     perfbench's tracer names it.
     """

@@ -40,10 +40,18 @@ from hypsurf.errors import (
     NotHyperbolizable,
     NumericFailure,
 )
-from hypsurf.groups import DEFAULT_DELTA, EndpointSample, SampleMode, _word_levels
+from hypsurf.groups import DEFAULT_DELTA, EndpointSample, SampleMode, _Block, _word_blocks
 from hypsurf.pants import DEFAULT_GLUING_LENGTH
 from hypsurf.signature import Signature
 from hypsurf.text import dump_json
+
+
+def word_levels(rep, n: int) -> list[_Block]:
+    """Levels 1..n of the word table with their matrix entries, each whole:
+    `groups._word_blocks` with the blocks of each level joined."""
+    blocks = _word_blocks(rep, words.shortlex_levels(rep.rank, n))
+    return [_Block(*map(np.concatenate, zip(*level)))
+            for _, level in itertools.groupby(blocks, key=lambda blk: blk.letters.shape[1])]
 
 
 def shortlex_levels(rank: int, max_length: int) -> list[np.ndarray]:
@@ -390,7 +398,7 @@ def stable_circle_net(theta: np.ndarray) -> np.ndarray:
 def limit_sample(rep, base: DiskPoint, n: int, mode, delta: float = DEFAULT_DELTA):
     """`groups.limit_sample` gathering each level's letter rows by mask,
     stacking them padded, and taking the stable net of the angles."""
-    levels = _word_levels(rep, n)
+    levels = word_levels(rep, n)
     theta_parts, letter_parts = [], []
     width = max(lv.letters.shape[1] for lv in levels)
     if mode is SampleMode.ORBIT_PROJECTION:
@@ -428,7 +436,7 @@ def inner_search(rep, sample, m: int, tol: float) -> BoundaryIdentityResult:
     unturn = np.exp(-1j * sample.theta_in)
     # the identity row, then the table in shortlex order, zero-padded to m
     rows, ua, ub = [np.zeros((1, m), dtype=np.int8)], [1.0 + 0j], [0j]
-    for level in _word_levels(rep, m):
+    for level in word_levels(rep, m):
         rows.append(np.pad(level.letters, ((0, 0), (0, m - level.letters.shape[1]))))
         ua += level.a.tolist()
         ub += level.b.tolist()

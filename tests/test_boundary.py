@@ -36,7 +36,6 @@ from hypsurf.errors import (
 from hypsurf import words
 from hypsurf.groups import (
     GroupRep,
-    _word_levels,
     attracting_angles,
     cusped_torus_group,
     evaluate,
@@ -531,7 +530,7 @@ def test_pruned_inner_search_is_the_full_search():
     # fixes both points to rounding
     assert str(full.best_inner) == "1" and full.residual == 0.0
     zout, unturn = np.exp(1j * sample.theta_out), np.exp(-1j * sample.theta_in)
-    for level in _word_levels(rep, 3):
+    for level in oracles.word_levels(rep, 3):
         # A^t and a^t: every letter equal to the first, which is A or a
         power = (level.letters == level.letters[:, :1]).all(axis=1)
         power &= np.abs(level.letters[:, 0]) == 1
@@ -544,7 +543,7 @@ def test_inner_bound_is_the_full_pass_at_its_points_bit_for_bit():
     for rep, sample, m, _ in _search_cases():
         zout = np.exp(1j * sample.theta_out)
         unturn = np.exp(-1j * sample.theta_in)
-        levels = _word_levels(rep, m)
+        levels = oracles.word_levels(rep, m)
         ua = [1.0 + 0j] + [a for level in levels for a in level.a.tolist()]
         ub = [0j] + [b for level in levels for b in level.b.tolist()]
         at, bounds = boundary._lower_bounds(np.array(ua), np.array(ub), zout, unturn)
@@ -577,7 +576,7 @@ def test_inner_search_prunes_the_octagon(monkeypatch):
     sample = induced_boundary_sample(rep, FreeAutomorphism.from_spec(VERDICT_OPS[2][1]), 5)
     result = is_boundary_identity(rep, sample, m=3)
     assert str(result.best_inner) == "a"
-    assert 1 + sum(len(level.a) for level in _word_levels(rep, 3)) == 457
+    assert 1 + sum(len(level.a) for level in oracles.word_levels(rep, 3)) == 457
     assert 1 <= len(full) <= 16
 
 

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from hypsurf.disk import (
     MobiusIsometry,
     angle_distance,
     apply,
+    circle_angle,
     circle_fixed_points,
     circle_net,
     is_certainly_hyperbolic,
@@ -33,7 +35,6 @@ from hypsurf.groups import (
     EndpointSample,
     GroupRep,
     SampleMode,
-    _word_levels,
     attracting_angle,
     attracting_angles,
     cusped_torus_group,
@@ -48,7 +49,9 @@ from hypsurf.boundary import FreeAutomorphism, conjugacy_class_words, induced_bo
 from hypsurf.text import endpoint_json
 from hypsurf.words import (
     GroupWord,
+    _letter_key,
     enumerate_reduced_words,
+    shortlex_levels,
     substitute,
     substitute_rows,
     word_count,
@@ -128,7 +131,7 @@ def origin_images(rep, n):
     positive scale, which the action ignores."""
     return [
         (GroupWord.from_row(row), complex(b / np.conj(a)))
-        for level in _word_levels(rep, n)
+        for level in oracles.word_levels(rep, n)
         for row, a, b in zip(level.letters, level.a, level.b)
     ]
 
@@ -274,6 +277,120 @@ def test_circle_net_keeps_the_stable_sorts_indices_on_real_ties():
                                          SampleMode.AXIS_ENDPOINTS, groups.DEFAULT_DELTA)
     assert np.count_nonzero(np.diff(np.sort(theta)) == 0.0) == 60_886
     assert circle_net(theta).tolist() == oracles.stable_circle_net(theta).tolist()
+
+
+def _in_pieces(path, count, size):
+    """`path` over consecutive row slices of `size`, its outputs joined."""
+    parts = [path(slice(lo, lo + size)) for lo in range(0, count, size)]
+    return [np.concatenate(out) for out in zip(*parts)]
+
+
+@pytest.mark.parametrize("make_group, n", [
+    pytest.param(octagon_group, 6, id="octagon-n6"),  # 134,456 rows of length 6
+    pytest.param(lambda: schottky_rank2(4.0), 10, id="schottky4-n10"),  # 78,732
+    pytest.param(cusped_torus_group, 10, id="torus-n10"),
+])
+def test_a_rows_values_do_not_depend_on_the_array_it_is_in(make_group, n):
+    # from 16,384 elements numpy elides a temporary into an in-place product
+    # with swapped operands, which FMA rounds apart; each path must give a
+    # row the same bits whole, in chunks of a size that divides no row
+    # count, and alone
+    rep = make_group()
+    *_, parents, level = oracles.word_levels(rep, n)
+    count = len(level.letters)
+    assert count > 16_384
+    fan = 2 * rep.rank - 1
+    la, lb = groups._letter_matrices(rep)
+    key = _letter_key(level.letters[:, -1].astype(np.intp))
+    pa, pb = np.repeat(parents.a, fan), np.repeat(parents.b, fan)
+
+    def products(rows):
+        return groups._compose_rows(pa[rows], pb[rows], la[key[rows]], lb[key[rows]])
+
+    def endpoints(rows):
+        # the axis endpoint chain of `limit_sample`
+        a, b = level.a[rows], level.b[rows]
+        ok = is_certainly_hyperbolic(a, b)
+        out = np.full((2, len(a)), np.nan)
+        for side, z in zip(out, circle_fixed_points(a[ok], b[ok])):
+            side[ok] = circle_angle(z)
+        return ok, *out
+
+    def attracting(rows):
+        return (attracting_angles(rep, level.letters[rows]),)
+
+    # the table's last level, built in blocks, is the whole product
+    assert [x.tobytes() for x in products(slice(None))] == [level.a.tobytes(),
+                                                             level.b.tobytes()]
+    alone = np.arange(0, count, 997)
+    for path in (products, endpoints, attracting):
+        whole = path(slice(None))
+        chunked = _in_pieces(path, count, 1001)
+        assert [x.tobytes() for x in chunked] == [x.tobytes() for x in whole], path.__name__
+        for i in alone:
+            assert [x.tobytes() for x in path(slice(i, i + 1))] == \
+                [x[i:i + 1].tobytes() for x in whole], (path.__name__, i)
+
+
+def _mixed_group():
+    # one short and one long translation: at n = 11 only some frontier
+    # blocks pass _RESCALE_AT, while the level as a whole does
+    return GroupRep((
+        translation_along(Geodesic(IdealPoint(0.0), IdealPoint(math.pi)), 1.0),
+        translation_along(Geodesic(IdealPoint(math.pi / 2), IdealPoint(3 * math.pi / 2)), 34.0),
+    ))
+
+
+@pytest.mark.parametrize("make_group, n", [
+    pytest.param(octagon_group, 5, id="octagon-n5"),
+    pytest.param(lambda: schottky_rank2(4.0), 9, id="schottky4-n9"),
+    pytest.param(_mixed_group, 11, id="mixed-n11"),
+])
+def test_the_frontier_blocks_change_no_sample(make_group, n, monkeypatch):
+    rep = make_group()
+    modes = ((SampleMode.AXIS_ENDPOINTS, 0.0), (SampleMode.ORBIT_PROJECTION, 0.85))
+    monkeypatch.setattr(groups, "_FRONTIER_BLOCK", 10**9)
+    whole = [limit_sample(rep, DiskPoint(base), n, mode) for mode, base in modes]
+    [frontier] = [b for b in groups._word_blocks(rep, shortlex_levels(rep.rank, n))
+                  if b.letters.shape[1] == n]
+    # 1000 parents: the frontier in blocks, the last one short
+    monkeypatch.setattr(groups, "_FRONTIER_BLOCK", 1000)
+    blocks = [b for b in groups._word_blocks(rep, shortlex_levels(rep.rank, n))
+              if b.letters.shape[1] == n]
+    assert len(blocks) > 2
+    assert np.array_equal(np.concatenate([b.letters for b in blocks]), frontier.letters)
+    # each block is the whole level's rows, or those rows times 2**256
+    # where the whole level passed _RESCALE_AT and the block did not
+    scales, at = set(), 0
+    for b in blocks:
+        rows = slice(at, at + len(b.a))
+        at += len(b.a)
+        scale = 1.0 if np.array_equal(b.a, frontier.a[rows]) else groups._RESCALE_AT
+        assert np.array_equal(b.a, frontier.a[rows] * scale)
+        assert np.array_equal(b.b, frontier.b[rows] * scale)
+        scales.add(scale)
+    if make_group is _mixed_group:
+        assert scales == {1.0, groups._RESCALE_AT}
+    for s, (mode, base) in zip(whole, modes):
+        blocked = limit_sample(rep, DiskPoint(base), n, mode)
+        assert blocked.angles.tobytes() == s.angles.tobytes()
+        assert np.array_equal(blocked.letters, s.letters)
+
+
+def test_limit_sample_never_holds_a_full_level_of_matrices():
+    # octagon n=7 axes: building its last level whole made the traced peak
+    # 125.5 MB; built in frontier blocks it is 82.1 MB, which the net of the
+    # 1,921,648 endpoints reaches, not the word table.  100 MB leaves 18 MB
+    # of margin and fails the whole-level table
+    rep = octagon_group()
+    tracemalloc.start()
+    try:
+        s = limit_sample(rep, DiskPoint(0), 7, SampleMode.AXIS_ENDPOINTS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 941_632
+    assert peak < 100e6
 
 
 def test_limit_sample_orbit_mode_basepoint_stability(octagon):
