@@ -237,14 +237,19 @@ def plan_decomposition(
 def _check_plan(plan: PantsDecompositionPlan) -> None:
     """The one check of a plan and of its cuffs, linear in its size.
 
-    Every pants has three cuffs, every gluing two slots, and the claimed
-    slots (both of each gluing, each crosscap, boundary and cusp) are the
-    ints 0 .. 3P - 1, each claimed once; otherwise InvalidInput naming the
-    fault.  Every cuff is finite (InvalidInput) and at least +0
-    (NegativeLength, -0.0 included), the two cuffs of a gluing are equal
-    and a cusp's cuff is 0 (LengthMismatch), and a crosscap's cuff is
-    positive (NegativeLength).
+    The columns, each pants and each gluing are tuples, so a plan that
+    passed stays as it was checked.  Every pants has three cuffs, every
+    gluing two slots, and the claimed slots (both of each gluing, each
+    crosscap, boundary and cusp) are the ints 0 .. 3P - 1, each claimed
+    once; otherwise InvalidInput naming the fault.  Every cuff is a finite
+    float (InvalidInput) and at least +0 (NegativeLength, -0.0 included),
+    the two cuffs of a gluing are equal and a cusp's cuff is 0
+    (LengthMismatch), and a crosscap's cuff is positive (NegativeLength).
     """
+    columns = (plan.pants, plan.gluings, plan.crosscaps, plan.boundary, plan.cusps)
+    if not ({*map(type, columns)} <= {tuple}
+            and {*map(type, plan.pants), *map(type, plan.gluings)} <= {tuple}):
+        _raise_accounting(plan)
     claimed = list(itertools.chain.from_iterable(plan.gluings))
     claimed += plan.crosscaps
     claimed += plan.boundary
@@ -256,6 +261,9 @@ def _check_plan(plan: PantsDecompositionPlan) -> None:
             and min(claimed, default=0) >= 0 and max(claimed, default=0) < n):
         _raise_accounting(plan)
     cuffs = list(itertools.chain.from_iterable(plan.pants))
+    if not {*map(type, cuffs)} <= {float}:
+        slot = next(i for i, x in enumerate(cuffs) if type(x) is not float)
+        raise InvalidInput(f"cuff {slot_name(slot)} = {cuffs[slot]!r} is not a float")
     for slot, x in enumerate(cuffs):
         # NaN fails both tests, and only the sign tells -0.0 from 0.0
         if not (0.0 < x < math.inf or x == 0.0 and math.copysign(1.0, x) > 0.0):
@@ -275,14 +283,23 @@ def _check_plan(plan: PantsDecompositionPlan) -> None:
 
 
 def _raise_accounting(plan: PantsDecompositionPlan) -> NoReturn:
-    """Name what breaks a plan's slot accounting: a pants without three
-    cuffs, a gluing without two slots, then the claims in order (a slot
-    that is not an int, a slot used twice), then missing and extra slots.
-    An in-range slot is named `p{i}.c{k}`, any other by its value."""
+    """Name what breaks a plan's slot accounting: a column that is not a
+    tuple, a pants that is not a tuple of three cuffs, a gluing that is not
+    a tuple of two slots, then the claims in order (a slot that is not an
+    int, a slot used twice), then missing and extra slots.  An in-range
+    slot is named `p{i}.c{k}`, any other by its value."""
+    for name in ("pants", "gluings", "crosscaps", "boundary", "cusps"):
+        column = getattr(plan, name)
+        if type(column) is not tuple:
+            raise InvalidInput(f"plan column {name} has type {type(column).__name__}, not tuple")
     for i, p in enumerate(plan.pants):
+        if type(p) is not tuple:
+            raise InvalidInput(f"pants p{i} has type {type(p).__name__}, not tuple")
         if len(p) != 3:
             raise InvalidInput(f"pants p{i} has {len(p)} cuffs, not 3")
     for g in plan.gluings:
+        if type(g) is not tuple:
+            raise InvalidInput(f"gluing {g!r} has type {type(g).__name__}, not tuple")
         if len(g) != 2:
             raise InvalidInput(f"gluing {g!r} has {len(g)} slots, not 2")
     n = 3 * len(plan.pants)

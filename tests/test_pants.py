@@ -319,6 +319,32 @@ def test_plan_rejects_a_gluing_without_two_slots():
         replace(plan, gluings=((0, 1, 2),), boundary=())
 
 
+def test_plan_rejects_a_cuff_that_is_not_a_float():
+    plan = plan_decomposition(Signature(2, 0, 0, 0))
+    with pytest.raises(InvalidInput, match="^cuff p0.c0 = '1' is not a float$"):
+        replace(plan, pants=(("1", 2.0, 3.0), plan.pants[1]))
+    with pytest.raises(InvalidInput, match="^cuff p1.c2 = 1 is not a float$"):
+        replace(plan, pants=(plan.pants[0], (1.0, 1.0, 1)))
+
+
+def test_plan_rejects_a_gluing_that_is_not_a_pair():
+    plan = plan_decomposition(Signature(2, 0, 0, 0))
+    with pytest.raises(InvalidInput, match="^gluing 5 has type int, not tuple$"):
+        replace(plan, gluings=(5,) + plan.gluings[1:])
+
+
+@pytest.mark.parametrize("column", ["pants", "gluings", "crosscaps", "boundary", "cusps"])
+def test_plan_rejects_list_columns(column):
+    # a checked plan cannot be changed afterwards: it holds only tuples
+    plan = plan_decomposition(Signature(1, 1, 1, 1), (2.5,))
+    with pytest.raises(InvalidInput, match=f"^plan column {column} has type list, not tuple$"):
+        replace(plan, **{column: list(getattr(plan, column))})
+    if column in ("pants", "gluings"):
+        rows = getattr(plan, column)
+        with pytest.raises(InvalidInput, match="has type list, not tuple$"):
+            replace(plan, **{column: (list(rows[0]),) + rows[1:]})
+
+
 def test_plan_rejects_a_nan_gluing():
     # abs(nan - nan) > 0.0 is False: a NaN gluing once passed
     plan = plan_decomposition(Signature(2, 0, 0, 0))
