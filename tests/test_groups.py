@@ -290,7 +290,7 @@ def _in_pieces(path, count, size):
     pytest.param(lambda: schottky_rank2(4.0), 10, id="schottky4-n10"),  # 78,732
     pytest.param(cusped_torus_group, 10, id="torus-n10"),
 ])
-def test_a_rows_values_do_not_depend_on_the_array_it_is_in(make_group, n):
+def test_a_rows_value_does_not_depend_on_the_array_it_is_in(make_group, n):
     # from 16,384 elements numpy elides a temporary into an in-place product
     # with swapped operands, which FMA rounds apart; each path must give a
     # row the same bits whole, in chunks of a size that divides no row
