@@ -35,6 +35,8 @@ TOL_MATRIX = 1e-12
 TOL_ANGLE = 1e-9
 #: hyperbolic means |b|^2 - (Im a)^2 > TOL_AXIS * |a|^2 (`is_certainly_hyperbolic`)
 TOL_AXIS = 1e-9
+#: sorted angles `circle_net` compares with their successors at a time
+_NET_CHUNK = 65536
 
 
 def reduce_angle(theta):
@@ -89,7 +91,11 @@ def circle_net(theta: np.ndarray) -> np.ndarray:
     # TOL_ANGLE of the one before, is kept
     keep = np.empty(n, dtype=bool)
     keep[0] = True
-    np.greater(np.diff(t), TOL_ANGLE, out=keep[1:])
+    # the differences of np.diff(t), a chunk at a time, so that no float
+    # array as long as t is made for them
+    for i in range(0, n - 1, _NET_CHUNK):
+        j = min(i + _NET_CHUNK, n - 1)
+        np.greater(np.subtract(t[i + 1:j + 1], t[i:j]), TOL_ANGLE, out=keep[i + 1:j + 1])
     # inside a run, so is the first angle beyond TOL_ANGLE of the last kept
     # one, until the next run start; a run of two spans at most TOL_ANGLE,
     # so the rounds start only from longer runs

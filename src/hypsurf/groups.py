@@ -9,16 +9,18 @@ and Cantor structure.
 
 The words come from the one shortlex table, `words.shortlex_levels`, with
 matrices up to a positive scale (`_word_blocks`).  Levels 1..n-1 are built
-whole, as the parents of the next; level n is built in blocks of the
-children of `_FRONTIER_BLOCK` parent rows, and a sample takes each block's
-endpoints and drops its matrices, so a full last level of matrices is never
-held at once.  The endpoints keep a strict deterministic order, whatever
-the blocks: by level, then all attracting fixed points (or orbit points)
-of the level, then all its repelling ones, each in shortlex order; and
-`disk.circle_net` keeps the earliest of exactly equal angles, so repeated
-runs are byte-identical.  Every product is row-local (`_compose_rows`): a
-row's bits do not depend on the length of the array it is computed in,
-so the blocks move no byte.
+whole and in turn, as the parents of the next; level n is built in blocks
+of the children of `_FRONTIER_BLOCK` parent rows, one task of
+`pool.ordered_map` each, so the blocks run on one worker thread per
+available CPU.  A sample takes each block's endpoints in the block's task
+and drops its matrices, so a full last level of matrices is never held at
+once.  The endpoints keep a strict deterministic order, whatever the blocks
+and the workers: by level, then all attracting fixed points (or orbit
+points) of the level, then all its repelling ones, each in shortlex order;
+and `disk.circle_net` keeps the earliest of exactly equal angles, so
+repeated runs are byte-identical.  Every product is row-local
+(`_compose_rows`): a row's bits do not depend on the length of the array
+it is computed in, so the blocks move no byte.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -52,6 +54,7 @@ from hypsurf.errors import (
     InvalidInput,
     NumericFailure,
 )
+from hypsurf.pool import ordered_map
 from hypsurf.text import sample_csv
 from hypsurf.words import GroupWord, _letter_key, shortlex_levels, stack_padded
 
@@ -65,7 +68,7 @@ MAX_ENTRY_MAGNITUDE = 1e6
 #: a word-table block with an entry past this is divided by it (exactly)
 _RESCALE_AT = 2.0**256
 #: the last level of the word table is built from this many parent rows at a time
-_FRONTIER_BLOCK = 8192
+_FRONTIER_BLOCK = 2048
 
 
 def _pm_identity_defect(m: MobiusIsometry) -> float:
@@ -166,39 +169,48 @@ def _compose_rows(pa: np.ndarray, pb: np.ndarray, ma: np.ndarray, mb: np.ndarray
     return a, b
 
 
-def _word_blocks(rep: GroupRep, table: list[np.ndarray]) -> Iterator[_Block]:
-    """The matrix entries of a shortlex word table (`shortlex_levels`), as
-    consecutive blocks of its rows in table order.
+def _word_blocks(rep: GroupRep, table: list[np.ndarray],
+                 take: Callable[[_Block], object] = lambda block: block) -> Iterator:
+    """``take`` of the matrix entries of a shortlex word table
+    (`shortlex_levels`), as consecutive blocks of its rows in table order.
 
     Levels 1..n-1 come whole, one block each, because each is the parent of
-    the next.  The last level comes in blocks of the children of
-    `_FRONTIER_BLOCK` parent rows, so a consumer that drops each block once
-    it is read never holds a full last level of matrices.  Each word's
-    matrix is its parent row's times its last letter's (`_compose_rows`),
-    up to a positive scale: a block is divided by `_RESCALE_AT` when its
-    largest entry passes it, and is otherwise left as the product.  That
-    division is exact, so the blocking changes no angle.
+    the next; they are built, and taken, one after another.  The last level
+    comes in blocks of the children of `_FRONTIER_BLOCK` parent rows, each
+    built and taken in one task of `pool.ordered_map`, so the blocks run on
+    every worker thread and a consumer that drops each result never holds a
+    full last level of matrices.  Each word's matrix is its parent row's
+    times its last letter's (`_compose_rows`), up to a positive scale: a
+    block is divided by `_RESCALE_AT` when its largest entry passes it, and
+    is otherwise left as the product.  That division is exact, so neither
+    the blocking nor the number of workers changes an angle.
     """
     if not table:
         return
     la, lb = _letter_matrices(rep)
     fan = 2 * rep.rank - 1
+
+    def children(pa: np.ndarray, pb: np.ndarray, letters: np.ndarray) -> _Block:
+        key = _letter_key(letters[:, -1].astype(np.intp))
+        a, b = _compose_rows(np.repeat(pa, fan), np.repeat(pb, fan), la[key], lb[key])
+        if np.abs(a).max() > _RESCALE_AT:
+            a /= _RESCALE_AT
+            b /= _RESCALE_AT
+        return _Block(letters, a, b)
+
     # level 1 is the alphabet in key order
-    a, b = la, lb
-    yield _Block(table[0], a, b)
-    for letters in table[1:]:
-        step = _FRONTIER_BLOCK if letters is table[-1] else len(a)
-        for lo in range(0, len(a), step):
-            rows = letters[lo * fan:(lo + step) * fan]
-            key = _letter_key(rows[:, -1].astype(np.intp))
-            ca, cb = _compose_rows(np.repeat(a[lo:lo + step], fan),
-                                   np.repeat(b[lo:lo + step], fan), la[key], lb[key])
-            if np.abs(ca).max() > _RESCALE_AT:
-                ca /= _RESCALE_AT
-                cb /= _RESCALE_AT
-            yield _Block(rows, ca, cb)
-        # the next level's parents: this level, whole unless it was the last
-        a, b = ca, cb
+    level = _Block(table[0], la, lb)
+    yield take(level)
+    for letters in table[1:-1]:
+        level = children(level.a, level.b, letters)
+        yield take(level)
+    if len(table) == 1:
+        return
+    a, b, frontier, step = level.a, level.b, table[-1], _FRONTIER_BLOCK
+    yield from ordered_map(
+        lambda lo: take(children(a[lo:lo + step], b[lo:lo + step],
+                                 frontier[lo * fan:(lo + step) * fan])),
+        range(0, len(a), step))
 
 
 # ---------------------------------------------------------------------------
@@ -243,39 +255,51 @@ def _endpoint_rows(rep: GroupRep, base: DiskPoint, n: int, mode: SampleMode,
 
     The endpoints come by level; within a level, all attracting fixed
     points (or orbit points), then all repelling ones, each in shortlex
-    order.  They are read off one `_word_blocks` block at a time and
-    written into arrays allocated up front, so a block's matrices are
-    dropped as soon as its endpoints are taken.
+    order.  Each `_word_blocks` block's endpoints are taken in the task
+    that builds it, and copied, in block order, into arrays allocated up
+    front, so a block's matrices are dropped as soon as its endpoints are
+    taken.
     """
     table = shortlex_levels(rep.rank, n)
     words = stack_padded([np.zeros((1, 0), dtype=np.int8)] + table, n)
     orbit = mode is SampleMode.ORBIT_PROJECTION
-    # a row gives one orbit point, or two axis endpoints
-    theta = np.empty(len(words) if orbit else 2 * len(words))
-    rows = np.empty(len(theta), dtype=np.int32)
-    # a level's repelling endpoints wait here until its attracting ones are in
-    repelling = np.empty(0 if orbit else len(words))
-    used = 0
     z0 = base.z
+    if orbit:
+        # a row gives at most one orbit point
+        theta = np.empty(len(words))
+    else:
+        # a cyclically reduced row gives at most two axis endpoints, and a
+        # level's repelling ones wait in `repelling` until its attracting
+        # ones are in
+        cyclic = [np.count_nonzero(level[:, 0] != -level[:, -1]) for level in table]
+        theta, repelling = np.empty(2 * sum(cyclic)), np.empty(max(cyclic))
+    rows = np.empty(len(theta), dtype=np.int32)
+
+    def endpoints(block: _Block):
+        letters, a, b = block
+        if orbit:
+            z = (a * z0 + b) / (np.conj(b) * z0 + np.conj(a))
+            hit = np.flatnonzero(np.abs(z) > 1.0 - delta)
+            return letters.shape, hit, circle_angle(z[hit]), None
+        cyc = letters[:, 0] != -letters[:, -1]
+        hit = np.flatnonzero(cyc & is_certainly_hyperbolic(a, b))
+        first, second = circle_fixed_points(a[hit], b[hit])
+        return letters.shape, hit, circle_angle(first), circle_angle(second)
+
+    used = 0
     if orbit and abs(z0) > 1.0 - delta:
         theta[0], rows[0], used = reduce_angle(cmath.phase(z0)), 0, 1
     at = 1
-    for _, level in groupby(_word_blocks(rep, table), key=lambda blk: blk.letters.shape[1]):
+    blocks = _word_blocks(rep, table, endpoints)
+    for _, level in groupby(blocks, key=lambda taken: taken[0][1]):
         k = 0  # the level's attracting endpoints (or orbit points) so far
-        for letters, a, b in level:
-            if orbit:
-                z = (a * z0 + b) / (np.conj(b) * z0 + np.conj(a))
-                hit = np.flatnonzero(np.abs(z) > 1.0 - delta)
-                first = z[hit]
-            else:
-                cyc = letters[:, 0] != -letters[:, -1]
-                hit = np.flatnonzero(cyc & is_certainly_hyperbolic(a, b))
-                first, second = circle_fixed_points(a[hit], b[hit])
-                repelling[k:k + len(hit)] = circle_angle(second)
-            theta[used + k:used + k + len(hit)] = circle_angle(first)
+        for (count, _), hit, first, second in level:
+            theta[used + k:used + k + len(hit)] = first
             rows[used + k:used + k + len(hit)] = hit + at
+            if not orbit:
+                repelling[k:k + len(hit)] = second
             k += len(hit)
-            at += len(letters)
+            at += count
         if not orbit:
             theta[used + k:used + 2 * k] = repelling[:k]
             rows[used + k:used + 2 * k] = rows[used:used + k]

@@ -6,7 +6,9 @@ fixed layout filled by `plan_json` from the plan's index columns, with
 each distinct cuff formatted once.  A sample's CSV and JSON are rows of
 one fixed layout each, rendered by `_rows` from the sample's arrays: one
 NUL-padded uint8 matrix per `_RENDER_BLOCK_ROWS` rows, whose other bytes
-are the text.
+are the text.  The blocks are rendered on the worker threads of
+`pool.ordered_map`, one worker per available CPU, and come back in order,
+so the text is the same at any number of workers.
 Every way a float is exactly `format(x, ".17g")` and a word exactly
 `GroupWord.__str__`, and JSON text is what `json.dumps` writes for the
 same values with these floats and no spaces.
@@ -28,9 +30,10 @@ import numpy as np
 
 from hypsurf.errors import InvalidInput
 from hypsurf.pants import GLUING_TWIST, MetricSummary, PantsDecompositionPlan, slot_name
+from hypsurf.pool import ordered_map
 
 #: rows rendered per block by `_rows`
-_RENDER_BLOCK_ROWS = 65536
+_RENDER_BLOCK_ROWS = 16384
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +179,14 @@ def _rows(fields: tuple, end: str) -> Iterator[str]:
     rows.  A row is its fields in turn: a str as it is, a 1-D float array
     as the row's value (`_float_text`), a 2-D letter matrix as the row's
     word (`letter_text`).  Each block is one NUL-padded uint8 matrix, one
-    row per line, whose other bytes are the text."""
+    row per line, whose other bytes are the text; the blocks are rendered
+    on the worker threads of `pool.ordered_map` and come in order."""
     count = len(next(f for f in fields if not isinstance(f, str)))
     end_bytes = np.frombuffer(end.encode(), dtype=np.uint8)
-    for i in range(0, count, _RENDER_BLOCK_ROWS):
-        j = min(i + _RENDER_BLOCK_ROWS, count)
+    step = _RENDER_BLOCK_ROWS
+
+    def block(i: int) -> str:
+        j = min(i + step, count)
         cells = [np.frombuffer(f.encode(), dtype=np.uint8) if isinstance(f, str)
                  else letter_text(f[i:j]) if f.ndim == 2
                  else np.asarray(f[i:j], dtype=np.float64)
@@ -198,7 +204,9 @@ def _rows(fields: tuple, end: str) -> Iterator[str]:
         text[:, start:] = end_bytes
         if j == count:
             text[-1, start:] = 0  # no separator after the last row
-        yield text[text != 0].tobytes().decode("ascii")
+        return text[text != 0].tobytes().decode("ascii")
+
+    return ordered_map(block, range(0, count, step))
 
 
 # ---------------------------------------------------------------------------

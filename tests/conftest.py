@@ -63,3 +63,22 @@ def cusped_torus():
     from hypsurf.groups import cusped_torus_group
 
     return cusped_torus_group()
+
+
+@pytest.fixture(params=["one-worker", "default-pool"])
+def workers(request, monkeypatch):
+    """The block loops on a pool of one worker thread, then on the default
+    pool of one worker per CPU; the fixture's value is the worker count."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from hypsurf import pool
+
+    if request.param == "default-pool":
+        yield pool._pool()[1]
+        return
+    executor = ThreadPoolExecutor(1)
+    monkeypatch.setattr(pool, "_pool", lambda: (executor, 1))
+    try:
+        yield 1
+    finally:
+        executor.shutdown()

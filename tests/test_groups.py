@@ -346,7 +346,8 @@ def _mixed_group():
     pytest.param(lambda: schottky_rank2(4.0), 9, id="schottky4-n9"),
     pytest.param(_mixed_group, 11, id="mixed-n11"),
 ])
-def test_the_frontier_blocks_change_no_sample(make_group, n, monkeypatch):
+def test_the_frontier_blocks_change_no_sample(make_group, n, monkeypatch, workers):
+    # on one worker thread or on one per CPU, the blocks come in table order
     rep = make_group()
     modes = ((SampleMode.AXIS_ENDPOINTS, 0.0), (SampleMode.ORBIT_PROJECTION, 0.85))
     monkeypatch.setattr(groups, "_FRONTIER_BLOCK", 10**9)

@@ -2,8 +2,10 @@
 named in `UNREACHED` with its reason.
 
 The README's CLI lines, one small argv for each error exit of each
-subcommand, and the three experiment scripts run here under a
-`sys.setprofile` hook that records every Python function entered.  A
+subcommand, and the three experiment scripts run here under a profile
+hook that records every Python function entered, on the calling thread
+(`sys.setprofile`) and on the worker threads of a fresh `pool`
+(`threading.setprofile`).  A
 function that none of them enters is code that only tests reach, so the
 set of such functions must equal the allowlist below.
 """
@@ -15,12 +17,13 @@ import json
 import runpy
 import shlex
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import hypsurf
-from hypsurf import cli
+from hypsurf import cli, pool
 
 from test_cli import readme_cli_lines
 
@@ -163,14 +166,20 @@ def trace(tmp_path_factory):
             code = frame.f_code
             entered.add((code.co_filename, code.co_firstlineno))
 
+    # clearing the caches drops the pool too: the next one starts its
+    # threads under the hook
     clear_caches()
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(workdir)
+        threading.setprofile(hook)
         sys.setprofile(hook)
         try:
             codes = run_everything(workdir)
         finally:
             sys.setprofile(None)
+            threading.setprofile(None)
+            pool._pool()[0].shutdown()
+            pool._pool.cache_clear()
     reached = {name for key, name in defined.items() if key in entered}
     return codes, set(defined.values()) - reached
 

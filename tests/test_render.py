@@ -50,7 +50,7 @@ def reference_csv_rows(s: EndpointSample) -> list[str]:
     return rows
 
 
-def test_streamed_csv_matches_per_row_formula_across_blocks(octagon):
+def test_streamed_csv_matches_per_row_formula_across_blocks(octagon, workers):
     s = limit_sample(octagon, DiskPoint(0), 6, SampleMode.AXIS_ENDPOINTS)
     assert len(s) > 2 * text._RENDER_BLOCK_ROWS
     assert csv_lines(s) == reference_csv_rows(s)
@@ -171,7 +171,7 @@ BOUNDARY_VERDICT = [
 ]
 
 
-def test_circle_map_csv_matches_per_row_formula_in_small_blocks(monkeypatch):
+def test_circle_map_csv_matches_per_row_formula_in_small_blocks(monkeypatch, workers):
     monkeypatch.setattr(text, "_RENDER_BLOCK_ROWS", 7)
     short_last_block = False
     for make_group, aut, n in BOUNDARY_VERDICT:
@@ -242,13 +242,16 @@ JSON_RUNS = [
 
 @pytest.mark.parametrize("argv, sample", JSON_RUNS, ids=[argv for argv, _ in JSON_RUNS])
 def test_cli_json_matches_per_value_reference_in_short_blocks(argv, sample, monkeypatch,
-                                                              tmp_path):
+                                                              tmp_path, workers):
     s = sample()
     rows = set_block_rows_not_dividing(monkeypatch, len(s))
     assert len(s) > 2 * rows
     path = tmp_path / "s.json"
     assert cli.main(argv.split() + ["--format", "json", "-o", str(path)]) == 0
-    assert path.read_text() == reference_json(s)
+    blocked = path.read_text()
+    monkeypatch.setattr(text, "_RENDER_BLOCK_ROWS", 10**9)
+    assert cli.main(argv.split() + ["--format", "json", "-o", str(path)]) == 0
+    assert blocked == path.read_text() == reference_json(s)
 
 
 #: 0, both sides of 1e-4 (the fixed-form fast path's edge), exponent forms,
