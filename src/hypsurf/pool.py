@@ -3,12 +3,14 @@
 The frontier blocks of the word table (`groups`) and the render blocks of
 a sample's text (`text`) are independent and spend their time in numpy
 calls that release the interpreter lock, so `ordered_map` runs them on one
-worker thread per CPU this process may use.  Their results come back in
-input order, so the output does not depend on the number of workers.
+worker thread per CPU this process may use, and the last one on the
+caller's thread.  Their results come back in input order, so the output
+does not depend on the number of workers.
 
-The pool is made on first use: importing this module starts no thread
-and does not import `concurrent.futures`.  There is no option for the
-number of workers; a host with one CPU runs the same path on one worker.
+The pool is made on first use by a loop of more than one item: importing
+this module starts no thread and does not import `concurrent.futures`.
+There is no option for the number of workers; a host with one CPU runs
+the same path on one worker.
 
 No function that perfbench's tracer wraps (`perfbench/tracing.py`,
 `TRACED`) runs on a worker thread: the tasks are nested functions of
@@ -21,7 +23,7 @@ from __future__ import annotations
 import functools
 import os
 from collections import deque
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -36,27 +38,36 @@ def _pool():
     return ThreadPoolExecutor(workers, thread_name_prefix="hypsurf"), workers
 
 
-def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
-    """fn of each item, run on the pool, yielded in input order.
+def ordered_map(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
+    """fn of each item, yielded in input order: all items but the last run
+    on the pool, and the last on the caller's thread while the pool
+    finishes the others, so a single item never leaves the caller's thread
+    and does not start the pool.
 
-    At most workers + 1 items are submitted and not yet yielded.  If a
-    task raises, its own exception reaches the caller; then, or when the
+    At most workers + 1 items are running or done and not yet yielded.  If
+    a task raises, its own exception reaches the caller; then, or when the
     caller stops early, the tasks not yet started are cancelled and the
     running ones waited for, so none runs once this generator is closed.
     Call it from one thread at a time, never from inside a task.
     """
-    from concurrent.futures import wait
-
-    pool, workers = _pool()
+    if not items:
+        return
     pending = deque()
     try:
-        for item in items:
+        if len(items) > 1:
+            pool, workers = _pool()
+        for item in items[:-1]:
             pending.append(pool.submit(fn, item))
             if len(pending) > workers:
                 yield pending.popleft().result()
+        last = fn(items[-1])
         while pending:
             yield pending.popleft().result()
+        yield last
     finally:
         for future in pending:
             future.cancel()
-        wait(pending)
+        if pending:
+            from concurrent.futures import wait
+
+            wait(pending)

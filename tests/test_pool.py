@@ -63,18 +63,17 @@ def test_results_come_in_input_order(sized_pool):
 
 
 def test_at_most_workers_plus_one_items_are_in_flight(sized_pool):
-    pulled = 0
+    tasks = Tasks()
+    for k, _ in enumerate(pool.ordered_map(tasks, range(30))):
+        # items started and not yet yielded, the one yielded now included
+        assert tasks.started - k <= sized_pool + 1
+    assert tasks.started == 30
 
-    def items():
-        nonlocal pulled
-        for i in range(30):
-            pulled += 1
-            yield i
 
-    for k, _ in enumerate(pool.ordered_map(Tasks(), items())):
-        # items submitted and not yet yielded, the one yielded now included
-        assert pulled - k <= sized_pool + 1
-    assert pulled == 30
+def test_a_single_item_runs_on_the_callers_thread(monkeypatch):
+    monkeypatch.setattr(pool, "_pool", lambda: pytest.fail("one item started the pool"))
+    assert list(pool.ordered_map(lambda _: threading.get_ident(), [7])) == \
+        [threading.get_ident()]
 
 
 def test_a_tasks_error_reaches_the_caller_and_no_task_outlives_the_call(sized_pool):
