@@ -5,9 +5,9 @@ The README's CLI lines, one small argv for each error exit of each
 subcommand, and the three experiment scripts run here under a profile
 hook that records every Python function entered, on the calling thread
 (`sys.setprofile`) and on the worker threads of a fresh `pool`
-(`threading.setprofile`).  A
-function that none of them enters is code that only tests reach, so the
-set of such functions must equal the allowlist below.
+(`threading.setprofile`).  A function that none of them enters is code
+that only tests reach, so the set of such functions must equal the
+allowlist below.
 """
 
 import ast
