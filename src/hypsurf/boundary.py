@@ -41,6 +41,7 @@ from hypsurf.words import (
     stack_padded,
     substitute,
     substitute_rows,
+    word_table,
 )
 
 #: sampling aborts when more than this fraction of classes is skipped
@@ -420,8 +421,8 @@ def is_boundary_identity(
     zout = np.exp(1j * sample.theta_out)
     unturn = np.exp(-1j * sample.theta_in)
     # the identity row, then the table in shortlex order, zero-padded to m
-    table = shortlex_levels(rep.rank, m)
-    blocks = list(_word_blocks(rep, table))
+    table, letters = word_table(rep.rank, m)
+    blocks = list(_word_blocks(rep, table, letters))
     ua = np.concatenate([[1.0 + 0j]] + [block.a for block in blocks])
     ub = np.concatenate([[0j]] + [block.b for block in blocks])
     _, bounds = _lower_bounds(ua, ub, zout, unturn)
@@ -433,7 +434,6 @@ def is_boundary_identity(
         best_res = min(best_res, residuals[i])
     best = int(np.argmin(residuals))  # the first minimum: shortlex wins ties
     best_res = float(residuals[best])
-    letters = stack_padded([np.zeros((1, 0), dtype=np.int8)] + table, m)
     return BoundaryIdentityResult(
         identity=best_res <= tol,
         best_inner=GroupWord.from_row(letters[best]),

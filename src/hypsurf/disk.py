@@ -8,8 +8,9 @@ isometries, stored as normalized matrices
 acting by z -> (a z + b) / (conj(b) z + conj(a)); the hyperbolicity guard
 and the circle fixed points of such a matrix, known up to a positive
 scale; translations along geodesics; and `circle_net`, the one rule by
-which sampled angles are merged at TOL_ANGLE.  Everything here is
-immutable and pure.
+which sampled angles are merged at TOL_ANGLE, taken in angle sectors on
+the worker threads of `pool.ordered_map` when the input is large.
+Everything here is immutable and pure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from hypsurf.errors import (
     NonpositiveLength,
     NumericFailure,
 )
+from hypsurf.pool import ordered_map
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,8 +38,8 @@ TOL_MATRIX = 1e-12
 TOL_ANGLE = 1e-9
 #: hyperbolic means |b|^2 - (Im a)^2 > TOL_AXIS * |a|^2 (`is_certainly_hyperbolic`)
 TOL_AXIS = 1e-9
-#: sorted angles `circle_net` compares with their successors at a time
-_NET_CHUNK = 65536
+#: `circle_net` sorts at least this many angles in one sector
+_SECTOR_MIN = 2**16
 
 
 def reduce_angle(theta):
@@ -71,10 +74,16 @@ def circle_angle(z: np.ndarray) -> np.ndarray:
     return t
 
 
-def circle_net(theta: np.ndarray) -> np.ndarray:
+def circle_net(theta: np.ndarray,
+               take: Callable[[np.ndarray, np.ndarray], object] | None = None):
     """Merge a nonempty array of angles in [0, 2*pi) into a TOL_ANGLE net
     of the circle, and return the indices of the kept angles in increasing
-    order of angle: the net is ``theta[circle_net(theta)]``.
+    order of angle: the net is ``theta[circle_net(theta)]``.  With
+    ``take``, return instead the list of ``take(kept, angles)`` over the
+    sectors below, in order, where ``kept`` are the sector's indices
+    (joined, they are the indices above) and ``angles`` their angles, read
+    from the sector's sort: theta[kept], but for the sign of a zero that
+    ties with a zero of the other sign.  take runs in the sector's task.
 
     An angle within TOL_ANGLE of the last kept angle is dropped, and kept
     angles within TOL_ANGLE of the first + 2*pi fold into the first.  So
@@ -83,19 +92,79 @@ def circle_net(theta: np.ndarray) -> np.ndarray:
     angles, the earliest input entry is the one kept.  A dropped angle is
     a tie with a kept one at that resolution; samplers index every array
     aligned with theta by the same net.
+
+    An input of at least twice `_SECTOR_MIN` angles is cut into one sector
+    per `_SECTOR_MIN` angles (`_sector_cuts`), and each sector's net runs
+    as one `pool.ordered_map` task (`_sector_net`).  A sector's first angle
+    starts a run, and so its net is the whole net's between the cuts, when
+    every cut lies in a gap wider than TOL_ANGLE; that is checked on the
+    sorted sectors, and where a run crosses a cut, the whole array is taken
+    as one sector instead.  Exactly equal angles never straddle a cut, and
+    only the sector of the largest angles holds angles that fold.
     """
-    order = np.argsort(theta)
-    t = theta[order]
+    count = len(theta) // _SECTOR_MIN
+    first = theta.min()
+    if count > 1:
+        cuts = _sector_cuts(theta, count)
+        step = -(-len(theta) // count)
+
+        def group(lo: int):
+            # the chunk's indices grouped by sector, in input order within
+            # each, and where each sector's group starts
+            sector = np.searchsorted(cuts, theta[lo:lo + step], side="right")
+            sector = sector.astype(np.min_scalar_type(count))
+            order = np.argsort(sector, kind="stable")
+            at = np.searchsorted(sector, np.arange(count, dtype=sector.dtype), sorter=order)
+            order = order.astype(np.min_scalar_type(len(theta)))
+            order += lo
+            return order, np.append(at, len(sector))
+
+        def sector_net(k: int):
+            index = np.concatenate([order[at[k]:at[k + 1]] for order, at in groups])
+            return _sector_net(theta, index, first, take) if len(index) else None
+
+        groups = list(ordered_map(group, range(0, len(theta), step)))
+        nets = [net for net in ordered_map(sector_net, range(count)) if net is not None]
+        del groups
+        bounds = np.array([net[:2] for net in nets])
+        if (bounds[1:, 0] - bounds[:-1, 1] > TOL_ANGLE).all():
+            kept = [net[2] for net in nets]
+            return np.concatenate(kept) if take is None else kept
+        del nets
+    kept = _sector_net(theta, None, first, take)[2]
+    return kept if take is None else [kept]
+
+
+def _sector_cuts(theta: np.ndarray, count: int) -> np.ndarray:
+    """count - 1 increasing cuts that split theta into count sectors of
+    about equal size: of a sorted strided sample of about 32 angles per
+    sector, each cut is the midpoint of the widest gap between neighbours
+    in the stretch of the sample around its quantile."""
+    sample = np.sort(theta[::max(1, len(theta) // (32 * count))])
+    gaps = np.diff(sample)
+    width = len(sample) // count
+    at = np.clip(np.arange(1, count) * width - width // 2, 0, len(gaps) - width)
+    widest = at + np.argmax(np.lib.stride_tricks.sliding_window_view(gaps, width)[at], axis=1)
+    return 0.5 * (sample[widest] + sample[widest + 1])
+
+
+def _sector_net(theta: np.ndarray, index: np.ndarray | None, first: float, take):
+    """`circle_net` of the angles theta[index] (of all of theta when index
+    is None), where ``first`` is the least angle of theta: the first and
+    last angle of the sector after sorting, and take of its kept indices
+    (the indices themselves without take)."""
+    x = theta if index is None else theta[index]
+    order = np.argsort(x)
+    t = x[order]
+    del x
+    if index is not None:
+        order = index[order]
     n = len(t)
     # the first angle of each run, a stretch of angles each within
     # TOL_ANGLE of the one before, is kept
     keep = np.empty(n, dtype=bool)
     keep[0] = True
-    # the differences of np.diff(t), a chunk at a time, so that no float
-    # array as long as t is made for them
-    for i in range(0, n - 1, _NET_CHUNK):
-        j = min(i + _NET_CHUNK, n - 1)
-        np.greater(np.subtract(t[i + 1:j + 1], t[i:j]), TOL_ANGLE, out=keep[i + 1:j + 1])
+    np.greater(np.diff(t), TOL_ANGLE, out=keep[1:])
     # inside a run, so is the first angle beyond TOL_ANGLE of the last kept
     # one, until the next run start; a run of two spans at most TOL_ANGLE,
     # so the rounds start only from longer runs
@@ -112,20 +181,22 @@ def circle_net(theta: np.ndarray) -> np.ndarray:
         last = nxt[~keep[nxt]]
         keep[last] = True
     # near 2*pi the subtraction is exact, so every folded angle lies at or
-    # past the rounded t[0] + 2*pi - TOL_ANGLE
-    tail = max(1, int(np.searchsorted(t, t[0] + TWO_PI - TOL_ANGLE)))
-    folded = np.count_nonzero(keep[tail:] & (t[0] + TWO_PI - t[tail:] <= TOL_ANGLE))
+    # past the rounded first + 2*pi - TOL_ANGLE; the first angle itself
+    # lies 2*pi from there and never folds
+    tail = int(np.searchsorted(t, first + TWO_PI - TOL_ANGLE))
+    folded = np.count_nonzero(keep[tail:] & (first + TWO_PI - t[tail:] <= TOL_ANGLE))
     # every kept position starts its run of exactly equal angles, and the
     # sort leaves such a run in any order: give the run's first position
     # the least input index in the run
     tie = np.flatnonzero(t[1:] == t[:-1])  # t[tie] == t[tie + 1]
-    del t
+    ends = t[0], t[-1]
     if len(tie):
         pair = np.minimum(order[tie], order[tie + 1])
         head = np.flatnonzero(np.diff(tie, prepend=-2) > 1)
         order[tie[head]] = np.minimum.reduceat(pair, head)
-    kept = order[keep]
-    return kept[:len(kept) - folded]
+    m = np.count_nonzero(keep) - folded
+    kept = order[keep][:m]
+    return *ends, kept if take is None else take(kept, t[keep][:m])
 
 
 @dataclass(frozen=True)

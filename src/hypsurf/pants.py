@@ -160,9 +160,10 @@ def hexagon_identity_residual(x: CuffLengths, geometry: PantsGeometry) -> float:
 GLUING_TWIST = 0.0
 
 
-def slot_name(slot: int) -> str:
-    """`p{i}.c{k}`, the name of slot 3i + k: cuff k of pants i."""
-    return f"p{slot // 3}.c{slot % 3}"
+def slot_names(pants: int) -> list[str]:
+    """The name of every slot of a plan of this many pants, in slot order:
+    slot 3i + k, cuff k of pants i, is `p{i}.c{k}`."""
+    return [f"p{i}.c{k}" for i in range(pants) for k in range(3)]
 
 
 @dataclass(frozen=True)
@@ -263,23 +264,25 @@ def _check_plan(plan: PantsDecompositionPlan) -> None:
     cuffs = list(itertools.chain.from_iterable(plan.pants))
     if not {*map(type, cuffs)} <= {float}:
         slot = next(i for i, x in enumerate(cuffs) if type(x) is not float)
-        raise InvalidInput(f"cuff {slot_name(slot)} = {cuffs[slot]!r} is not a float")
+        raise InvalidInput(f"cuff {slot_names(n // 3)[slot]} = {cuffs[slot]!r} is not a float")
     for slot, x in enumerate(cuffs):
         # NaN fails both tests, and only the sign tells -0.0 from 0.0
         if not (0.0 < x < math.inf or x == 0.0 and math.copysign(1.0, x) > 0.0):
             if not math.isfinite(x):
-                raise InvalidInput(f"cuff {slot_name(slot)} = {x!r} must be finite")
-            raise NegativeLength(f"cuff {slot_name(slot)} = {x!r} must be >= +0")
-    unequal = [f"{slot_name(i)}={cuffs[i]!r} to {slot_name(j)}={cuffs[j]!r}"
-               for i, j in plan.gluings if cuffs[i] != cuffs[j]]
+                raise InvalidInput(f"cuff {slot_names(n // 3)[slot]} = {x!r} must be finite")
+            raise NegativeLength(f"cuff {slot_names(n // 3)[slot]} = {x!r} must be >= +0")
+    unequal = [(i, j) for i, j in plan.gluings if cuffs[i] != cuffs[j]]
     if unequal:
+        names = slot_names(n // 3)
+        unequal = [f"{names[i]}={cuffs[i]!r} to {names[j]}={cuffs[j]!r}" for i, j in unequal]
         raise LengthMismatch(f"{len(unequal)} gluings join unequal cuffs: {', '.join(unequal)}")
     for slot in plan.crosscaps:
         if cuffs[slot] == 0.0:
-            raise NegativeLength(f"crosscap cuff {slot_name(slot)} needs positive length")
+            raise NegativeLength(f"crosscap cuff {slot_names(n // 3)[slot]} needs positive length")
     for slot in plan.cusps:
         if cuffs[slot] != 0.0:
-            raise LengthMismatch(f"cusp cuff {slot_name(slot)} = {cuffs[slot]!r} must be 0")
+            raise LengthMismatch(
+                f"cusp cuff {slot_names(n // 3)[slot]} = {cuffs[slot]!r} must be 0")
 
 
 def _raise_accounting(plan: PantsDecompositionPlan) -> NoReturn:
@@ -302,7 +305,7 @@ def _raise_accounting(plan: PantsDecompositionPlan) -> NoReturn:
             raise InvalidInput(f"gluing {g!r} has type {type(g).__name__}, not tuple")
         if len(g) != 2:
             raise InvalidInput(f"gluing {g!r} has {len(g)} slots, not 2")
-    n = 3 * len(plan.pants)
+    n, names = 3 * len(plan.pants), slot_names(len(plan.pants))
     seen: dict[int, str] = {}
     claims = itertools.chain(
         zip(itertools.chain.from_iterable(plan.gluings), itertools.repeat("gluing")),
@@ -314,10 +317,10 @@ def _raise_accounting(plan: PantsDecompositionPlan) -> NoReturn:
         if type(slot) is not int:
             raise InvalidInput(f"{how} slot {slot!r} is not an int")
         if slot in seen:
-            name = slot_name(slot) if 0 <= slot < n else slot
+            name = names[slot] if 0 <= slot < n else slot
             raise InvalidInput(f"slot {name} used twice ({seen[slot]} and {how})")
         seen[slot] = how
-    missing = [slot_name(s) for s in range(n) if s not in seen]
+    missing = [names[s] for s in range(n) if s not in seen]
     extra = [s for s in seen if not 0 <= s < n]
     raise InvalidInput(f"slot accounting broken: missing {missing}, extra {extra}")
 

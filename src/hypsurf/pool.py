@@ -1,11 +1,12 @@
 """One pool of worker threads for the sample block loops.
 
-The frontier blocks of the word table (`groups`) and the render blocks of
-a sample's text (`text`) are independent and spend their time in numpy
-calls that release the interpreter lock, so `ordered_map` runs them on one
-worker thread per CPU this process may use, and the last one on the
-caller's thread.  Their results come back in input order, so the output
-does not depend on the number of workers.
+The frontier blocks of the word table (`groups`), the angle sectors of a
+large `disk.circle_net` and the render blocks of a sample's text (`text`)
+are independent and spend their time in numpy calls that release the
+interpreter lock, so `ordered_map` runs them on one worker thread per CPU
+this process may use, and the last one on the caller's thread.  Their
+results come back in input order, so the output does not depend on the
+number of workers.
 
 The pool is made on first use by a loop of more than one item: importing
 this module starts no thread and does not import `concurrent.futures`.
@@ -14,8 +15,8 @@ the same path on one worker.
 
 No function that perfbench's tracer wraps (`perfbench/tracing.py`,
 `TRACED`) runs on a worker thread: the tasks are nested functions of
-`groups` and `text`.  The tracer's self times assume that spans never
-overlap.
+`groups`, `text` and `disk.circle_net`, and `disk._sector_net`.  The
+tracer's self times assume that spans never overlap.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from hypsurf.errors import InvalidInput
-from hypsurf.pants import GLUING_TWIST, MetricSummary, PantsDecompositionPlan, slot_name
+from hypsurf.pants import GLUING_TWIST, MetricSummary, PantsDecompositionPlan, slot_names
 from hypsurf.pool import ordered_map
 
 #: rows rendered per block by `_rows`
@@ -99,7 +99,7 @@ def plan_json(plan: PantsDecompositionPlan, summary: MetricSummary) -> str:
     here, before any text."""
     texts = _distinct_float_texts(list(itertools.chain.from_iterable(plan.pants)))
     area = _float_texts([summary.total_area])[0]
-    names = [f'"{slot_name(s)}"' for s in range(len(texts))]
+    names = [f'"{name}"' for name in slot_names(len(plan.pants))]
     twist = format_float(GLUING_TWIST)
     cuffs = iter(texts)
     pants = [f'{{"id":"p{i}","cuff_lengths":[{a},{b},{c}]}}'

@@ -9,18 +9,22 @@ samples reproducible.
 
 `shortlex_levels` builds the one shortlex word table: word lists, the
 matrix levels of `groups` and the conjugacy classes of `boundary` read it.
+Each level grows from the one before by `child_rows`, the one child rule,
+which `groups` also runs on the last level a block at a time
+(`word_table`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from hypsurf.errors import BudgetExceeded, IndexOutOfRange, InvalidInput
 
-#: `shortlex_levels`, which builds every word table, refuses a table of
-#: more than this many words
+#: `shortlex_levels`, which builds every word table, refuses a table that
+#: generates more than this many rows
 DEFAULT_WORD_BUDGET = 5_000_000
 
 
@@ -143,8 +147,49 @@ def word_count(rank: int, max_length: int) -> int:
     return total
 
 
-def shortlex_levels(rank: int, max_length: int, keep=None) -> list[np.ndarray]:
-    """Levels 1..max_length of the shortlex tree of freely reduced words.
+@functools.cache
+def _followers(rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """The alphabet A, a, B, b, ... of a rank, and the table whose row k
+    holds the letters that may follow the letter with key k, in alphabet
+    order: all but its inverse, whose key is k ^ 1.  Every caller shares
+    them, so both are read-only."""
+    gens = np.arange(1, rank + 1, dtype=np.int8)
+    alphabet = np.column_stack([gens, -gens]).ravel()
+    skip = np.arange(2 * rank - 1)
+    table = alphabet[skip + (skip >= np.arange(2 * rank)[:, None] ^ 1)]
+    alphabet.flags.writeable = table.flags.writeable = False
+    return alphabet, table
+
+
+def child_rows(rank: int, parents: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The children of the rows of one shortlex level, in shortlex order:
+    each parent row followed by each letter that may follow its last one,
+    in alphabet order, so row i is a child of parent row i // fan.  The
+    empty word, a row of width 0, has the whole alphabet as its children
+    (fan 2*rank); a longer row has all letters but the inverse of its
+    last one (fan 2*rank - 1).  The rows are written to ``out`` when it is
+    given, a C-contiguous int8 matrix of the children's shape.
+    """
+    alphabet, table = _followers(rank)
+    count, length = parents.shape
+    if length == 0:
+        followers = np.broadcast_to(alphabet, (count, 2 * rank))
+    else:
+        followers = table[_letter_key(parents[:, -1].astype(np.intp))]
+    fan = followers.shape[1]
+    if out is None:
+        out = np.empty((count * fan, length + 1), dtype=np.int8)
+    # a view: the rows are written in place, never to a copy
+    grid = out.reshape(count, fan, length + 1, copy=False)
+    grid[:, :, :length] = parents[:, None, :]
+    grid[:, :, length] = followers
+    return out
+
+
+def shortlex_levels(rank: int, max_length: int, keep=None, *,
+                    build_last: bool = True) -> list[np.ndarray]:
+    """Levels 1..max_length of the shortlex tree of freely reduced words,
+    each grown from the one before by `child_rows`.
 
     Level L is an int8 matrix with one row per word of length L, in
     shortlex order; level 1 is the alphabet A, a, B, b, ... as a column.
@@ -155,34 +200,49 @@ def shortlex_levels(rank: int, max_length: int, keep=None) -> list[np.ndarray]:
     and, for each, the index of its parent row in the previous (pruned)
     level (``None`` at level 1), and returns a boolean mask of the rows to
     keep; only kept rows are returned and grow children, so the parent rule
-    above holds for the unpruned table only.  The unpruned `word_count`
-    may not exceed `DEFAULT_WORD_BUDGET`, or BudgetExceeded is raised.
+    above holds for the unpruned table only.
+
+    The rows each level generates, the kept parents times their fan, are
+    counted with the empty word, and BudgetExceeded is raised before a
+    level takes the count past `DEFAULT_WORD_BUDGET`.  Unpruned, the count
+    is `word_count`.  With ``build_last=False`` level max_length is counted
+    but not built, and the levels 1..max_length-1 are returned: a caller
+    grows the last level from them by `child_rows`, a block at a time.
     """
     if max_length < 0:
         raise InvalidInput("max_length must be nonnegative")
-    n = word_count(rank, max_length)
-    if n > DEFAULT_WORD_BUDGET:
-        raise BudgetExceeded(f"{n} words exceed the budget of {DEFAULT_WORD_BUDGET}")
+    if rank < 1:
+        raise InvalidInput("rank must be at least 1")
     if rank > 127:
         raise InvalidInput("the word table stores letters as int8: rank must be at most 127")
-    fan = 2 * rank - 1
-    gens = np.arange(1, rank + 1, dtype=np.int8)
-    alphabet = np.column_stack([gens, -gens]).ravel()
-    # children[k]: the letters that may follow the letter with key k
-    children = np.array([np.delete(alphabet, k ^ 1) for k in range(2 * rank)])
     levels = []
+    level, generated = np.zeros((1, 0), dtype=np.int8), 1
     for length in range(1, max_length + 1):
-        if length == 1:
-            rows, parent = alphabet.reshape(-1, 1), None
-        else:
-            prev = levels[-1]
-            last = children[_letter_key(prev[:, -1].astype(np.intp))]
-            rows = np.hstack([np.repeat(prev, fan, axis=0), last.reshape(-1, 1)])
-            parent = None if keep is None else np.repeat(np.arange(len(prev)), fan)
+        generated += len(level) * (2 * rank - (length > 1))
+        if generated > DEFAULT_WORD_BUDGET:
+            raise BudgetExceeded(f"{generated} words exceed the budget of {DEFAULT_WORD_BUDGET}")
+        if length == max_length and not build_last:
+            break
+        rows = child_rows(rank, level)
         if keep is not None:
+            parent = None if length == 1 else np.repeat(np.arange(len(level)), 2 * rank - 1)
             rows = rows[keep(rows, parent)]
         levels.append(rows)
+        level = rows
     return levels
+
+
+def word_table(rank: int, n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Levels 1..n-1 of the unpruned shortlex table (`shortlex_levels`
+    without its last level, which still counts against the budget), and
+    the zero-padded int8 letter matrix of width n with a row for each
+    word of length <= n in shortlex order, the empty word first.  Levels
+    1..n-1 are filled in; the rows of level n, the last ones, are left
+    zero for `child_rows` to fill.
+    """
+    table = shortlex_levels(rank, n, build_last=False)
+    empty = np.zeros((1, 0), dtype=np.int8)
+    return table, stack_padded([empty] + table, n, rows=word_count(rank, n))
 
 
 def enumerate_reduced_words(rank: int, max_length: int) -> list[GroupWord]:
@@ -196,10 +256,12 @@ def enumerate_reduced_words(rank: int, max_length: int) -> list[GroupWord]:
     return [GroupWord()] + [GroupWord(tuple(row)) for lv in levels for row in lv.tolist()]
 
 
-def stack_padded(blocks, width: int) -> np.ndarray:
+def stack_padded(blocks, width: int, rows: int | None = None) -> np.ndarray:
     """Letter matrices no wider than ``width`` stacked in order into one
-    int8 matrix, each row zero-padded to ``width``."""
-    out = np.zeros((sum(len(b) for b in blocks), width), dtype=np.int8)
+    int8 matrix, each row zero-padded to ``width``; with ``rows``, the
+    matrix has that many rows, and those past the blocks are zero."""
+    out = np.zeros((sum(len(b) for b in blocks) if rows is None else rows, width),
+                   dtype=np.int8)
     at = 0
     for b in blocks:
         out[at:at + len(b), :b.shape[1]] = b

@@ -82,3 +82,20 @@ def workers(request, monkeypatch):
         yield 1
     finally:
         executor.shutdown()
+
+
+@pytest.fixture(params=[1, 2, 5])
+def sized_pool(request, monkeypatch):
+    """The block loops on a pool of 1, 2 and then 5 worker threads, 5 being
+    more than the CPUs of a small host; the fixture's value is the worker
+    count."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from hypsurf import pool
+
+    executor = ThreadPoolExecutor(request.param)
+    monkeypatch.setattr(pool, "_pool", lambda: (executor, request.param))
+    try:
+        yield request.param
+    finally:
+        executor.shutdown()

@@ -49,7 +49,7 @@ from hypsurf.text import dump_json
 def word_levels(rep, n: int) -> list[_Block]:
     """Levels 1..n of the word table with their matrix entries, each whole:
     `groups._word_blocks` with the blocks of each level joined."""
-    blocks = _word_blocks(rep, words.shortlex_levels(rep.rank, n))
+    blocks = _word_blocks(rep, *words.word_table(rep.rank, n))
     return [_Block(*map(np.concatenate, zip(*level)))
             for _, level in itertools.groupby(blocks, key=lambda blk: blk.letters.shape[1])]
 

@@ -274,20 +274,29 @@ def test_conjugacy_class_words_match_the_packed_code_table(rank, n):
     assert np.array_equal(new, ref)
 
 
-def test_conjugacy_class_words_budget_is_the_word_count(monkeypatch):
-    # at the real budget, rank 2 passes n = 13 and stops at n = 14
-    assert word_count(2, 13) <= words.DEFAULT_WORD_BUDGET < word_count(2, 14)
-    assert conjugacy_class_words(2, 13).shape[1] == 13
-    for table in (conjugacy_class_words, oracles.conjugacy_class_words):
-        with pytest.raises(BudgetExceeded):
-            table(2, 14)
+def test_conjugacy_class_words_budget_counts_generated_rows(monkeypatch):
+    # the budget counts the rows each level generates, the kept parents
+    # times the fan, with the alphabet and the empty word: far fewer than
+    # the unpruned word_count of the same length
+    generated = [1]
+    levels = words.shortlex_levels
+
+    def counting(rank, n, keep):
+        def spy(rows, parent):
+            generated.append(len(rows))
+            return keep(rows, parent)
+        return levels(rank, n, keep=spy)
+
+    monkeypatch.setattr(boundary, "shortlex_levels", counting)
+    reps = conjugacy_class_words(2, 8)
+    total = sum(generated)
+    assert len(generated) == 9 and total < word_count(2, 8) // 4
+    monkeypatch.setattr(words, "DEFAULT_WORD_BUDGET", total)
+    assert np.array_equal(conjugacy_class_words(2, 8), reps)
+    monkeypatch.setattr(words, "DEFAULT_WORD_BUDGET", total - 1)
+    with pytest.raises(BudgetExceeded, match=f"^{total} words exceed the budget of {total - 1}$"):
+        conjugacy_class_words(2, 8)
     assert conjugacy_class_words(2, 0).shape == (0, 0)
-    monkeypatch.setattr(words, "DEFAULT_WORD_BUDGET", word_count(2, 5))
-    assert len(conjugacy_class_words(2, 5)) == 51
-    monkeypatch.setattr(words, "DEFAULT_WORD_BUDGET", word_count(2, 5) - 1)
-    for table in (conjugacy_class_words, oracles.conjugacy_class_words):
-        with pytest.raises(BudgetExceeded):
-            table(2, 5)
 
 
 # -- order_check ----------------------------------------------------------------

@@ -405,6 +405,22 @@ def test_saturated_schottky_boundary_map_keeps_nine_rows(capsys):
     assert len(out.splitlines()) == 1 + 9
 
 
+def test_the_class_table_budgets_the_rows_it_generates(capsys):
+    # the pruned class table generates 1,213,082 rows at n = 14, within the
+    # budget, although word_count(2, 14) is past it; at n = 16 it
+    # generates 9,384,014 rows and is refused
+    code, out, err = run_cli(capsys, "boundary-map", "--group", "cusped-torus", "--aut",
+                             "A=AB,B=B", "--n", "14", "--check-identity")
+    assert (code, err) == (0, "")
+    verdict = json.loads(out)
+    assert (verdict["identity"], verdict["sample_size"]) == (False, 266_742)
+    code, out, err = run_cli(capsys, "boundary-map", "--group", "cusped-torus", "--aut",
+                             "A=AB,B=B", "--n", "16", "--check-identity")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "BudgetExceeded",
+                               "message": "9384014 words exceed the budget of 5000000"}
+
+
 def test_inner_search_table_is_budgeted(capsys):
     code, out, err = run_cli(capsys, *TORUS_TWIST, "--check-identity", "--m", "14")
     assert code == 2 and out == ""

@@ -4,10 +4,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import disk_points, geodesics, isometries
+from hypsurf import disk
 from hypsurf.disk import (
     TOL_ANGLE,
     DiskPoint,
@@ -165,6 +166,106 @@ def test_circle_net_keeps_the_stable_sorts_indices_on_many_ties():
                                [0.0, -0.0, TWO_PI - 0.5 * TOL_ANGLE]])
     theta = rng.permutation(np.repeat(distinct, rng.integers(1, 6, len(distinct))))
     assert circle_net(theta).tolist() == oracles.stable_circle_net(theta).tolist()
+
+
+@st.composite
+def sectored_angles(draw):
+    """Angles and the cuts of their sectors, on a background of clustered
+    angles: a run of angles 0.9 TOL_ANGLE apart laid across a cut, exact
+    ties on both sides of a cut, kept angles within TOL_ANGLE below 2*pi
+    that fold into the first angle 0, cuts with no angle between them, or
+    one angle repeated; in shuffled input order."""
+    cuts = sorted(draw(st.lists(st.floats(0.1, TWO_PI - 0.1), min_size=1, max_size=6)))
+    cut = draw(st.sampled_from(cuts))
+    kind = draw(st.sampled_from(["run", "ties", "fold", "empty", "equal"]))
+    theta = draw(clustered_angles()).tolist() + [draw(st.floats(0.0, TWO_PI, exclude_max=True))
+                                                 for _ in range(len(cuts) + 1)]
+    if kind == "run":
+        k = draw(st.integers(2, 12))
+        theta += [cut + (i - k // 2) * 0.9 * TOL_ANGLE for i in range(k)]
+    elif kind == "ties":
+        d = draw(st.floats(2 * TOL_ANGLE, 1e-3))
+        theta += [cut - d] * draw(st.integers(2, 4)) + [cut + d] * draw(st.integers(2, 4))
+        theta += [cut] * draw(st.integers(0, 3))
+    elif kind == "fold":
+        theta += [0.0] + [TWO_PI - u * TOL_ANGLE for u in draw(st.lists(
+            st.sampled_from([1.0, 0.6, 0.3, 1e-6]), min_size=1, max_size=4))]
+        theta += [math.nextafter(TWO_PI, 0.0)]
+    elif kind == "empty":
+        cuts = sorted(cuts + [cut, cut, math.nextafter(cut, TWO_PI)])
+    else:
+        theta = [theta[0]] * draw(st.integers(len(cuts) + 1, 30))
+    return np.array(draw(st.permutations(theta))), np.array(cuts), kind
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sectored_angles())
+def test_sectored_circle_net_is_the_one_sector_net(sized_pool, monkeypatch, data):
+    theta, cuts, kind = data
+    one = circle_net(theta)
+    whole = []
+    sector_net = disk._sector_net
+
+    def spy(theta, index, first, take):
+        whole.append(index is None)
+        return sector_net(theta, index, first, take)
+
+    # one sector per cut and one more, or fewer cuts where the angles are
+    # fewer; a sector past the last cut stays empty
+    size = max(1, len(theta) // (len(cuts) + 1))
+    cuts = cuts[:len(theta) // size - 1]
+    with monkeypatch.context() as patch:
+        patch.setattr(disk, "_SECTOR_MIN", size)
+        patch.setattr(disk, "_sector_cuts", lambda theta, count: cuts)
+        patch.setattr(disk, "_sector_net", spy)
+        sectored = circle_net(theta)
+        taken = circle_net(theta, lambda kept, angles: (kept, angles))
+    assert sectored.tolist() == one.tolist() == oracles.circle_net(theta).tolist()
+    kept, angles = map(np.concatenate, zip(*taken))
+    assert kept.tolist() == one.tolist()
+    assert angles.tobytes() == theta[one].tobytes()
+    # a run across a cut, as there always is in a "run", takes the whole
+    # array as one sector; all angles equal fill one sector and no other
+    t = np.sort(theta)
+    crossing = np.any((np.diff(t) <= TOL_ANGLE) & (np.diff(np.searchsorted(cuts, t, "right")) > 0))
+    assert crossing or kind != "run"
+    assert whole.count(True) == 2 * crossing
+    if kind == "equal":
+        assert whole == [False, False]
+
+
+def test_sector_cuts_sit_in_the_widest_sample_gaps():
+    # 32 sample angles per sector; in each stretch of the sample around a
+    # quantile the widest gap holds the cut at its midpoint
+    theta = np.linspace(0.0, 6.0, 64 * 32, endpoint=False)
+    theta[32 * 16 + 7] += 0.001  # widens the gap before it, in the 16th cut's stretch
+    cuts = disk._sector_cuts(theta, 64)
+    sample = np.sort(theta)
+    assert len(cuts) == 63 and np.all(np.diff(cuts) >= 0.0)
+    assert cuts[15] == 0.5 * (sample[32 * 16 + 6] + sample[32 * 16 + 7])
+    for c in cuts:
+        i = np.searchsorted(sample, c)
+        assert sample[i - 1] < c < sample[i] and c == 0.5 * (sample[i - 1] + sample[i])
+
+
+def test_a_large_input_is_netted_in_sectors(monkeypatch):
+    # more than twice _SECTOR_MIN angles: the net runs in sectors, and
+    # equals the one-sector net index for index
+    rng = np.random.default_rng(8)
+    theta = reduce_angle(np.repeat(rng.uniform(0.0, TWO_PI, 30_000), 5)
+                         + rng.integers(-3, 8, 150_000) * 3e-10)
+    theta[:3] = (0.0, TWO_PI - 3e-10, TWO_PI - 2e-9)
+    sizes = []
+    sector_net = disk._sector_net
+
+    def spy(theta, index, *rest):
+        sizes.append(len(theta if index is None else index))
+        return sector_net(theta, index, *rest)
+
+    monkeypatch.setattr(disk, "_sector_net", spy)
+    kept = circle_net(theta)
+    assert len(sizes) == len(theta) // disk._SECTOR_MIN > 1 and sum(sizes) == len(theta)
+    assert kept.tolist() == oracles.circle_net(theta).tolist()
 
 
 def test_circle_angle_is_reduce_angle_of_the_angle_bit_for_bit():

@@ -52,9 +52,11 @@ from hypsurf.words import (
     _letter_key,
     enumerate_reduced_words,
     shortlex_levels,
+    stack_padded,
     substitute,
     substitute_rows,
     word_count,
+    word_table,
 )
 
 import oracles
@@ -224,9 +226,10 @@ def test_limit_sample_is_the_net_of_its_endpoints(make_group, sample, ns, rows, 
     # oracle's net of their angles, and index every aligned array by it
     seen = []
 
-    def traced(theta):
+    def traced(theta, take=None):
         seen.append((theta.copy(), circle_net(theta)))
-        return seen[-1][1]
+        net = seen[-1][1]
+        return net if take is None else [take(net, theta[net])]
 
     monkeypatch.setattr(groups, "circle_net", traced)
     monkeypatch.setattr(boundary, "circle_net", traced)
@@ -332,6 +335,30 @@ def test_a_rows_value_does_not_depend_on_the_array_it_is_in(make_group, n):
                 [x[i:i + 1].tobytes() for x in whole], (path.__name__, i)
 
 
+def _translations(rank: int) -> GroupRep:
+    """A group of rank translations along diameters at distinct angles."""
+    return GroupRep(tuple(
+        translation_along(Geodesic(IdealPoint(k * math.pi / rank),
+                                   IdealPoint(k * math.pi / rank + math.pi)), 2.0)
+        for k in range(rank)))
+
+
+@pytest.mark.parametrize("rank, n", [(1, 9), (2, 1), (2, 6), (3, 4), (4, 4)])
+def test_frontier_blocks_build_the_last_level_of_letters(rank, n, monkeypatch, sized_pool):
+    # each frontier block grows its letter rows from its parent rows, in
+    # place in the padded word table: blocks of 3 parents, across every
+    # block boundary, give the table's last level
+    monkeypatch.setattr(groups, "_FRONTIER_BLOCK", 3)
+    table, words = word_table(rank, n)
+    blocks = [b.letters for b in groups._word_blocks(_translations(rank), table, words)
+              if b.letters.shape[1] == n]
+    levels = shortlex_levels(rank, n)
+    assert len(blocks) == (1 if n == 1 else -(-len(levels[-2]) // 3))
+    assert np.array_equal(np.concatenate(blocks), levels[-1])
+    assert all(np.shares_memory(b, words) for b in blocks)
+    assert np.array_equal(words, stack_padded([np.zeros((1, 0), dtype=np.int8)] + levels, n))
+
+
 def _mixed_group():
     # one short and one long translation: at n = 11 only some frontier
     # blocks pass _RESCALE_AT, while the level as a whole does
@@ -352,11 +379,11 @@ def test_the_frontier_blocks_change_no_sample(make_group, n, monkeypatch, worker
     modes = ((SampleMode.AXIS_ENDPOINTS, 0.0), (SampleMode.ORBIT_PROJECTION, 0.85))
     monkeypatch.setattr(groups, "_FRONTIER_BLOCK", 10**9)
     whole = [limit_sample(rep, DiskPoint(base), n, mode) for mode, base in modes]
-    [frontier] = [b for b in groups._word_blocks(rep, shortlex_levels(rep.rank, n))
+    [frontier] = [b for b in groups._word_blocks(rep, *word_table(rep.rank, n))
                   if b.letters.shape[1] == n]
     # 1000 parents: the frontier in blocks, the last one short
     monkeypatch.setattr(groups, "_FRONTIER_BLOCK", 1000)
-    blocks = [b for b in groups._word_blocks(rep, shortlex_levels(rep.rank, n))
+    blocks = [b for b in groups._word_blocks(rep, *word_table(rep.rank, n))
               if b.letters.shape[1] == n]
     assert len(blocks) > 2
     assert np.array_equal(np.concatenate([b.letters for b in blocks]), frontier.letters)

@@ -191,8 +191,9 @@ def test_plan_once_punctured_torus():
 
 
 def test_slot_names():
-    assert [pants.slot_name(s) for s in range(7)] == [
-        "p0.c0", "p0.c1", "p0.c2", "p1.c0", "p1.c1", "p1.c2", "p2.c0"]
+    assert pants.slot_names(3) == [
+        "p0.c0", "p0.c1", "p0.c2", "p1.c0", "p1.c1", "p1.c2", "p2.c0", "p2.c1", "p2.c2"]
+    assert pants.slot_names(0) == []
 
 
 def test_plan_rejects_nonhyperbolizable_and_count_mismatch():
@@ -254,7 +255,7 @@ def test_realize_boundary_lengths_survive():
     plan = plan_decomposition(Signature(0, 0, 3, 0), (1.0, 2.0, 3.0))
     lengths = json.loads(plan_json(plan, realize(plan)))["summary"]["cuff_lengths"]
     for slot, expect in zip(plan.boundary, (1.0, 2.0, 3.0)):
-        assert lengths[pants.slot_name(slot)] == expect
+        assert lengths[pants.slot_names(len(plan.pants))[slot]] == expect
 
 
 @pytest.mark.parametrize("bad, error, message", [

@@ -13,23 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from hypsurf import groups, pool, text
+from hypsurf import disk, groups, pool, text
 from hypsurf.disk import DiskPoint
 from hypsurf.errors import InvalidInput
 from hypsurf.groups import SampleMode, limit_sample
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-@pytest.fixture(params=[1, 3])
-def sized_pool(request, monkeypatch):
-    """A pool of 1 worker, and one of 3, more than the CPUs of a small host."""
-    executor = ThreadPoolExecutor(request.param)
-    monkeypatch.setattr(pool, "_pool", lambda: (executor, request.param))
-    try:
-        yield request.param
-    finally:
-        executor.shutdown()
 
 
 class Tasks:
@@ -116,11 +105,17 @@ def test_importing_the_cli_starts_no_thread():
     assert out.split() == ["0", "False"]
 
 
-def test_more_workers_than_cpus_switching_often_move_no_byte(monkeypatch, octagon):
+@pytest.mark.parametrize("sector_min", [None, 2048], ids=["one-sector", "sectors"])
+def test_more_workers_than_cpus_switching_often_move_no_byte(monkeypatch, octagon, sector_min):
     # every worker reads the shared parent rows and the lazily built text
-    # tables at once; a torn read or a half-built table would move a byte
+    # tables at once, and writes its frontier letters into the shared word
+    # table; a torn read, a half-built table or a misplaced row would move
+    # a byte.  With small sectors the net of the 39,248 endpoints runs in
+    # 19 sectors, each reading the shared angles and word table
     monkeypatch.setattr(groups, "_FRONTIER_BLOCK", 64)
     monkeypatch.setattr(text, "_RENDER_BLOCK_ROWS", 500)
+    if sector_min is not None:
+        monkeypatch.setattr(disk, "_SECTOR_MIN", sector_min)
 
     def render(workers: int) -> str:
         text._digit_tables.cache_clear()

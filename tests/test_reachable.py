@@ -77,6 +77,8 @@ RUNS = [
     (2, "plan --sig 0,0,3,0 --lengths 1"), (2, "plan --sig 1.5,0,0,0"),
     (2, "plan --sig 1,0,0"), (2, "plan --sig 50002,0,0,0"),
     (0, "limit-set --group cusped-torus --n 2 --mode orbit --format json"),
+    # 274,560 axis endpoints: the net runs in sectors
+    (0, "limit-set --group octagon --n 6 -o octagon-n6.csv"),
     (2, "limit-set --group octagon --n 8"), (2, "limit-set --group octagon --n 0"),
     (2, "limit-set --group octagon --n 2 --mode orbit --delta 2"),
     (2, "limit-set --group octagon --n 1 --mode orbit --delta 0.001"),

@@ -181,14 +181,16 @@ def test_shortlex_levels_keep_prunes_whole_subtrees(monkeypatch):
 
     assert all(_same_array(x, y) for x, y in zip(shortlex_levels(3, 4, keep=keep_no_leading_b), kept))
     assert prefix_found == [True] * 3
-    # the budget is the unpruned count: the keep mask below leaves 1/4 of it
+    # the budget counts the rows each level generates: the keep mask below
+    # keeps A of the alphabet and all its descendants, so with the empty
+    # word 1 + 4 + 3 + 9 + 27 + 81 = 125 rows of the unpruned 161
     def first_a(rows, parent):
         return rows[:, 0] == 1
 
-    monkeypatch.setattr(words_module, "DEFAULT_WORD_BUDGET", word_count(2, 5))
+    monkeypatch.setattr(words_module, "DEFAULT_WORD_BUDGET", 125)
     assert len(shortlex_levels(2, 5, keep=first_a)) == 5
-    monkeypatch.setattr(words_module, "DEFAULT_WORD_BUDGET", word_count(2, 5) - 1)
-    with pytest.raises(BudgetExceeded):
+    monkeypatch.setattr(words_module, "DEFAULT_WORD_BUDGET", 124)
+    with pytest.raises(BudgetExceeded, match="^125 words exceed"):
         shortlex_levels(2, 5, keep=first_a)
 
 
