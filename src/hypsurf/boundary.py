@@ -215,8 +215,8 @@ def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
             return np.ones(len(rows), dtype=bool)
         t = rows.shape[1]
         period = periods[-1][parent]
-        key = _letter_key(rows[:, -1].astype(np.intp))
-        back = _letter_key(rows[np.arange(len(rows)), t - 1 - period].astype(np.intp))
+        key = _letter_key(rows[:, -1].astype(np.int16))
+        back = _letter_key(rows[np.arange(len(rows)), t - 1 - period].astype(np.int16))
         keep = key >= back
         periods.append(np.where(key > back, t, period)[keep])
         return keep
@@ -228,7 +228,7 @@ def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
         rows = letters[(t % period == 0) & (letters[:, 0] != -letters[:, -1])]
         # letter keys + 1 as fixed-width byte strings, which compare
         # lexicographically (the + 1 keeps out NUL bytes, which numpy strips)
-        keys = _letter_key(rows.astype(np.intp)).astype(np.uint8)
+        keys = _letter_key(rows.astype(np.int16)).astype(np.uint8)
         word = (keys + 1).view(f"S{t}")[:, 0]
         inverse = np.tile((keys[:, ::-1] ^ 1) + 1, 2)
         least = np.logical_and.reduce([

@@ -38,7 +38,7 @@ TOL_MATRIX = 1e-12
 TOL_ANGLE = 1e-9
 #: hyperbolic means |b|^2 - (Im a)^2 > TOL_AXIS * |a|^2 (`is_certainly_hyperbolic`)
 TOL_AXIS = 1e-9
-#: `circle_net` sorts at least this many angles in one sector
+#: `circle_net` sorts more than this many angles in one sector, on average
 _SECTOR_MIN = 2**16
 
 
@@ -93,16 +93,18 @@ def circle_net(theta: np.ndarray,
     a tie with a kept one at that resolution; samplers index every array
     aligned with theta by the same net.
 
-    An input of at least twice `_SECTOR_MIN` angles is cut into one sector
-    per `_SECTOR_MIN` angles (`_sector_cuts`), and each sector's net runs
-    as one `pool.ordered_map` task (`_sector_net`).  A sector's first angle
+    An input of at least three times `_SECTOR_MIN` angles is cut into one
+    sector fewer than it holds `_SECTOR_MIN` angles (`_sector_cuts`), so a
+    sector averages more than `_SECTOR_MIN` angles, and each sector's net
+    runs as one `pool.ordered_map` task (`_sector_net`); a smaller input is
+    one sector, netted on the caller's thread.  A sector's first angle
     starts a run, and so its net is the whole net's between the cuts, when
     every cut lies in a gap wider than TOL_ANGLE; that is checked on the
     sorted sectors, and where a run crosses a cut, the whole array is taken
     as one sector instead.  Exactly equal angles never straddle a cut, and
     only the sector of the largest angles holds angles that fold.
     """
-    count = len(theta) // _SECTOR_MIN
+    count = len(theta) // _SECTOR_MIN - 1
     first = theta.min()
     if count > 1:
         cuts = _sector_cuts(theta, count)

@@ -72,6 +72,8 @@ MAX_ENTRY_MAGNITUDE = 1e6
 _RESCALE_AT = 2.0**256
 #: the last level of the word table is built from this many parent rows at a time
 _FRONTIER_BLOCK = 2048
+#: `attracting_angles` takes this many rows at a time
+_ANGLE_BLOCK = 16384
 
 
 def _pm_identity_defect(m: MobiusIsometry) -> float:
@@ -394,14 +396,30 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
     `disk.circle_fixed_points` on a product divided by its largest entry
     modulus after every letter; the conjugator u is then applied letter
     by letter on the circle, where reduced-word ping-pong makes every step
-    a contraction.  Rows advance together, one letter column at a time.
+    a contraction.  Rows advance together, one letter column at a time,
+    in blocks of `_ANGLE_BLOCK` rows, one `pool.ordered_map` task each: a
+    row's angle depends on its row alone, so the blocks move no bit, and
+    the blocks' temporaries, not the whole matrix's, bound the memory.
     """
-    letters = np.asarray(letters, dtype=np.intp)
-    count = len(letters)
-    outside = np.abs(letters) > rep.rank
-    if outside.any():
+    letters = np.asarray(letters)
+    if letters.size and (letters.max() > rep.rank or letters.min() < -rep.rank):
+        outside = (letters > rep.rank) | (letters < -rep.rank)
         raise IndexOutOfRange(f"letter {letters[outside][0]} outside rank {rep.rank}")
     la, lb = _letter_matrices(rep)
+    starts = range(0, len(letters), _ANGLE_BLOCK)
+    out = np.empty(len(letters))
+    blocks = ordered_map(
+        lambda lo: _attracting_block(la, lb, letters[lo:lo + _ANGLE_BLOCK]), starts)
+    for lo, angles in zip(starts, blocks):
+        out[lo:lo + len(angles)] = angles
+    return out
+
+
+def _attracting_block(la: np.ndarray, lb: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """`attracting_angles` of the rows of one block, for the letter
+    matrices `_letter_matrices` of the group."""
+    letters = letters.astype(np.intp)
+    count = len(letters)
     rows = np.arange(count)
     length = np.count_nonzero(letters, axis=1)
     # cyclic split w = u v u^-1: u is the first `start` letters of the row

@@ -1,7 +1,8 @@
 """One pool of worker threads for the sample block loops.
 
 The frontier blocks of the word table (`groups`), the angle sectors of a
-large `disk.circle_net` and the render blocks of a sample's text (`text`)
+large `disk.circle_net`, the render blocks of a sample's text (`text`) and
+the row blocks of `words.substitute_rows` and `groups.attracting_angles`
 are independent and spend their time in numpy calls that release the
 interpreter lock, so `ordered_map` runs them on one worker thread per CPU
 this process may use, and the last one on the caller's thread.  Their
@@ -15,7 +16,8 @@ the same path on one worker.
 
 No function that perfbench's tracer wraps (`perfbench/tracing.py`,
 `TRACED`) runs on a worker thread: the tasks are nested functions of
-`groups`, `text` and `disk.circle_net`, and `disk._sector_net`.  The
+`groups`, `text`, `words.substitute_rows` and `disk.circle_net`, and
+`disk._sector_net`, `groups._attracting_block` and `words._reduce_stream`.  The
 tracer's self times assume that spans never overlap.
 """
 

@@ -22,10 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from hypsurf.errors import BudgetExceeded, IndexOutOfRange, InvalidInput
+from hypsurf.pool import ordered_map
 
 #: `shortlex_levels`, which builds every word table, refuses a table that
 #: generates more than this many rows
 DEFAULT_WORD_BUDGET = 5_000_000
+#: `substitute_rows` reduces this many rows at a time
+_SUBSTITUTE_BLOCK = 16384
 
 
 def _letter_key(letter):
@@ -168,7 +171,7 @@ def child_rows(rank: int, parents: np.ndarray, out: np.ndarray | None = None) ->
     empty word, a row of width 0, has the whole alphabet as its children
     (fan 2*rank); a longer row has all letters but the inverse of its
     last one (fan 2*rank - 1).  The rows are written to ``out`` when it is
-    given, a C-contiguous int8 matrix of the children's shape.
+    given, an int8 matrix of the children's shape.
     """
     alphabet, table = _followers(rank)
     count, length = parents.shape
@@ -179,8 +182,9 @@ def child_rows(rank: int, parents: np.ndarray, out: np.ndarray | None = None) ->
     fan = followers.shape[1]
     if out is None:
         out = np.empty((count * fan, length + 1), dtype=np.int8)
-    # a view: the rows are written in place, never to a copy
-    grid = out.reshape(count, fan, length + 1, copy=False)
+    # splitting the row axis is a view of any out, so the rows are written
+    # in place, never to a copy
+    grid = out.reshape(count, fan, length + 1)
     grid[:, :, :length] = parents[:, None, :]
     grid[:, :, length] = followers
     return out
@@ -285,17 +289,18 @@ def substitute_rows(images: tuple[GroupWord, ...], letters: np.ndarray) -> np.nd
     """`substitute` applied to every row of a zero-padded letter matrix;
     the images come back as one int8 matrix, zero-padded to the longest.
 
-    All rows are reduced together, as a stack per row: each letter is
-    replaced by its image from a zero-padded table, and the resulting
-    stream is read one column at a time, a letter cancelling the row's
-    top letter when they are inverse and pushed on it otherwise.  The
+    Rows are reduced together, as a stack per row, in blocks of
+    `_SUBSTITUTE_BLOCK` rows, one `pool.ordered_map` task each: each
+    letter is replaced by its image from a zero-padded table, and the
+    resulting stream is read one column at a time, a letter cancelling the
+    row's top letter when they are inverse and pushed on it otherwise.  The
     entries left above each row's final top are then cleared.  A letter
     outside the rank of ``images`` raises IndexOutOfRange.
     """
     rank = len(images)
-    letters = np.asarray(letters, dtype=np.intp)
-    outside = np.abs(letters) > rank
-    if outside.any():
+    letters = np.asarray(letters)
+    if letters.size and (letters.max() > rank or letters.min() < -rank):
+        outside = (letters > rank) | (letters < -rank)
         raise IndexOutOfRange(f"letter {letters[outside][0]} outside rank {rank}")
     # table[rank + x]: the image of letter x, zero-padded; the middle row
     # (padding letter 0) is empty
@@ -304,11 +309,22 @@ def substitute_rows(images: tuple[GroupWord, ...], letters: np.ndarray) -> np.nd
     for i, w in enumerate(images, start=1):
         table[rank + i, :len(w)] = w.letters
         table[rank - i, :len(w)] = [-x for x in reversed(w.letters)]
-    count, length = letters.shape
+    step = _SUBSTITUTE_BLOCK
+    blocks = list(ordered_map(
+        lambda lo: _reduce_stream(table[letters[lo:lo + step].astype(np.intp) + rank]),
+        range(0, len(letters), step)))
+    return stack_padded(blocks, max((b.shape[1] for b in blocks), default=0))
+
+
+def _reduce_stream(images: np.ndarray) -> np.ndarray:
+    """The free reduction of each row's letter images, given as an int8
+    array of shape (rows, letters, image width), zero-padded to the
+    longest reduced row: the stack pass of `substitute_rows`."""
+    count = len(images)
     # one stream column per row of `stream`
-    stream = np.ascontiguousarray(table[letters + rank].reshape(count, length * width).T)
+    stream = np.ascontiguousarray(images.reshape(count, -1).T)
     # column 0 stays 0 under every row's stack, so the top is always readable
-    stack = np.zeros((count, length * width + 1), dtype=np.int8)
+    stack = np.zeros((count, len(stream) + 1), dtype=np.int8)
     top = np.zeros(count, dtype=np.intp)
     rows = np.arange(count)
     for col in stream:

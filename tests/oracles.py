@@ -55,7 +55,10 @@ def word_levels(rep, n: int) -> list[_Block]:
 
 
 def shortlex_levels(rank: int, max_length: int) -> list[np.ndarray]:
-    """The unpruned word table, grown one level at a time."""
+    """The unpruned word table, grown one level at a time.  Its budget is
+    the program's rule, the rows the table generates, which unpruned is
+    `word_count`; so `conjugacy_class_words` below, which builds this whole
+    table, is refused where the program's pruned class table is not."""
     if max_length < 0:
         raise InvalidInput("max_length must be nonnegative")
     n = word_count(rank, max_length)

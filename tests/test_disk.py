@@ -212,8 +212,8 @@ def test_sectored_circle_net_is_the_one_sector_net(sized_pool, monkeypatch, data
 
     # one sector per cut and one more, or fewer cuts where the angles are
     # fewer; a sector past the last cut stays empty
-    size = max(1, len(theta) // (len(cuts) + 1))
-    cuts = cuts[:len(theta) // size - 1]
+    size = max(1, len(theta) // (len(cuts) + 2))
+    cuts = cuts[:len(theta) // size - 2]
     with monkeypatch.context() as patch:
         patch.setattr(disk, "_SECTOR_MIN", size)
         patch.setattr(disk, "_sector_cuts", lambda theta, count: cuts)
@@ -248,12 +248,31 @@ def test_sector_cuts_sit_in_the_widest_sample_gaps():
         assert sample[i - 1] < c < sample[i] and c == 0.5 * (sample[i - 1] + sample[i])
 
 
+@pytest.mark.parametrize("size, sectors", [(156_864, 1), (177_184, 1), (3 * 2**16, 2),
+                                           (225_000, 2), (1_921_648, 28)])
+def test_the_sector_count_follows_the_input_size(monkeypatch, size, sectors):
+    # one sector fewer than the input holds _SECTOR_MIN angles, and one
+    # sector, on the caller, below three times _SECTOR_MIN: octagon orbit
+    # n = 6 and Schottky n = 10 (156,864 and 177,184 angles) are one sector,
+    # octagon axes n = 7 (1,921,648) is 28
+    counts = []
+
+    def cuts(theta, count):
+        counts.append(count)
+        return np.linspace(0.0, TWO_PI, count + 1)[1:-1]
+
+    monkeypatch.setattr(disk, "_sector_cuts", cuts)
+    monkeypatch.setattr(disk, "_sector_net", lambda theta, index, first, take: (0.0, 0.0, index))
+    circle_net(np.zeros(size))
+    assert counts == ([] if sectors == 1 else [sectors])
+
+
 def test_a_large_input_is_netted_in_sectors(monkeypatch):
-    # more than twice _SECTOR_MIN angles: the net runs in sectors, and
+    # three times _SECTOR_MIN angles and more: the net runs in sectors, and
     # equals the one-sector net index for index
     rng = np.random.default_rng(8)
-    theta = reduce_angle(np.repeat(rng.uniform(0.0, TWO_PI, 30_000), 5)
-                         + rng.integers(-3, 8, 150_000) * 3e-10)
+    theta = reduce_angle(np.repeat(rng.uniform(0.0, TWO_PI, 45_000), 5)
+                         + rng.integers(-3, 8, 225_000) * 3e-10)
     theta[:3] = (0.0, TWO_PI - 3e-10, TWO_PI - 2e-9)
     sizes = []
     sector_net = disk._sector_net
@@ -264,7 +283,7 @@ def test_a_large_input_is_netted_in_sectors(monkeypatch):
 
     monkeypatch.setattr(disk, "_sector_net", spy)
     kept = circle_net(theta)
-    assert len(sizes) == len(theta) // disk._SECTOR_MIN > 1 and sum(sizes) == len(theta)
+    assert len(sizes) == len(theta) // disk._SECTOR_MIN - 1 > 1 and sum(sizes) == len(theta)
     assert kept.tolist() == oracles.circle_net(theta).tolist()
 
 

@@ -770,6 +770,22 @@ def test_attracting_angles_skips_and_rejects(cusped_torus):
         attracting_angles(cusped_torus, np.array([[1, 3]], dtype=np.int8))
 
 
+def test_attracting_angles_in_row_blocks_move_no_bit(cusped_torus, octagon, monkeypatch,
+                                                    sized_pool):
+    # blocks of 7 rows, several in flight on 1, 2 and 5 workers, give the
+    # angles of one block bit for bit; the rows that skip stay NaN
+    classes = conjugacy_class_words(2, 9)
+    cases = [(cusped_torus, classes),
+             (cusped_torus, substitute_rows((W("AB"), W("B")), classes)),
+             (octagon, conjugacy_class_words(4, 4)),
+             (octagon, letter_matrix([W("ABab"), GroupWord(), W("AB")] * 5))]
+    whole = [attracting_angles(rep, letters) for rep, letters in cases]
+    monkeypatch.setattr(groups, "_ANGLE_BLOCK", 7)
+    for (rep, letters), ref in zip(cases, whole):
+        assert len(letters) > 2 * groups._ANGLE_BLOCK
+        assert attracting_angles(rep, letters).tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize(
     "make_rep, n",
     [

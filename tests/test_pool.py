@@ -111,7 +111,7 @@ def test_more_workers_than_cpus_switching_often_move_no_byte(monkeypatch, octago
     # tables at once, and writes its frontier letters into the shared word
     # table; a torn read, a half-built table or a misplaced row would move
     # a byte.  With small sectors the net of the 39,248 endpoints runs in
-    # 19 sectors, each reading the shared angles and word table
+    # 18 sectors, each reading the shared angles and word table
     monkeypatch.setattr(groups, "_FRONTIER_BLOCK", 64)
     monkeypatch.setattr(text, "_RENDER_BLOCK_ROWS", 500)
     if sector_min is not None:

@@ -10,6 +10,7 @@ from hypsurf import words as words_module
 from hypsurf.errors import BudgetExceeded, IndexOutOfRange, InvalidInput, NotAnAutomorphism
 from hypsurf.words import (
     GroupWord,
+    child_rows,
     enumerate_reduced_words,
     free_reduce,
     shortlex_levels,
@@ -143,6 +144,34 @@ def test_enumeration_budget(monkeypatch):
         enumerate_reduced_words(2, 5)
 
 
+@pytest.mark.parametrize("rank, n", [(1, 7), (2, 5), (3, 4)])
+def test_the_oracle_and_the_program_share_the_budget_boundary(monkeypatch, rank, n):
+    # both count the rows a table generates; unpruned, that is word_count,
+    # so both build the table at that budget and refuse it one row below,
+    # the program also when it leaves the last level to the frontier blocks
+    total = word_count(rank, n)
+    monkeypatch.setattr(words_module, "DEFAULT_WORD_BUDGET", total)
+    assert len(shortlex_levels(rank, n)) == len(oracles.shortlex_levels(rank, n)) == n
+    monkeypatch.setattr(words_module, "DEFAULT_WORD_BUDGET", total - 1)
+    messages = []
+    for table in (shortlex_levels, oracles.shortlex_levels, words_module.word_table):
+        with pytest.raises(BudgetExceeded) as refused:
+            table(rank, n)
+        messages.append(str(refused.value))
+    assert messages == [f"{total} words exceed the budget of {total - 1}"] * 3
+
+
+def test_child_rows_writes_its_rows_in_place():
+    parents = shortlex_levels(2, 2)[-1]
+    out = np.zeros((3 * len(parents), 3), dtype=np.int8)
+    assert child_rows(2, parents, out=out) is out
+    assert _same_array(out, shortlex_levels(2, 3)[-1])
+    # also into a strided out, as into the rows of a wider table
+    wide = np.zeros((3 * len(parents), 6), dtype=np.int8)
+    child_rows(2, parents, out=wide[:, ::2])
+    assert _same_array(wide[:, ::2], out) and not wide[:, 1::2].any()
+
+
 def _same_array(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
 
@@ -249,6 +278,17 @@ def test_substitute_rows_inverse_images_restore_the_rows(images):
     rows = oracles.conjugacy_class_words(len(images), 4)
     back = substitute_rows(oracles.invert_images(images), substitute_rows(images, rows))
     assert _same_array(back, rows)
+
+
+def test_substitute_rows_in_row_blocks_match_one_block(monkeypatch, sized_pool):
+    # blocks of 7 rows reduce to different widths, padded to the longest
+    images = _long_images()
+    letters = _random_letter_matrix(random.Random(2), 3, 400, 9)
+    letters[:20] = 0  # a first block of empty images
+    whole = substitute_rows(images, letters)
+    monkeypatch.setattr(words_module, "_SUBSTITUTE_BLOCK", 7)
+    assert _same_array(substitute_rows(images, letters), whole)
+    assert _same_array(substitute_rows(images, letters[:20]), np.zeros((20, 0), dtype=np.int8))
 
 
 def test_substitute_rows_rejects_letters_outside_rank():
