@@ -17,8 +17,8 @@ the same path on one worker.
 No function that perfbench's tracer wraps (`perfbench/tracing.py`,
 `TRACED`) runs on a worker thread: the tasks are nested functions of
 `groups`, `text`, `words.substitute_rows` and `disk.circle_net`, and
-`disk._sector_net`, `groups._attracting_block` and `words._reduce_stream`.  The
-tracer's self times assume that spans never overlap.
+`disk._sector_net`, `groups._attracting_block` and `words._reduce_stream`.
+The tracer's self times assume that spans never overlap.
 """
 
 from __future__ import annotations
