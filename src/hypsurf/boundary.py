@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from hypsurf import pool
 from hypsurf.disk import TOL_ANGLE, TWO_PI, circle_net
 from hypsurf.errors import (
     IndexOutOfRange,
@@ -205,13 +206,14 @@ def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
     t % p == 0, and a class representative when it is also cyclically
     reduced and no larger than the least rotation of its inverse.  Kept
     rows stay in table order, which is the order of first shortlex
-    appearance of the classes.
+    appearance of the classes.  The periods are held in the narrowest
+    unsigned type that holds n.
     """
     periods: list[np.ndarray] = []
 
     def prenecklace(rows, parent):
         if parent is None:
-            periods.append(np.ones(len(rows), dtype=np.intp))
+            periods.append(np.ones(len(rows), dtype=np.min_scalar_type(n)))
             return np.ones(len(rows), dtype=bool)
         t = rows.shape[1]
         period = periods[-1][parent]
@@ -284,6 +286,10 @@ def induced_boundary_sample(
     """Pair attracting fixed points of w with those of phi(w) over one
     word per conjugacy class of length <= n.
 
+    Each `pool.ordered_map` task takes `pool.BLOCK_ROWS` classes, their
+    angles, their images under phi and the images' angles; a row's angles
+    depend on its row alone, so the blocks move no bit.
+
     phi must be an automorphism of the group (`certify_automorphism`),
     or NotAnAutomorphism is raised.
 
@@ -302,8 +308,14 @@ def induced_boundary_sample(
         raise InvalidInput(f"automorphism rank {phi.rank} != group rank {rep.rank}")
     certify_automorphism(rep, phi)
     classes = conjugacy_class_words(rep.rank, n)
-    tin = attracting_angles(rep, classes)
-    tout = attracting_angles(rep, substitute_rows(phi.images, classes))
+    step = pool.BLOCK_ROWS
+
+    def angles(lo: int) -> tuple[np.ndarray, np.ndarray]:
+        block = classes[lo:lo + step]
+        return (attracting_angles(rep, block),
+                attracting_angles(rep, substitute_rows(phi.images, block)))
+
+    tin, tout = map(np.concatenate, zip(*pool.ordered_map(angles, range(0, len(classes), step))))
     hyperbolic = ~(np.isnan(tin) | np.isnan(tout))
     skipped = len(classes) - int(np.count_nonzero(hyperbolic))
     if skipped > MAX_SKIP_FRACTION * len(classes):

@@ -10,9 +10,9 @@ and Cantor structure.
 The words come from the one shortlex table, `words.word_table`, with
 matrices up to a positive scale (`_word_blocks`).  Levels 1..n-1 are built
 whole and in turn, as the parents of the next; level n is built in blocks
-of the children of `_FRONTIER_BLOCK` parent rows, one task of
-`pool.ordered_map` each, so the blocks run on one worker thread per
-available CPU.  Each block grows its letter rows (`words.child_rows`)
+of about `pool.BLOCK_ROWS` rows, the children of `pool.BLOCK_ROWS // fan`
+parent rows, one task of `pool.ordered_map` each, so the blocks run on
+one worker thread per available CPU.  Each block grows its letter rows (`words.child_rows`)
 into the padded word table and its matrices from its parents'.  A sample
 takes each block's endpoints in the block's task and drops its matrices,
 so a full last level of matrices is never held at once; the angle
@@ -57,7 +57,7 @@ from hypsurf.errors import (
     InvalidInput,
     NumericFailure,
 )
-from hypsurf.pool import ordered_map
+from hypsurf import pool
 from hypsurf.text import sample_csv
 from hypsurf.words import GroupWord, _letter_key, child_rows, word_table
 
@@ -70,10 +70,6 @@ DEFAULT_DELTA = 0.2
 MAX_ENTRY_MAGNITUDE = 1e6
 #: a word-table block with an entry past this is divided by it (exactly)
 _RESCALE_AT = 2.0**256
-#: the last level of the word table is built from this many parent rows at a time
-_FRONTIER_BLOCK = 2048
-#: `attracting_angles` takes this many rows at a time
-_ANGLE_BLOCK = 16384
 
 
 def _pm_identity_defect(m: MobiusIsometry) -> float:
@@ -184,10 +180,10 @@ def _word_blocks(rep: GroupRep, table: list[np.ndarray], words: np.ndarray,
 
     Levels 1..n-1 come whole, one block each, because each is the parent of
     the next; they are built, and taken, one after another.  The last level
-    comes in blocks of the children of `_FRONTIER_BLOCK` parent rows, each
-    built and taken in one task of `pool.ordered_map`: the task grows its
-    letter rows from its parent rows (`child_rows`) straight into
-    ``words``, and its matrices from theirs.  So the blocks run on every
+    comes in blocks of the children of `pool.BLOCK_ROWS // fan` parent rows
+    (at least one), each built and taken in one task of `pool.ordered_map`:
+    the task grows its letter rows from its parent rows (`child_rows`)
+    straight into ``words``, and its matrices from theirs.  So the blocks run on every
     worker thread, and a consumer that drops each result never holds a
     full last level of matrices.  Each word's matrix is its parent row's
     times its last letter's (`_compose_rows`), up to a positive scale: a
@@ -218,9 +214,10 @@ def _word_blocks(rep: GroupRep, table: list[np.ndarray], words: np.ndarray,
     for letters in table[1:]:
         level = children(level.a, level.b, letters)
         yield take(level)
-    a, b, parents, step = level.a, level.b, level.letters, _FRONTIER_BLOCK
+    a, b, parents = level.a, level.b, level.letters
+    step = max(1, pool.BLOCK_ROWS // fan)
     frontier = words[len(words) - len(parents) * fan:]
-    yield from ordered_map(
+    yield from pool.ordered_map(
         lambda lo: take(children(a[lo:lo + step], b[lo:lo + step], child_rows(
             rep.rank, parents[lo:lo + step], out=frontier[lo * fan:(lo + step) * fan]))),
         range(0, len(a), step))
@@ -396,28 +393,16 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
     `disk.circle_fixed_points` on a product divided by its largest entry
     modulus after every letter; the conjugator u is then applied letter
     by letter on the circle, where reduced-word ping-pong makes every step
-    a contraction.  Rows advance together, one letter column at a time,
-    in blocks of `_ANGLE_BLOCK` rows, one `pool.ordered_map` task each: a
-    row's angle depends on its row alone, so the blocks move no bit, and
-    the blocks' temporaries, not the whole matrix's, bound the memory.
+    a contraction.  Rows advance together, one letter column at a time.
+    A row's angle depends on its row alone, so a caller may take the rows
+    in blocks without moving a bit (`boundary.induced_boundary_sample`
+    does, to bound the memory of its temporaries).
     """
     letters = np.asarray(letters)
     if letters.size and (letters.max() > rep.rank or letters.min() < -rep.rank):
         outside = (letters > rep.rank) | (letters < -rep.rank)
         raise IndexOutOfRange(f"letter {letters[outside][0]} outside rank {rep.rank}")
     la, lb = _letter_matrices(rep)
-    starts = range(0, len(letters), _ANGLE_BLOCK)
-    out = np.empty(len(letters))
-    blocks = ordered_map(
-        lambda lo: _attracting_block(la, lb, letters[lo:lo + _ANGLE_BLOCK]), starts)
-    for lo, angles in zip(starts, blocks):
-        out[lo:lo + len(angles)] = angles
-    return out
-
-
-def _attracting_block(la: np.ndarray, lb: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """`attracting_angles` of the rows of one block, for the letter
-    matrices `_letter_matrices` of the group."""
     letters = letters.astype(np.intp)
     count = len(letters)
     rows = np.arange(count)

@@ -1,13 +1,16 @@
-"""One pool of worker threads for the sample block loops.
+"""One pool of worker threads for the sample block loops, and their one
+block size.
 
 The frontier blocks of the word table (`groups`), the angle sectors of a
 large `disk.circle_net`, the render blocks of a sample's text (`text`) and
-the row blocks of `words.substitute_rows` and `groups.attracting_angles`
-are independent and spend their time in numpy calls that release the
-interpreter lock, so `ordered_map` runs them on one worker thread per CPU
-this process may use, and the last one on the caller's thread.  Their
-results come back in input order, so the output does not depend on the
-number of workers.
+the class blocks of `boundary.induced_boundary_sample` are independent
+and spend their time in numpy calls that release the interpreter lock, so
+`ordered_map` runs them on one worker thread per CPU this process may use,
+and the last one on the caller's thread.  Their results come back in input
+order, so the output does not depend on the number of workers.  Every row
+block loop reads `BLOCK_ROWS` when it runs: a frontier block is the
+children of `BLOCK_ROWS // fan` parent rows, and a class or render block
+is `BLOCK_ROWS` rows.
 
 The pool is made on first use by a loop of more than one item: importing
 this module starts no thread and does not import `concurrent.futures`.
@@ -16,9 +19,10 @@ the same path on one worker.
 
 No function that perfbench's tracer wraps (`perfbench/tracing.py`,
 `TRACED`) runs on a worker thread: the tasks are nested functions of
-`groups`, `text`, `words.substitute_rows` and `disk.circle_net`, and
-`disk._sector_net`, `groups._attracting_block` and `words._reduce_stream`.
-The tracer's self times assume that spans never overlap.
+`groups`, `text`, `boundary.induced_boundary_sample` and
+`disk.circle_net`, and `disk._sector_net`, `groups.attracting_angles` and
+`words.substitute_rows`.  The tracer's self times assume that spans never
+overlap.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+#: the rows of one task of every row-block loop
+BLOCK_ROWS = 16384
 
 
 @functools.cache

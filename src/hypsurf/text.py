@@ -5,7 +5,7 @@ Small payloads (verdicts, signatures, pants, script tables) go through
 fixed layout filled by `plan_json` from the plan's index columns, with
 each distinct cuff formatted once.  A sample's CSV and JSON are rows of
 one fixed layout each, rendered by `_rows` from the sample's arrays: one
-NUL-padded uint8 matrix per `_RENDER_BLOCK_ROWS` rows, whose other bytes
+NUL-padded uint8 matrix per `pool.BLOCK_ROWS` rows, whose other bytes
 are the text.  The blocks are rendered on the worker threads of
 `pool.ordered_map`, one worker per available CPU, and come back in order,
 so the text is the same at any number of workers.
@@ -28,12 +28,9 @@ from typing import Iterator
 
 import numpy as np
 
+from hypsurf import pool
 from hypsurf.errors import InvalidInput
 from hypsurf.pants import GLUING_TWIST, MetricSummary, PantsDecompositionPlan, slot_names
-from hypsurf.pool import ordered_map
-
-#: rows rendered per block by `_rows`
-_RENDER_BLOCK_ROWS = 16384
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +172,7 @@ def _check_finite(*columns: np.ndarray) -> None:
 
 
 def _rows(fields: tuple, end: str) -> Iterator[str]:
-    """The text of rows joined by `end`, in blocks of `_RENDER_BLOCK_ROWS`
+    """The text of rows joined by `end`, in blocks of `pool.BLOCK_ROWS`
     rows.  A row is its fields in turn: a str as it is, a 1-D float array
     as the row's value (`_float_text`), a 2-D letter matrix as the row's
     word (`letter_text`).  Each block is one NUL-padded uint8 matrix, one
@@ -183,7 +180,7 @@ def _rows(fields: tuple, end: str) -> Iterator[str]:
     on the worker threads of `pool.ordered_map` and come in order."""
     count = len(next(f for f in fields if not isinstance(f, str)))
     end_bytes = np.frombuffer(end.encode(), dtype=np.uint8)
-    step = _RENDER_BLOCK_ROWS
+    step = pool.BLOCK_ROWS
 
     def block(i: int) -> str:
         j = min(i + step, count)
@@ -206,7 +203,7 @@ def _rows(fields: tuple, end: str) -> Iterator[str]:
             text[-1, start:] = 0  # no separator after the last row
         return text[text != 0].tobytes().decode("ascii")
 
-    return ordered_map(block, range(0, count, step))
+    return pool.ordered_map(block, range(0, count, step))
 
 
 # ---------------------------------------------------------------------------

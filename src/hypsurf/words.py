@@ -22,13 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from hypsurf.errors import BudgetExceeded, IndexOutOfRange, InvalidInput
-from hypsurf.pool import ordered_map
 
 #: `shortlex_levels`, which builds every word table, refuses a table that
 #: generates more than this many rows
 DEFAULT_WORD_BUDGET = 5_000_000
-#: `substitute_rows` reduces this many rows at a time
-_SUBSTITUTE_BLOCK = 16384
 
 
 def _letter_key(letter):
@@ -289,12 +286,12 @@ def substitute_rows(images: tuple[GroupWord, ...], letters: np.ndarray) -> np.nd
     """`substitute` applied to every row of a zero-padded letter matrix;
     the images come back as one int8 matrix, zero-padded to the longest.
 
-    Rows are reduced together, as a stack per row, in blocks of
-    `_SUBSTITUTE_BLOCK` rows, one `pool.ordered_map` task each: each
-    letter is replaced by its image from a zero-padded table, and the
-    resulting stream is read one column at a time, a letter cancelling the
-    row's top letter when they are inverse and pushed on it otherwise.  The
-    entries left above each row's final top are then cleared.  A letter
+    Rows are reduced together, as a stack per row: each letter is replaced
+    by its image from a zero-padded table, and the resulting stream is
+    read one column at a time, a letter cancelling the row's top letter
+    when they are inverse and pushed on it otherwise.  The entries left
+    above each row's final top are then cleared.  A row's image depends on
+    its row alone, so a caller may reduce the rows in blocks.  A letter
     outside the rank of ``images`` raises IndexOutOfRange.
     """
     rank = len(images)
@@ -309,20 +306,11 @@ def substitute_rows(images: tuple[GroupWord, ...], letters: np.ndarray) -> np.nd
     for i, w in enumerate(images, start=1):
         table[rank + i, :len(w)] = w.letters
         table[rank - i, :len(w)] = [-x for x in reversed(w.letters)]
-    step = _SUBSTITUTE_BLOCK
-    blocks = list(ordered_map(
-        lambda lo: _reduce_stream(table[letters[lo:lo + step].astype(np.intp) + rank]),
-        range(0, len(letters), step)))
-    return stack_padded(blocks, max((b.shape[1] for b in blocks), default=0))
-
-
-def _reduce_stream(images: np.ndarray) -> np.ndarray:
-    """The free reduction of each row's letter images, given as an int8
-    array of shape (rows, letters, image width), zero-padded to the
-    longest reduced row: the stack pass of `substitute_rows`."""
-    count = len(images)
-    # one stream column per row of `stream`
-    stream = np.ascontiguousarray(images.reshape(count, -1).T)
+    count = len(letters)
+    # one stream column per row of `stream`; the width is explicit, which
+    # a reshape of 0 rows cannot infer
+    stream = np.ascontiguousarray(
+        table[letters.astype(np.intp) + rank].reshape(count, letters.shape[1] * width).T)
     # column 0 stays 0 under every row's stack, so the top is always readable
     stack = np.zeros((count, len(stream) + 1), dtype=np.int8)
     top = np.zeros(count, dtype=np.intp)

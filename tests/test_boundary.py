@@ -2,11 +2,12 @@ import cmath
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hypsurf import boundary, cli
+from hypsurf import boundary, cli, pool
 from hypsurf.boundary import (
     CircleMapSample,
     FreeAutomorphism,
@@ -18,8 +19,10 @@ from hypsurf.boundary import (
     random_nielsen_automorphism,
 )
 from hypsurf.disk import (
+    TOL_ANGLE,
     TWO_PI,
     circle_fixed_points,
+    circle_net,
     IdealPoint,
     MobiusIsometry,
     apply,
@@ -42,7 +45,14 @@ from hypsurf.groups import (
     octagon_group,
     schottky_rank2,
 )
-from hypsurf.words import GroupWord, enumerate_reduced_words, substitute, word_count
+from hypsurf.words import (
+    GroupWord,
+    enumerate_reduced_words,
+    stack_padded,
+    substitute,
+    substitute_rows,
+    word_count,
+)
 
 import oracles
 
@@ -235,6 +245,40 @@ def test_random_inner_automorphisms_act_on_the_octagon_group(octagon):
         assert len(s) == 4
 
 
+@pytest.mark.parametrize("make_group, aut, n", [
+    pytest.param(cusped_torus_group, "A=AB,B=B", 9, id="cusped-torus-n9"),
+    pytest.param(octagon_group, "A=A,B=ABa,C=ACa,D=ADa", 4, id="octagon-n4"),
+])
+def test_sample_in_class_blocks_moves_no_bit(make_group, aut, n, monkeypatch, sized_pool):
+    # blocks of 7 classes, several in flight on 1, 2 and 5 workers, give
+    # the one-block sample bit for bit, the skipped classes included
+    rep = make_group()
+    phi = FreeAutomorphism.from_spec(aut, rank=rep.rank)
+    whole = induced_boundary_sample(rep, phi, n)
+    monkeypatch.setattr(pool, "BLOCK_ROWS", 7)
+    assert len(conjugacy_class_words(rep.rank, n)) > 2 * pool.BLOCK_ROWS
+    blocked = induced_boundary_sample(rep, phi, n)
+    assert blocked.theta_in.tobytes() == whole.theta_in.tobytes()
+    assert blocked.theta_out.tobytes() == whole.theta_out.tobytes()
+    assert np.array_equal(blocked.letters, whole.letters)
+    assert blocked.skipped == whole.skipped
+
+
+def test_the_close_pair_of_the_twist_is_one_net_point(cusped_torus):
+    # two class representatives whose attracting points under A=AB,B=B
+    # are closer than TOL_ANGLE: the net keeps the smaller theta_in alone,
+    # in either order, although their theta_out are 7.56e-7 apart
+    pair = stack_padded([np.array([W("AbbAbbAbbAbbbbb").letters], dtype=np.int8),
+                         np.array([W("AbbAbbAbbAbbbb").letters], dtype=np.int8)], 15)
+    images = FreeAutomorphism.from_spec("A=AB,B=B", rank=2).images
+    tin = attracting_angles(cusped_torus, pair)
+    tout = attracting_angles(cusped_torus, substitute_rows(images, pair))
+    assert 9.9e-10 < tin[1] - tin[0] < 9.95e-10 < TOL_ANGLE
+    assert 7.5e-7 < tout[1] - tout[0] < 7.6e-7
+    assert circle_net(tin).tolist() == [0]
+    assert circle_net(tin[::-1]).tolist() == [1]
+
+
 def test_sample_rejects_rank_mismatch(octagon):
     with pytest.raises(InvalidInput):
         induced_boundary_sample(octagon, FreeAutomorphism.identity(2), 2)
@@ -267,7 +311,9 @@ def test_conjugacy_class_words_counts(rank, n):
         assert len(reps) == 6
 
 
-@pytest.mark.parametrize("rank, n", [(1, 70), (2, 10), (2, 11), (3, 7), (4, 6), (5, 4)])
+# (1, 300): the periods of the prenecklace rule pass int8 there
+@pytest.mark.parametrize("rank, n", [(1, 70), (1, 300), (2, 10), (2, 11), (3, 7), (4, 6),
+                                     (5, 4)])
 def test_conjugacy_class_words_match_the_packed_code_table(rank, n):
     new, ref = conjugacy_class_words(rank, n), oracles.conjugacy_class_words(rank, n)
     assert new.dtype == ref.dtype and new.shape == ref.shape
@@ -297,6 +343,20 @@ def test_conjugacy_class_words_budget_counts_generated_rows(monkeypatch):
     with pytest.raises(BudgetExceeded, match=f"^{total} words exceed the budget of {total - 1}$"):
         conjugacy_class_words(2, 8)
     assert conjugacy_class_words(2, 0).shape == (0, 0)
+
+
+def test_conjugacy_class_words_hold_narrow_periods():
+    # cusped-torus n=13: with the prenecklace periods in intp the traced
+    # peak was 22.0 MB; in uint8 it is 19.2 MB.  20.5 MB fails the intp
+    # periods
+    tracemalloc.start()
+    try:
+        classes = conjugacy_class_words(2, 13)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == 96_320
+    assert peak < 20.5e6
 
 
 # -- order_check ----------------------------------------------------------------

@@ -8,10 +8,16 @@ import textwrap
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hypsurf import boundary, cli, text
 from hypsurf.errors import InvalidInput, NumericFailure
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import oracles
 
@@ -617,3 +623,42 @@ def test_readme_cli_lines_run(tmp_path, capsys, monkeypatch):
     for line in lines:
         code, out, err = run_cli(capsys, *shlex.split(line, comments=True)[1:])
         assert (code, err) == (0, ""), line
+
+
+#: runs whose angles are compared across numpy's SIMD dispatch levels
+CROSS_DISPATCH_ARGVS = (
+    "limit-set --group octagon --n 5",
+    "limit-set --group octagon --n 4 --mode orbit",
+    "boundary-map --group cusped-torus --aut A=AB,B=B --n 12",
+)
+
+
+@pytest.mark.skipif("X86_V4" not in __cpu_dispatch__ or not __cpu_features__.get("X86_V4"),
+                    reason="numpy dispatches no AVX-512 (X86_V4) loops on this host")
+def test_angles_agree_across_simd_dispatch_levels():
+    # bytes hold for one numpy build at one dispatch level; with its
+    # AVX-512 loops off, the row counts hold and every angle stays within
+    # 1e-14.  Words are not compared: the net may keep another word of a
+    # tie
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    off = dict(env, NPY_DISABLE_CPU_FEATURES=" ".join(
+        f for f in __cpu_dispatch__ if f == "X86_V4" or f.startswith("AVX512")))
+
+    def run(argv, env):
+        proc = subprocess.run([sys.executable, "-m", "hypsurf", *argv.split()],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",")[:-1] for line in proc.stdout.splitlines()[1:]]
+        return np.array(rows, dtype=np.float64)
+
+    probe = ("import numpy._core._multiarray_umath as m; "
+             "print(m.__cpu_features__['X86_V4'])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=off, timeout=120)
+    assert proc.stdout.split() == ["False"], proc.stderr
+    for argv in CROSS_DISPATCH_ARGVS:
+        default, without = run(argv, env), run(argv, off)
+        assert default.shape == without.shape, argv
+        assert np.abs(default - without).max() <= 1e-14, argv

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from hypsurf import disk, groups, pool, text
+from hypsurf import disk, pool, text
 from hypsurf.disk import DiskPoint
 from hypsurf.errors import InvalidInput
 from hypsurf.groups import SampleMode, limit_sample
@@ -112,8 +112,8 @@ def test_more_workers_than_cpus_switching_often_move_no_byte(monkeypatch, octago
     # table; a torn read, a half-built table or a misplaced row would move
     # a byte.  With small sectors the net of the 39,248 endpoints runs in
     # 18 sectors, each reading the shared angles and word table
-    monkeypatch.setattr(groups, "_FRONTIER_BLOCK", 64)
-    monkeypatch.setattr(text, "_RENDER_BLOCK_ROWS", 500)
+    # frontier blocks of 64 parents (448 rows) and render blocks of 448 rows
+    monkeypatch.setattr(pool, "BLOCK_ROWS", 448)
     if sector_min is not None:
         monkeypatch.setattr(disk, "_SECTOR_MIN", sector_min)
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypsurf import cli, text
+from hypsurf import cli, pool, text
 from hypsurf.boundary import CircleMapSample, FreeAutomorphism, induced_boundary_sample
 from hypsurf.disk import DiskPoint
 from hypsurf.errors import InvalidInput
@@ -52,7 +52,7 @@ def reference_csv_rows(s: EndpointSample) -> list[str]:
 
 def test_streamed_csv_matches_per_row_formula_across_blocks(octagon, workers):
     s = limit_sample(octagon, DiskPoint(0), 6, SampleMode.AXIS_ENDPOINTS)
-    assert len(s) > 2 * text._RENDER_BLOCK_ROWS
+    assert len(s) > 2 * pool.BLOCK_ROWS
     assert csv_lines(s) == reference_csv_rows(s)
 
 
@@ -172,7 +172,7 @@ BOUNDARY_VERDICT = [
 
 
 def test_circle_map_csv_matches_per_row_formula_in_small_blocks(monkeypatch, workers):
-    monkeypatch.setattr(text, "_RENDER_BLOCK_ROWS", 7)
+    monkeypatch.setattr(pool, "BLOCK_ROWS", 7)
     short_last_block = False
     for make_group, aut, n in BOUNDARY_VERDICT:
         rep = make_group()
@@ -219,7 +219,7 @@ def reference_json(s) -> str:
 
 def set_block_rows_not_dividing(monkeypatch, count: int) -> int:
     rows = next(r for r in range(7, 64) if count % r)
-    monkeypatch.setattr(text, "_RENDER_BLOCK_ROWS", rows)
+    monkeypatch.setattr(pool, "BLOCK_ROWS", rows)
     return rows
 
 
@@ -249,7 +249,7 @@ def test_cli_json_matches_per_value_reference_in_short_blocks(argv, sample, monk
     path = tmp_path / "s.json"
     assert cli.main(argv.split() + ["--format", "json", "-o", str(path)]) == 0
     blocked = path.read_text()
-    monkeypatch.setattr(text, "_RENDER_BLOCK_ROWS", 10**9)
+    monkeypatch.setattr(pool, "BLOCK_ROWS", 10**9)
     assert cli.main(argv.split() + ["--format", "json", "-o", str(path)]) == 0
     assert blocked == path.read_text() == reference_json(s)
 
@@ -273,7 +273,7 @@ def edge_letters(count: int) -> np.ndarray:
 
 @pytest.mark.parametrize("rows", [5, 7, 64])
 def test_json_of_edge_values_matches_per_value_reference(rows, monkeypatch, tmp_path):
-    monkeypatch.setattr(text, "_RENDER_BLOCK_ROWS", rows)
+    monkeypatch.setattr(pool, "BLOCK_ROWS", rows)
     letters = edge_letters(len(EDGE_ANGLES))
     samples = [
         EndpointSample(SampleMode.AXIS_ENDPOINTS, EDGE_ANGLES, letters),
@@ -295,7 +295,7 @@ def test_non_finite_json_value_exits_2_before_any_output(bad, monkeypatch, tmp_p
     angles = np.linspace(0.0, 6.0, 20)
     angles[13] = bad
     letters = edge_letters(20)
-    monkeypatch.setattr(text, "_RENDER_BLOCK_ROWS", 4)
+    monkeypatch.setattr(pool, "BLOCK_ROWS", 4)
     monkeypatch.setattr(cli, "limit_sample", lambda *args, **kwargs: EndpointSample(
         SampleMode.AXIS_ENDPOINTS, angles, letters))
     monkeypatch.setattr(cli, "induced_boundary_sample", lambda *args: CircleMapSample(

@@ -280,17 +280,6 @@ def test_substitute_rows_inverse_images_restore_the_rows(images):
     assert _same_array(back, rows)
 
 
-def test_substitute_rows_in_row_blocks_match_one_block(monkeypatch, sized_pool):
-    # blocks of 7 rows reduce to different widths, padded to the longest
-    images = _long_images()
-    letters = _random_letter_matrix(random.Random(2), 3, 400, 9)
-    letters[:20] = 0  # a first block of empty images
-    whole = substitute_rows(images, letters)
-    monkeypatch.setattr(words_module, "_SUBSTITUTE_BLOCK", 7)
-    assert _same_array(substitute_rows(images, letters), whole)
-    assert _same_array(substitute_rows(images, letters[:20]), np.zeros((20, 0), dtype=np.int8))
-
-
 def test_substitute_rows_rejects_letters_outside_rank():
     images = (W("AB"), W("B"))
     for bad in ([[1, 3]], [[-3, 0]], [[2, -2, 1, 5]]):
