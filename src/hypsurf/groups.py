@@ -11,19 +11,19 @@ The words come from the one shortlex table, `words.word_table`, with
 matrices up to a positive scale (`_word_blocks`).  Levels 1..n-1 are built
 whole and in turn, as the parents of the next; level n is built in blocks
 of about `pool.BLOCK_ROWS` rows, the children of `pool.BLOCK_ROWS // fan`
-parent rows, one task of `pool.ordered_map` each, so the blocks run on
-one worker thread per available CPU.  Each block grows its letter rows (`words.child_rows`)
-into the padded word table and its matrices from its parents'.  A sample
-takes each block's endpoints in the block's task and drops its matrices,
-so a full last level of matrices is never held at once; the angle
-sectors of the net (`disk.circle_net`) then gather the kept angles'
-words, again on the workers.  The endpoints keep a strict deterministic
-order, whatever the blocks and the workers: by level, then all attracting fixed points (or orbit
-points) of the level, then all its repelling ones, each in shortlex order;
-and `disk.circle_net` keeps the earliest of exactly equal angles, so
-repeated runs are byte-identical.  Every product is row-local
-(`_compose_rows`): a row's bits do not depend on the length of the array
-it is computed in, so the blocks move no byte.
+parent rows, one task of `pool.ordered_map` each, so the blocks run on one
+worker thread per available CPU.  Each block grows its letter rows
+(`words.child_rows`) into the padded word table and its matrices from its
+parents'.  A sample takes each block's endpoints in the block's task and
+drops its matrices, so a full last level of matrices is never held at
+once; the angle sectors of the net (`disk.circle_net`) then gather the
+kept angles' words, again on the workers.  The endpoints keep a strict
+deterministic order, whatever the blocks and the workers: by level, then
+all attracting fixed points (or orbit points) of the level, then all its
+repelling ones, each in shortlex order; and `disk.circle_net` keeps the
+earliest of exactly equal angles, so repeated runs are byte-identical.
+Every product is row-local (`_compose_rows`): a row's bits do not depend
+on the length of the array it is computed in, so the blocks move no byte.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
+from hypsurf import pool
 from hypsurf.disk import (
     TWO_PI,
     DiskPoint,
@@ -57,7 +58,6 @@ from hypsurf.errors import (
     InvalidInput,
     NumericFailure,
 )
-from hypsurf import pool
 from hypsurf.text import sample_csv
 from hypsurf.words import GroupWord, _letter_key, child_rows, word_table
 
@@ -183,9 +183,9 @@ def _word_blocks(rep: GroupRep, table: list[np.ndarray], words: np.ndarray,
     comes in blocks of the children of `pool.BLOCK_ROWS // fan` parent rows
     (at least one), each built and taken in one task of `pool.ordered_map`:
     the task grows its letter rows from its parent rows (`child_rows`)
-    straight into ``words``, and its matrices from theirs.  So the blocks run on every
-    worker thread, and a consumer that drops each result never holds a
-    full last level of matrices.  Each word's matrix is its parent row's
+    straight into ``words``, and its matrices from theirs.  So the blocks
+    run on every worker thread, and a consumer that drops each result never
+    holds a full last level of matrices.  Each word's matrix is its parent row's
     times its last letter's (`_compose_rows`), up to a positive scale: a
     block is divided by `_RESCALE_AT` when its largest entry passes it, and
     is otherwise left as the product.  That division is exact, so neither

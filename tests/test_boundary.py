@@ -48,7 +48,6 @@ from hypsurf.groups import (
 from hypsurf.words import (
     GroupWord,
     enumerate_reduced_words,
-    stack_padded,
     substitute,
     substitute_rows,
     word_count,
@@ -268,8 +267,8 @@ def test_the_close_pair_of_the_twist_is_one_net_point(cusped_torus):
     # two class representatives whose attracting points under A=AB,B=B
     # are closer than TOL_ANGLE: the net keeps the smaller theta_in alone,
     # in either order, although their theta_out are 7.56e-7 apart
-    pair = stack_padded([np.array([W("AbbAbbAbbAbbbbb").letters], dtype=np.int8),
-                         np.array([W("AbbAbbAbbAbbbb").letters], dtype=np.int8)], 15)
+    pair = np.array([W("AbbAbbAbbAbbbbb").letters, W("AbbAbbAbbAbbbb").letters + (0,)],
+                    dtype=np.int8)
     images = FreeAutomorphism.from_spec("A=AB,B=B", rank=2).images
     tin = attracting_angles(cusped_torus, pair)
     tout = attracting_angles(cusped_torus, substitute_rows(images, pair))
@@ -311,7 +310,7 @@ def test_conjugacy_class_words_counts(rank, n):
         assert len(reps) == 6
 
 
-# (1, 300): the periods of the prenecklace rule pass int8 there
+# (1, 300): the periods of the prenecklace rule pass int8's range there
 @pytest.mark.parametrize("rank, n", [(1, 70), (1, 300), (2, 10), (2, 11), (3, 7), (4, 6),
                                      (5, 4)])
 def test_conjugacy_class_words_match_the_packed_code_table(rank, n):
