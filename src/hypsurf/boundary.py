@@ -211,12 +211,13 @@ def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
     """
     periods: list[np.ndarray] = []
 
-    def prenecklace(rows, parent):
-        if parent is None:
+    def prenecklace(rows):
+        t = rows.shape[1]
+        if t == 1:
             periods.append(np.ones(len(rows), dtype=np.min_scalar_type(n)))
             return np.ones(len(rows), dtype=bool)
-        t = rows.shape[1]
-        period = periods[-1][parent]
+        # row i is a child of row i // fan of the kept level above
+        period = np.repeat(periods[-1], 2 * rank - 1)
         key = _letter_key(rows[:, -1].astype(np.int16))
         back = _letter_key(rows[np.arange(len(rows)), t - 1 - period].astype(np.int16))
         keep = key >= back
@@ -225,7 +226,9 @@ def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
 
     levels = shortlex_levels(rank, n, keep=prenecklace)
     reps = []
-    for letters, period in zip(levels, periods):
+    while levels:
+        # each level is dropped once its representatives are taken
+        letters, period = levels.pop(0), periods.pop(0)
         t = letters.shape[1]
         rows = letters[(t % period == 0) & (letters[:, 0] != -letters[:, -1])]
         # letter keys + 1 as fixed-width byte strings, which compare
@@ -433,8 +436,8 @@ def is_boundary_identity(
     zout = np.exp(1j * sample.theta_out)
     unturn = np.exp(-1j * sample.theta_in)
     # the identity row, then the table in shortlex order, zero-padded to m
-    table, letters = word_table(rep.rank, m)
-    blocks = list(_word_blocks(rep, table, letters))
+    letters = word_table(rep.rank, m)
+    blocks = list(_word_blocks(rep, letters))
     ua = np.concatenate([[1.0 + 0j]] + [block.a for block in blocks])
     ub = np.concatenate([[0j]] + [block.b for block in blocks])
     _, bounds = _lower_bounds(ua, ub, zout, unturn)

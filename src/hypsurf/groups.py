@@ -8,22 +8,21 @@ projected orbit points), with the gap statistics used to probe density
 and Cantor structure.
 
 The words come from the one shortlex table, `words.word_table`, with
-matrices up to a positive scale (`_word_blocks`).  Levels 1..n-1 are built
-whole and in turn, as the parents of the next; level n is built in blocks
-of about `pool.BLOCK_ROWS` rows, the children of `pool.BLOCK_ROWS // fan`
-parent rows, one task of `pool.ordered_map` each, so the blocks run on one
-worker thread per available CPU.  Each block grows its letter rows
-(`words.child_rows`) into the padded word table and its matrices from its
-parents'.  A sample takes each block's endpoints in the block's task and
-drops its matrices, so a full last level of matrices is never held at
-once; the angle sectors of the net (`disk.circle_net`) then gather the
-kept angles' words, again on the workers.  The endpoints keep a strict
-deterministic order, whatever the blocks and the workers: by level, then
-all attracting fixed points (or orbit points) of the level, then all its
-repelling ones, each in shortlex order; and `disk.circle_net` keeps the
-earliest of exactly equal angles, so repeated runs are byte-identical.
-Every product is row-local (`_compose_rows`): a row's bits do not depend
-on the length of the array it is computed in, so the blocks move no byte.
+matrices up to a positive scale (`_word_blocks`), grown in place in that
+padded table.  Levels 1..n-1 are grown whole and in turn, as the parents of
+the next; level n in blocks, the children of `pool.BLOCK_ROWS // fan`
+parent rows, one task of `pool.ordered_map` each, on one worker thread per
+available CPU.  A sample takes each block's
+endpoints in the block's task and drops its matrices, so a full last level
+of matrices is never held at once; the angle sectors of the net
+(`disk.circle_net`) then gather the kept angles' words, again on the
+workers.  The endpoints keep a strict deterministic order, whatever the
+blocks and the workers: by level, then all attracting fixed points (or
+orbit points) of the level, then all its repelling ones, each in shortlex
+order; and `disk.circle_net` keeps the earliest of exactly equal angles,
+so repeated runs are byte-identical.  Every product is row-local
+(`_compose_rows`): a row's bits do not depend on the length of the array
+it is computed in, so the blocks move no byte.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from hypsurf.errors import (
     NumericFailure,
 )
 from hypsurf.text import sample_csv
-from hypsurf.words import GroupWord, _letter_key, child_rows, word_table
+from hypsurf.words import GroupWord, _cyclic_count, _letter_key, child_rows, word_table
 
 #: relator products must land this close to +/- identity
 TOL_RELATOR = 1e-6
@@ -170,35 +169,31 @@ def _compose_rows(pa: np.ndarray, pb: np.ndarray, ma: np.ndarray, mb: np.ndarray
     return a, b
 
 
-def _word_blocks(rep: GroupRep, table: list[np.ndarray], words: np.ndarray,
+def _word_blocks(rep: GroupRep, words: np.ndarray,
                  take: Callable[[_Block], object] = lambda block: block) -> Iterator:
     """``take`` of the matrix entries of the shortlex word table of the
     words up to length n, as consecutive blocks of its rows in table
-    order.  ``table`` and ``words`` are `words.word_table(rep.rank, n)`:
-    levels 1..n-1, and the padded letter matrix whose last rows, level n,
-    the blocks fill in.
+    order.  ``words`` is `words.word_table(rep.rank, n)`, whose rows past
+    the empty word the blocks fill in.
 
-    Levels 1..n-1 come whole, one block each, because each is the parent of
-    the next; they are built, and taken, one after another.  The last level
-    comes in blocks of the children of `pool.BLOCK_ROWS // fan` parent rows
-    (at least one), each built and taken in one task of `pool.ordered_map`:
-    the task grows its letter rows from its parent rows (`child_rows`)
-    straight into ``words``, and its matrices from theirs.  So the blocks
-    run on every worker thread, and a consumer that drops each result never
-    holds a full last level of matrices.  Each word's matrix is its parent row's
-    times its last letter's (`_compose_rows`), up to a positive scale: a
-    block is divided by `_RESCALE_AT` when its largest entry passes it, and
-    is otherwise left as the product.  That division is exact, so neither
-    the blocking nor the number of workers changes an angle.
+    Each level's letter rows are grown from their parent rows
+    (`child_rows`) straight into their rows of ``words``, and its matrices
+    from theirs.  Levels 1..n-1 come whole, one block each, because each is
+    the parent of the next.  The last level comes in blocks of the children
+    of `pool.BLOCK_ROWS // fan` parent rows (at least one), each built and
+    taken in one task of `pool.ordered_map`, so the blocks run on every
+    worker thread, and a consumer that drops each result never holds a full
+    last level of matrices.  Level 1 carries the letters' own matrices; a
+    longer word's is its parent row's times its last letter's
+    (`_compose_rows`), up to a positive scale: a block is divided by
+    `_RESCALE_AT` when its largest entry passes it.  That division is
+    exact, so neither the blocking nor the number of workers changes an
+    angle.
     """
     n = words.shape[1]
     if n == 0:
         return
     la, lb = _letter_matrices(rep)
-    if n == 1:
-        # level 1 is the alphabet in key order, the children of the empty word
-        yield take(_Block(child_rows(rep.rank, words[:1, :0], out=words[1:]), la, lb))
-        return
     fan = 2 * rep.rank - 1
 
     def children(pa: np.ndarray, pb: np.ndarray, letters: np.ndarray) -> _Block:
@@ -209,14 +204,20 @@ def _word_blocks(rep: GroupRep, table: list[np.ndarray], words: np.ndarray,
             b /= _RESCALE_AT
         return _Block(letters, a, b)
 
-    level = _Block(table[0], la, lb)
+    # level 1 is the alphabet in key order, the children of the empty word
+    end = 2 * rep.rank + 1
+    level = _Block(child_rows(rep.rank, words[:1, :0], out=words[1:end, :1]), la, lb)
     yield take(level)
-    for letters in table[1:]:
-        level = children(level.a, level.b, letters)
+    if n == 1:
+        return
+    for length in range(2, n):
+        rows = words[end:end + len(level.letters) * fan, :length]
+        end += len(rows)
+        level = children(level.a, level.b, child_rows(rep.rank, level.letters, out=rows))
         yield take(level)
     a, b, parents = level.a, level.b, level.letters
     step = max(1, pool.BLOCK_ROWS // fan)
-    frontier = words[len(words) - len(parents) * fan:]
+    frontier = words[end:]
     yield from pool.ordered_map(
         lambda lo: take(children(a[lo:lo + step], b[lo:lo + step], child_rows(
             rep.rank, parents[lo:lo + step], out=frontier[lo * fan:(lo + step) * fan]))),
@@ -270,7 +271,7 @@ def _endpoint_rows(rep: GroupRep, base: DiskPoint, n: int, mode: SampleMode,
     front, so a block's matrices are dropped as soon as its endpoints are
     taken.
     """
-    table, words = word_table(rep.rank, n)
+    words = word_table(rep.rank, n)
     orbit = mode is SampleMode.ORBIT_PROJECTION
     z0 = base.z
     if orbit:
@@ -280,17 +281,7 @@ def _endpoint_rows(rep: GroupRep, base: DiskPoint, n: int, mode: SampleMode,
         # a cyclically reduced row gives at most two axis endpoints, and a
         # level's repelling ones wait in `repelling` until its attracting
         # ones are in
-        cyclic = [np.count_nonzero(level[:, 0] != -level[:, -1]) for level in table]
-        if not table:
-            cyclic.append(2 * rep.rank)
-        else:
-            # level n is not built yet: of the fan children of a row of
-            # level n-1, the one ending in the inverse of the row's first
-            # letter is not cyclically reduced, and it is a child unless
-            # the row ends in that first letter
-            last = table[-1]
-            cyclic.append(len(last) * (2 * rep.rank - 1)
-                          - np.count_nonzero(last[:, 0] != last[:, -1]))
+        cyclic = [_cyclic_count(rep.rank, length) for length in range(1, n + 1)]
         theta, repelling = np.empty(2 * sum(cyclic)), np.empty(max(cyclic))
     rows = np.empty(len(theta), dtype=np.int32)
 
@@ -309,7 +300,7 @@ def _endpoint_rows(rep: GroupRep, base: DiskPoint, n: int, mode: SampleMode,
     if orbit and abs(z0) > 1.0 - delta:
         theta[0], rows[0], used = reduce_angle(cmath.phase(z0)), 0, 1
     at = 1
-    blocks = _word_blocks(rep, table, words, endpoints)
+    blocks = _word_blocks(rep, words, endpoints)
     for _, level in groupby(blocks, key=lambda taken: taken[0][1]):
         k = 0  # the level's attracting endpoints (or orbit points) so far
         for (count, _), hit, first, second in level:

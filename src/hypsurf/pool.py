@@ -41,10 +41,12 @@ BLOCK_ROWS = 16384
 
 @functools.cache
 def _pool():
-    """The shared executor and its number of workers."""
+    """The shared executor and its number of workers: the CPUs this
+    process may use where the host reports them, all CPUs otherwise."""
     from concurrent.futures import ThreadPoolExecutor
 
-    workers = len(os.sched_getaffinity(0))
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
     return ThreadPoolExecutor(workers, thread_name_prefix="hypsurf"), workers
 
 

@@ -7,11 +7,13 @@ shortlex with letters ordered A < a < B < b < ...; every routine that
 iterates words does so in this order, which is what makes downstream
 samples reproducible.
 
-`shortlex_levels` builds the one shortlex word table: word lists, the
-matrix levels of `groups` and the conjugacy classes of `boundary` read it.
-Each level grows from the one before by `child_rows`, the one child rule,
-which `groups` also runs on the last level a block at a time
-(`word_table`).
+The shortlex word table has two forms, and each level of either grows
+from the one before by `child_rows`, the one child rule.  `word_table` is
+the unpruned table as one zero-padded letter matrix, whose levels
+`groups` grows in place, the last a block at a time; `limit-set` and the
+inner-correction search of `boundary` read it.  `shortlex_levels` builds
+a table level by level, optionally pruned: the conjugacy classes of
+`boundary` read it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 
 from hypsurf.errors import BudgetExceeded, IndexOutOfRange, InvalidInput
 
-#: `shortlex_levels`, which builds every word table, refuses a table that
-#: generates more than this many rows
+#: `word_table` and `shortlex_levels` refuse a table that generates more
+#: than this many rows
 DEFAULT_WORD_BUDGET = 5_000_000
 
 
@@ -135,16 +137,20 @@ class GroupWord:
 
 
 def word_count(rank: int, max_length: int) -> int:
-    """Number of freely reduced words of length <= max_length, identity
-    included: 1 + sum 2k(2k-1)^(i-1)."""
+    """Number of freely reduced words of length <= max_length >= 0,
+    identity included: 1 + sum 2k(2k-1)^(i-1) for i = 1..max_length."""
     if rank < 1:
         raise InvalidInput("rank must be at least 1")
-    total = 1
-    grow = 2 * rank
-    for _ in range(max_length):
-        total += grow
-        grow *= 2 * rank - 1
-    return total
+    if rank == 1:
+        return 1 + 2 * max_length
+    return 1 + rank * ((2 * rank - 1) ** max_length - 1) // (rank - 1)
+
+
+def _cyclic_count(rank: int, length: int) -> int:
+    """Number of cyclically reduced words of a length >= 1: the trace of
+    the power of the 2k x 2k follower matrix (`_followers`), whose
+    eigenvalues are 2k-1 once, +1 k times and -1 k-1 times."""
+    return (2 * rank - 1) ** length + rank + (rank - 1) * (-1) ** length
 
 
 @functools.cache
@@ -187,69 +193,66 @@ def child_rows(rank: int, parents: np.ndarray, out: np.ndarray | None = None) ->
     return out
 
 
-def shortlex_levels(rank: int, max_length: int, keep=None, *,
-                    build_last: bool = True) -> list[np.ndarray]:
-    """Levels 1..max_length of the shortlex tree of freely reduced words,
-    each grown from the one before by `child_rows`.
-
-    Level L is an int8 matrix with one row per word of length L, in
-    shortlex order; level 1 is the alphabet A, a, B, b, ... as a column.
-    Row i of level L >= 2 is its parent, row i // (2*rank - 1) of level
-    L-1, followed by one letter.
-
-    ``keep`` prunes the tree: ``keep(rows, parent)`` gets a level's rows
-    and, for each, the index of its parent row in the previous (pruned)
-    level (``None`` at level 1), and returns a boolean mask of the rows to
-    keep; only kept rows are returned and grow children, so the parent rule
-    above holds for the unpruned table only.
-
-    The rows each level generates, the kept parents times their fan, are
-    counted with the empty word, and BudgetExceeded is raised before a
-    level takes the count past `DEFAULT_WORD_BUDGET`.  Unpruned, the count
-    is `word_count`.  With ``build_last=False`` level max_length is counted
-    but not built, and the levels 1..max_length-1 are returned: a caller
-    grows the last level from them by `child_rows`, a block at a time.
-    """
+def _check_table(rank: int, max_length: int) -> None:
     if max_length < 0:
         raise InvalidInput("max_length must be nonnegative")
     if rank < 1:
         raise InvalidInput("rank must be at least 1")
     if rank > 127:
         raise InvalidInput("the word table stores letters as int8: rank must be at most 127")
+
+
+def _check_budget(generated: int) -> None:
+    if generated > DEFAULT_WORD_BUDGET:
+        raise BudgetExceeded(f"{generated} words exceed the budget of {DEFAULT_WORD_BUDGET}")
+
+
+def shortlex_levels(rank: int, max_length: int, keep=None) -> list[np.ndarray]:
+    """Levels 1..max_length of the shortlex tree of freely reduced words,
+    each grown from the one before by `child_rows`.
+
+    Level L is an int8 matrix with one row per word of length L, in
+    shortlex order; level 1 is the alphabet A, a, B, b, ... as a column.
+
+    ``keep`` prunes the tree: ``keep(rows)`` gets a level's rows and
+    returns a boolean mask of the rows to keep; only kept rows are
+    returned and grow children.  So row i of level L >= 2 is a child of
+    row i // (2*rank - 1) of the kept level L-1, pruned or not.
+
+    The rows each level generates, the kept parents times their fan, are
+    counted with the empty word, and BudgetExceeded is raised before a
+    level takes the count past `DEFAULT_WORD_BUDGET`.  Unpruned, the count
+    is `word_count`.
+    """
+    _check_table(rank, max_length)
     levels = []
     level, generated = np.zeros((1, 0), dtype=np.int8), 1
     for length in range(1, max_length + 1):
         generated += len(level) * (2 * rank - (length > 1))
-        if generated > DEFAULT_WORD_BUDGET:
-            raise BudgetExceeded(f"{generated} words exceed the budget of {DEFAULT_WORD_BUDGET}")
-        if length == max_length and not build_last:
-            break
-        rows = child_rows(rank, level)
+        _check_budget(generated)
+        level = child_rows(rank, level)
         if keep is not None:
-            parent = None if length == 1 else np.repeat(np.arange(len(level)), 2 * rank - 1)
-            rows = rows[keep(rows, parent)]
-        levels.append(rows)
-        level = rows
+            level = level[keep(level)]
+        levels.append(level)
     return levels
 
 
-def word_table(rank: int, n: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Levels 1..n-1 of the unpruned shortlex table (`shortlex_levels`
-    without its last level, which still counts against the budget), and
-    the zero-padded int8 letter matrix of width n with a row for each
-    word of length <= n in shortlex order, the empty word first.  Levels
-    1..n-1 are filled in; the rows of level n, the last ones, are left
-    zero for `child_rows` to fill.
-    """
-    table = shortlex_levels(rank, n, build_last=False)
-    empty = np.zeros((1, 0), dtype=np.int8)
-    return table, stack_padded([empty] + table, n, rows=word_count(rank, n))
+def word_table(rank: int, n: int) -> np.ndarray:
+    """An all-zero int8 letter matrix of width n, one row for each freely
+    reduced word of length <= n: row 0 is the empty word, and rows
+    ``word_count(rank, L-1)`` to ``word_count(rank, L)`` are level L, for
+    `groups._word_blocks` to grow in place.  It is refused, before it is
+    allocated, as the unpruned `shortlex_levels` is."""
+    _check_table(rank, n)
+    for length in range(1, n + 1):
+        _check_budget(word_count(rank, length))
+    return np.zeros((word_count(rank, n), n), dtype=np.int8)
 
 
 def enumerate_reduced_words(rank: int, max_length: int) -> list[GroupWord]:
     """All freely reduced words of length <= max_length, in shortlex order.
 
-    The library reads `shortlex_levels` (or `groups._word_blocks`) instead;
+    The library reads `word_table` (or `shortlex_levels`) instead;
     this object form stays for callers that want `GroupWord`s, and
     perfbench's tracer names it.
     """
@@ -257,12 +260,10 @@ def enumerate_reduced_words(rank: int, max_length: int) -> list[GroupWord]:
     return [GroupWord()] + [GroupWord(tuple(row)) for lv in levels for row in lv.tolist()]
 
 
-def stack_padded(blocks, width: int, rows: int | None = None) -> np.ndarray:
+def stack_padded(blocks, width: int) -> np.ndarray:
     """Letter matrices no wider than ``width`` stacked in order into one
-    int8 matrix, each row zero-padded to ``width``; with ``rows``, the
-    matrix has that many rows, and those past the blocks are zero."""
-    out = np.zeros((sum(len(b) for b in blocks) if rows is None else rows, width),
-                   dtype=np.int8)
+    int8 matrix, each row zero-padded to ``width``."""
+    out = np.zeros((sum(len(b) for b in blocks), width), dtype=np.int8)
     at = 0
     for b in blocks:
         out[at:at + len(b), :b.shape[1]] = b

@@ -327,9 +327,9 @@ def test_conjugacy_class_words_budget_counts_generated_rows(monkeypatch):
     levels = words.shortlex_levels
 
     def counting(rank, n, keep):
-        def spy(rows, parent):
+        def spy(rows):
             generated.append(len(rows))
-            return keep(rows, parent)
+            return keep(rows)
         return levels(rank, n, keep=spy)
 
     monkeypatch.setattr(boundary, "shortlex_levels", counting)

@@ -259,6 +259,9 @@ def test_limit_sample_is_the_net_of_its_endpoints(make_group, sample, ns, rows, 
                  id="octagon-orbit-base-outside"),
     pytest.param(cusped_torus_group, 6, SampleMode.ORBIT_PROJECTION, -0.5 - 0.7j,
                  id="torus-orbit-base-outside"),
+    # rank 1: a frontier of fan 2 (the alphabet) at n=1, of fan 1 after it
+    *[pytest.param(lambda: _translations(1), n, mode, 0.5, id=f"rank1-{mode.value}-n{n}")
+      for n in (1, 2, 5) for mode in SampleMode],
 ])
 def test_limit_sample_matches_the_letter_gathering_oracle(make_group, n, mode, base):
     # the word of each endpoint is fetched by its row in one table, where
@@ -355,12 +358,13 @@ def test_frontier_blocks_build_the_last_level_of_letters(rank, n, rows, monkeypa
     # the fan, give the table's last level across every block boundary
     monkeypatch.setattr(pool, "BLOCK_ROWS", rows)
     parents = max(1, rows // (2 * rank - 1))
-    table, words = word_table(rank, n)
-    blocks = [b.letters for b in groups._word_blocks(_translations(rank), table, words)
-              if b.letters.shape[1] == n]
+    words = word_table(rank, n)
+    blocks = [b.letters for b in groups._word_blocks(_translations(rank), words)]
     levels = shortlex_levels(rank, n)
-    assert len(blocks) == (1 if n == 1 else -(-len(levels[-2]) // parents))
-    assert np.array_equal(np.concatenate(blocks), levels[-1])
+    frontier = [b for b in blocks if b.shape[1] == n]
+    assert len(frontier) == (1 if n == 1 else -(-len(levels[-2]) // parents))
+    assert np.array_equal(np.concatenate(frontier), levels[-1])
+    # every level is grown in place, in its rows of the table
     assert all(np.shares_memory(b, words) for b in blocks)
     assert np.array_equal(words, stack_padded([np.zeros((1, 0), dtype=np.int8)] + levels, n))
 
@@ -374,6 +378,19 @@ def _mixed_group():
     ))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("make_group", [
+    octagon_group, lambda: schottky_rank2(4.0), cusped_torus_group, _mixed_group,
+], ids=["octagon", "schottky4", "cusped-torus", "mixed"])
+def test_level_one_carries_the_letters_own_matrices(make_group, n):
+    # a product with the identity would turn the -0.0 imaginary parts of
+    # the inverse letters into +0.0: values equal, bits not
+    rep = make_group()
+    level = next(groups._word_blocks(rep, word_table(rep.rank, n)))
+    for got, want in zip(level[1:], groups._letter_matrices(rep)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("make_group, n", [
     pytest.param(octagon_group, 5, id="octagon-n5"),
     pytest.param(lambda: schottky_rank2(4.0), 9, id="schottky4-n9"),
@@ -385,11 +402,11 @@ def test_the_frontier_blocks_change_no_sample(make_group, n, monkeypatch, worker
     modes = ((SampleMode.AXIS_ENDPOINTS, 0.0), (SampleMode.ORBIT_PROJECTION, 0.85))
     monkeypatch.setattr(pool, "BLOCK_ROWS", 10**9)
     whole = [limit_sample(rep, DiskPoint(base), n, mode) for mode, base in modes]
-    [frontier] = [b for b in groups._word_blocks(rep, *word_table(rep.rank, n))
+    [frontier] = [b for b in groups._word_blocks(rep, word_table(rep.rank, n))
                   if b.letters.shape[1] == n]
     # the rows of 1000 parents: the frontier in blocks, the last one short
     monkeypatch.setattr(pool, "BLOCK_ROWS", 1000 * (2 * rep.rank - 1))
-    blocks = [b for b in groups._word_blocks(rep, *word_table(rep.rank, n))
+    blocks = [b for b in groups._word_blocks(rep, word_table(rep.rank, n))
               if b.letters.shape[1] == n]
     assert len(blocks) > 2
     assert np.array_equal(np.concatenate([b.letters for b in blocks]), frontier.letters)

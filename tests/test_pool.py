@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from hypsurf import disk, pool, text
+from hypsurf import cli, disk, pool, text
 from hypsurf.disk import DiskPoint
 from hypsurf.errors import InvalidInput
 from hypsurf.groups import SampleMode, limit_sample
@@ -84,9 +84,16 @@ def test_a_consumer_that_stops_early_leaves_no_task_running(sized_pool):
     assert tasks.started <= 1 + sized_pool
 
 
+def _process_cpus() -> int:
+    # the rule of Python 3.13's os.process_cpu_count
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def test_the_default_pool_has_one_worker_per_available_cpu():
     executor, workers = pool._pool()
-    assert workers == len(os.sched_getaffinity(0))
+    assert workers == _process_cpus()
     assert list(pool.ordered_map(Tasks(), range(2 * workers + 3))) == \
         [i * i for i in range(2 * workers + 3)]
 
@@ -130,6 +137,25 @@ def test_more_workers_than_cpus_switching_often_move_no_byte(monkeypatch, octago
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            assert render(len(os.sched_getaffinity(0)) + 4) == reference
+            assert render(_process_cpus() + 4) == reference
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_a_host_without_affinity_runs_on_every_cpu(monkeypatch, capsys):
+    # macOS and Windows have no os.sched_getaffinity: the pool then takes
+    # os.cpu_count(), and octagon n=6 (9 frontier blocks) moves no byte
+    argv = ["limit-set", "--group", "octagon", "--n", "6"]
+    assert cli.main(argv) == 0
+    reference = capsys.readouterr().out
+    assert reference.count("\n") > 10_000
+    pool._pool()[0].shutdown()
+    pool._pool.cache_clear()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    try:
+        assert cli.main(argv) == 0
+        assert pool._pool()[1] == (os.cpu_count() or 1)
+    finally:
+        pool._pool()[0].shutdown()
+        pool._pool.cache_clear()
+    assert capsys.readouterr().out == reference

@@ -161,6 +161,31 @@ def test_the_oracle_and_the_program_share_the_budget_boundary(monkeypatch, rank,
     assert messages == [f"{total} words exceed the budget of {total - 1}"] * 3
 
 
+def test_word_table_is_refused_as_the_unpruned_levels_are():
+    # the message names the first level's running count past the budget
+    # (rank 4: 1,098,057 rows up to level 7, 7,686,401 up to level 8)
+    for table, n in itertools.product((shortlex_levels, words_module.word_table), (8, 9)):
+        with pytest.raises(BudgetExceeded, match="^7686401 words exceed the budget of 5000000$"):
+            table(4, n)
+    for rank, n, message in ((2, -1, "max_length must be nonnegative"),
+                             (0, 1, "rank must be at least 1"),
+                             (128, 1, "rank must be at most 127")):
+        for table in (shortlex_levels, words_module.word_table):
+            with pytest.raises(InvalidInput, match=message):
+                table(rank, n)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_the_closed_form_counts_the_cyclically_reduced_rows(rank):
+    # every level up to the budget; at rank 1, whose levels are the powers
+    # of A and of a, the first 12
+    n = 12 if rank == 1 else max(n for n in range(1, 20)
+                                 if word_count(rank, n) <= words_module.DEFAULT_WORD_BUDGET)
+    for length, level in enumerate(shortlex_levels(rank, n), start=1):
+        assert words_module._cyclic_count(rank, length) == \
+            np.count_nonzero(level[:, 0] != -level[:, -1])
+
+
 def test_child_rows_writes_its_rows_in_place():
     parents = shortlex_levels(2, 2)[-1]
     out = np.zeros((3 * len(parents), 3), dtype=np.int8)
@@ -182,28 +207,30 @@ def test_shortlex_levels_without_keep_is_unchanged(rank, n):
     levels = shortlex_levels(rank, n)
     assert len(levels) == len(ref) == n
     assert all(_same_array(x, y) for x, y in zip(levels, ref))
-    parents = []
+    calls = []
 
-    def keep_all(rows, parent):
-        parents.append(parent)
+    def keep_all(rows):
+        calls.append(len(rows))
         return np.ones(len(rows), dtype=bool)
 
     assert all(_same_array(x, y) for x, y in zip(shortlex_levels(rank, n, keep=keep_all), ref))
-    assert len(parents) == n and (n == 0 or parents[0] is None)
-    for rows, parent in zip(ref[1:], parents[1:]):
-        assert np.array_equal(parent, np.arange(len(rows)) // (2 * rank - 1))
+    assert calls == [len(level) for level in ref]
+    # row i's prefix is row i // fan of the level above
+    for above, rows in zip(ref, ref[1:]):
+        assert np.array_equal(rows[:, :-1], above[np.arange(len(rows)) // (2 * rank - 1)])
 
 
 def test_shortlex_levels_keep_prunes_whole_subtrees(monkeypatch):
     # drop every row whose last letter is a: the words without a, in order
-    pruned = shortlex_levels(2, 6, keep=lambda rows, parent: rows[:, -1] != -1)
+    pruned = shortlex_levels(2, 6, keep=lambda rows: rows[:, -1] != -1)
     for rows, ref in zip(pruned, oracles.shortlex_levels(2, 6)):
         assert _same_array(rows, ref[(ref != -1).all(axis=1)])
-    # each parent index points at the row's prefix in the pruned level above
+    # row i's prefix is row i // fan of the pruned level above
     kept, prefix_found = [], []
 
-    def keep_no_leading_b(rows, parent):
-        if parent is not None:
+    def keep_no_leading_b(rows):
+        if kept:
+            parent = np.arange(len(rows)) // 5  # the fan at rank 3
             prefix_found.append(np.array_equal(rows[:, :-1], kept[-1][parent]))
         kept.append(rows[rows[:, 0] != 2])
         return rows[:, 0] != 2
@@ -213,7 +240,7 @@ def test_shortlex_levels_keep_prunes_whole_subtrees(monkeypatch):
     # the budget counts the rows each level generates: the keep mask below
     # keeps A of the alphabet and all its descendants, so with the empty
     # word 1 + 4 + 3 + 9 + 27 + 81 = 125 rows of the unpruned 161
-    def first_a(rows, parent):
+    def first_a(rows):
         return rows[:, 0] == 1
 
     monkeypatch.setattr(words_module, "DEFAULT_WORD_BUDGET", 125)
