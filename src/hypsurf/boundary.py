@@ -188,6 +188,15 @@ class CircleMapSample:
                           self.letters)
 
 
+#: the letter key + 1 of the int8 letter of each byte (``letters.view(np.uint8)``
+#: indexes it), and the key + 1 of its inverse, key ^ 1; 0 for the padding
+#: byte and for -128, which no rank reaches
+_KEY1, _INVERSE_KEY1 = (
+    np.array([(_letter_key(x) ^ flip) + 1 if -128 < x != 0 else 0
+              for x in np.arange(256, dtype=np.uint8).view(np.int8).tolist()], dtype=np.uint8)
+    for flip in (0, 1))
+
+
 def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
     """One cyclically reduced representative per conjugacy class (modulo
     inversion) of length <= n, in shortlex order, as the rows of an int8
@@ -218,8 +227,9 @@ def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
             return np.ones(len(rows), dtype=bool)
         # row i is a child of row i // fan of the kept level above
         period = np.repeat(periods[-1], 2 * rank - 1)
-        key = _letter_key(rows[:, -1].astype(np.int16))
-        back = _letter_key(rows[np.arange(len(rows)), t - 1 - period].astype(np.int16))
+        byte = rows.view(np.uint8)
+        key = _KEY1[byte[:, -1]]
+        back = _KEY1[byte[np.arange(len(rows)), t - 1 - period]]
         keep = key >= back
         periods.append(np.where(key > back, t, period)[keep])
         return keep
@@ -233,12 +243,12 @@ def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
         rows = letters[(t % period == 0) & (letters[:, 0] != -letters[:, -1])]
         # letter keys + 1 as fixed-width byte strings, which compare
         # lexicographically (the + 1 keeps out NUL bytes, which numpy strips)
-        keys = _letter_key(rows.astype(np.int16)).astype(np.uint8)
-        word = (keys + 1).view(f"S{t}")[:, 0]
-        inverse = np.tile((keys[:, ::-1] ^ 1) + 1, 2)
-        least = np.logical_and.reduce([
-            word <= np.ascontiguousarray(inverse[:, r:r + t]).view(f"S{t}")[:, 0]
-            for r in range(t)])
+        byte = rows.view(np.uint8)
+        word = _KEY1[byte].view(f"S{t}")[:, 0]
+        inverse = np.tile(_INVERSE_KEY1[byte[:, ::-1]], 2)
+        least = np.ones(len(rows), dtype=bool)
+        for r in range(t):
+            least &= word <= np.ascontiguousarray(inverse[:, r:r + t]).view(f"S{t}")[:, 0]
         reps.append(rows[least])
     return stack_padded(reps, n)
 

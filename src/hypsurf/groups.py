@@ -384,24 +384,30 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
     `disk.circle_fixed_points` on a product divided by its largest entry
     modulus after every letter; the conjugator u is then applied letter
     by letter on the circle, where reduced-word ping-pong makes every step
-    a contraction.  Rows advance together, one letter column at a time.
-    A row's angle depends on its row alone, so a caller may take the rows
-    in blocks without moving a bit (`boundary.induced_boundary_sample`
-    does, to bound the memory of its temporaries).
+    a contraction.  Rows advance together, one letter column at a time:
+    the products on the rows in stable order of decreasing core length,
+    the walk on the hyperbolic rows in stable order of decreasing
+    conjugator length, so the rows a column takes are a prefix slice, and
+    the angles are put back in input order once, at the end.  A row's
+    angle depends on its row alone, so neither order nor the blocks a
+    caller takes the rows in moves a bit (`boundary.induced_boundary_sample`
+    takes blocks, to bound the memory of its temporaries).
     """
     letters = np.asarray(letters)
     if letters.size and (letters.max() > rep.rank or letters.min() < -rep.rank):
         outside = (letters > rep.rank) | (letters < -rep.rank)
         raise IndexOutOfRange(f"letter {letters[outside][0]} outside rank {rep.rank}")
-    la, lb = _letter_matrices(rep)
-    letters = letters.astype(np.intp)
-    count = len(letters)
+    # the letters' entries by letter + rank; the middle row, padding letter
+    # 0, is never read
+    rank = rep.rank
+    la, lb = (t[_letter_key(np.arange(-rank, rank + 1))] for t in _letter_matrices(rep))
+    count, width = letters.shape
     rows = np.arange(count)
     length = np.count_nonzero(letters, axis=1)
     # cyclic split w = u v u^-1: u is the first `start` letters of the row
     start = np.zeros(count, dtype=np.intp)
     peel = np.ones(count, dtype=bool)
-    for k in range(letters.shape[1] // 2):
+    for k in range(width // 2):
         last = letters[rows, np.maximum(length - 1 - k, 0)]
         peel &= (length - 2 * k >= 2) & (letters[:, k] == -last)
         if not peel.any():
@@ -409,30 +415,49 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
         start += peel
     core = length - 2 * start
 
+    # rows by decreasing core length, so the rows still multiplying at
+    # column c are the first live[c]; keys[c] is letter column c of the
+    # rows in that order, plus rank
+    order = np.argsort(-core, kind="stable")
+    keys = np.add(letters[order].T, rank, dtype=np.intp, order="C")
+    span = core.max(initial=0)
+    cores = keys[:span]
+    if start.any():
+        # cores[c] is row letter start + c, clipped past the core, where
+        # it is never read
+        cores = np.take_along_axis(
+            keys, np.minimum(start[order] + np.arange(span)[:, None], width - 1), axis=0)
     a = np.ones(count, dtype=complex)
     b = np.zeros(count, dtype=complex)
-    for c in range(core.max(initial=0)):
-        live = np.flatnonzero(core > c)
-        key = _letter_key(letters[live, start[live] + c])
-        x, y = _compose_rows(a[live], b[live], la[key], lb[key])
+    live = count - np.cumsum(np.bincount(core))
+    for c in range(span):
+        k = live[c]
+        key = cores[c, :k]
+        x, y = _compose_rows(a[:k], b[:k], la[key], lb[key])
         m = np.maximum(np.abs(x), np.abs(y))
         big = m > 1.0
-        x[big] /= m[big]
-        y[big] /= m[big]
-        a[live], b[live] = x, y
+        np.divide(x, m, out=x, where=big)
+        np.divide(y, m, out=y, where=big)
+        a[:k], b[:k] = x, y
 
-    ok = is_certainly_hyperbolic(a, b)
+    ok = np.flatnonzero(is_certainly_hyperbolic(a, b))
     z, _ = circle_fixed_points(a[ok], b[ok])
     z /= np.abs(z)
-    walk, lead = letters[ok], start[ok]
-    for c in range(lead.max(initial=0) - 1, -1, -1):
-        live = np.flatnonzero(lead > c)
-        key = _letter_key(walk[live, c])
-        ga, gb, x = la[key], lb[key], z[live]
-        x = (ga * x + gb) / (gb.conj() * x + ga.conj())
-        z[live] = x / np.abs(x)
+    # the conjugator walk, on the hyperbolic rows by decreasing start
+    lead = start[order[ok]]
+    if lead.any():
+        walk = np.argsort(-lead, kind="stable")
+        ok, lead, z = ok[walk], lead[walk], z[walk]
+        conjugators = keys[:lead[0], ok]
+        live = len(ok) - np.cumsum(np.bincount(lead))
+        for c in range(lead[0] - 1, -1, -1):
+            k = live[c]
+            key = conjugators[c, :k]
+            ga, gb, x = la[key], lb[key], z[:k]
+            x = (ga * x + gb) / (gb.conj() * x + ga.conj())
+            z[:k] = x / np.abs(x)
     out = np.full(count, np.nan)
-    out[ok] = circle_angle(z)
+    out[order[ok]] = circle_angle(z)
     return out
 
 

@@ -287,13 +287,14 @@ def substitute_rows(images: tuple[GroupWord, ...], letters: np.ndarray) -> np.nd
     """`substitute` applied to every row of a zero-padded letter matrix;
     the images come back as one int8 matrix, zero-padded to the longest.
 
-    Rows are reduced together, as a stack per row: each letter is replaced
-    by its image from a zero-padded table, and the resulting stream is
-    read one column at a time, a letter cancelling the row's top letter
-    when they are inverse and pushed on it otherwise.  The entries left
-    above each row's final top are then cleared.  A row's image depends on
-    its row alone, so a caller may reduce the rows in blocks.  A letter
-    outside the rank of ``images`` raises IndexOutOfRange.
+    Rows are reduced together, as a stack per row in one flat array:
+    each letter is replaced by its image from a zero-padded table, and the
+    resulting stream is read one column at a time, a letter cancelling the
+    row's top letter when they are inverse and pushed on it otherwise.
+    The entries left above each row's final top are then cleared.  A
+    row's image depends on its row alone, so a caller may reduce the rows
+    in blocks.  A letter outside the rank of ``images`` raises
+    IndexOutOfRange.
     """
     rank = len(images)
     letters = np.asarray(letters)
@@ -312,18 +313,24 @@ def substitute_rows(images: tuple[GroupWord, ...], letters: np.ndarray) -> np.nd
     # a reshape of 0 rows cannot infer
     stream = np.ascontiguousarray(
         table[letters.astype(np.intp) + rank].reshape(count, letters.shape[1] * width).T)
-    # column 0 stays 0 under every row's stack, so the top is always readable
-    stack = np.zeros((count, len(stream) + 1), dtype=np.int8)
-    top = np.zeros(count, dtype=np.intp)
-    rows = np.arange(count)
+    # one flat int8 stack of `depth` entries per row, each row's top held
+    # as a flat index: row * depth + height.  Entry 0 of a row stays 0
+    # under its stack, so the top is always readable
+    depth = len(stream) + 1
+    stack = np.zeros(count * depth, dtype=np.int8)
+    base = np.arange(0, count * depth, depth)
+    top = base.copy()
     for col in stream:
         # padding (0) cancels nothing, not even the 0 under an empty stack
-        cancel = (stack[rows, top] == -col) & (col != 0)
-        push = (col != 0) & ~cancel
-        top += push
+        letter = col != 0
+        cancel = (stack[top] == -col) & letter
+        # each letter goes just above its row's top and becomes the top only
+        # if pushed: the entries above a top are never read
+        stack[top + 1] = col
+        top += letter ^ cancel  # pushed
         top -= cancel
-        stack[rows[push], top[push]] = col[push]
-    out = stack[:, 1:top.max(initial=0) + 1]
+    top -= base
+    out = stack.reshape(count, depth)[:, 1:top.max(initial=0) + 1]
     out[np.arange(out.shape[1]) >= top[:, None]] = 0
     return out
 

@@ -27,6 +27,7 @@ from hypsurf.disk import (
     TOL_ANGLE,
     TWO_PI,
     DiskPoint,
+    circle_angle,
     circle_fixed_points,
     is_certainly_hyperbolic,
     reduce_angle,
@@ -40,7 +41,15 @@ from hypsurf.errors import (
     NotHyperbolizable,
     NumericFailure,
 )
-from hypsurf.groups import DEFAULT_DELTA, EndpointSample, SampleMode, _Block, _word_blocks
+from hypsurf.groups import (
+    DEFAULT_DELTA,
+    EndpointSample,
+    SampleMode,
+    _Block,
+    _compose_rows,
+    _letter_matrices,
+    _word_blocks,
+)
 from hypsurf.pants import DEFAULT_GLUING_LENGTH
 from hypsurf.signature import Signature
 from hypsurf.text import dump_json
@@ -115,6 +124,53 @@ def substitute_rows(images: tuple[GroupWord, ...], letters: np.ndarray) -> np.nd
     lengths = np.array([len(r) for r in rows], dtype=np.intp)
     out = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.int8)
     out[np.arange(out.shape[1]) < lengths[:, None]] = list(itertools.chain.from_iterable(rows))
+    return out
+
+
+def attracting_angles(rep, letters: np.ndarray) -> np.ndarray:
+    """`groups.attracting_angles` with every letter column taken by a row
+    mask: the live rows' letters, a and b are gathered, and the scaled
+    products scattered back, in input row order."""
+    la, lb = _letter_matrices(rep)
+    letters = np.asarray(letters).astype(np.intp)
+    count = len(letters)
+    rows = np.arange(count)
+    length = np.count_nonzero(letters, axis=1)
+    # cyclic split w = u v u^-1: u is the first `start` letters of the row
+    start = np.zeros(count, dtype=np.intp)
+    peel = np.ones(count, dtype=bool)
+    for k in range(letters.shape[1] // 2):
+        last = letters[rows, np.maximum(length - 1 - k, 0)]
+        peel &= (length - 2 * k >= 2) & (letters[:, k] == -last)
+        if not peel.any():
+            break
+        start += peel
+    core = length - 2 * start
+
+    a = np.ones(count, dtype=complex)
+    b = np.zeros(count, dtype=complex)
+    for c in range(core.max(initial=0)):
+        live = np.flatnonzero(core > c)
+        key = _letter_key(letters[live, start[live] + c])
+        x, y = _compose_rows(a[live], b[live], la[key], lb[key])
+        m = np.maximum(np.abs(x), np.abs(y))
+        big = m > 1.0
+        x[big] /= m[big]
+        y[big] /= m[big]
+        a[live], b[live] = x, y
+
+    ok = is_certainly_hyperbolic(a, b)
+    z, _ = circle_fixed_points(a[ok], b[ok])
+    z /= np.abs(z)
+    walk, lead = letters[ok], start[ok]
+    for c in range(lead.max(initial=0) - 1, -1, -1):
+        live = np.flatnonzero(lead > c)
+        key = _letter_key(walk[live, c])
+        ga, gb, x = la[key], lb[key], z[live]
+        x = (ga * x + gb) / (gb.conj() * x + ga.conj())
+        z[live] = x / np.abs(x)
+    out = np.full(count, np.nan)
+    out[ok] = circle_angle(z)
     return out
 
 

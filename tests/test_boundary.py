@@ -345,9 +345,10 @@ def test_conjugacy_class_words_budget_counts_generated_rows(monkeypatch):
 
 
 def test_conjugacy_class_words_hold_narrow_periods():
-    # cusped-torus n=13: with the prenecklace periods in intp the traced
-    # peak was 22.0 MB; in uint8 it is 19.2 MB.  20.5 MB fails the intp
-    # periods
+    # cusped-torus n=13: the traced peak is 13.1 MB.  14 MB fails the
+    # prenecklace periods in intp (14.9 MB), and the representative tests
+    # on int16 keys with their t rotation tests stacked before their
+    # reduction (17.4 MB)
     tracemalloc.start()
     try:
         classes = conjugacy_class_words(2, 13)
@@ -355,7 +356,7 @@ def test_conjugacy_class_words_hold_narrow_periods():
     finally:
         tracemalloc.stop()
     assert len(classes) == 96_320
-    assert peak < 20.5e6
+    assert peak < 14e6
 
 
 # -- order_check ----------------------------------------------------------------

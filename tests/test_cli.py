@@ -630,6 +630,8 @@ CROSS_DISPATCH_ARGVS = (
     "limit-set --group octagon --n 5",
     "limit-set --group octagon --n 4 --mode orbit",
     "boundary-map --group cusped-torus --aut A=AB,B=B --n 12",
+    # its images have conjugators, so the walk of `attracting_angles` runs
+    "boundary-map --group octagon --aut A=A,B=ABa,C=ACa,D=ADa --n 4",
 )
 
 

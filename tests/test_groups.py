@@ -766,6 +766,35 @@ def test_attracting_angles_agree_with_the_scalar_loop_and_mpmath(rep, words):
     assert angle_distance(got[spot], exact).max(initial=0.0) <= 4e-15
 
 
+def _same_angles(got, ref):
+    nan = np.isnan(ref)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint64), ref[~nan].view(np.uint64)))
+
+
+@pytest.mark.parametrize("rep, words", [c[1:] for c in _oracle_cases()],
+                         ids=[c[0] for c in _oracle_cases()])
+def test_attracting_angles_match_the_column_mask_loop_bit_for_bit(rep, words):
+    letters = letter_matrix(words)
+    assert _same_angles(attracting_angles(rep, letters), oracles.attracting_angles(rep, letters))
+
+
+def test_attracting_angles_match_the_column_mask_loop_on_a_shuffled_large_matrix(cusped_torus):
+    # more rows than 16,384 complex entries, where numpy starts to elide
+    # temporaries: the classes, their twist images and their conjugates
+    # by Ba (rows with a conjugator), interleaved at random
+    classes = conjugacy_class_words(2, 12)
+    blocks = [classes] + [substitute_rows(phi.images, classes) for phi in (
+        FreeAutomorphism.from_spec("A=AB,B=B", rank=2), FreeAutomorphism.inner(2, W("Ba")))]
+    letters = stack_padded(blocks, max(block.shape[1] for block in blocks))
+    letters = letters[np.random.default_rng(5).permutation(len(letters))]
+    last = letters[np.arange(len(letters)), np.count_nonzero(letters, axis=1) - 1]
+    assert len(letters) > 16_384 and (letters[:, 0] == -last).any()
+    got = attracting_angles(cusped_torus, letters)
+    assert _same_angles(got, oracles.attracting_angles(cusped_torus, letters))
+    assert np.isnan(got).any() and not np.isnan(got).all()
+
+
 def test_limit_sample_and_attracting_angles_share_disks_guard_and_formula(
         octagon, monkeypatch):
     calls = []
