@@ -37,8 +37,10 @@ from hypsurf.groups import (
 from hypsurf.text import sample_csv
 from hypsurf.words import (
     GroupWord,
+    _check_budget,
+    _check_table,
     _letter_key,
-    shortlex_levels,
+    child_rows,
     stack_padded,
     substitute,
     substitute_rows,
@@ -217,24 +219,36 @@ def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
     rows stay in table order, which is the order of first shortlex
     appearance of the classes.  The periods are held in the narrowest
     unsigned type that holds n.
+
+    Every kept level is grown (`child_rows`) before any representative is
+    taken, and BudgetExceeded is raised before a level takes the rows
+    generated, the empty word and the kept parents times their fan, past
+    `words.DEFAULT_WORD_BUDGET`.
     """
-    periods: list[np.ndarray] = []
-
-    def prenecklace(rows):
-        t = rows.shape[1]
+    _check_table(rank, n)
+    levels, periods = [], []
+    level, generated = np.zeros((1, 0), dtype=np.int8), 1
+    for t in range(1, n + 1):
+        generated += len(level) * (2 * rank - (t > 1))
+        _check_budget(generated)
+        level = child_rows(rank, level)
         if t == 1:
-            periods.append(np.ones(len(rows), dtype=np.min_scalar_type(n)))
-            return np.ones(len(rows), dtype=bool)
-        # row i is a child of row i // fan of the kept level above
-        period = np.repeat(periods[-1], 2 * rank - 1)
-        byte = rows.view(np.uint8)
-        key = _KEY1[byte[:, -1]]
-        back = _KEY1[byte[np.arange(len(rows)), t - 1 - period]]
-        keep = key >= back
-        periods.append(np.where(key > back, t, period)[keep])
-        return keep
-
-    levels = shortlex_levels(rank, n, keep=prenecklace)
+            period = np.ones(len(level), dtype=np.min_scalar_type(n))
+        else:
+            # row i is a child of row i // fan of the kept level above
+            period = np.repeat(period, 2 * rank - 1)
+            byte = level.view(np.uint8)
+            key = _KEY1[byte[:, -1]]
+            back = _KEY1[byte[np.arange(len(level)), t - 1 - period]]
+            keep = key >= back
+            period = np.where(key > back, t, period)[keep]
+            # temporaries go as soon as they are spent: the copy of the kept
+            # rows and the growth of the next level set the table's peak
+            del byte, key, back
+            level = level[keep]
+            del keep
+        levels.append(level)
+        periods.append(period)
     reps = []
     while levels:
         # each level is dropped once its representatives are taken

@@ -267,7 +267,10 @@ class MobiusIsometry:
     def __post_init__(self):
         a = complex(self.a)
         b = complex(self.b)
-        q = abs(a) ** 2 - abs(b) ** 2
+        try:
+            q = abs(a) ** 2 - abs(b) ** 2
+        except OverflowError:  # a float ** raises where * would give inf
+            q = math.inf
         if not math.isfinite(q) or q <= 0.0:
             if max(abs(a), abs(b)) > 1e7:
                 raise NumericFailure(
@@ -352,7 +355,11 @@ def translation_along(g: Geodesic, length: float) -> MobiusIsometry:
     p = g.e1.z
     q = g.e2.z
     u = math.exp(-0.5 * length)
-    v = math.exp(0.5 * length)
+    try:
+        v = math.exp(0.5 * length)
+    except OverflowError:
+        raise NumericFailure(f"translation length {length!r} is too long: "
+                             "its matrix entries overflow double precision") from None
     det = p - q  # det of S = [[1, -p], [1, -q]]
     m11 = (-q * u + p * v) / det
     m12 = (q * p * u - p * q * v) / det

@@ -102,6 +102,8 @@ class GroupRep:
         return len(self.generators)
 
     def letter_isometry(self, letter: int) -> MobiusIsometry:
+        if letter == 0:
+            raise InvalidInput("0 is not a letter")
         idx = abs(letter) - 1
         if idx >= len(self.generators):
             raise IndexOutOfRange(f"letter {letter} outside rank {self.rank}")

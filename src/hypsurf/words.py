@@ -7,13 +7,13 @@ shortlex with letters ordered A < a < B < b < ...; every routine that
 iterates words does so in this order, which is what makes downstream
 samples reproducible.
 
-The shortlex word table has two forms, and each level of either grows
-from the one before by `child_rows`, the one child rule.  `word_table` is
-the unpruned table as one zero-padded letter matrix, whose levels
-`groups` grows in place, the last a block at a time; `limit-set` and the
-inner-correction search of `boundary` read it.  `shortlex_levels` builds
-a table level by level, optionally pruned: the conjugacy classes of
-`boundary` read it.
+The shortlex word table has one form, `word_table`: one zero-padded
+letter matrix, each level grown in place from the one before by
+`child_rows`, the one child rule.  `groups` grows its levels, the last a
+block at a time, for `limit-set` and the inner-correction search of
+`boundary`.  The conjugacy classes of `boundary` grow their own levels
+with `child_rows`, pruned to prenecklaces, and count them against the
+same budget.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 
 from hypsurf.errors import BudgetExceeded, IndexOutOfRange, InvalidInput
 
-#: `word_table` and `shortlex_levels` refuse a table that generates more
-#: than this many rows
+#: `word_table` and the pruned class table of `boundary` refuse a table
+#: that generates more than this many rows
 DEFAULT_WORD_BUDGET = 5_000_000
 
 
@@ -207,42 +207,13 @@ def _check_budget(generated: int) -> None:
         raise BudgetExceeded(f"{generated} words exceed the budget of {DEFAULT_WORD_BUDGET}")
 
 
-def shortlex_levels(rank: int, max_length: int, keep=None) -> list[np.ndarray]:
-    """Levels 1..max_length of the shortlex tree of freely reduced words,
-    each grown from the one before by `child_rows`.
-
-    Level L is an int8 matrix with one row per word of length L, in
-    shortlex order; level 1 is the alphabet A, a, B, b, ... as a column.
-
-    ``keep`` prunes the tree: ``keep(rows)`` gets a level's rows and
-    returns a boolean mask of the rows to keep; only kept rows are
-    returned and grow children.  So row i of level L >= 2 is a child of
-    row i // (2*rank - 1) of the kept level L-1, pruned or not.
-
-    The rows each level generates, the kept parents times their fan, are
-    counted with the empty word, and BudgetExceeded is raised before a
-    level takes the count past `DEFAULT_WORD_BUDGET`.  Unpruned, the count
-    is `word_count`.
-    """
-    _check_table(rank, max_length)
-    levels = []
-    level, generated = np.zeros((1, 0), dtype=np.int8), 1
-    for length in range(1, max_length + 1):
-        generated += len(level) * (2 * rank - (length > 1))
-        _check_budget(generated)
-        level = child_rows(rank, level)
-        if keep is not None:
-            level = level[keep(level)]
-        levels.append(level)
-    return levels
-
-
 def word_table(rank: int, n: int) -> np.ndarray:
     """An all-zero int8 letter matrix of width n, one row for each freely
     reduced word of length <= n: row 0 is the empty word, and rows
     ``word_count(rank, L-1)`` to ``word_count(rank, L)`` are level L, for
-    `groups._word_blocks` to grow in place.  It is refused, before it is
-    allocated, as the unpruned `shortlex_levels` is."""
+    `groups._word_blocks` to grow in place.  Before it is allocated, it is
+    refused when a level takes its row count, `word_count`, past
+    `DEFAULT_WORD_BUDGET`."""
     _check_table(rank, n)
     for length in range(1, n + 1):
         _check_budget(word_count(rank, length))
@@ -252,12 +223,16 @@ def word_table(rank: int, n: int) -> np.ndarray:
 def enumerate_reduced_words(rank: int, max_length: int) -> list[GroupWord]:
     """All freely reduced words of length <= max_length, in shortlex order.
 
-    The library reads `word_table` (or `shortlex_levels`) instead;
-    this object form stays for callers that want `GroupWord`s, and
+    The library reads `word_table` instead; this object form fills one in
+    place with `child_rows`, for callers that want `GroupWord`s, and
     perfbench's tracer names it.
     """
-    levels = shortlex_levels(rank, max_length)
-    return [GroupWord()] + [GroupWord(tuple(row)) for lv in levels for row in lv.tolist()]
+    words = word_table(rank, max_length)
+    level = words[:1, :0]
+    for length in range(1, max_length + 1):
+        rows = words[word_count(rank, length - 1):word_count(rank, length), :length]
+        level = child_rows(rank, level, out=rows)
+    return [GroupWord.from_row(row) for row in words.tolist()]
 
 
 def stack_padded(blocks, width: int) -> np.ndarray:

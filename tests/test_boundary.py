@@ -324,15 +324,14 @@ def test_conjugacy_class_words_budget_counts_generated_rows(monkeypatch):
     # times the fan, with the alphabet and the empty word: far fewer than
     # the unpruned word_count of the same length
     generated = [1]
-    levels = words.shortlex_levels
+    grow = words.child_rows
 
-    def counting(rank, n, keep):
-        def spy(rows):
-            generated.append(len(rows))
-            return keep(rows)
-        return levels(rank, n, keep=spy)
+    def counting(rank, parents, out=None):
+        rows = grow(rank, parents, out)
+        generated.append(len(rows))
+        return rows
 
-    monkeypatch.setattr(boundary, "shortlex_levels", counting)
+    monkeypatch.setattr(boundary, "child_rows", counting)
     reps = conjugacy_class_words(2, 8)
     total = sum(generated)
     assert len(generated) == 9 and total < word_count(2, 8) // 4
@@ -710,7 +709,7 @@ def test_fifty_random_automorphisms_preserve_order():
 def test_inner_automorphisms_are_boundary_identities(make_group):
     rep = make_group()
     conjugators = [GroupWord()] + [GroupWord.from_row(row)
-                                   for level in words.shortlex_levels(2, 2) for row in level]
+                                   for level in oracles.shortlex_levels(2, 2) for row in level]
     assert len(conjugators) == 17
     for g in conjugators:
         phi = FreeAutomorphism.inner(2, g)

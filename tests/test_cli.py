@@ -353,6 +353,20 @@ def test_non_finite_and_negative_numbers_are_invalid_input(argv, capsys):
     assert json.loads(err)["error"] == "InvalidInput"
 
 
+@pytest.mark.parametrize("argv", [
+    ("limit-set", "--group", "schottky", "--n", "2"),
+    ("boundary-map", "--group", "schottky", "--aut", "A=AB,B=B", "--n", "2"),
+])
+@pytest.mark.parametrize("separation", ["1000", "1500"])
+def test_an_overflowing_separation_is_a_numeric_failure(argv, separation, capsys):
+    # past about 711 the squares of the entries overflow a float, past about
+    # 1419.6 the entries themselves: each once exited 1 with a traceback
+    code, out, err = run_cli(capsys, *argv, "--separation", separation)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "NumericFailure"
+
+
 @pytest.mark.parametrize("description, key", [
     ({"kind": "strip", "g": 3}, "g"),  # once classified as the strip
     ({"kind": "finite", "g": 2, "c": 0, "b": 0, "a": 0, "extra": 1}, "extra"),

@@ -410,9 +410,14 @@ def test_apply_overflow_near_boundary_raises():
         apply(huge, p)
 
 
-def test_giant_translation_overflows_as_numeric_failure():
+# 1000: the squares of the entries overflow a float, 1500: the entries
+# themselves; both once raised a bare OverflowError
+@pytest.mark.parametrize("length", [80.0, 1000.0, 1500.0, 1e300])
+def test_giant_translation_overflows_as_numeric_failure(length):
     with pytest.raises(NumericFailure):
-        translation_along(Geodesic(IdealPoint(0), IdealPoint(math.pi)), 80.0)
+        translation_along(Geodesic(IdealPoint(0), IdealPoint(math.pi)), length)
+    with pytest.raises(NumericFailure, match="^entries too large"):
+        MobiusIsometry(1e200, 1e200)
 
 
 def test_classify_rotation_elliptic():

@@ -51,7 +51,6 @@ from hypsurf.words import (
     GroupWord,
     _letter_key,
     enumerate_reduced_words,
-    shortlex_levels,
     stack_padded,
     substitute,
     substitute_rows,
@@ -113,6 +112,14 @@ def test_evaluate_homomorphism_200_random_pairs(octagon):
 def test_evaluate_index_out_of_range(cusped_torus):
     with pytest.raises(IndexOutOfRange):
         evaluate(cusped_torus, W("C"))
+
+
+def test_letter_isometry_rejects_zero(cusped_torus):
+    # index -1 once read the last generator and returned its inverse
+    with pytest.raises(InvalidInput, match="^0 is not a letter$"):
+        cusped_torus.letter_isometry(0)
+    with pytest.raises(IndexOutOfRange):
+        cusped_torus.letter_isometry(-3)
 
 
 def test_enumerate_words_counts(octagon, cusped_torus):
@@ -360,7 +367,7 @@ def test_frontier_blocks_build_the_last_level_of_letters(rank, n, rows, monkeypa
     parents = max(1, rows // (2 * rank - 1))
     words = word_table(rank, n)
     blocks = [b.letters for b in groups._word_blocks(_translations(rank), words)]
-    levels = shortlex_levels(rank, n)
+    levels = oracles.shortlex_levels(rank, n)
     frontier = [b for b in blocks if b.shape[1] == n]
     assert len(frontier) == (1 if n == 1 else -(-len(levels[-2]) // parents))
     assert np.array_equal(np.concatenate(frontier), levels[-1])

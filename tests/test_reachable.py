@@ -85,6 +85,8 @@ RUNS = [
     (2, "limit-set --group octagon --n 2 --mode orbit --base 2,0"),
     (2, "limit-set --group octagon --n 2 --separation 4"),
     (2, "limit-set --group schottky --separation 1 --n 2"),
+    (3, "limit-set --group schottky --separation 1000 --n 2"),
+    (3, "limit-set --group schottky --separation 1500 --n 2"),
     (0, "boundary-map --group schottky --aut A=AB,B=B --n 3"),
     (0, "boundary-map --group cusped-torus --aut A=a,B=B --n 3 --check-identity -o out.json"
         " --format json"),

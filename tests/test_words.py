@@ -13,7 +13,6 @@ from hypsurf.words import (
     child_rows,
     enumerate_reduced_words,
     free_reduce,
-    shortlex_levels,
     substitute,
     substitute_rows,
     word_count,
@@ -151,26 +150,27 @@ def test_the_oracle_and_the_program_share_the_budget_boundary(monkeypatch, rank,
     # the program also when it leaves the last level to the frontier blocks
     total = word_count(rank, n)
     monkeypatch.setattr(words_module, "DEFAULT_WORD_BUDGET", total)
-    assert len(shortlex_levels(rank, n)) == len(oracles.shortlex_levels(rank, n)) == n
+    assert len(enumerate_reduced_words(rank, n)) == total
+    assert len(oracles.shortlex_levels(rank, n)) == n
     monkeypatch.setattr(words_module, "DEFAULT_WORD_BUDGET", total - 1)
     messages = []
-    for table in (shortlex_levels, oracles.shortlex_levels, words_module.word_table):
+    for table in (enumerate_reduced_words, oracles.shortlex_levels, words_module.word_table):
         with pytest.raises(BudgetExceeded) as refused:
             table(rank, n)
         messages.append(str(refused.value))
     assert messages == [f"{total} words exceed the budget of {total - 1}"] * 3
 
 
-def test_word_table_is_refused_as_the_unpruned_levels_are():
+def test_word_table_is_refused_at_the_first_level_past_the_budget():
     # the message names the first level's running count past the budget
     # (rank 4: 1,098,057 rows up to level 7, 7,686,401 up to level 8)
-    for table, n in itertools.product((shortlex_levels, words_module.word_table), (8, 9)):
+    for table, n in itertools.product((enumerate_reduced_words, words_module.word_table), (8, 9)):
         with pytest.raises(BudgetExceeded, match="^7686401 words exceed the budget of 5000000$"):
             table(4, n)
     for rank, n, message in ((2, -1, "max_length must be nonnegative"),
                              (0, 1, "rank must be at least 1"),
                              (128, 1, "rank must be at most 127")):
-        for table in (shortlex_levels, words_module.word_table):
+        for table in (enumerate_reduced_words, words_module.word_table):
             with pytest.raises(InvalidInput, match=message):
                 table(rank, n)
 
@@ -181,16 +181,16 @@ def test_the_closed_form_counts_the_cyclically_reduced_rows(rank):
     # of A and of a, the first 12
     n = 12 if rank == 1 else max(n for n in range(1, 20)
                                  if word_count(rank, n) <= words_module.DEFAULT_WORD_BUDGET)
-    for length, level in enumerate(shortlex_levels(rank, n), start=1):
+    for length, level in enumerate(oracles.shortlex_levels(rank, n), start=1):
         assert words_module._cyclic_count(rank, length) == \
             np.count_nonzero(level[:, 0] != -level[:, -1])
 
 
 def test_child_rows_writes_its_rows_in_place():
-    parents = shortlex_levels(2, 2)[-1]
+    parents = oracles.shortlex_levels(2, 2)[-1]
     out = np.zeros((3 * len(parents), 3), dtype=np.int8)
     assert child_rows(2, parents, out=out) is out
-    assert _same_array(out, shortlex_levels(2, 3)[-1])
+    assert _same_array(out, oracles.shortlex_levels(2, 3)[-1])
     # also into a strided out, as into the rows of a wider table
     wide = np.zeros((3 * len(parents), 6), dtype=np.int8)
     child_rows(2, parents, out=wide[:, ::2])
@@ -202,52 +202,14 @@ def _same_array(x, y):
 
 
 @pytest.mark.parametrize("rank, n", [(1, 9), (2, 0), (2, 1), (2, 8), (3, 5), (4, 4)])
-def test_shortlex_levels_without_keep_is_unchanged(rank, n):
+def test_enumerate_reduced_words_matches_the_oracle(rank, n):
     ref = oracles.shortlex_levels(rank, n)
-    levels = shortlex_levels(rank, n)
-    assert len(levels) == len(ref) == n
-    assert all(_same_array(x, y) for x, y in zip(levels, ref))
-    calls = []
-
-    def keep_all(rows):
-        calls.append(len(rows))
-        return np.ones(len(rows), dtype=bool)
-
-    assert all(_same_array(x, y) for x, y in zip(shortlex_levels(rank, n, keep=keep_all), ref))
-    assert calls == [len(level) for level in ref]
+    assert len(ref) == n
+    assert enumerate_reduced_words(rank, n) == \
+        [GroupWord()] + [GroupWord(tuple(row)) for level in ref for row in level.tolist()]
     # row i's prefix is row i // fan of the level above
     for above, rows in zip(ref, ref[1:]):
         assert np.array_equal(rows[:, :-1], above[np.arange(len(rows)) // (2 * rank - 1)])
-
-
-def test_shortlex_levels_keep_prunes_whole_subtrees(monkeypatch):
-    # drop every row whose last letter is a: the words without a, in order
-    pruned = shortlex_levels(2, 6, keep=lambda rows: rows[:, -1] != -1)
-    for rows, ref in zip(pruned, oracles.shortlex_levels(2, 6)):
-        assert _same_array(rows, ref[(ref != -1).all(axis=1)])
-    # row i's prefix is row i // fan of the pruned level above
-    kept, prefix_found = [], []
-
-    def keep_no_leading_b(rows):
-        if kept:
-            parent = np.arange(len(rows)) // 5  # the fan at rank 3
-            prefix_found.append(np.array_equal(rows[:, :-1], kept[-1][parent]))
-        kept.append(rows[rows[:, 0] != 2])
-        return rows[:, 0] != 2
-
-    assert all(_same_array(x, y) for x, y in zip(shortlex_levels(3, 4, keep=keep_no_leading_b), kept))
-    assert prefix_found == [True] * 3
-    # the budget counts the rows each level generates: the keep mask below
-    # keeps A of the alphabet and all its descendants, so with the empty
-    # word 1 + 4 + 3 + 9 + 27 + 81 = 125 rows of the unpruned 161
-    def first_a(rows):
-        return rows[:, 0] == 1
-
-    monkeypatch.setattr(words_module, "DEFAULT_WORD_BUDGET", 125)
-    assert len(shortlex_levels(2, 5, keep=first_a)) == 5
-    monkeypatch.setattr(words_module, "DEFAULT_WORD_BUDGET", 124)
-    with pytest.raises(BudgetExceeded, match="^125 words exceed"):
-        shortlex_levels(2, 5, keep=first_a)
 
 
 def _random_letter_matrix(rng, rank, count, width):
