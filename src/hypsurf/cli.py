@@ -15,9 +15,10 @@ as invalid input.
 
 Exit codes: 0 success, 1 stdout closed by its reader (quietly), 2 invalid
 input (an automorphism that does not act on the group included, a plan
-of more than MAX_PANTS pants), 3 numeric failure (order violations, too
-many non-hyperbolic classes, entries too large to normalize); errors are
-a one-line JSON object on stderr.
+of more than MAX_PANTS pants, an -o path that cannot be opened), 3
+numeric failure (order violations, too many non-hyperbolic classes,
+entries too large to normalize); errors are a one-line JSON object on
+stderr.
 """
 
 from __future__ import annotations
@@ -133,8 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit_text(chunks: Iterable[str], path: Optional[str]) -> None:
     """Write the chunks and a final newline to the file at path, or to
     stdout.  Chunks are written as they come: a sample's text arrives in
-    blocks of rows (`text`), so its whole text is never held at once."""
-    f = sys.stdout if path is None else open(path, "w", encoding="utf-8")
+    blocks of rows (`text`), so its whole text is never held at once.  A
+    path that cannot be opened raises InvalidInput."""
+    try:
+        f = sys.stdout if path is None else open(path, "w", encoding="utf-8")
+    except OSError as e:
+        raise InvalidInput(f"cannot write {path}: {e}")
     try:
         for chunk in chunks:
             f.write(chunk)

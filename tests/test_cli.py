@@ -151,6 +151,31 @@ def test_limit_set_output_file(tmp_path, capsys):
     assert target.read_text().startswith("theta,word")
 
 
+#: sample commands of both kinds and formats, each given an -o path
+UNWRITABLE_OUTPUT_ARGVS = [
+    "limit-set --group octagon --n 2",
+    "limit-set --group octagon --n 2 --format json",
+    "boundary-map --group cusped-torus --aut A=AB,B=B --n 3",
+    "boundary-map --group cusped-torus --aut A=AB,B=B --n 3 --format json",
+    "boundary-map --group cusped-torus --aut A=AB,B=B --n 3 --check-identity",
+    "boundary-map --group cusped-torus --aut A=AB,B=B --n 3 --check-identity --format json",
+]
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_OUTPUT_ARGVS)
+def test_an_output_path_that_cannot_be_opened_exits_2(argv, tmp_path, capsys):
+    # the open fails once the sample is built: one JSON line on stderr,
+    # nothing on stdout, and so no verdict with --check-identity
+    path = tmp_path / "missing" / "sample.out"
+    code, out, err = run_cli(capsys, *argv.split(), "-o", str(path))
+    assert (code, out) == (2, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "InvalidInput"
+    assert error["message"].startswith(f"cannot write {path}: ")
+    assert not path.parent.exists()
+
+
 def test_boundary_map_sample(capsys):
     code, out, _ = run_cli(
         capsys, "boundary-map", "--group", "cusped-torus", "--aut", "A=A,B=B",

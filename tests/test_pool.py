@@ -126,7 +126,6 @@ def test_more_workers_than_cpus_switching_often_move_no_byte(monkeypatch, octago
 
     def render(workers: int) -> str:
         text._digit_tables.cache_clear()
-        text._letter_ascii_table.cache_clear()
         with ThreadPoolExecutor(workers) as executor:
             monkeypatch.setattr(pool, "_pool", lambda: (executor, workers))
             s = limit_sample(octagon, DiskPoint(0), 5, SampleMode.AXIS_ENDPOINTS)

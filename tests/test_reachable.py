@@ -80,6 +80,7 @@ RUNS = [
     # 274,560 axis endpoints: the net runs in sectors
     (0, "limit-set --group octagon --n 6 -o octagon-n6.csv"),
     (2, "limit-set --group octagon --n 8"), (2, "limit-set --group octagon --n 0"),
+    (2, "limit-set --group octagon --n 2 -o missing/sample.csv"),
     (2, "limit-set --group octagon --n 2 --mode orbit --delta 2"),
     (2, "limit-set --group octagon --n 1 --mode orbit --delta 0.001"),
     (2, "limit-set --group octagon --n 2 --mode orbit --base 2,0"),

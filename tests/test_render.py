@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,11 @@ from hypsurf.groups import (
     schottky_rank2,
 )
 from hypsurf.words import GroupWord
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 
 def csv_lines(s) -> list[str]:
@@ -126,24 +132,33 @@ def test_float_field_matches_format_on_angles(angles):
     assert_renders_like_format(angles)
 
 
-def test_float_field_matches_format_on_a_seeded_sweep():
-    rng = np.random.default_rng(20260)
-    assert_renders_like_format(np.concatenate([
-        rng.uniform(0.0, 2 * math.pi, 600_000),
-        10.0 ** rng.uniform(-4.5, 0.9, 250_000),
+def float_sweep(rng, size: int) -> np.ndarray:
+    return np.concatenate([
+        rng.uniform(0.0, 2 * math.pi, size * 60 // 100),
+        10.0 ** rng.uniform(-4.5, 0.9, size * 25 // 100),
         # short decimals: their trailing zeros are dropped
-        rng.integers(1, 10**5, 130_000) / 10.0 ** rng.integers(4, 9, 130_000),
+        rng.integers(1, 10**5, size * 13 // 100) / 10.0 ** rng.integers(4, 9, size * 13 // 100),
         # any bit pattern: huge, tiny, subnormal, negative, inf and nan
-        rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64),
-    ]))
+        rng.integers(0, 2**64, size * 2 // 100, dtype=np.uint64).view(np.float64),
+    ])
+
+
+#: the neighbours of the powers of ten in the fast path and of 8: log10
+#: rounds to the power itself just below 1e-3 (and others), and the digits
+#: of a neighbour of 10**-j run to all nines or zeros
+NEAR_POWERS = np.concatenate([(np.float64(p).view(np.int64) + np.arange(-64, 65)).view(np.float64)
+                              for p in (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 8.0)])
+
+FALLBACK_VALUES = [0.0, -0.0, 5e-324, 9.99e-5, 8.0, 1e300, -1.2345678901234567e-300,
+                   math.nan, math.inf, -math.inf, 1e-4, 7.999999999999999]
+
+
+def test_float_field_matches_format_on_a_seeded_sweep():
+    assert_renders_like_format(float_sweep(np.random.default_rng(20260), 1_000_000))
 
 
 def test_float_field_matches_format_near_powers_of_ten_and_eight():
-    # log10 rounds to the power itself just below 1e-3 (and others), and
-    # the digits of a neighbour of 10**-j run to all nines or zeros
-    ulps = np.arange(-64, 65)
-    for p in (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 8.0):
-        assert_renders_like_format((np.float64(p).view(np.int64) + ulps).view(np.float64))
+    assert_renders_like_format(NEAR_POWERS)
 
 
 def test_float_field_rounds_half_way_ties_to_even():
@@ -154,9 +169,47 @@ def test_float_field_rounds_half_way_ties_to_even():
 
 
 def test_float_field_falls_back_to_format_outside_the_fixed_form_range():
-    values = [0.0, -0.0, 5e-324, 9.99e-5, 8.0, 1e300, -1.2345678901234567e-300,
-              math.nan, math.inf, -math.inf, 1e-4, 7.999999999999999]
-    assert_renders_like_format(values)
+    assert_renders_like_format(FALLBACK_VALUES)
+
+
+#: renders the float64 values of the .npy file argv[1] as a CSV column and
+#: prints the state of each feature in argv[2:], then up to five values
+#: whose text is not format(x, ".17g"), and their count
+FLOAT_FIELD_PROBE = """
+import json, sys
+import numpy as np
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+from hypsurf import text
+x = np.load(sys.argv[1])
+lines = "".join(text.sample_csv("x", (x,), np.zeros((len(x), 0), np.int8))).split("\\n")[1:]
+bad = [v for v, line in zip(x.tolist(), lines) if line != format(v, ".17g") + ",1"]
+print(json.dumps([[__cpu_features__[f] for f in sys.argv[2:]], list(map(repr, bad[:5])),
+                  len(bad)]))
+"""
+
+
+@pytest.mark.parametrize("level", ["X86_V4", "X86_V3"])
+def test_float_field_matches_format_at_lower_simd_dispatch_levels(level, tmp_path):
+    # the kernel's int64 division and float -> int64 casts run on the
+    # loops numpy picks per level; switch off this level and every one
+    # above it
+    if level not in __cpu_dispatch__ or not __cpu_features__.get(level):
+        pytest.skip(f"numpy dispatches no {level} loops on this host")
+    off = [f for f in __cpu_dispatch__
+           if f in ("X86_V4", level) or f.startswith("AVX512")]
+    values = np.concatenate([float_sweep(np.random.default_rng(31), 200_000), EDGE_ANGLES,
+                             NEAR_POWERS, FALLBACK_VALUES])
+    np.save(tmp_path / "x.npy", values)
+    src = Path(text.__file__).resolve().parent.parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", FLOAT_FIELD_PROBE, str(tmp_path / "x.npy"),
+                           *off], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[False] * len(off), [], 0]
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +240,26 @@ def test_circle_map_csv_matches_per_row_formula_in_small_blocks(monkeypatch, wor
         assert len(blocks) == 1 + -(-len(s) // 7)
         assert "".join(blocks).split("\n") == reference
     assert short_last_block
+
+
+@pytest.mark.parametrize("sized_pool", [2], indirect=True)
+def test_streaming_a_samples_text_holds_a_few_blocks(octagon, sized_pool):
+    # octagon n=6: 135,408 rows in 9 blocks, of which at most workers + 1
+    # are rendered or waiting at once.  Each int64 and uint64 intermediate
+    # of a block is dropped once used: the traced peak read 3.1-4.4 MB
+    # (median 4.0) in 200 runs, and 5.2-6.3 MB for the byte-column
+    # renderer that the word kernel replaced
+    s = limit_sample(octagon, DiskPoint(0), 6, SampleMode.AXIS_ENDPOINTS)
+    text._digit_tables()
+    tracemalloc.start()
+    try:
+        for _ in s.to_csv_rows():
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 135_408
+    assert peak < 4.8e6
 
 
 def test_empty_circle_map_sample_renders_its_header_alone():
@@ -318,12 +391,11 @@ def test_importing_the_cli_builds_no_text_table():
         import json
         import hypsurf.cli
         from hypsurf import text
-        print(json.dumps([text._digit_tables.cache_info().currsize,
-                          text._letter_ascii_table.cache_info().currsize]))
+        print(json.dumps(text._digit_tables.cache_info().currsize))
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, 0]
+    assert json.loads(proc.stdout) == 0
