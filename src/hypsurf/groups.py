@@ -21,8 +21,9 @@ blocks and the workers: by level, then all attracting fixed points (or
 orbit points) of the level, then all its repelling ones, each in shortlex
 order; and `disk.circle_net` keeps the earliest of exactly equal angles,
 so repeated runs are byte-identical.  Every product is row-local
-(`_compose_rows`): a row's bits do not depend on the length of the array
-it is computed in, so the blocks move no byte.
+(`_compose_rows`), its range rule included: a row's bits depend on its row
+alone, so the blocks move no byte, and `attracting_angles` of a cyclically
+reduced row is the angle `limit_sample` takes from the table's product.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ DEFAULT_DELTA = 0.2
 #: beyond this entry magnitude the unit-determinant normalization of a
 #: word product is no longer certifiable in double precision
 MAX_ENTRY_MAGNITUDE = 1e6
-#: a word-table block with an entry past this is divided by it (exactly)
+#: a product row whose |a| passes this is divided by it (`_compose_rows`)
 _RESCALE_AT = 2.0**256
 
 
@@ -151,7 +152,9 @@ def _letter_matrices(rep: GroupRep) -> tuple[np.ndarray, np.ndarray]:
 def _compose_rows(pa: np.ndarray, pb: np.ndarray, ma: np.ndarray, mb: np.ndarray):
     """Entries a, b of the row-wise products of [[pa, pb], [conj pb, conj pa]]
     and [[ma, mb], [conj mb, conj ma]]: a = pa ma + pb conj(mb) and
-    b = pa mb + pb conj(ma).  ma and mb are overwritten.
+    b = pa mb + pb conj(ma), under the one range rule of every word
+    product: a row whose |a| passes `_RESCALE_AT` is divided by it, which
+    is exact and moves no fixed point.  ma and mb are overwritten.
 
     Each product is one explicit call with its operands in this order,
     written to an array that is neither operand, so a row's value does not
@@ -168,6 +171,10 @@ def _compose_rows(pa: np.ndarray, pb: np.ndarray, ma: np.ndarray, mb: np.ndarray
     np.conjugate(ma, out=ma)
     np.multiply(pb, ma, out=term)
     b += term
+    big = np.abs(a) > _RESCALE_AT
+    if big.any():
+        a[big] /= _RESCALE_AT
+        b[big] /= _RESCALE_AT
     return a, b
 
 
@@ -187,10 +194,9 @@ def _word_blocks(rep: GroupRep, words: np.ndarray,
     worker thread, and a consumer that drops each result never holds a full
     last level of matrices.  Level 1 carries the letters' own matrices; a
     longer word's is its parent row's times its last letter's
-    (`_compose_rows`), up to a positive scale: a block is divided by
-    `_RESCALE_AT` when its largest entry passes it.  That division is
-    exact, so neither the blocking nor the number of workers changes an
-    angle.
+    (`_compose_rows`), up to a positive scale: a row is divided by
+    `_RESCALE_AT` when its |a| passes it.  That rule is row-local, so
+    neither the blocking nor the number of workers changes a bit.
     """
     n = words.shape[1]
     if n == 0:
@@ -201,9 +207,6 @@ def _word_blocks(rep: GroupRep, words: np.ndarray,
     def children(pa: np.ndarray, pb: np.ndarray, letters: np.ndarray) -> _Block:
         key = _letter_key(letters[:, -1].astype(np.intp))
         a, b = _compose_rows(np.repeat(pa, fan), np.repeat(pb, fan), la[key], lb[key])
-        if np.abs(a).max() > _RESCALE_AT:
-            a /= _RESCALE_AT
-            b /= _RESCALE_AT
         return _Block(letters, a, b)
 
     # level 1 is the alphabet in key order, the children of the empty word
@@ -383,17 +386,17 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
     Stable for words far beyond `evaluate`'s range: the cyclic core v of
     w = u v u^-1 has its axis through the thick part of the orbit, so its
     fixed points come out of the scale-free formula of
-    `disk.circle_fixed_points` on a product divided by its largest entry
-    modulus after every letter; the conjugator u is then applied letter
-    by letter on the circle, where reduced-word ping-pong makes every step
-    a contraction.  Rows advance together, one letter column at a time:
-    the products on the rows in stable order of decreasing core length,
-    the walk on the hyperbolic rows in stable order of decreasing
-    conjugator length, so the rows a column takes are a prefix slice, and
-    the angles are put back in input order once, at the end.  A row's
-    angle depends on its row alone, so neither order nor the blocks a
-    caller takes the rows in moves a bit (`boundary.induced_boundary_sample`
-    takes blocks, to bound the memory of its temporaries).
+    `disk.circle_fixed_points` on its product (`_compose_rows`, as in the
+    word table); the conjugator u is then applied letter by letter on the
+    circle, where reduced-word ping-pong makes every step a contraction.
+    Rows advance together, one letter column at a time: the products on
+    the rows in stable order of decreasing core length, the walk on the
+    hyperbolic rows in stable order of decreasing conjugator length, so
+    the rows a column takes are a prefix slice, and the angles are put
+    back in input order once, at the end.  A row's angle depends on its
+    row alone, so neither order nor the blocks a caller takes the rows in
+    moves a bit (`boundary.induced_boundary_sample` takes blocks, to bound
+    the memory of its temporaries).
     """
     letters = np.asarray(letters)
     if letters.size and (letters.max() > rep.rank or letters.min() < -rep.rank):
@@ -435,16 +438,10 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
     for c in range(span):
         k = live[c]
         key = cores[c, :k]
-        x, y = _compose_rows(a[:k], b[:k], la[key], lb[key])
-        m = np.maximum(np.abs(x), np.abs(y))
-        big = m > 1.0
-        np.divide(x, m, out=x, where=big)
-        np.divide(y, m, out=y, where=big)
-        a[:k], b[:k] = x, y
+        a[:k], b[:k] = _compose_rows(a[:k], b[:k], la[key], lb[key])
 
     ok = np.flatnonzero(is_certainly_hyperbolic(a, b))
     z, _ = circle_fixed_points(a[ok], b[ok])
-    z /= np.abs(z)
     # the conjugator walk, on the hyperbolic rows by decreasing start
     lead = start[order[ok]]
     if lead.any():

@@ -129,8 +129,8 @@ def substitute_rows(images: tuple[GroupWord, ...], letters: np.ndarray) -> np.nd
 
 def attracting_angles(rep, letters: np.ndarray) -> np.ndarray:
     """`groups.attracting_angles` with every letter column taken by a row
-    mask: the live rows' letters, a and b are gathered, and the scaled
-    products scattered back, in input row order."""
+    mask: the live rows' letters, a and b are gathered, and the products
+    scattered back, in input row order."""
     la, lb = _letter_matrices(rep)
     letters = np.asarray(letters).astype(np.intp)
     count = len(letters)
@@ -152,16 +152,10 @@ def attracting_angles(rep, letters: np.ndarray) -> np.ndarray:
     for c in range(core.max(initial=0)):
         live = np.flatnonzero(core > c)
         key = _letter_key(letters[live, start[live] + c])
-        x, y = _compose_rows(a[live], b[live], la[key], lb[key])
-        m = np.maximum(np.abs(x), np.abs(y))
-        big = m > 1.0
-        x[big] /= m[big]
-        y[big] /= m[big]
-        a[live], b[live] = x, y
+        a[live], b[live] = _compose_rows(a[live], b[live], la[key], lb[key])
 
     ok = is_certainly_hyperbolic(a, b)
     z, _ = circle_fixed_points(a[ok], b[ok])
-    z /= np.abs(z)
     walk, lead = letters[ok], start[ok]
     for c in range(lead.max(initial=0) - 1, -1, -1):
         live = np.flatnonzero(lead > c)

@@ -377,8 +377,8 @@ def test_frontier_blocks_build_the_last_level_of_letters(rank, n, rows, monkeypa
 
 
 def _mixed_group():
-    # one short and one long translation: at n = 11 only some frontier
-    # blocks pass _RESCALE_AT, while the level as a whole does
+    # one short and one long translation: at n = 11 only some rows of the
+    # last level pass _RESCALE_AT
     return GroupRep((
         translation_along(Geodesic(IdealPoint(0.0), IdealPoint(math.pi)), 1.0),
         translation_along(Geodesic(IdealPoint(math.pi / 2), IdealPoint(3 * math.pi / 2)), 34.0),
@@ -409,26 +409,23 @@ def test_the_frontier_blocks_change_no_sample(make_group, n, monkeypatch, worker
     modes = ((SampleMode.AXIS_ENDPOINTS, 0.0), (SampleMode.ORBIT_PROJECTION, 0.85))
     monkeypatch.setattr(pool, "BLOCK_ROWS", 10**9)
     whole = [limit_sample(rep, DiskPoint(base), n, mode) for mode, base in modes]
-    [frontier] = [b for b in groups._word_blocks(rep, word_table(rep.rank, n))
-                  if b.letters.shape[1] == n]
+    *_, parents, frontier = oracles.word_levels(rep, n)
     # the rows of 1000 parents: the frontier in blocks, the last one short
     monkeypatch.setattr(pool, "BLOCK_ROWS", 1000 * (2 * rep.rank - 1))
     blocks = [b for b in groups._word_blocks(rep, word_table(rep.rank, n))
               if b.letters.shape[1] == n]
     assert len(blocks) > 2
-    assert np.array_equal(np.concatenate([b.letters for b in blocks]), frontier.letters)
-    # each block is the whole level's rows, or those rows times 2**256
-    # where the whole level passed _RESCALE_AT and the block did not
-    scales, at = set(), 0
-    for b in blocks:
-        rows = slice(at, at + len(b.a))
-        at += len(b.a)
-        scale = 1.0 if np.array_equal(b.a, frontier.a[rows]) else groups._RESCALE_AT
-        assert np.array_equal(b.a, frontier.a[rows] * scale)
-        assert np.array_equal(b.b, frontier.b[rows] * scale)
-        scales.add(scale)
+    # the range rule is row-local, so the blocks are the whole level's rows
+    for got, want in zip(map(np.concatenate, zip(*blocks)), frontier):
+        assert got.tobytes() == want.tobytes()
     if make_group is _mixed_group:
-        assert scales == {1.0, groups._RESCALE_AT}
+        # the rule divided some of the level's rows and not the others
+        fan = 2 * rep.rank - 1
+        la, lb = groups._letter_matrices(rep)
+        key = _letter_key(frontier.letters[:, -1].astype(np.intp))
+        product = np.repeat(parents.a, fan) * la[key] + np.repeat(parents.b, fan) * lb[key].conj()
+        passed = np.abs(product) > groups._RESCALE_AT
+        assert passed.any() and not passed.all()
     for s, (mode, base) in zip(whole, modes):
         blocked = limit_sample(rep, DiskPoint(base), n, mode)
         assert blocked.angles.tobytes() == s.angles.tobytes()
@@ -670,7 +667,8 @@ def test_attracting_angle_none_for_parabolic(cusped_torus):
 
 
 def scalar_attracting_angle(rep, w):
-    # the one-word loop in Python complex arithmetic that the batch replaced
+    # the one-word loop in Python complex arithmetic that the batch
+    # replaced, under the batch's range rule (groups._compose_rows)
     if not w.letters:
         return None
     # the cyclic split w = u v u^-1, v cyclically reduced
@@ -682,14 +680,12 @@ def scalar_attracting_angle(rep, w):
     for letter in v:
         g = rep.letter_isometry(letter)
         a, b = a * g.a + b * g.b.conjugate(), a * g.b + b * g.a.conjugate()
-        m = max(abs(a), abs(b))
-        if m > 1.0:
-            a /= m
-            b /= m
+        if abs(a) > groups._RESCALE_AT:
+            a /= groups._RESCALE_AT
+            b /= groups._RESCALE_AT
     if not is_certainly_hyperbolic(a, b):
         return None
     z, _ = circle_fixed_points(a, b)
-    z /= abs(z)
     for letter in reversed(u):
         g = rep.letter_isometry(letter)
         z = (g.a * z + g.b) / (g.b.conjugate() * z + g.a.conjugate())
@@ -800,6 +796,33 @@ def test_attracting_angles_match_the_column_mask_loop_on_a_shuffled_large_matrix
     got = attracting_angles(cusped_torus, letters)
     assert _same_angles(got, oracles.attracting_angles(cusped_torus, letters))
     assert np.isnan(got).any() and not np.isnan(got).all()
+
+
+@pytest.mark.parametrize("make_group, n", [
+    pytest.param(octagon_group, 5, id="octagon-n5"),
+    pytest.param(cusped_torus_group, 10, id="cusped-torus-n10"),
+    pytest.param(lambda: schottky_rank2(4.0), 10, id="schottky4-n10"),
+    pytest.param(_mixed_group, 11, id="mixed-n11"),  # the range rule fires
+    pytest.param(octagon_group, 1, id="octagon-n1"),
+    pytest.param(cusped_torus_group, 1, id="cusped-torus-n1"),
+])
+def test_attracting_angles_of_class_rows_are_the_tables_angles(make_group, n):
+    # boundary-map's theta_in and limit-set's attracting endpoints of the
+    # same cyclically reduced word come from the same products, bit for bit
+    rep = make_group()
+    classes = conjugacy_class_words(rep.rank, n)
+    length = np.count_nonzero(classes, axis=1)
+    want = np.full(len(classes), np.nan)
+    for level in oracles.word_levels(rep, n):
+        width = level.letters.shape[1]
+        index = {row.tobytes(): i for i, row in enumerate(level.letters)}
+        at = np.flatnonzero(length == width)
+        rows = [index[row.tobytes()] for row in classes[at, :width]]
+        a, b = level.a[rows], level.b[rows]
+        ok = is_certainly_hyperbolic(a, b)
+        want[at[ok]] = circle_angle(circle_fixed_points(a[ok], b[ok])[0])
+    assert not np.isnan(want).all()
+    assert _same_angles(attracting_angles(rep, classes), want)
 
 
 def test_limit_sample_and_attracting_angles_share_disks_guard_and_formula(
