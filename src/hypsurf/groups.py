@@ -23,7 +23,8 @@ order; and `disk.circle_net` keeps the earliest of exactly equal angles,
 so repeated runs are byte-identical.  Every product is row-local
 (`_compose_rows`), its range rule included: a row's bits depend on its row
 alone, so the blocks move no byte, and `attracting_angles` of a cyclically
-reduced row is the angle `limit_sample` takes from the table's product.
+reduced row is the angle `limit_sample` takes from the table's product of
+the row's root (the row itself unless it is a proper power).
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ DEFAULT_DELTA = 0.2
 #: beyond this entry magnitude the unit-determinant normalization of a
 #: word product is no longer certifiable in double precision
 MAX_ENTRY_MAGNITUDE = 1e6
-#: a product row whose |a| passes this is divided by it (`_compose_rows`)
+#: a product row whose |a| passes this is divided by the power of two that
+#: brings |a| into [1/2, 1) (`_compose_rows`)
 _RESCALE_AT = 2.0**256
 
 
@@ -153,8 +155,10 @@ def _compose_rows(pa: np.ndarray, pb: np.ndarray, ma: np.ndarray, mb: np.ndarray
     """Entries a, b of the row-wise products of [[pa, pb], [conj pb, conj pa]]
     and [[ma, mb], [conj mb, conj ma]]: a = pa ma + pb conj(mb) and
     b = pa mb + pb conj(ma), under the one range rule of every word
-    product: a row whose |a| passes `_RESCALE_AT` is divided by it, which
-    is exact and moves no fixed point.  ma and mb are overwritten.
+    product: a row whose |a| passes `_RESCALE_AT` is divided by the power
+    of two that brings |a| into [1/2, 1), which is exact and moves no
+    fixed point, so every row stays in range whatever its letters' sizes.
+    ma and mb are overwritten.
 
     Each product is one explicit call with its operands in this order,
     written to an array that is neither operand, so a row's value does not
@@ -171,10 +175,12 @@ def _compose_rows(pa: np.ndarray, pb: np.ndarray, ma: np.ndarray, mb: np.ndarray
     np.conjugate(ma, out=ma)
     np.multiply(pb, ma, out=term)
     b += term
-    big = np.abs(a) > _RESCALE_AT
+    size = np.abs(a)
+    big = size > _RESCALE_AT
     if big.any():
-        a[big] /= _RESCALE_AT
-        b[big] /= _RESCALE_AT
+        scale = np.ldexp(1.0, np.frexp(size[big])[1])
+        a[big] /= scale
+        b[big] /= scale
     return a, b
 
 
@@ -194,9 +200,9 @@ def _word_blocks(rep: GroupRep, words: np.ndarray,
     worker thread, and a consumer that drops each result never holds a full
     last level of matrices.  Level 1 carries the letters' own matrices; a
     longer word's is its parent row's times its last letter's
-    (`_compose_rows`), up to a positive scale: a row is divided by
-    `_RESCALE_AT` when its |a| passes it.  That rule is row-local, so
-    neither the blocking nor the number of workers changes a bit.
+    (`_compose_rows`), up to a positive scale: a row whose |a| passes
+    `_RESCALE_AT` is divided by a power of two.  That rule is row-local,
+    so neither the blocking nor the number of workers changes a bit.
     """
     n = words.shape[1]
     if n == 0:
@@ -387,16 +393,17 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
     w = u v u^-1 has its axis through the thick part of the orbit, so its
     fixed points come out of the scale-free formula of
     `disk.circle_fixed_points` on its product (`_compose_rows`, as in the
-    word table); the conjugator u is then applied letter by letter on the
-    circle, where reduced-word ping-pong makes every step a contraction.
-    Rows advance together, one letter column at a time: the products on
-    the rows in stable order of decreasing core length, the walk on the
-    hyperbolic rows in stable order of decreasing conjugator length, so
-    the rows a column takes are a prefix slice, and the angles are put
-    back in input order once, at the end.  A row's angle depends on its
-    row alone, so neither order nor the blocks a caller takes the rows in
-    moves a bit (`boundary.induced_boundary_sample` takes blocks, to bound
-    the memory of its temporaries).
+    word table), or on its root r's where v = r^j is a proper power; the
+    conjugator u is then applied letter by letter on the circle, where
+    reduced-word ping-pong makes every step a contraction.  Rows advance
+    together, one letter column at a time: the products on the rows in
+    stable order of decreasing core length, the walk on the hyperbolic
+    rows in stable order of decreasing conjugator length, so the rows a
+    column takes are a prefix slice, and the angles are put back in input
+    order once, at the end.  A row's angle depends on its row alone, so
+    neither order nor the blocks a caller takes the rows in moves a bit
+    (`boundary.induced_boundary_sample` takes blocks, to bound the memory
+    of its temporaries).
     """
     letters = np.asarray(letters)
     if letters.size and (letters.max() > rep.rank or letters.min() < -rep.rank):
@@ -432,13 +439,38 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
         # it is never read
         cores = np.take_along_axis(
             keys, np.minimum(start[order] + np.arange(span)[:, None], width - 1), axis=0)
+    live = count - np.cumsum(np.bincount(core))
+    # a core that is a proper power r^j has the fixed points of its root r,
+    # and r's product, unlike r^j's, gathers no rounding error with j.  A
+    # core of length m is a power of its first p letters, for p a proper
+    # divisor of m, where its letters repeat with period p; root[i] is the
+    # least such p of row i (written last), or 0.  The rows of core length
+    # m are live[m]:live[m-1].
+    root = np.zeros(count, dtype=np.intp)
+    for m in range(2, span + 1):
+        lo, hi = live[m], live[m - 1]
+        if lo == hi:
+            continue
+        for p in range(m // 2, 0, -1):
+            if m % p == 0:
+                same = (cores[p:m, lo:hi] == cores[:m - p, lo:hi]).all(axis=0)
+                root[lo + np.flatnonzero(same)] = p
+    # a power row keeps its product after its root's letters: snaps[p] are
+    # the rows whose root has p letters
+    power = np.flatnonzero(root)
+    snaps = {p: power[root[power] == p] for p in set(root[power].tolist())}
+    saved = []
     a = np.ones(count, dtype=complex)
     b = np.zeros(count, dtype=complex)
-    live = count - np.cumsum(np.bincount(core))
     for c in range(span):
         k = live[c]
         key = cores[c, :k]
         a[:k], b[:k] = _compose_rows(a[:k], b[:k], la[key], lb[key])
+        if c + 1 in snaps:
+            hit = snaps[c + 1]
+            saved.append((hit, a[hit], b[hit]))
+    for hit, x, y in saved:
+        a[hit], b[hit] = x, y
 
     ok = np.flatnonzero(is_certainly_hyperbolic(a, b))
     z, _ = circle_fixed_points(a[ok], b[ok])

@@ -127,10 +127,19 @@ def substitute_rows(images: tuple[GroupWord, ...], letters: np.ndarray) -> np.nd
     return out
 
 
+def root_length(v: tuple) -> int:
+    """Letters of the root r of a word v = r^j with j as large as can be, by
+    definition: the least p dividing len(v) for which v equals its rotation
+    by p letters."""
+    m = len(v)
+    return next((p for p in range(1, m) if m % p == 0 and v[p:] + v[:p] == v), m)
+
+
 def attracting_angles(rep, letters: np.ndarray) -> np.ndarray:
     """`groups.attracting_angles` with every letter column taken by a row
     mask: the live rows' letters, a and b are gathered, and the products
-    scattered back, in input row order."""
+    scattered back, in input row order.  A core's root comes from
+    `root_length`, one row at a time."""
     la, lb = _letter_matrices(rep)
     letters = np.asarray(letters).astype(np.intp)
     count = len(letters)
@@ -145,7 +154,8 @@ def attracting_angles(rep, letters: np.ndarray) -> np.ndarray:
         if not peel.any():
             break
         start += peel
-    core = length - 2 * start
+    core = np.array([root_length(tuple(row[s:m - s])) for row, s, m in zip(
+        letters.tolist(), start.tolist(), length.tolist())], dtype=np.intp)
 
     a = np.ones(count, dtype=complex)
     b = np.zeros(count, dtype=complex)

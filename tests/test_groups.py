@@ -668,7 +668,8 @@ def test_attracting_angle_none_for_parabolic(cusped_torus):
 
 def scalar_attracting_angle(rep, w):
     # the one-word loop in Python complex arithmetic that the batch
-    # replaced, under the batch's range rule (groups._compose_rows)
+    # replaced, under the batch's range rule (groups._compose_rows) and
+    # on the core's root
     if not w.letters:
         return None
     # the cyclic split w = u v u^-1, v cyclically reduced
@@ -677,12 +678,12 @@ def scalar_attracting_angle(rep, w):
         k += 1
     u, v = w.letters[:k], w.letters[k:n - k]
     a, b = 1.0 + 0.0j, 0.0j
-    for letter in v:
+    for letter in v[:oracles.root_length(v)]:
         g = rep.letter_isometry(letter)
         a, b = a * g.a + b * g.b.conjugate(), a * g.b + b * g.a.conjugate()
         if abs(a) > groups._RESCALE_AT:
-            a /= groups._RESCALE_AT
-            b /= groups._RESCALE_AT
+            scale = math.ldexp(1.0, math.frexp(abs(a))[1])
+            a, b = a / scale, b / scale
     if not is_certainly_hyperbolic(a, b):
         return None
     z, _ = circle_fixed_points(a, b)
@@ -769,6 +770,36 @@ def test_attracting_angles_agree_with_the_scalar_loop_and_mpmath(rep, words):
     assert angle_distance(got[spot], exact).max(initial=0.0) <= 4e-15
 
 
+def test_a_proper_power_takes_its_roots_angle_bit_for_bit(cusped_torus):
+    # r^j and u r^j u^-1 multiply only r, so no power drifts from its root
+    r, u = W("AAbaB"), W("bA")
+    for root, k in ((W("A"), 400), (r, 80)):
+        words = [GroupWord(root.letters * j) for j in range(1, k + 1)]
+        words += [u * w * u.inverse() for w in words]
+        got = attracting_angles(cusped_torus, letter_matrix(words))
+        assert not np.isnan(got).any()
+        assert np.array_equal(got[:k].view(np.uint64), np.repeat(got[0], k).view(np.uint64))
+        assert np.array_equal(got[k:].view(np.uint64), np.repeat(got[k], k).view(np.uint64))
+    # a word that only looks like a power: A A b A A b A A is no power
+    assert oracles.root_length(W("AAbAAbAA").letters) == 8
+
+
+def test_attracting_angles_stay_in_range_past_the_rescale_threshold():
+    # letters whose |a| passes _RESCALE_AT: a row is divided by its own
+    # power of two whenever a letter takes it past the threshold, so long
+    # words stay finite and right (one division by 2**256 overflowed)
+    rep = GroupRep((
+        translation_along(Geodesic(IdealPoint(0.6), IdealPoint(2.6)), 520.0),
+        translation_along(Geodesic(IdealPoint(3.9), IdealPoint(5.9)), 490.0),
+    ))
+    assert min(abs(rep.letter_isometry(k).a) for k in (1, 2)) > groups._RESCALE_AT
+    words = [w for w in _random_conjugates(rep, 80, random.Random(3)) if len(w) >= 10]
+    got = attracting_angles(rep, letter_matrix(words))
+    assert not np.isnan(got).any()
+    exact = np.array([mp_attracting_angle(rep, w) for w in words])
+    assert angle_distance(got, exact).max() <= 4e-15
+
+
 def _same_angles(got, ref):
     nan = np.isnan(ref)
     return (np.array_equal(np.isnan(got), nan)
@@ -807,17 +838,20 @@ def test_attracting_angles_match_the_column_mask_loop_on_a_shuffled_large_matrix
     pytest.param(cusped_torus_group, 1, id="cusped-torus-n1"),
 ])
 def test_attracting_angles_of_class_rows_are_the_tables_angles(make_group, n):
-    # boundary-map's theta_in and limit-set's attracting endpoints of the
-    # same cyclically reduced word come from the same products, bit for bit
+    # boundary-map's theta_in of a cyclically reduced word and limit-set's
+    # attracting endpoint of its root (the word itself unless a proper
+    # power) come from the same products, bit for bit
     rep = make_group()
     classes = conjugacy_class_words(rep.rank, n)
-    length = np.count_nonzero(classes, axis=1)
+    words = [tuple(x for x in row if x) for row in classes.tolist()]
+    roots = [w[:oracles.root_length(w)] for w in words]
+    assert (n > 1) == any(len(r) < len(w) for r, w in zip(roots, words))
     want = np.full(len(classes), np.nan)
     for level in oracles.word_levels(rep, n):
         width = level.letters.shape[1]
         index = {row.tobytes(): i for i, row in enumerate(level.letters)}
-        at = np.flatnonzero(length == width)
-        rows = [index[row.tobytes()] for row in classes[at, :width]]
+        at = np.array([k for k, r in enumerate(roots) if len(r) == width], dtype=np.intp)
+        rows = [index[np.array(roots[k], dtype=np.int8).tobytes()] for k in at]
         a, b = level.a[rows], level.b[rows]
         ok = is_certainly_hyperbolic(a, b)
         want[at[ok]] = circle_angle(circle_fixed_points(a[ok], b[ok])[0])
