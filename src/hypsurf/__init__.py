@@ -13,7 +13,6 @@ from hypsurf.disk import (
     Geodesic,
     IdealPoint,
     MobiusIsometry,
-    apply,
     translation_along,
 )
 from hypsurf.words import GroupWord
@@ -58,7 +57,6 @@ from hypsurf.boundary import (
     induced_boundary_sample,
     is_boundary_identity,
     order_check,
-    random_nielsen_automorphism,
 )
 
 __version__ = "0.1.0"

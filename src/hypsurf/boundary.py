@@ -119,49 +119,6 @@ class FreeAutomorphism:
             f"{chr(ord('A') + i)}={w}" for i, w in enumerate(self.images)
         )
 
-    def compose(self, other: "FreeAutomorphism") -> "FreeAutomorphism":
-        """self after other."""
-        if self.rank != other.rank:
-            raise InvalidInput("rank mismatch")
-        return FreeAutomorphism(tuple(substitute(self.images, w) for w in other.images))
-
-
-def random_nielsen_automorphism(
-    rank: int,
-    n_moves: int,
-    rng,
-    max_total_image_length: Optional[int] = None,
-) -> FreeAutomorphism:
-    """Composition of n_moves random transvections x_i -> x_i x_j^+-1 or
-    x_j^+-1 x_i.
-
-    Transvections are the orientation-preserving elementary moves (their
-    abelianizations have determinant one), so the induced boundary maps
-    of the resulting automorphisms preserve the cyclic order.  With
-    ``max_total_image_length`` set, compositions whose images exceed it
-    are redrawn: unboundedly long images push the sampled fixed points
-    deeper into the boundary set than double precision can separate.
-    """
-    if rank < 2:
-        raise InvalidInput("transvections need rank >= 2")
-    while True:
-        phi = FreeAutomorphism.identity(rank)
-        for _ in range(n_moves):
-            i = rng.randrange(rank)
-            j = rng.randrange(rank - 1)
-            if j >= i:
-                j += 1
-            sign = rng.choice((1, -1))
-            on_left = rng.choice((False, True))
-            t = GroupWord.generator(j, sign)
-            x = GroupWord.generator(i)
-            imgs = [GroupWord.generator(k) for k in range(rank)]
-            imgs[i] = t * x if on_left else x * t
-            phi = phi.compose(FreeAutomorphism(tuple(imgs)))
-        total = sum(len(w) for w in phi.images)
-        if max_total_image_length is None or total <= max_total_image_length:
-            return phi
-
 
 # ---------------------------------------------------------------------------
 # sampling

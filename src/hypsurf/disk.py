@@ -34,6 +34,8 @@ TWO_PI = 2.0 * math.pi
 
 #: drift tolerance for the det-1 normalization of isometry matrices
 TOL_MATRIX = 1e-12
+#: past this entry size |a|^2 - |b|^2 = 1 is below the rounding of |a|^2
+MAX_CERTIFIED_ENTRY = 2.0**26
 #: angular tolerance for ideal-point dedup and geodesic degeneracy
 TOL_ANGLE = 1e-9
 #: hyperbolic means |b|^2 - (Im a)^2 > TOL_AXIS * |a|^2 (`is_certainly_hyperbolic`)
@@ -258,7 +260,8 @@ class MobiusIsometry:
 
     ``a`` and ``b`` are renormalized at construction so |a|^2 - |b|^2 = 1
     exactly (up to rounding), which keeps the entries meaningful over long
-    compositions.
+    compositions; an entry of modulus `MAX_CERTIFIED_ENTRY` or more raises
+    NumericFailure.
     """
 
     a: complex
@@ -267,12 +270,11 @@ class MobiusIsometry:
     def __post_init__(self):
         a = complex(self.a)
         b = complex(self.b)
-        try:
-            q = abs(a) ** 2 - abs(b) ** 2
-        except OverflowError:  # a float ** raises where * would give inf
-            q = math.inf
-        if not math.isfinite(q) or q <= 0.0:
-            if max(abs(a), abs(b)) > 1e7:
+        size = max(abs(a), abs(b))
+        q = abs(a) ** 2 - abs(b) ** 2 if size < MAX_CERTIFIED_ENTRY else math.nan
+        if not q > 0.0:
+            # past 1e7 a q <= 0 may be rounding's: its error is about |a|^2 * 1e-16
+            if size > 1e7:
                 raise NumericFailure(
                     "entries too large to certify a unit determinant "
                     f"(|a| = {abs(a):.3g}, |b| = {abs(b):.3g})"
@@ -301,22 +303,6 @@ class MobiusIsometry:
 
     def inverse(self) -> "MobiusIsometry":
         return MobiusIsometry(self.a.conjugate(), -self.b)
-
-
-def apply(m: MobiusIsometry, x: DiskPoint | IdealPoint):
-    """Apply an isometry; DiskPoint in, DiskPoint out, same for IdealPoint."""
-    if isinstance(x, DiskPoint):
-        den = m.b.conjugate() * x.z + m.a.conjugate()
-        if abs(den) < 1e-300:
-            raise NumericFailure("isometry denominator underflow")
-        w = (m.a * x.z + m.b) / den
-        if abs(w) >= 1.0:
-            raise NumericFailure("image escaped the open disk (boundary overflow)")
-        return DiskPoint(w)
-    if isinstance(x, IdealPoint):
-        w = (m.a * x.z + m.b) / (m.b.conjugate() * x.z + m.a.conjugate())
-        return IdealPoint(cmath.phase(w))
-    raise InvalidInput(f"cannot apply an isometry to {type(x).__name__}")
 
 
 def is_certainly_hyperbolic(a, b):
@@ -365,9 +351,11 @@ def translation_along(g: Geodesic, length: float) -> MobiusIsometry:
     m12 = (q * p * u - p * q * v) / det
     m21 = (-u + v) / det
     m22 = (p * u - q * v) / det
-    # exact arithmetic gives SU(1,1) form; symmetrize away the rounding
+    # exact arithmetic gives SU(1,1) form; symmetrize away the rounding,
+    # which grows with the entries (the halved sums' moduli cannot overflow)
     a = 0.5 * (m11 + m22.conjugate())
     b = 0.5 * (m12 + m21.conjugate())
-    if abs(m11 - m22.conjugate()) > 1e-8 or abs(m12 - m21.conjugate()) > 1e-8:
+    if (abs(m11 - m22.conjugate()) > 1e-8 * max(1.0, abs(a))
+            or abs(m12 - m21.conjugate()) > 1e-8 * max(1.0, abs(b))):
         raise NumericFailure("translation construction drifted off SU(1,1)")
     return MobiusIsometry(a, b)

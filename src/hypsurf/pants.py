@@ -68,9 +68,6 @@ class PantsGeometry:
     area: ClassVar[float] = PANTS_AREA
     cusp_horocycle: ClassVar[float] = CUSP_HOROCYCLE_LENGTH
 
-    def seams(self) -> tuple[float, float, float]:
-        return (self.d12, self.d23, self.d31)
-
     def to_json(self) -> dict:
         def enc(x: float):
             return "inf" if math.isinf(x) else x
@@ -134,23 +131,6 @@ def build_pants(x: CuffLengths) -> PantsGeometry:
         d23=_seam(x2, x3, x1),
         d31=_seam(x3, x1, x2),
     )
-
-
-def hexagon_identity_residual(x: CuffLengths, geometry: PantsGeometry) -> float:
-    """Max defect of the right-angled-hexagon identity over the three
-    cuff/seam matchings; cusp-adjacent (infinite) seams are skipped."""
-    xs = x.as_tuple()
-    seams = geometry.seams()
-    worst = 0.0
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        d = seams[i]  # seams are (d12, d23, d31): seams[i] joins cuffs i and (i+1) % 3
-        if math.isinf(d):
-            continue
-        lhs = math.sinh(0.5 * xs[i]) * math.sinh(0.5 * xs[j]) * math.cosh(d)
-        rhs = math.cosh(0.5 * xs[i]) * math.cosh(0.5 * xs[j]) + math.cosh(0.5 * xs[k])
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -289,14 +289,3 @@ def thirteen_list() -> list[tuple[str, SurfaceDescription]]:
     """The 13 surfaces with no standard metric, with their fixed names."""
     return [(name, d) for d, name in _THIRTEEN.items()]
 
-
-def all_finite_descriptions(max_complexity: int) -> list[FiniteType]:
-    """All finite-type descriptions with 2g + c + b + a <= max_complexity,
-    in lexicographic order; handy for exhaustive classifier scans."""
-    out = []
-    for g in range(max_complexity // 2 + 1):
-        for c in range(max_complexity - 2 * g + 1):
-            for b in range(max_complexity - 2 * g - c + 1):
-                for a in range(max_complexity - 2 * g - c - b + 1):
-                    out.append(FiniteType(Signature(g, c, b, a)))
-    return out

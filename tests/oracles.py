@@ -1,8 +1,12 @@
-"""Reference implementations that the array fast paths replaced, and
-references that tests of the library measure against.
+"""Reference implementations that the array fast paths replaced,
+references that tests of the library measure against, and the fixtures
+that only tests run: random Nielsen automorphisms, the point action of an
+isometry, the hexagon identity of a pants and the scan of finite
+descriptions.
 
-They are kept only as test oracles: each new path must reproduce its
-reference exactly, arrays bit for bit, dtype and shape included.
+The references are kept only as test oracles: each new path must
+reproduce its reference exactly, arrays bit for bit, dtype and shape
+included.
 """
 
 from __future__ import annotations
@@ -22,11 +26,13 @@ from hypsurf.words import (
     substitute,
     word_count,
 )
-from hypsurf.boundary import BoundaryIdentityResult
+from hypsurf.boundary import BoundaryIdentityResult, FreeAutomorphism
 from hypsurf.disk import (
     TOL_ANGLE,
     TWO_PI,
     DiskPoint,
+    IdealPoint,
+    MobiusIsometry,
     circle_angle,
     circle_fixed_points,
     is_certainly_hyperbolic,
@@ -50,8 +56,8 @@ from hypsurf.groups import (
     _letter_matrices,
     _word_blocks,
 )
-from hypsurf.pants import DEFAULT_GLUING_LENGTH
-from hypsurf.signature import Signature
+from hypsurf.pants import DEFAULT_GLUING_LENGTH, CuffLengths, PantsGeometry
+from hypsurf.signature import FiniteType, Signature
 from hypsurf.text import dump_json
 
 
@@ -203,6 +209,38 @@ def _identity_images(rank: int) -> tuple[GroupWord, ...]:
     return tuple(GroupWord.generator(i) for i in range(rank))
 
 
+def random_nielsen_automorphism(rank: int, n_moves: int, rng,
+                                max_total_image_length: int | None = None) -> FreeAutomorphism:
+    """Composition of n_moves random transvections x_i -> x_i x_j^+-1 or
+    x_j^+-1 x_i.
+
+    Transvections are the orientation-preserving elementary moves (their
+    abelianizations have determinant one), so the induced boundary maps
+    of the resulting automorphisms preserve the cyclic order.  With
+    ``max_total_image_length`` set, compositions whose images exceed it
+    are redrawn: unboundedly long images push the sampled fixed points
+    deeper into the boundary set than double precision can separate.
+    """
+    if rank < 2:
+        raise InvalidInput("transvections need rank >= 2")
+    while True:
+        images = _identity_images(rank)
+        for _ in range(n_moves):
+            i = rng.randrange(rank)
+            j = rng.randrange(rank - 1)
+            if j >= i:
+                j += 1
+            sign = rng.choice((1, -1))
+            on_left = rng.choice((False, True))
+            t = GroupWord.generator(j, sign)
+            x = GroupWord.generator(i)
+            move = list(_identity_images(rank))
+            move[i] = t * x if on_left else x * t
+            images = compose_images(images, tuple(move))
+        if max_total_image_length is None or sum(map(len, images)) <= max_total_image_length:
+            return FreeAutomorphism(images)
+
+
 class PlateauCapReached(Exception):
     """`invert_images` gave up: neither an inverse nor a proof."""
 
@@ -314,6 +352,35 @@ def invert_images(images: tuple[GroupWord, ...]) -> tuple[GroupWord, ...]:
     gens = _identity_images(rank)
     assert compose_images(images, inv) == gens and compose_images(inv, images) == gens
     return inv
+
+
+def hexagon_identity_residual(x: CuffLengths, geometry: PantsGeometry) -> float:
+    """Max defect of the right-angled-hexagon identity over the three
+    cuff/seam matchings; cusp-adjacent (infinite) seams are skipped."""
+    xs = x.as_tuple()
+    seams = (geometry.d12, geometry.d23, geometry.d31)
+    worst = 0.0
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        d = seams[i]  # seams[i] joins cuffs i and (i+1) % 3
+        if math.isinf(d):
+            continue
+        lhs = math.sinh(0.5 * xs[i]) * math.sinh(0.5 * xs[j]) * math.cosh(d)
+        rhs = math.cosh(0.5 * xs[i]) * math.cosh(0.5 * xs[j]) + math.cosh(0.5 * xs[k])
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return worst
+
+
+def all_finite_descriptions(max_complexity: int) -> list[FiniteType]:
+    """All finite-type descriptions with 2g + c + b + a <= max_complexity,
+    in lexicographic order; for exhaustive classifier scans."""
+    out = []
+    for g in range(max_complexity // 2 + 1):
+        for c in range(max_complexity - 2 * g + 1):
+            for b in range(max_complexity - 2 * g - c + 1):
+                for a in range(max_complexity - 2 * g - c - b + 1):
+                    out.append(FiniteType(Signature(g, c, b, a)))
+    return out
 
 
 def plan_decomposition(
@@ -537,6 +604,22 @@ def inner_conjugator(images: tuple[GroupWord, ...], m: int):
         if all(g * GroupWord.generator(i) * ginv == w for i, w in enumerate(images)):
             return g
     return None
+
+
+def apply(m: MobiusIsometry, x: DiskPoint | IdealPoint):
+    """Apply an isometry; DiskPoint in, DiskPoint out, same for IdealPoint."""
+    if isinstance(x, DiskPoint):
+        den = m.b.conjugate() * x.z + m.a.conjugate()
+        if abs(den) < 1e-300:
+            raise NumericFailure("isometry denominator underflow")
+        w = (m.a * x.z + m.b) / den
+        if abs(w) >= 1.0:
+            raise NumericFailure("image escaped the open disk (boundary overflow)")
+        return DiskPoint(w)
+    if isinstance(x, IdealPoint):
+        w = (m.a * x.z + m.b) / (m.b.conjugate() * x.z + m.a.conjugate())
+        return IdealPoint(cmath.phase(w))
+    raise InvalidInput(f"cannot apply an isometry to {type(x).__name__}")
 
 
 def hyp_distance(p: DiskPoint, q: DiskPoint) -> float:

@@ -17,9 +17,8 @@ from hypsurf.boundary import (
     induced_boundary_sample,
     is_boundary_identity,
     order_check,
-    random_nielsen_automorphism,
 )
-from hypsurf.disk import DiskPoint, IdealPoint, apply
+from hypsurf.disk import DiskPoint, IdealPoint
 from hypsurf.errors import NonorientableDoubleUnsupported
 from hypsurf.groups import (
     SampleMode,
@@ -31,14 +30,13 @@ from hypsurf.groups import (
     octagon_group,
     schottky_rank2,
 )
-from hypsurf.pants import CuffLengths, build_pants, hexagon_identity_residual, plan_decomposition, realize
+from hypsurf.pants import CuffLengths, build_pants, plan_decomposition, realize
 from hypsurf.signature import (
     FiniteType,
     HalfPlaneSurface,
     InfiniteType,
     Signature,
     Strip,
-    all_finite_descriptions,
     double,
     doubling_report,
     euler_characteristic,
@@ -47,6 +45,13 @@ from hypsurf.signature import (
 )
 from hypsurf.text import dump_json
 from hypsurf.words import GroupWord, word_count
+
+from oracles import (
+    all_finite_descriptions,
+    apply,
+    hexagon_identity_residual,
+    random_nielsen_automorphism,
+)
 
 WORD_CAP = 5_000_000
 

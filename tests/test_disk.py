@@ -14,10 +14,10 @@ from hypsurf.disk import (
     DiskPoint,
     Geodesic,
     IdealPoint,
+    MAX_CERTIFIED_ENTRY,
     MobiusIsometry,
     TWO_PI,
     angle_distance,
-    apply,
     circle_angle,
     circle_fixed_points,
     circle_net,
@@ -28,7 +28,7 @@ from hypsurf.disk import (
 from hypsurf.errors import CoincidentPoints, InvalidInput, NonpositiveLength, NumericFailure
 
 import oracles
-from oracles import hyp_distance
+from oracles import apply, hyp_distance
 
 LN3 = 1.0986122886681098  # 2 * atanh(1/2), cross-checked by quadrature below
 
@@ -411,13 +411,33 @@ def test_apply_overflow_near_boundary_raises():
 
 
 # 1000: the squares of the entries overflow a float, 1500: the entries
-# themselves; both once raised a bare OverflowError
-@pytest.mark.parametrize("length", [80.0, 1000.0, 1500.0, 1e300])
+# themselves; both once raised a bare OverflowError.  1419.5 off the
+# diameter: the entries' moduli overflow although their parts do not
+@pytest.mark.parametrize("length", [80.0, 1000.0, 1419.5, 1500.0, 1e300])
 def test_giant_translation_overflows_as_numeric_failure(length):
-    with pytest.raises(NumericFailure):
-        translation_along(Geodesic(IdealPoint(0), IdealPoint(math.pi)), length)
+    for ends in ((0.0, math.pi), (0.0, 1.0)):
+        with pytest.raises(NumericFailure):
+            translation_along(Geodesic(IdealPoint(ends[0]), IdealPoint(ends[1])), length)
     with pytest.raises(NumericFailure, match="^entries too large"):
         MobiusIsometry(1e200, 1e200)
+
+
+def test_a_translation_builds_below_the_certified_size_or_raises():
+    # lengths 1 to 711.75 on four geodesics.  A translation by t has
+    # Re a = cosh(t/2), so none builds from 2 acosh(2**26) (about 37.43)
+    # on; once 252 of these built with |a| past 2**26 by rounding luck,
+    # up to about 2**511
+    limit = 2.0 * math.acosh(MAX_CERTIFIED_ENTRY)
+    for ends in ((0.6, 2.6), (3.9, 5.9), (0.3, 2.0), (0.0, math.pi)):
+        g = Geodesic(IdealPoint(ends[0]), IdealPoint(ends[1]))
+        for length in np.arange(4, 2848) / 4:
+            try:
+                m = translation_along(g, float(length))
+            except NumericFailure:
+                assert length > 30.0  # every shorter one builds
+                continue
+            assert length < limit
+            assert max(abs(m.a), abs(m.b)) < MAX_CERTIFIED_ENTRY
 
 
 def test_classify_rotation_elliptic():

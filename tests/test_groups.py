@@ -14,8 +14,8 @@ from hypsurf.disk import (
     Geodesic,
     IdealPoint,
     MobiusIsometry,
+    MAX_CERTIFIED_ENTRY,
     angle_distance,
-    apply,
     circle_angle,
     circle_fixed_points,
     circle_net,
@@ -59,6 +59,7 @@ from hypsurf.words import (
 )
 
 import oracles
+from oracles import apply
 
 W = GroupWord.from_string
 
@@ -784,17 +785,38 @@ def test_a_proper_power_takes_its_roots_angle_bit_for_bit(cusped_torus):
     assert oracles.root_length(W("AAbAAbAA").letters) == 8
 
 
-def test_attracting_angles_stay_in_range_past_the_rescale_threshold():
-    # letters whose |a| passes _RESCALE_AT: a row is divided by its own
-    # power of two whenever a letter takes it past the threshold, so long
-    # words stay finite and right (one division by 2**256 overflowed)
+def test_attracting_angles_stay_in_range_past_the_rescale_threshold(monkeypatch):
+    # letters just under the certified size, |a| about 0.96 * 2**26, and
+    # cores of at least 20 of them: a row is divided by its own power of
+    # two whenever a letter takes it past _RESCALE_AT, so long words stay
+    # finite and right (one division by 2**256 overflowed)
     rep = GroupRep((
-        translation_along(Geodesic(IdealPoint(0.6), IdealPoint(2.6)), 520.0),
-        translation_along(Geodesic(IdealPoint(3.9), IdealPoint(5.9)), 490.0),
+        translation_along(Geodesic(IdealPoint(0.6), IdealPoint(2.6)), 37.0),
+        translation_along(Geodesic(IdealPoint(3.9), IdealPoint(5.9)), 37.0),
     ))
-    assert min(abs(rep.letter_isometry(k).a) for k in (1, 2)) > groups._RESCALE_AT
-    words = [w for w in _random_conjugates(rep, 80, random.Random(3)) if len(w) >= 10]
+    assert min(abs(rep.letter_isometry(k).a) for k in (1, 2)) > 0.95 * MAX_CERTIFIED_ENTRY
+
+    def core(w):
+        k, n = 0, len(w)
+        while n - 2 * k >= 2 and w.letters[k] == -w.letters[n - 1 - k]:
+            k += 1
+        return n - 2 * k
+
+    words = [w for w in _random_conjugates(rep, 200, random.Random(3)) if core(w) >= 20]
+    assert len(words) >= 40
+    # a divided row leaves _compose_rows with |a| < 1, which no product of
+    # unit-determinant matrices has; the rows a call takes are a prefix
+    divisions = np.zeros(len(words), dtype=int)
+    compose_rows = groups._compose_rows
+
+    def counted(*args):
+        a, b = compose_rows(*args)
+        divisions[:len(a)] += np.abs(a) < 1.0
+        return a, b
+
+    monkeypatch.setattr(groups, "_compose_rows", counted)
     got = attracting_angles(rep, letter_matrix(words))
+    assert divisions.min() >= 2
     assert not np.isnan(got).any()
     exact = np.array([mp_attracting_angle(rep, w) for w in words])
     assert angle_distance(got, exact).max() <= 4e-15

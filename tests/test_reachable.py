@@ -31,18 +31,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(hypsurf.__file__).resolve().parent
 
 TRACER_NAMED = "perfbench's tracer rebinds it"
-ACCEPTANCE_ONLY = "only tests/test_acceptance.py runs it"
 
 UNREACHED = {
     "groups.attracting_angle": TRACER_NAMED,
     "words.enumerate_reduced_words": TRACER_NAMED,
     "words.invert_images": TRACER_NAMED,
-    "boundary.random_nielsen_automorphism": ACCEPTANCE_ONLY,
-    "boundary.FreeAutomorphism.compose": ACCEPTANCE_ONLY,
-    "disk.apply": ACCEPTANCE_ONLY,
-    "pants.hexagon_identity_residual": ACCEPTANCE_ONLY,
-    "pants.PantsGeometry.seams": ACCEPTANCE_ONLY,
-    "signature.all_finite_descriptions": ACCEPTANCE_ONLY,
     "pants._raise_accounting":
         "the CLI builds plans only with plan_decomposition, whose slot accounting closes",
     "errors.OrderViolation.__init__":

@@ -16,7 +16,6 @@ from hypsurf.signature import (
     Reason,
     Signature,
     Strip,
-    all_finite_descriptions,
     description_from_json,
     description_to_json,
     double,
@@ -25,6 +24,8 @@ from hypsurf.signature import (
     is_standard,
     thirteen_list,
 )
+
+from oracles import all_finite_descriptions
 
 S = Signature
 FT = FiniteType
