@@ -273,8 +273,10 @@ class MobiusIsometry:
         size = max(abs(a), abs(b))
         q = abs(a) ** 2 - abs(b) ** 2 if size < MAX_CERTIFIED_ENTRY else math.nan
         if not q > 0.0:
-            # past 1e7 a q <= 0 may be rounding's: its error is about |a|^2 * 1e-16
-            if size > 1e7:
+            # past 1e7 a q <= 0 may be rounding's: its error is about |a|^2 * 1e-16.
+            # A NaN part is no matrix at any size; max() would hide it behind
+            # a first argument that is not NaN
+            if size > 1e7 and not (cmath.isnan(a) or cmath.isnan(b)):
                 raise NumericFailure(
                     "entries too large to certify a unit determinant "
                     f"(|a| = {abs(a):.3g}, |b| = {abs(b):.3g})"
@@ -344,8 +346,7 @@ def translation_along(g: Geodesic, length: float) -> MobiusIsometry:
     try:
         v = math.exp(0.5 * length)
     except OverflowError:
-        raise NumericFailure(f"translation length {length!r} is too long: "
-                             "its matrix entries overflow double precision") from None
+        v = math.inf  # the entries' check below refuses it
     det = p - q  # det of S = [[1, -p], [1, -q]]
     m11 = (-q * u + p * v) / det
     m12 = (q * p * u - p * q * v) / det
@@ -355,6 +356,11 @@ def translation_along(g: Geodesic, length: float) -> MobiusIsometry:
     # which grows with the entries (the halved sums' moduli cannot overflow)
     a = 0.5 * (m11 + m22.conjugate())
     b = 0.5 * (m12 + m21.conjugate())
+    # past a length of about 1419 a part of an entry or of a sum overflows,
+    # and a part of a or b is inf or NaN: no matrix, but a numeric failure
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise NumericFailure(f"translation length {length!r} is too long: "
+                             "its matrix entries overflow double precision")
     if (abs(m11 - m22.conjugate()) > 1e-8 * max(1.0, abs(a))
             or abs(m12 - m21.conjugate()) > 1e-8 * max(1.0, abs(b))):
         raise NumericFailure("translation construction drifted off SU(1,1)")

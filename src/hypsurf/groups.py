@@ -33,7 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
+from itertools import combinations, groupby
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -538,20 +538,22 @@ def schottky_rank2(separation: float) -> GroupRep:
     g2 = translation_along(
         Geodesic(IdealPoint(math.pi / 2.0), IdealPoint(3.0 * math.pi / 2.0)), separation
     )
-    circles = []
-    for g in (g1, g2):
-        r = 1.0 / abs(g.b)
-        circles.append((-g.a.conjugate() / g.b.conjugate(), r))  # g's isometric circle
-        circles.append((g.a / g.b.conjugate(), r))               # g^-1's
-    for i in range(4):
-        for j in range(i + 1, 4):
-            c1, r1 = circles[i]
-            c2, r2 = circles[j]
-            if abs(c1 - c2) <= r1 + r2:
-                raise CirclesOverlap(
-                    f"isometric circles overlap at separation {separation}; "
-                    "ping-pong condition fails"
-                )
+    # below a separation of about 2e-16 both exp(+-s/2) round to 1: a letter
+    # with b = 0 fixes 0, has no isometric circle, and plays no ping-pong
+    overlap = g1.b == 0 or g2.b == 0
+    if not overlap:
+        circles = []
+        for g in (g1, g2):
+            r = 1.0 / abs(g.b)
+            circles.append((-g.a.conjugate() / g.b.conjugate(), r))  # g's isometric circle
+            circles.append((g.a / g.b.conjugate(), r))               # g^-1's
+        overlap = any(abs(c1 - c2) <= r1 + r2
+                      for (c1, r1), (c2, r2) in combinations(circles, 2))
+    if overlap:
+        raise CirclesOverlap(
+            f"isometric circles overlap at separation {separation}; "
+            "ping-pong condition fails"
+        )
     return GroupRep((g1, g2), label="schottky")
 
 

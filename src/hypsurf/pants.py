@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, NoReturn
+from typing import ClassVar
 
 from hypsurf.errors import (
     BudgetExceeded,
@@ -216,31 +216,61 @@ def plan_decomposition(
 
 
 def _check_plan(plan: PantsDecompositionPlan) -> None:
-    """The one check of a plan and of its cuffs, linear in its size.
+    """The one check of a plan and of its cuffs, one linear pass.
 
-    The columns, each pants and each gluing are tuples, so a plan that
-    passed stays as it was checked.  Every pants has three cuffs, every
-    gluing two slots, and the claimed slots (both of each gluing, each
-    crosscap, boundary and cusp) are the ints 0 .. 3P - 1, each claimed
-    once; otherwise InvalidInput naming the fault.  Every cuff is a finite
-    float (InvalidInput) and at least +0 (NegativeLength, -0.0 included),
-    the two cuffs of a gluing are equal and a cusp's cuff is 0
-    (LengthMismatch), and a crosscap's cuff is positive (NegativeLength).
+    Each test runs on a whole column at once, and only a failing test
+    walks the column to name its first offender, so a valid plan builds
+    no slot names.  The faults are InvalidInput, named in this order: a
+    column that is not a tuple, so a plan that passed stays as it was
+    checked; a pants that is not a tuple of three cuffs; a gluing that is
+    not a tuple of two slots; in claim order (both slots of each gluing,
+    then each crosscap, boundary and cusp), a slot that is not an int or
+    is claimed twice; then the slots 0 .. 3P - 1 left unclaimed and the
+    claims outside them.  An in-range slot is named `p{i}.c{k}`, any other
+    by its value.  Then every cuff is a finite float (InvalidInput) and
+    at least +0 (NegativeLength, -0.0 included), the two cuffs of a
+    gluing are equal (LengthMismatch), a crosscap's and a boundary's cuff
+    are positive (NegativeLength), and a cusp's cuff is 0 (LengthMismatch).
     """
     columns = (plan.pants, plan.gluings, plan.crosscaps, plan.boundary, plan.cusps)
-    if not ({*map(type, columns)} <= {tuple}
-            and {*map(type, plan.pants), *map(type, plan.gluings)} <= {tuple}):
-        _raise_accounting(plan)
+    if not {*map(type, columns)} <= {tuple}:
+        fields = ("pants", "gluings", "crosscaps", "boundary", "cusps")
+        name, column = next((f, c) for f, c in zip(fields, columns) if type(c) is not tuple)
+        raise InvalidInput(f"plan column {name} has type {type(column).__name__}, not tuple")
+    # `and` takes len only of tuples
+    if not ({*map(type, plan.pants)} <= {tuple} and {*map(len, plan.pants)} <= {3}):
+        i, p = next((i, p) for i, p in enumerate(plan.pants) if type(p) is not tuple or len(p) != 3)
+        if type(p) is not tuple:
+            raise InvalidInput(f"pants p{i} has type {type(p).__name__}, not tuple")
+        raise InvalidInput(f"pants p{i} has {len(p)} cuffs, not 3")
+    if not ({*map(type, plan.gluings)} <= {tuple} and {*map(len, plan.gluings)} <= {2}):
+        g = next(g for g in plan.gluings if type(g) is not tuple or len(g) != 2)
+        if type(g) is not tuple:
+            raise InvalidInput(f"gluing {g!r} has type {type(g).__name__}, not tuple")
+        raise InvalidInput(f"gluing {g!r} has {len(g)} slots, not 2")
     claimed = list(itertools.chain.from_iterable(plan.gluings))
     claimed += plan.crosscaps
     claimed += plan.boundary
     claimed += plan.cusps
     n = 3 * len(plan.pants)
-    if not ({*map(len, plan.pants)} <= {3} and {*map(len, plan.gluings)} <= {2}
-            and {*map(type, claimed)} <= {int}
-            and len(claimed) == len(set(claimed)) == n
-            and min(claimed, default=0) >= 0 and max(claimed, default=0) < n):
-        _raise_accounting(plan)
+    # `and` hashes only ints; the walk below always finds the first bad claim
+    if not ({*map(type, claimed)} <= {int} and len(claimed) == len(set(claimed))):
+        kinds = zip(("gluing", "crosscap", "boundary", "cusp"),
+                    (2 * len(plan.gluings), *map(len, columns[2:])))
+        hows = [how for how, k in kinds for _ in range(k)]
+        seen: dict[int, str] = {}
+        for slot, how in zip(claimed, hows):
+            if type(slot) is not int:
+                raise InvalidInput(f"{how} slot {slot!r} is not an int")
+            if slot in seen:
+                name = slot_names(n // 3)[slot] if 0 <= slot < n else slot
+                raise InvalidInput(f"slot {name} used twice ({seen[slot]} and {how})")
+            seen[slot] = how
+    if not (len(claimed) == n and min(claimed, default=0) >= 0 and max(claimed, default=0) < n):
+        taken = set(claimed)
+        missing = [name for s, name in enumerate(slot_names(n // 3)) if s not in taken]
+        extra = [s for s in claimed if not 0 <= s < n]
+        raise InvalidInput(f"slot accounting broken: missing {missing}, extra {extra}")
     cuffs = list(itertools.chain.from_iterable(plan.pants))
     if not {*map(type, cuffs)} <= {float}:
         slot = next(i for i, x in enumerate(cuffs) if type(x) is not float)
@@ -256,53 +286,14 @@ def _check_plan(plan: PantsDecompositionPlan) -> None:
         names = slot_names(n // 3)
         unequal = [f"{names[i]}={cuffs[i]!r} to {names[j]}={cuffs[j]!r}" for i, j in unequal]
         raise LengthMismatch(f"{len(unequal)} gluings join unequal cuffs: {', '.join(unequal)}")
-    for slot in plan.crosscaps:
-        if cuffs[slot] == 0.0:
-            raise NegativeLength(f"crosscap cuff {slot_names(n // 3)[slot]} needs positive length")
+    for how, column in (("crosscap", plan.crosscaps), ("boundary", plan.boundary)):
+        for slot in column:
+            if cuffs[slot] == 0.0:
+                raise NegativeLength(f"{how} cuff {slot_names(n // 3)[slot]} needs positive length")
     for slot in plan.cusps:
         if cuffs[slot] != 0.0:
             raise LengthMismatch(
                 f"cusp cuff {slot_names(n // 3)[slot]} = {cuffs[slot]!r} must be 0")
-
-
-def _raise_accounting(plan: PantsDecompositionPlan) -> NoReturn:
-    """Name what breaks a plan's slot accounting: a column that is not a
-    tuple, a pants that is not a tuple of three cuffs, a gluing that is not
-    a tuple of two slots, then the claims in order (a slot that is not an
-    int, a slot used twice), then missing and extra slots.  An in-range
-    slot is named `p{i}.c{k}`, any other by its value."""
-    for name in ("pants", "gluings", "crosscaps", "boundary", "cusps"):
-        column = getattr(plan, name)
-        if type(column) is not tuple:
-            raise InvalidInput(f"plan column {name} has type {type(column).__name__}, not tuple")
-    for i, p in enumerate(plan.pants):
-        if type(p) is not tuple:
-            raise InvalidInput(f"pants p{i} has type {type(p).__name__}, not tuple")
-        if len(p) != 3:
-            raise InvalidInput(f"pants p{i} has {len(p)} cuffs, not 3")
-    for g in plan.gluings:
-        if type(g) is not tuple:
-            raise InvalidInput(f"gluing {g!r} has type {type(g).__name__}, not tuple")
-        if len(g) != 2:
-            raise InvalidInput(f"gluing {g!r} has {len(g)} slots, not 2")
-    n, names = 3 * len(plan.pants), slot_names(len(plan.pants))
-    seen: dict[int, str] = {}
-    claims = itertools.chain(
-        zip(itertools.chain.from_iterable(plan.gluings), itertools.repeat("gluing")),
-        zip(plan.crosscaps, itertools.repeat("crosscap")),
-        zip(plan.boundary, itertools.repeat("boundary")),
-        zip(plan.cusps, itertools.repeat("cusp")),
-    )
-    for slot, how in claims:
-        if type(slot) is not int:
-            raise InvalidInput(f"{how} slot {slot!r} is not an int")
-        if slot in seen:
-            name = names[slot] if 0 <= slot < n else slot
-            raise InvalidInput(f"slot {name} used twice ({seen[slot]} and {how})")
-        seen[slot] = how
-    missing = [names[s] for s in range(n) if s not in seen]
-    extra = [s for s in seen if not 0 <= s < n]
-    raise InvalidInput(f"slot accounting broken: missing {missing}, extra {extra}")
 
 
 @dataclass(frozen=True)

@@ -422,6 +422,24 @@ def test_giant_translation_overflows_as_numeric_failure(length):
         MobiusIsometry(1e200, 1e200)
 
 
+# max(nan, 1e30) is nan but max(1e30, nan) is 1e30: a NaN part must not
+# reach the size rule
+@pytest.mark.parametrize("a, b", [
+    (math.nan, 1e30), (1e30, math.nan), (math.nan, 0.5), (0.5, math.nan),
+    (complex(1, math.nan), 0.0), (0.0, complex(1, math.nan)),
+])
+def test_a_nan_entry_is_invalid_in_either_place(a, b):
+    with pytest.raises(InvalidInput,
+                       match=r"^not conjugate to an SU\(1,1\) matrix: \|a\|\^2-\|b\|\^2 = nan$"):
+        MobiusIsometry(a, b)
+
+
+@pytest.mark.parametrize("a, b", [(math.inf, 0.0), (0.0, math.inf), (math.inf, 0.5)])
+def test_an_infinite_entry_is_a_numeric_failure(a, b):
+    with pytest.raises(NumericFailure, match="^entries too large to certify"):
+        MobiusIsometry(a, b)
+
+
 def test_a_translation_builds_below_the_certified_size_or_raises():
     # lengths 1 to 711.75 on four geodesics.  A translation by t has
     # Re a = cosh(t/2), so none builds from 2 acosh(2**26) (about 37.43)

@@ -546,9 +546,11 @@ def test_schottky_isometric_circles_closed_form():
     assert math.sqrt(2) * c > 2 * r
 
 
-def test_schottky_overlap_raises():
-    with pytest.raises(CirclesOverlap):
-        schottky_rank2(1.0)
+@pytest.mark.parametrize("separation", [1.0, 1e-17, 1e-300])
+def test_schottky_overlap_raises(separation):
+    # below about 2e-16 both letters round to the identity, whose b is 0
+    with pytest.raises(CirclesOverlap, match="^isometric circles overlap"):
+        schottky_rank2(separation)
     with pytest.raises(InvalidInput):
         schottky_rank2(-2.0)
 

@@ -361,6 +361,14 @@ def test_plan_rejects_a_crosscap_of_length_zero():
         replace(plan, pants=((0.0, 0.0, 0.0),))
 
 
+def test_plan_rejects_a_boundary_of_length_zero():
+    # plan_decomposition refuses a boundary length <= 0, and so does the check
+    plan = plan_decomposition(Signature(0, 0, 1, 2), (1.0,))
+    assert plan.boundary == (0,) and plan.pants == ((1.0, 0.0, 0.0),)
+    with pytest.raises(NegativeLength, match="^boundary cuff p0.c0 needs positive length$"):
+        replace(plan, pants=((0.0, 0.0, 0.0),))
+
+
 def test_plan_rejects_a_cusp_with_a_nonzero_cuff():
     plan = plan_decomposition(Signature(0, 0, 0, 3))
     with pytest.raises(LengthMismatch, match="^cusp cuff p0.c1 = 0.5 must be 0$"):
@@ -376,6 +384,56 @@ def test_plan_accounting_messages_name_the_fault():
     with pytest.raises(InvalidInput,
                        match=r"^slot accounting broken: missing \['p0.c2'\], extra \[\]$"):
         replace(plan, boundary=plan.boundary[:2])
+
+
+#: plans of Signature(2, 0, 0, 0), whose gluings are ((2, 3), (0, 1), (4, 5)),
+#: with two faults each: the one the check names comes first
+TWO_FAULTS = {
+    "list column before a bad pants": (
+        dict(gluings=[(2, 3), (0, 1), (4, 5)], pants=((1.0, 1.0), (1.0, 1.0, 1.0))),
+        InvalidInput, "plan column gluings has type list, not tuple"),
+    "4-cuff pants before a list pants": (
+        dict(pants=((1.0, 1.0, 1.0, 1.0), [1.0, 1.0, 1.0])),
+        InvalidInput, "pants p0 has 4 cuffs, not 3"),
+    "4-cuff pants before a non-tuple gluing": (
+        dict(pants=((1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0)), gluings=(5, (0, 1), (4, 5))),
+        InvalidInput, "pants p1 has 4 cuffs, not 3"),
+    "bad gluing before a duplicate claim": (
+        dict(gluings=((2, 3, 4), (0, 1), (4, 5)), crosscaps=(0,)),
+        InvalidInput, "gluing (2, 3, 4) has 3 slots, not 2"),
+    "duplicate claim before a non-int": (
+        dict(crosscaps=(3,), cusps=("x",)),
+        InvalidInput, "slot p1.c0 used twice (gluing and crosscap)"),
+    "non-int before a duplicate claim": (
+        dict(crosscaps=(1.0,), cusps=(3,)),
+        InvalidInput, "crosscap slot 1.0 is not an int"),
+    "accounting before a cuff": (
+        dict(gluings=((2, 3), (0, 1)), pants=((math.nan, 1.0, 1.0), (1.0, 1.0, 1.0))),
+        InvalidInput, "slot accounting broken: missing ['p1.c1', 'p1.c2'], extra []"),
+    "non-float cuff before a negative cuff": (
+        dict(pants=((-1.0, 1.0, 1.0), (1.0, 1.0, 1))),
+        InvalidInput, "cuff p1.c2 = 1 is not a float"),
+    "negative cuff before unequal gluings": (
+        dict(pants=((1.0, 1.0, 2.0), (1.0, -1.0, 1.0))),
+        NegativeLength, "cuff p1.c1 = -1.0 must be >= +0"),
+}
+
+
+@pytest.mark.parametrize("name", TWO_FAULTS)
+def test_plan_names_the_first_of_two_faults(name):
+    changes, error, message = TWO_FAULTS[name]
+    plan = plan_decomposition(Signature(2, 0, 0, 0))
+    assert plan.gluings == ((2, 3), (0, 1), (4, 5))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        replace(plan, **changes)
+
+
+def test_a_valid_plan_builds_no_slot_names(monkeypatch):
+    calls = []
+    names = pants.slot_names
+    monkeypatch.setattr(pants, "slot_names", lambda p: calls.append(p) or names(p))
+    plan = plan_decomposition(Signature(50, 40, 30, 80), (1.0,) * 30)
+    assert len(plan.pants) == 248 and calls == []
 
 
 def test_plan_is_checked_once_per_object(monkeypatch):
