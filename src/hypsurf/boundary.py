@@ -36,6 +36,7 @@ from hypsurf.groups import (
 )
 from hypsurf.text import sample_csv
 from hypsurf.words import (
+    DEFAULT_WORD_BUDGET,
     GroupWord,
     _check_budget,
     _check_table,
@@ -175,7 +176,8 @@ def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
     reduced and no larger than the least rotation of its inverse.  Kept
     rows stay in table order, which is the order of first shortlex
     appearance of the classes.  The periods are held in the narrowest
-    unsigned type that holds n.
+    unsigned type that holds n, or `words.DEFAULT_WORD_BUDGET` if that is
+    less: no level is longer than the rows the budget admits.
 
     Every kept level is grown (`child_rows`) before any representative is
     taken, and BudgetExceeded is raised before a level takes the rows
@@ -190,7 +192,7 @@ def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
         _check_budget(generated)
         level = child_rows(rank, level)
         if t == 1:
-            period = np.ones(len(level), dtype=np.min_scalar_type(n))
+            period = np.ones(len(level), dtype=np.min_scalar_type(min(n, DEFAULT_WORD_BUDGET)))
         else:
             # row i is a child of row i // fan of the kept level above
             period = np.repeat(period, 2 * rank - 1)

@@ -171,7 +171,7 @@ def _load_description(path: str):
             obj = json.load(f)
     except OSError as e:
         raise InvalidInput(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON or bad UTF-8
         raise InvalidInput(f"{path} is not valid JSON: {e}")
     return description_from_json(obj)
 

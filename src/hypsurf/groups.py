@@ -16,11 +16,11 @@ available CPU.  A sample takes each block's
 endpoints in the block's task and drops its matrices, so a full last level
 of matrices is never held at once; the angle sectors of the net
 (`disk.circle_net`) then gather the kept angles' words, again on the
-workers.  The endpoints keep a strict deterministic order, whatever the
-blocks and the workers: by level, then all attracting fixed points (or
-orbit points) of the level, then all its repelling ones, each in shortlex
-order; and `disk.circle_net` keeps the earliest of exactly equal angles,
-so repeated runs are byte-identical.  Every product is row-local
+workers.  A row gives at most one endpoint, its orbit point or its
+word's attracting fixed point (the repelling one is its inverse row's),
+in table order whatever the blocks and the workers; and `disk.circle_net`
+keeps the earliest of exactly equal angles, so repeated runs are
+byte-identical.  Every product is row-local
 (`_compose_rows`), its range rule included: a row's bits depend on its row
 alone, so the blocks move no byte, and `attracting_angles` of a cyclically
 reduced row is the angle `limit_sample` takes from the table's product of
@@ -33,7 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, groupby
+from itertools import combinations
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -60,7 +60,7 @@ from hypsurf.errors import (
     NumericFailure,
 )
 from hypsurf.text import sample_csv
-from hypsurf.words import GroupWord, _cyclic_count, _letter_key, child_rows, word_table
+from hypsurf.words import GroupWord, _letter_key, child_rows, word_table
 
 #: relator products must land this close to +/- identity
 TOL_RELATOR = 1e-6
@@ -275,57 +275,39 @@ def _endpoint_rows(rep: GroupRep, base: DiskPoint, n: int, mode: SampleMode,
     row of each one's word, and the padded word table those rows index:
     row 0 is the empty word, then levels 1..n in shortlex order.
 
-    The endpoints come by level; within a level, all attracting fixed
-    points (or orbit points), then all repelling ones, each in shortlex
-    order.  Each `_word_blocks` block's endpoints are taken in the task
-    that builds it, and copied, in block order, into arrays allocated up
-    front, so a block's matrices are dropped as soon as its endpoints are
-    taken.
+    A row gives at most one endpoint, in table order: its orbit point, or
+    the attracting fixed point of its word if that is cyclically reduced
+    and certainly hyperbolic.  The repelling one is the attracting one of
+    the inverse word, whose row is in the same level.  Each `_word_blocks`
+    block's endpoints are taken in the task that builds it, and copied, in
+    block order, into arrays allocated up front, so a block's matrices are
+    dropped as soon as its endpoints are taken.
     """
     words = word_table(rep.rank, n)
     orbit = mode is SampleMode.ORBIT_PROJECTION
     z0 = base.z
-    if orbit:
-        # a row gives at most one orbit point
-        theta = np.empty(len(words))
-    else:
-        # a cyclically reduced row gives at most two axis endpoints, and a
-        # level's repelling ones wait in `repelling` until its attracting
-        # ones are in
-        cyclic = [_cyclic_count(rep.rank, length) for length in range(1, n + 1)]
-        theta, repelling = np.empty(2 * sum(cyclic)), np.empty(max(cyclic))
-    rows = np.empty(len(theta), dtype=np.int32)
+    theta = np.empty(len(words))
+    rows = np.empty(len(words), dtype=np.int32)
 
     def endpoints(block: _Block):
         letters, a, b = block
         if orbit:
             z = (a * z0 + b) / (np.conj(b) * z0 + np.conj(a))
             hit = np.flatnonzero(np.abs(z) > 1.0 - delta)
-            return letters.shape, hit, circle_angle(z[hit]), None
+            return len(letters), hit, circle_angle(z[hit])
         cyc = letters[:, 0] != -letters[:, -1]
         hit = np.flatnonzero(cyc & is_certainly_hyperbolic(a, b))
-        first, second = circle_fixed_points(a[hit], b[hit])
-        return letters.shape, hit, circle_angle(first), circle_angle(second)
+        return len(letters), hit, circle_angle(circle_fixed_points(a[hit], b[hit])[0])
 
     used = 0
     if orbit and abs(z0) > 1.0 - delta:
         theta[0], rows[0], used = reduce_angle(cmath.phase(z0)), 0, 1
     at = 1
-    blocks = _word_blocks(rep, words, endpoints)
-    for _, level in groupby(blocks, key=lambda taken: taken[0][1]):
-        k = 0  # the level's attracting endpoints (or orbit points) so far
-        for (count, _), hit, first, second in level:
-            theta[used + k:used + k + len(hit)] = first
-            rows[used + k:used + k + len(hit)] = hit + at
-            if not orbit:
-                repelling[k:k + len(hit)] = second
-            k += len(hit)
-            at += count
-        if not orbit:
-            theta[used + k:used + 2 * k] = repelling[:k]
-            rows[used + k:used + 2 * k] = rows[used:used + k]
-            k *= 2
-        used += k
+    for count, hit, angles in _word_blocks(rep, words, endpoints):
+        theta[used:used + len(hit)] = angles
+        rows[used:used + len(hit)] = hit + at
+        used += len(hit)
+        at += count
     return theta[:used], rows[:used], words
 
 
@@ -339,9 +321,11 @@ def limit_sample(
     """Finite approximation of the limit set / fixed-point set.
 
     ORBIT_PROJECTION radially projects orbit points with |z| > 1 - delta.
-    AXIS_ENDPOINTS collects both fixed points of every hyperbolic
-    cyclically reduced word of length <= n.  The net's kept angles and
-    their words are gathered sector by sector, in the net's own tasks.
+    AXIS_ENDPOINTS collects the attracting fixed point of every hyperbolic
+    cyclically reduced word of length <= n, labelled with that word; its
+    inverse, also in the table, gives the repelling one.  The net's kept
+    angles and their words are gathered sector by sector, in the net's own
+    tasks.
     """
     if n < 1:
         raise InvalidInput("limit_sample needs n >= 1")

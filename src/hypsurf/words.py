@@ -146,13 +146,6 @@ def word_count(rank: int, max_length: int) -> int:
     return 1 + rank * ((2 * rank - 1) ** max_length - 1) // (rank - 1)
 
 
-def _cyclic_count(rank: int, length: int) -> int:
-    """Number of cyclically reduced words of a length >= 1: the trace of
-    the power of the 2k x 2k follower matrix (`_followers`), whose
-    eigenvalues are 2k-1 once, +1 k times and -1 k-1 times."""
-    return (2 * rank - 1) ** length + rank + (rank - 1) * (-1) ** length
-
-
 @functools.cache
 def _followers(rank: int) -> tuple[np.ndarray, np.ndarray]:
     """The alphabet A, a, B, b, ... of a rank, and the table whose row k

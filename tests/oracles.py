@@ -527,7 +527,8 @@ def stable_circle_net(theta: np.ndarray) -> np.ndarray:
 
 def limit_sample(rep, base: DiskPoint, n: int, mode, delta: float = DEFAULT_DELTA):
     """`groups.limit_sample` gathering each level's letter rows by mask,
-    stacking them padded, and taking the stable net of the angles."""
+    each with its attracting fixed point in axes mode, stacking them
+    padded, and taking the stable net of the angles."""
     levels = word_levels(rep, n)
     theta_parts, letter_parts = [], []
     width = max(lv.letters.shape[1] for lv in levels)
@@ -545,10 +546,9 @@ def limit_sample(rep, base: DiskPoint, n: int, mode, delta: float = DEFAULT_DELT
         for lv in levels:
             cyc = lv.letters[:, 0] != -lv.letters[:, -1]
             mask = cyc & is_certainly_hyperbolic(lv.a, lv.b)
-            rows = lv.letters[mask]
-            for z in circle_fixed_points(lv.a[mask], lv.b[mask]):
-                theta_parts.append(reduce_angle(np.angle(z)))
-                letter_parts.append(rows)
+            z, _ = circle_fixed_points(lv.a[mask], lv.b[mask])
+            theta_parts.append(reduce_angle(np.angle(z)))
+            letter_parts.append(lv.letters[mask])
     theta = np.concatenate(theta_parts)
     letters = words.stack_padded(letter_parts, width)
     net = stable_circle_net(theta)

@@ -679,7 +679,8 @@ CROSS_DISPATCH_ARGVS = (
 def test_angles_agree_across_simd_dispatch_levels():
     # bytes hold for one numpy build at one dispatch level; with its
     # AVX-512 loops off, the row counts hold and every angle stays within
-    # 1e-14.  Words are not compared: the net may keep another word of a
+    # 1e-14.  limit-set's axes rows keep their words too: each row's angle
+    # is its own word's attracting fixed point, so w and its inverse never
     # tie
     src = Path(cli.__file__).resolve().parent.parent
     env = dict(os.environ)
@@ -691,8 +692,8 @@ def test_angles_agree_across_simd_dispatch_levels():
         proc = subprocess.run([sys.executable, "-m", "hypsurf", *argv.split()],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        rows = [line.split(",")[:-1] for line in proc.stdout.splitlines()[1:]]
-        return np.array(rows, dtype=np.float64)
+        rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+        return np.array([r[:-1] for r in rows], dtype=np.float64), [r[-1] for r in rows]
 
     probe = ("import numpy._core._multiarray_umath as m; "
              "print(m.__cpu_features__['X86_V4'])")
@@ -700,6 +701,8 @@ def test_angles_agree_across_simd_dispatch_levels():
                           env=off, timeout=120)
     assert proc.stdout.split() == ["False"], proc.stderr
     for argv in CROSS_DISPATCH_ARGVS:
-        default, without = run(argv, env), run(argv, off)
+        (default, words), (without, words_without) = run(argv, env), run(argv, off)
         assert default.shape == without.shape, argv
         assert np.abs(default - without).max() <= 1e-14, argv
+        if argv == "limit-set --group octagon --n 5":
+            assert words == words_without

@@ -285,12 +285,16 @@ def test_limit_sample_matches_the_letter_gathering_oracle(make_group, n, mode, b
 
 
 def test_circle_net_keeps_the_stable_sorts_indices_on_real_ties():
-    # the axis endpoints of Schottky(4) at n=10 before the net: tens of
-    # thousands of neighbours in sorted order are exactly equal.  How many
-    # depends on numpy's SIMD level: 60,886 with AVX-512 loops, 60,854
-    # without them and 60,338 without AVX2 too
-    theta, _, _ = groups._endpoint_rows(schottky_rank2(4.0), DiskPoint(0), 10,
-                                         SampleMode.AXIS_ENDPOINTS, groups.DEFAULT_DELTA)
+    # both ends of every hyperbolic cyclically reduced axis of Schottky(4)
+    # up to n=10: tens of thousands of neighbours in sorted order are
+    # exactly equal.  How many depends on numpy's SIMD level: 60,886 with
+    # AVX-512 loops, 60,854 without them and 60,338 without AVX2 too
+    ends = []
+    for lv in oracles.word_levels(schottky_rank2(4.0), 10):
+        hit = (lv.letters[:, 0] != -lv.letters[:, -1]) & is_certainly_hyperbolic(lv.a, lv.b)
+        ends += map(circle_angle, circle_fixed_points(lv.a[hit], lv.b[hit]))
+    theta = np.concatenate(ends)
+    assert len(theta) == 177_184
     assert np.count_nonzero(np.diff(np.sort(theta)) == 0.0) > 50_000
     assert circle_net(theta).tolist() == oracles.stable_circle_net(theta).tolist()
 
@@ -921,17 +925,14 @@ def test_attracting_angles_skips_and_rejects(cusped_torus):
     ids=["octagon-2", "schottky4-10", "schottky5-9", "cusped-torus-8"],
 )
 def test_sample_word_provenance(make_rep, n):
-    # every row's angle is an axis endpoint of its word (the attracting
-    # end of the word or of its inverse), taken by `attracting_angles`:
-    # evaluate cannot reach these word lengths
+    # every row's angle is the attracting fixed point of its own word,
+    # taken by `attracting_angles`: evaluate cannot reach these word lengths
     rep = make_rep()
     s = limit_sample(rep, DiskPoint(0), n, SampleMode.AXIS_ENDPOINTS)
-    words = [GroupWord.from_row(row) for row in s.letters]
-    ends = zip(attracting_angles(rep, s.letters).tolist(),
-               attracting_angles(rep, letter_matrix([w.inverse() for w in words])).tolist())
-    for w, theta, pair in zip(words, s.angles.tolist(), ends):
-        err = min(angle_distance(theta, end) for end in pair)
-        assert err < 1e-12, (str(w), err)
+    ends = attracting_angles(rep, s.letters).tolist()
+    for row, theta, end in zip(s.letters, s.angles.tolist(), ends):
+        err = angle_distance(theta, end)
+        assert err < 1e-12, (str(GroupWord.from_row(row)), err)
 
 
 def test_sample_csv_and_json_deterministic(octagon):

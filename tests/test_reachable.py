@@ -60,7 +60,8 @@ RUNS = [
     (0, "classify crosscap.json"),
     (0, "classify boundary-only.json"), (0, "chi infinite.json"),
     (0, "double half.json"), (0, "double crosscap.json --report"),
-    (2, "chi missing.json"), (2, "chi not-json.json"), (2, "chi no-kind.json"),
+    (2, "chi missing.json"), (2, "chi not-json.json"), (2, "chi latin1.json"),
+    (2, "chi no-kind.json"),
     (2, "chi unknown.json"), (2, "chi short.json"), (2, "chi boundary-only.json"),
     (2, "double closed.json"), (2, "double crosscap.json"), (2, "double infinite.json"),
     (0, "pants --lengths 0,1,2"), (2, "pants --lengths 1,1"), (2, "pants --lengths=-1,1,1"),
@@ -68,8 +69,8 @@ RUNS = [
     (2, "plan --sig 0,0,3,0 --lengths 1"), (2, "plan --sig 1.5,0,0,0"),
     (2, "plan --sig 1,0,0"), (2, "plan --sig 50002,0,0,0"),
     (0, "limit-set --group cusped-torus --n 2 --mode orbit --format json"),
-    # 274,560 axis endpoints: the net runs in sectors
-    (0, "limit-set --group octagon --n 6 -o octagon-n6.csv"),
+    # 265,724 axis endpoints: the net runs in sectors
+    (0, "limit-set --group cusped-torus --n 11 -o torus-n11.csv"),
     (2, "limit-set --group octagon --n 8"), (2, "limit-set --group octagon --n 0"),
     (2, "limit-set --group octagon --n 2 -o missing/sample.csv"),
     (2, "limit-set --group octagon --n 2 --mode orbit --delta 2"),
@@ -88,6 +89,8 @@ RUNS = [
     (2, "boundary-map --group schottky --aut A=AA,B=B --n 3"),
     (2, "boundary-map --group schottky --aut A --n 3"),
     (2, "boundary-map --group cusped-torus --aut A=AB,B=B --n 0"),
+    # periods past 2**64 would be typed object
+    (2, "boundary-map --group cusped-torus --aut A=AB,B=B --n 18446744073709551616"),
     (0, "boundary-map --group cusped-torus --aut A=AB,B=B --n 1 --check-identity"),
     (2, "boundary-map --group cusped-torus --aut A=AB,B=B --n 3 --check-identity --m -1"),
     (2, "boundary-map --group cusped-torus --aut A=AB,B=B --n 3 --m 2"),
@@ -134,6 +137,7 @@ def run_everything(workdir: Path):
     for name, obj in DESCRIPTIONS.items():
         (workdir / name).write_text(json.dumps(obj))
     (workdir / "not-json.json").write_text("{")
+    (workdir / "latin1.json").write_bytes(b"\xff")
     codes = []
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):

@@ -175,17 +175,6 @@ def test_word_table_is_refused_at_the_first_level_past_the_budget():
                 table(rank, n)
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_the_closed_form_counts_the_cyclically_reduced_rows(rank):
-    # every level up to the budget; at rank 1, whose levels are the powers
-    # of A and of a, the first 12
-    n = 12 if rank == 1 else max(n for n in range(1, 20)
-                                 if word_count(rank, n) <= words_module.DEFAULT_WORD_BUDGET)
-    for length, level in enumerate(oracles.shortlex_levels(rank, n), start=1):
-        assert words_module._cyclic_count(rank, length) == \
-            np.count_nonzero(level[:, 0] != -level[:, -1])
-
-
 def test_child_rows_writes_its_rows_in_place():
     parents = oracles.shortlex_levels(2, 2)[-1]
     out = np.zeros((3 * len(parents), 3), dtype=np.int8)
