@@ -175,6 +175,21 @@ def test_word_table_is_refused_at_the_first_level_past_the_budget():
                 table(rank, n)
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_the_closed_form_counts_the_cyclically_reduced_rows(rank):
+    # C(d) = (2k-1)^d + k + (k-1)(-1)^d, the count of cyclically reduced
+    # words of length d at rank k that ROADMAP item 12's prenecklace count
+    # rests on: the trace of the d-th power of the 2k x 2k follower matrix,
+    # whose eigenvalues are 2k-1 once, +1 k times and -1 k-1 times. Checked
+    # at every level up to the budget; at rank 1, whose levels are the
+    # powers of A and of a, the first 12
+    n = 12 if rank == 1 else max(n for n in range(1, 20)
+                                 if word_count(rank, n) <= words_module.DEFAULT_WORD_BUDGET)
+    for length, level in enumerate(oracles.shortlex_levels(rank, n), start=1):
+        closed_form = (2 * rank - 1) ** length + rank + (rank - 1) * (-1) ** length
+        assert closed_form == np.count_nonzero(level[:, 0] != -level[:, -1])
+
+
 def test_child_rows_writes_its_rows_in_place():
     parents = oracles.shortlex_levels(2, 2)[-1]
     out = np.zeros((3 * len(parents), 3), dtype=np.int8)
