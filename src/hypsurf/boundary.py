@@ -2,11 +2,11 @@
 
 An automorphism phi of the generator set induces a map on the fixed
 points of group elements at infinity: the attracting fixed point of w is
-paired with the attracting fixed point of phi(w), one pair per conjugacy
-class (conjugate words only contribute Mobius translates).  The sampled
-map is checked for cyclic order consistency and tested against the
-deck-transformation freedom to decide whether phi acts as the identity
-at infinity up to an inner correction.
+paired with the attracting fixed point of phi(w), one pair per primitive
+conjugacy class (conjugates only give Mobius translates, powers their
+roots' points).  The sampled map is checked for cyclic order consistency
+and tested against the deck-transformation freedom to decide whether phi
+acts as the identity at infinity up to an inner correction.
 """
 
 from __future__ import annotations
@@ -131,13 +131,16 @@ class CircleMapSample:
     row i of ``letters`` (zero-padded int8, as in `EndpointSample`) is the
     class representative both came from.  theta_in is the net
     `disk.circle_net` keeps, strictly increasing.  ``orientation`` is the
-    `order_check` verdict `induced_boundary_sample` reached on it."""
+    `order_check` verdict `induced_boundary_sample` reached on it, and
+    ``moves_homology`` is `moves_homology` of the sampled automorphism
+    (False where none is known)."""
 
     theta_in: np.ndarray
     theta_out: np.ndarray
     letters: np.ndarray
     skipped: int = 0
     orientation: Optional[str] = None
+    moves_homology: bool = False
 
     def __len__(self) -> int:
         return len(self.theta_in)
@@ -158,9 +161,9 @@ _KEY1, _INVERSE_KEY1 = (
 
 
 def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
-    """One cyclically reduced representative per conjugacy class (modulo
-    inversion) of length <= n, in shortlex order, as the rows of an int8
-    letter matrix zero-padded to width n.
+    """One cyclically reduced representative per primitive conjugacy class
+    (modulo inversion) of length <= n, in shortlex order, as the rows of an
+    int8 letter matrix zero-padded to width n.
 
     The representative is `GroupWord.conjugacy_class_rep`: the least
     rotation of the class's cyclically reduced words and their inverses.
@@ -171,10 +174,10 @@ def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
     J. Algorithms 37, 2000).  Each kept row carries the period p of its
     longest Lyndon prefix; a row of length t whose last letter, compared
     with the letter p places back, is smaller is dropped, equal keeps p,
-    and larger makes the row Lyndon (p = t).  A row is a necklace when
-    t % p == 0, and a class representative when it is also cyclically
-    reduced and no larger than the least rotation of its inverse.  Kept
-    rows stay in table order, which is the order of first shortlex
+    and larger makes the row Lyndon (p = t).  A Lyndon row (a proper power
+    has its root's fixed points) is a class representative when it is
+    also cyclically reduced and no larger than the least rotation of its
+    inverse.  Kept rows stay in table order, the order of first shortlex
     appearance of the classes.  The periods are held in the narrowest
     unsigned type that holds n, or `words.DEFAULT_WORD_BUDGET` if that is
     less: no level is longer than the rows the budget admits.
@@ -213,7 +216,7 @@ def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
         # each level is dropped once its representatives are taken
         letters, period = levels.pop(0), periods.pop(0)
         t = letters.shape[1]
-        rows = letters[(t % period == 0) & (letters[:, 0] != -letters[:, -1])]
+        rows = letters[(period == t) & (letters[:, 0] != -letters[:, -1])]
         # letter keys + 1 as fixed-width byte strings, which compare
         # lexicographically (the + 1 keeps out NUL bytes, which numpy strips)
         byte = rows.view(np.uint8)
@@ -264,13 +267,33 @@ def certify_automorphism(rep: GroupRep, phi: FreeAutomorphism) -> None:
                 f"to {image}, which is not conjugate to {what} or its inverse")
 
 
+def moves_homology(rep: GroupRep, phi: FreeAutomorphism) -> bool:
+    """Whether phi is known to act on H_1 of the group other than as the
+    identity, so that no inner automorphism, which acts as the identity
+    there, is phi.  H_1 is free abelian on the generators when every
+    relator's exponent sums are 0, as for the free groups and the octagon
+    group's relator; then phi acts as the identity exactly when each
+    generator's image has that generator's exponent sums.  With another
+    relator, phi is not known to move H_1."""
+    def sums(w: GroupWord) -> list[int]:
+        out = [0] * rep.rank
+        for x in w.letters:
+            out[abs(x) - 1] += 1 if x > 0 else -1
+        return out
+
+    if any(any(sums(r)) for r in rep.relators):
+        return False
+    return any(sums(w) != [int(j == i) for j in range(rep.rank)]
+               for i, w in enumerate(phi.images))
+
+
 def induced_boundary_sample(
     rep: GroupRep,
     phi: FreeAutomorphism,
     n: int,
 ) -> CircleMapSample:
     """Pair attracting fixed points of w with those of phi(w) over one
-    word per conjugacy class of length <= n.
+    word per primitive conjugacy class of length <= n.
 
     Each `pool.ordered_map` task takes `pool.BLOCK_ROWS` classes, their
     angles, their images under phi and the images' angles; a row's angles
@@ -286,7 +309,8 @@ def induced_boundary_sample(
     its angles and words: an entry the net drops is a tie with a kept one
     at TOL_ANGLE, so it carries no order information.  The kept entries
     must be cyclically order-consistent (`order_check`), or
-    OrderViolation is raised; the sample carries the orientation found.
+    OrderViolation is raised; the sample carries the orientation found,
+    and whether phi moves homology (`moves_homology`).
     """
     if n < 1:
         raise InvalidInput("induced_boundary_sample needs n >= 1")
@@ -318,7 +342,8 @@ def induced_boundary_sample(
             "sampled map is not cyclically order-consistent",
             triple=verdict.violation,
         )
-    return replace(sample, orientation=verdict.orientation)
+    return replace(sample, orientation=verdict.orientation,
+                   moves_homology=moves_homology(rep, phi))
 
 
 @dataclass(frozen=True)
@@ -391,11 +416,14 @@ def is_boundary_identity(
     The freedom is exactly an inner correction: the sample's outputs are
     post-composed with the Mobius action of u over all words u of length
     <= m, and the map passes if some u brings the max angular deviation
-    (`_residual`) below tol.  u's matrix is read from the word table
-    (`_word_blocks`), where it is known up to a positive scale, which the
-    action ignores; so no entry bound limits the search.  Ties within
-    twice the best residual are reported as near-minimizers instead of
-    pretending uniqueness.
+    (`_residual`) below tol, unless the sample's automorphism moves
+    homology (`CircleMapSample.moves_homology`): an inner automorphism
+    acts as the identity on H_1, and a finite sample can lie within tol
+    of a few points that a map moving homology fixes.  u's matrix is read
+    from the word table (`_word_blocks`), where it is known up to a
+    positive scale, which the action ignores; so no entry bound limits the
+    search.  Ties within twice the best residual are reported as
+    near-minimizers instead of pretending uniqueness.
 
     The search is an exact branch and bound.  Each u's lower bound is its
     residual over _BOUND_POINTS points spread over the sample, computed as
@@ -433,7 +461,7 @@ def is_boundary_identity(
     best = int(np.argmin(residuals))  # the first minimum: shortlex wins ties
     best_res = float(residuals[best])
     return BoundaryIdentityResult(
-        identity=best_res <= tol,
+        identity=best_res <= tol and not sample.moves_homology,
         best_inner=GroupWord.from_row(letters[best]),
         residual=best_res,
         near_minimizers=tuple(GroupWord.from_row(letters[i])

@@ -15,7 +15,8 @@ as invalid input.
 
 Exit codes: 0 success, 1 stdout closed by its reader (quietly), 2 invalid
 input (an automorphism that does not act on the group included, a plan
-of more than MAX_PANTS pants, an -o path that cannot be opened), 3
+of more than MAX_PANTS pants, a description nested too deeply to read,
+an -o path that cannot be opened, a failed write to it or to stdout), 3
 numeric failure (order violations, too many non-hyperbolic classes,
 entries too large to normalize); errors are a one-line JSON object on
 stderr.
@@ -132,21 +133,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_text(chunks: Iterable[str], path: Optional[str]) -> None:
-    """Write the chunks and a final newline to the file at path, or to
-    stdout.  Chunks are written as they come: a sample's text arrives in
-    blocks of rows (`text`), so its whole text is never held at once.  A
-    path that cannot be opened raises InvalidInput."""
+    """Write the chunks and a final newline to the file at path, and close
+    it, or to stdout, and flush it.  Chunks are written as they come: a
+    sample's text arrives in blocks of rows (`text`), so its whole text is
+    never held at once.  A path that cannot be opened, and a write, flush
+    or close that fails (on a full disk, say), raise InvalidInput; a reader
+    that closed the output raises BrokenPipeError (`main`)."""
     try:
         f = sys.stdout if path is None else open(path, "w", encoding="utf-8")
     except OSError as e:
         raise InvalidInput(f"cannot write {path}: {e}")
     try:
-        for chunk in chunks:
-            f.write(chunk)
-        f.write("\n")
-    finally:
-        if path is not None:
-            f.close()
+        try:
+            for chunk in chunks:
+                f.write(chunk)
+            f.write("\n")
+            if path is None:
+                f.flush()
+        finally:
+            if path is not None:
+                f.close()
+    except BrokenPipeError:
+        raise
+    except OSError as e:
+        if path is None:
+            # what stdout still buffers goes to os.devnull at exit, unprinted
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise InvalidInput(f"cannot write {'stdout' if path is None else path}: {e}")
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -173,6 +186,8 @@ def _load_description(path: str):
         raise InvalidInput(f"cannot read {path}: {e}")
     except ValueError as e:  # bad JSON or bad UTF-8
         raise InvalidInput(f"{path} is not valid JSON: {e}")
+    except RecursionError as e:
+        raise InvalidInput(f"{path} is nested too deeply to read: {e}")
     return description_from_json(obj)
 
 
@@ -284,9 +299,7 @@ def run(argv) -> int:
 
 def main(argv=None) -> int:
     try:
-        code = run(sys.argv[1:] if argv is None else argv)
-        sys.stdout.flush()
-        return code
+        return run(sys.argv[1:] if argv is None else argv)
     except BrokenPipeError:
         # the reader closed stdout: the flush at exit goes to os.devnull (`signal` docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -381,7 +381,7 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
     conjugator u is then applied letter by letter on the circle, where
     reduced-word ping-pong makes every step a contraction.  Rows advance
     together, one letter column at a time: the products on the rows in
-    stable order of decreasing core length, the walk on the hyperbolic
+    stable order of decreasing root length, the walk on the hyperbolic
     rows in stable order of decreasing conjugator length, so the rows a
     column takes are a prefix slice, and the angles are put back in input
     order once, at the end.  A row's angle depends on its row alone, so
@@ -411,9 +411,9 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
         start += peel
     core = length - 2 * start
 
-    # rows by decreasing core length, so the rows still multiplying at
-    # column c are the first live[c]; keys[c] is letter column c of the
-    # rows in that order, plus rank
+    # rows by decreasing core length, so the rows whose core is longer
+    # than c letters are the first live[c]; keys[c] is letter column c of
+    # the rows in that order, plus rank
     order = np.argsort(-core, kind="stable")
     keys = np.add(letters[order].T, rank, dtype=np.intp, order="C")
     span = core.max(initial=0)
@@ -428,9 +428,9 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
     # and r's product, unlike r^j's, gathers no rounding error with j.  A
     # core of length m is a power of its first p letters, for p a proper
     # divisor of m, where its letters repeat with period p; root[i] is the
-    # least such p of row i (written last), or 0.  The rows of core length
-    # m are live[m]:live[m-1].
-    root = np.zeros(count, dtype=np.intp)
+    # least such p of row i (written last), or its core length.  The rows
+    # of core length m are live[m]:live[m-1].
+    root = core[order]
     for m in range(2, span + 1):
         lo, hi = live[m], live[m - 1]
         if lo == hi:
@@ -439,22 +439,18 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
             if m % p == 0:
                 same = (cores[p:m, lo:hi] == cores[:m - p, lo:hi]).all(axis=0)
                 root[lo + np.flatnonzero(same)] = p
-    # a power row keeps its product after its root's letters: snaps[p] are
-    # the rows whose root has p letters
-    power = np.flatnonzero(root)
-    snaps = {p: power[root[power] == p] for p in set(root[power].tolist())}
-    saved = []
+    # each row multiplies its root's letters only: the rows by decreasing
+    # root length, so the rows still multiplying at column c are the
+    # first live[c]
+    by = np.argsort(-root, kind="stable")
+    order, cores = order[by], cores[:, by]
+    live = count - np.cumsum(np.bincount(root))
     a = np.ones(count, dtype=complex)
     b = np.zeros(count, dtype=complex)
-    for c in range(span):
+    for c in range(root.max(initial=0)):
         k = live[c]
         key = cores[c, :k]
         a[:k], b[:k] = _compose_rows(a[:k], b[:k], la[key], lb[key])
-        if c + 1 in snaps:
-            hit = snaps[c + 1]
-            saved.append((hit, a[hit], b[hit]))
-    for hit, x, y in saved:
-        a[hit], b[hit] = x, y
 
     ok = np.flatnonzero(is_certainly_hyperbolic(a, b))
     z, _ = circle_fixed_points(a[ok], b[ok])
@@ -463,7 +459,7 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
     if lead.any():
         walk = np.argsort(-lead, kind="stable")
         ok, lead, z = ok[walk], lead[walk], z[walk]
-        conjugators = keys[:lead[0], ok]
+        conjugators = keys[:lead[0], by[ok]]  # keys are in core order
         live = len(ok) - np.cumsum(np.bincount(lead))
         for c in range(lead[0] - 1, -1, -1):
             k = live[c]

@@ -141,6 +141,13 @@ def root_length(v: tuple) -> int:
     return next((p for p in range(1, m) if m % p == 0 and v[p:] + v[:p] == v), m)
 
 
+def primitive_rows(letters: np.ndarray) -> np.ndarray:
+    """The mask of the rows of a zero-padded letter matrix whose word is
+    no proper power (`root_length`)."""
+    words = [tuple(x for x in row if x) for row in letters.tolist()]
+    return np.array([root_length(w) == len(w) for w in words], dtype=bool)
+
+
 def attracting_angles(rep, letters: np.ndarray) -> np.ndarray:
     """`groups.attracting_angles` with every letter column taken by a row
     mask: the live rows' letters, a and b are gathered, and the products
@@ -578,7 +585,7 @@ def inner_search(rep, sample, m: int, tol: float) -> BoundaryIdentityResult:
     best_res = float(residuals[best])
     letters = np.vstack(rows)
     return BoundaryIdentityResult(
-        identity=best_res <= tol,
+        identity=best_res <= tol and not sample.moves_homology,
         best_inner=GroupWord.from_row(letters[best]),
         residual=best_res,
         near_minimizers=tuple(GroupWord.from_row(letters[i])

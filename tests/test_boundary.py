@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,8 +230,10 @@ def test_sample_loud_failure_on_majority_skips():
         t = MobiusIsometry(1.0 / s, -p / s)  # z -> (z - p)/(1 - p z), p to 0
         return t.inverse().compose(rotation(theta)).compose(t)
 
-    rep = GroupRep((rotation(2.0), rot_about(0.7, 2.0)))
-    with pytest.raises(NumericFailure):
+    # rotations by 2 about points 0.3 apart: A, B and AB are elliptic, and
+    # only Ab is hyperbolic, so 3 of the 4 primitive classes are skipped
+    rep = GroupRep((rotation(2.0), rot_about(0.3, 2.0)))
+    with pytest.raises(NumericFailure, match="^3 of 4 classes skipped"):
         induced_boundary_sample(rep, FreeAutomorphism.identity(2), 2)
 
 
@@ -285,11 +288,14 @@ def test_sample_rejects_rank_mismatch(octagon):
 
 
 def _class_words_by_definition(rank, n):
-    # the cyclically reduced words of the tree in shortlex order, deduped
-    # on the scalar class representative, first of each kept
+    # the cyclically reduced words of the tree that are no proper power, in
+    # shortlex order, deduped on the scalar class representative, first of
+    # each kept
     seen, reps = set(), []
     for w in enumerate_reduced_words(rank, n):
         if not w.letters or w.letters[0] == -w.letters[-1]:
+            continue
+        if oracles.root_length(w.letters) < len(w):
             continue
         rep = w.conjugacy_class_rep()
         if rep.letters not in seen:
@@ -307,15 +313,17 @@ def test_conjugacy_class_words_counts(rank, n):
     assert reps == _class_words_by_definition(rank, n)
     assert all(w.cyclic_reduction() == w for w in reps)
     if (rank, n) == (2, 2):
-        # {A}, {B}, {AB}, {Ab}, {AA}, {BB}
-        assert len(reps) == 6
+        # {A}, {B}, {AB}, {Ab}: not the powers {AA}, {BB}
+        assert len(reps) == 4
 
 
 # (1, 300): the periods of the prenecklace rule pass int8's range there
 @pytest.mark.parametrize("rank, n", [(1, 70), (1, 300), (2, 10), (2, 11), (3, 7), (4, 6),
                                      (5, 4)])
 def test_conjugacy_class_words_match_the_packed_code_table(rank, n):
+    # the packed code table keeps the proper powers too
     new, ref = conjugacy_class_words(rank, n), oracles.conjugacy_class_words(rank, n)
+    ref = ref[oracles.primitive_rows(ref)]
     assert new.dtype == ref.dtype and new.shape == ref.shape
     assert np.array_equal(new, ref)
 
@@ -355,7 +363,7 @@ def test_conjugacy_class_words_hold_narrow_periods():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(classes) == 96_320
+    assert len(classes) == 96_174
     assert peak < 14e6
 
 
@@ -521,6 +529,32 @@ def test_twist_rejected(cusped_torus):
     assert not r.identity
     assert r.residual > 0.05
     assert r.skipped >= 1
+
+
+@pytest.mark.parametrize("make_group, aut, moves", [
+    (cusped_torus_group, "A=AB,B=B", True),
+    (cusped_torus_group, "A=BAb,B=B", False),  # inner, by B
+    (cusped_torus_group, "A=a,B=b", True),
+    (lambda: schottky_rank2(4.0), "A=B,B=A", True),
+    (octagon_group, "A=A,B=BA,C=CA,D=DA", True),
+    (octagon_group, "A=AB,B=B,C=bC,D=bD", True),
+    (octagon_group, "A=A,B=ABa,C=ACa,D=ADa", False),  # inner, by A
+    # a relator whose exponent sums are not 0: H_1 is not free on the
+    # generators, and A = B there
+    (lambda: GroupRep(cusped_torus_group().generators[:1] * 2, relators=(W("Ab"),)),
+     "A=B,B=A", False),
+])
+def test_moves_homology_reads_the_exponent_sums_of_the_images(make_group, aut, moves):
+    rep = make_group()
+    assert boundary.moves_homology(rep, FreeAutomorphism.from_spec(aut, rank=rep.rank)) is moves
+
+
+def test_a_map_that_moves_homology_is_no_identity_at_any_residual(cusped_torus):
+    sample = induced_boundary_sample(cusped_torus, FreeAutomorphism.identity(2), 4)
+    assert not sample.moves_homology and is_boundary_identity(cusped_torus, sample).identity
+    moved = replace(sample, moves_homology=True)
+    assert is_boundary_identity(cusped_torus, moved) == replace(
+        is_boundary_identity(cusped_torus, sample), identity=False)
 
 
 def test_inner_search_has_no_entry_bound():

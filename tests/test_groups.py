@@ -730,7 +730,9 @@ def _oracle_cases():
         phi = FreeAutomorphism.from_spec(aut, rank=rep.rank)
         classes = conjugacy_class_words(rep.rank, n)
         words = [GroupWord.from_row(r) for r in classes]
-        yield f"{rep.label}-{aut}", rep, words + [substitute(phi.images, w) for w in words]
+        # the squares are proper powers, whose products stop at their roots
+        yield f"{rep.label}-{aut}", rep, words + [substitute(phi.images, w) for w in words] + [
+            w * w for w in words]
     rng = random.Random(7)
     for rep in (octagon_group(), cusped_torus_group(), schottky_rank2(4.0)):
         yield f"{rep.label}-conjugates", rep, _random_conjugates(rep, 500, rng) + [
@@ -870,10 +872,12 @@ def test_attracting_angles_of_class_rows_are_the_tables_angles(make_group, n):
     # attracting endpoint of its root (the word itself unless a proper
     # power) come from the same products, bit for bit
     rep = make_group()
-    classes = conjugacy_class_words(rep.rank, n)
-    words = [tuple(x for x in row if x) for row in classes.tolist()]
+    words = [tuple(x for x in row if x) for row in conjugacy_class_words(rep.rank, n).tolist()]
+    # each class row's square: a proper power whose root is the row
+    words += [w + w for w in words]
+    classes = letter_matrix([GroupWord(w) for w in words])
     roots = [w[:oracles.root_length(w)] for w in words]
-    assert (n > 1) == any(len(r) < len(w) for r, w in zip(roots, words))
+    assert [len(r) for r in roots] == [len(w) for w in words[:len(words) // 2]] * 2
     want = np.full(len(classes), np.nan)
     for level in oracles.word_levels(rep, n):
         width = level.letters.shape[1]

@@ -14,6 +14,7 @@ import ast
 import contextlib
 import io
 import json
+import os
 import runpy
 import shlex
 import sys
@@ -61,6 +62,7 @@ RUNS = [
     (0, "classify boundary-only.json"), (0, "chi infinite.json"),
     (0, "double half.json"), (0, "double crosscap.json --report"),
     (2, "chi missing.json"), (2, "chi not-json.json"), (2, "chi latin1.json"),
+    (2, "chi deep.json"),
     (2, "chi no-kind.json"),
     (2, "chi unknown.json"), (2, "chi short.json"), (2, "chi boundary-only.json"),
     (2, "double closed.json"), (2, "double crosscap.json"), (2, "double infinite.json"),
@@ -73,6 +75,8 @@ RUNS = [
     (0, "limit-set --group cusped-torus --n 11 -o torus-n11.csv"),
     (2, "limit-set --group octagon --n 8"), (2, "limit-set --group octagon --n 0"),
     (2, "limit-set --group octagon --n 2 -o missing/sample.csv"),
+    *([(2, "limit-set --group octagon --n 2 -o /dev/full")] if os.path.exists("/dev/full")
+      else []),
     (2, "limit-set --group octagon --n 2 --mode orbit --delta 2"),
     (2, "limit-set --group octagon --n 1 --mode orbit --delta 0.001"),
     (2, "limit-set --group octagon --n 2 --mode orbit --base 2,0"),
@@ -138,6 +142,7 @@ def run_everything(workdir: Path):
         (workdir / name).write_text(json.dumps(obj))
     (workdir / "not-json.json").write_text("{")
     (workdir / "latin1.json").write_bytes(b"\xff")
+    (workdir / "deep.json").write_text("[" * 100_000)
     codes = []
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
