@@ -174,13 +174,15 @@ def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
     J. Algorithms 37, 2000).  Each kept row carries the period p of its
     longest Lyndon prefix; a row of length t whose last letter, compared
     with the letter p places back, is smaller is dropped, equal keeps p,
-    and larger makes the row Lyndon (p = t).  A Lyndon row (a proper power
+    and larger makes the row Lyndon (p = t).  The empty word has p = 1,
+    so level 1 takes the same step: each letter is compared with itself
+    (t - 1 - p = -1) and kept, Lyndon.  A Lyndon row (a proper power
     has its root's fixed points) is a class representative when it is
     also cyclically reduced and no larger than the least rotation of its
     inverse.  Kept rows stay in table order, the order of first shortlex
     appearance of the classes.  The periods are held in the narrowest
-    unsigned type that holds n, or `words.DEFAULT_WORD_BUDGET` if that is
-    less: no level is longer than the rows the budget admits.
+    signed type that holds -1 and n, or `words.DEFAULT_WORD_BUDGET` if
+    that is less: no level is longer than the rows the budget admits.
 
     Every kept level is grown (`child_rows`) before any representative is
     taken, and BudgetExceeded is raised before a level takes the rows
@@ -189,26 +191,26 @@ def conjugacy_class_words(rank: int, n: int) -> np.ndarray:
     """
     _check_table(rank, n)
     levels, periods = [], []
+    # the signed types that hold -1 - m are those that hold -1 and m
+    period = np.ones(1, dtype=np.min_scalar_type(-1 - min(n, DEFAULT_WORD_BUDGET)))
     level, generated = np.zeros((1, 0), dtype=np.int8), 1
     for t in range(1, n + 1):
-        generated += len(level) * (2 * rank - (t > 1))
+        fan = 2 * rank - (t > 1)
+        generated += len(level) * fan
         _check_budget(generated)
         level = child_rows(rank, level)
-        if t == 1:
-            period = np.ones(len(level), dtype=np.min_scalar_type(min(n, DEFAULT_WORD_BUDGET)))
-        else:
-            # row i is a child of row i // fan of the kept level above
-            period = np.repeat(period, 2 * rank - 1)
-            byte = level.view(np.uint8)
-            key = _KEY1[byte[:, -1]]
-            back = _KEY1[byte[np.arange(len(level)), t - 1 - period]]
-            keep = key >= back
-            period = np.where(key > back, t, period)[keep]
-            # temporaries go as soon as they are spent: the copy of the kept
-            # rows and the growth of the next level set the table's peak
-            del byte, key, back
-            level = level[keep]
-            del keep
+        # row i is a child of row i // fan of the kept level above
+        period = np.repeat(period, fan)
+        byte = level.view(np.uint8)
+        key = _KEY1[byte[:, -1]]
+        back = _KEY1[byte[np.arange(len(level)), t - 1 - period]]
+        keep = key >= back
+        period = np.where(key > back, t, period)[keep]
+        # temporaries go as soon as they are spent: the copy of the kept
+        # rows and the growth of the next level set the table's peak
+        del byte, key, back
+        level = level[keep]
+        del keep
         levels.append(level)
         periods.append(period)
     reps = []
@@ -473,9 +475,13 @@ def is_boundary_identity(
 
 def _residual(a, b, zout: np.ndarray, unturn: np.ndarray):
     """Max deviation of u's action on zout from exp(i theta_in) = 1/unturn,
-    over the last axis: for one u, or for a (rows, 1) column of them."""
-    w = (a * zout + b) / (b.conjugate() * zout + a.conjugate())
-    return np.abs(np.angle(w * unturn)).max(axis=-1)
+    over the last axis: for one u, or for a (rows, 1) column of them.  An
+    undefined deviation (a 0/0 or overflowed action) counts as pi, the
+    largest an angle has: no such u passes a tol or beats the identity."""
+    with np.errstate(all="ignore"):
+        w = (a * zout + b) / (b.conjugate() * zout + a.conjugate()) * unturn
+    # a max is NaN where any deviation is, and fmin(NaN, pi) is pi
+    return np.fmin(np.abs(np.angle(w)).max(axis=-1), math.pi)
 
 
 def _lower_bounds(ua: np.ndarray, ub: np.ndarray, zout: np.ndarray, unturn: np.ndarray):

@@ -308,28 +308,22 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     for k = 16 - d is an exact double, and Dekker's product gives
     x * 10**k = p + e exactly.  When N = round(x * 10**k) has 17 digits,
     p >= 2**53 is even, so N = p + rint(e), rounded half to even as
-    `%.17g` rounds.  Every x is first taken at d = 0, where most angles
-    lie; where N falls outside [10**16, 10**17), d is taken from log10 x
-    and moves by one until N is in range.  (With d one too large, N lands
-    in range only for x within a relative 5e-17 below a power of ten; no
-    double here is.)  Zero, exponent forms, x >= 8, negative and
-    non-finite values go through `format` itself.
+    `%.17g` rounds.  Every d is taken from log10 x in one pass, and moves
+    by one where N falls outside [10**16, 10**17) until N is in range.
+    (With d one too large, N lands in range only for x within a relative
+    5e-17 below a power of ten; no double here is.)  Zero, exponent forms,
+    x >= 8, negative and non-finite values go through `format` itself.
     """
     fast = (x >= 1e-4) & (x < 8.0)
     slow = np.flatnonzero(~fast)
     v = np.where(fast, x, 1.0) if slow.size else x
-    n = _rounded_scaled(v, 16)
-    redo = np.flatnonzero(n < 10**16)
-    if redo.size:
-        exp10 = np.floor(np.log10(v[redo])).astype(np.intp)
-        m = _rounded_scaled(v[redo], 16 - exp10)
-        off = np.flatnonzero((m < 10**16) | (m >= 10**17))
-        while off.size:
-            exp10[off] += np.where(m[off] < 10**16, -1, 1)
-            m[off] = _rounded_scaled(v[redo[off]], 16 - exp10[off])
-            off = off[(m[off] < 10**16) | (m[off] >= 10**17)]
-        n[redo] = m
-        del m
+    exp10 = np.floor(np.log10(v)).astype(np.intp)
+    n = _rounded_scaled(v, 16 - exp10)
+    off = np.flatnonzero((n < 10**16) | (n >= 10**17))
+    while off.size:
+        exp10[off] += np.where(n[off] < 10**16, -1, 1)
+        n[off] = _rounded_scaled(v[off], 16 - exp10[off])
+        off = off[(n[off] < 10**16) | (n[off] >= 10**17)]
     top = n // 10**15
     n -= top * 10**15
     b = n // 10**7  # digits 2-9
@@ -338,8 +332,7 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     b -= a * 10**4
     c = n // 1000
     n -= c * 1000
-    if redo.size:
-        top[redo] -= 100 * exp10
+    top -= 100 * exp10
     # a digit group is stripped where every digit after it is zero
     last = np.flatnonzero(n == 0)
     for group in (c, b, a):

@@ -1,8 +1,8 @@
 """Reference implementations that the array fast paths replaced,
 references that tests of the library measure against, and the fixtures
 that only tests run: random Nielsen automorphisms, the point action of an
-isometry, the hexagon identity of a pants and the scan of finite
-descriptions.
+isometry, the hexagon identity and the Fuchsian group of a pants and the
+scan of finite descriptions.
 
 The references are kept only as test oracles: each new path must
 reproduce its reference exactly, arrays bit for bit, dtype and shape
@@ -31,12 +31,14 @@ from hypsurf.disk import (
     TOL_ANGLE,
     TWO_PI,
     DiskPoint,
+    Geodesic,
     IdealPoint,
     MobiusIsometry,
     circle_angle,
     circle_fixed_points,
     is_certainly_hyperbolic,
     reduce_angle,
+    translation_along,
 )
 from hypsurf.errors import (
     BudgetExceeded,
@@ -50,13 +52,14 @@ from hypsurf.errors import (
 from hypsurf.groups import (
     DEFAULT_DELTA,
     EndpointSample,
+    GroupRep,
     SampleMode,
     _Block,
     _compose_rows,
     _letter_matrices,
     _word_blocks,
 )
-from hypsurf.pants import DEFAULT_GLUING_LENGTH, CuffLengths, PantsGeometry
+from hypsurf.pants import DEFAULT_GLUING_LENGTH, CuffLengths, PantsGeometry, build_pants
 from hypsurf.signature import FiniteType, Signature
 from hypsurf.text import dump_json
 
@@ -376,6 +379,22 @@ def hexagon_identity_residual(x: CuffLengths, geometry: PantsGeometry) -> float:
         rhs = math.cosh(0.5 * xs[i]) * math.cosh(0.5 * xs[j]) + math.cosh(0.5 * xs[k])
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return worst
+
+
+def pants_group(cuffs: CuffLengths) -> GroupRep:
+    """The pants of cuffs (l1, l2, l3) as a Fuchsian group by a route that
+    shares only the seam d12 with `build_pants`: A and B translate by l1
+    and l2 (`translation_along`) along axes perpendicular to the real
+    diameter, d12/2 either side of 0, so that AB or AB^-1 goes once round
+    the third cuff and has half-trace cosh(l3/2).  An axis at distance s
+    from 0 ends at angles +-phi (or pi -+ phi) with cos phi = tanh s and
+    sin phi = 1/cosh s, so phi = atan2(1, sinh s), which keeps its
+    precision where acos(tanh s) would not."""
+    phi = math.atan2(1.0, math.sinh(0.5 * build_pants(cuffs).d12))
+    a = translation_along(Geodesic(IdealPoint(math.pi - phi), IdealPoint(math.pi + phi)),
+                          cuffs.x1)
+    b = translation_along(Geodesic(IdealPoint(phi), IdealPoint(-phi)), cuffs.x2)
+    return GroupRep((a, b), label="pants")
 
 
 def all_finite_descriptions(max_complexity: int) -> list[FiniteType]:

@@ -317,9 +317,13 @@ def test_conjugacy_class_words_counts(rank, n):
         assert len(reps) == 4
 
 
-# (1, 300): the periods of the prenecklace rule pass int8's range there
-@pytest.mark.parametrize("rank, n", [(1, 70), (1, 300), (2, 10), (2, 11), (3, 7), (4, 6),
-                                     (5, 4)])
+# the prenecklace periods are signed and read the letter at t - 1 - p, -1
+# at level 1: they widen from int8 to int16 between n = 127 and 128, and
+# 255 and 256 were the edge of the unsigned periods; (2, 1) and (2, 2) have
+# level 1 alone and with one level grown from it
+@pytest.mark.parametrize("rank, n", [(1, 70), (1, 127), (1, 128), (1, 255), (1, 256),
+                                     (1, 300), (2, 1), (2, 2), (2, 10), (2, 11), (3, 7),
+                                     (4, 6), (5, 4)])
 def test_conjugacy_class_words_match_the_packed_code_table(rank, n):
     # the packed code table keeps the proper powers too
     new, ref = conjugacy_class_words(rank, n), oracles.conjugacy_class_words(rank, n)
@@ -656,6 +660,29 @@ def test_inner_bound_is_the_full_pass_at_its_points_bit_for_bit():
             np.abs(np.angle((a * zout + b) / (b.conjugate() * zout + a.conjugate()) * unturn))
             for a, b in zip(ua, ub)])
         assert bounds.tobytes() == full[:, at].max(axis=1).tobytes()
+
+
+def test_inner_residual_counts_an_undefined_action_as_pi():
+    # u = (1, -1) maps z = 1 to 0/0, and every other point to -1
+    theta = np.array([0.0, 1.0, 2.0])
+    zout, unturn = np.exp(1j * theta), np.exp(-1j * theta)
+    assert zout[0] == 1.0
+    ua, ub = np.array([1.0 + 0j, 1.0 + 0j]), np.array([0j, -1.0 + 0j])
+    at, bounds = boundary._lower_bounds(ua, ub, zout, unturn)
+    assert at.tolist() == [0, 1, 2]
+    assert bounds[0] < 1e-15 and bounds[1] == math.pi
+    assert boundary._residual(ua[1], ub[1], zout, unturn) == math.pi
+    # a u of overflowing entries acts as inf/inf everywhere
+    assert boundary._residual(1e308 + 1e308j, 1e308 + 0j, zout, unturn) == math.pi
+
+
+def test_inner_search_beside_undefined_actions_keeps_the_identity():
+    # separation 37: some u of length <= 3 act as 0/0 at a sampled point
+    rep = schottky_rank2(37.0)
+    sample = induced_boundary_sample(rep, FreeAutomorphism.identity(2), 3)
+    result = is_boundary_identity(rep, sample, m=3)
+    assert result.identity and result.residual == 0.0
+    assert [str(w) for w in result.near_minimizers] == ["1"]
 
 
 def test_inner_bound_is_exact_across_blocks(monkeypatch):

@@ -107,6 +107,21 @@ def test_hexagon_identity_residual_100_random_triples():
         assert hexagon_identity_residual(x, pg) < 1e-9
 
 
+def test_pants_group_closes_the_third_cuff():
+    # the worst relative error over this sample is 1.8e-11, at cuffs (12.08,
+    # 11.90, 0.163): there the half-trace is a difference of two terms 4e4
+    # times its size.  The tolerance is that worst case times 5.6
+    rng = random.Random(20261020)
+    worst = 0.0
+    for _ in range(2000):
+        x = CuffLengths(*(math.exp(rng.uniform(-3.0, 2.5)) for _ in range(3)))
+        a, b = oracles.pants_group(x).generators
+        half_trace = math.cosh(0.5 * x.x3)
+        worst = max(worst, min(abs(abs(p.a.real) - half_trace) / half_trace
+                               for p in (a.compose(b), a.compose(b.inverse()))))
+    assert worst < 1e-10
+
+
 def test_hexagon_walk_closure_100_random_triples():
     rng = random.Random(7)
     for _ in range(100):

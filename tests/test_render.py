@@ -161,6 +161,14 @@ def test_float_field_matches_format_near_powers_of_ten_and_eight():
     assert_renders_like_format(NEAR_POWERS)
 
 
+def test_float_field_matches_format_on_a_block_below_one():
+    # one whole block of values below 1: every row takes a negative exponent
+    rng = np.random.default_rng(20261020)
+    x = 10.0 ** rng.uniform(-4.0, 0.0, pool.BLOCK_ROWS)
+    assert x.min() >= 1e-4 and x.max() < 1.0
+    assert_renders_like_format(x)
+
+
 def test_float_field_rounds_half_way_ties_to_even():
     # i / 2**s times 10**(16 - d) is a multiple of 1/2 with a nonzero
     # fraction for many i: the 17-digit rounding is an exact tie
