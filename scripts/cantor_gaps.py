@@ -11,7 +11,7 @@ import sys
 
 from hypsurf.disk import DiskPoint
 from hypsurf.groups import SampleMode, gap_profile, limit_sample, schottky_rank2
-from hypsurf.text import dump_json
+from hypsurf.jsontext import dump_json
 
 
 def main() -> int:

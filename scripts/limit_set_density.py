@@ -18,7 +18,7 @@ from hypsurf.groups import (
     octagon_group,
     schottky_rank2,
 )
-from hypsurf.text import format_float
+from hypsurf.jsontext import format_float
 
 GROUPS = {
     "octagon": octagon_group,

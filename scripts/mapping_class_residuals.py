@@ -12,7 +12,7 @@ import sys
 
 from hypsurf.boundary import FreeAutomorphism, induced_boundary_sample, is_boundary_identity
 from hypsurf.groups import cusped_torus_group
-from hypsurf.text import dump_json
+from hypsurf.jsontext import dump_json
 from hypsurf.words import GroupWord
 
 CASES = {

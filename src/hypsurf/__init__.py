@@ -5,58 +5,13 @@ finitely generated groups of disk isometries and their limit sets
 (`groups`), the surface-signature calculus with the 13-surface
 classifier (`signature`), hyperbolic metrics from generalized pairs of
 pants (`pants`), sampled boundary circle maps of free-group
-automorphisms (`boundary`), and a CLI (`cli`).
-"""
+automorphisms (`boundary`), output text (`jsontext` for small payloads
+and plans, `text` for samples), and a CLI (`cli`).
 
-from hypsurf.disk import (
-    DiskPoint,
-    Geodesic,
-    IdealPoint,
-    MobiusIsometry,
-    translation_along,
-)
-from hypsurf.words import GroupWord
-from hypsurf.groups import (
-    EndpointSample,
-    GroupRep,
-    SampleMode,
-    attracting_angle,
-    cusped_torus_group,
-    evaluate,
-    gap_profile,
-    limit_sample,
-    max_angular_gap,
-    octagon_group,
-    schottky_rank2,
-)
-from hypsurf.signature import (
-    FiniteType,
-    HalfPlaneSurface,
-    InfiniteType,
-    Signature,
-    StandardnessVerdict,
-    Strip,
-    double,
-    doubling_report,
-    euler_characteristic,
-    is_standard,
-    thirteen_list,
-)
-from hypsurf.pants import (
-    CuffLengths,
-    PantsDecompositionPlan,
-    PantsGeometry,
-    build_pants,
-    plan_decomposition,
-    realize,
-)
-from hypsurf.boundary import (
-    CircleMapSample,
-    FreeAutomorphism,
-    certify_automorphism,
-    induced_boundary_sample,
-    is_boundary_identity,
-    order_check,
-)
+Import names from their modules (`from hypsurf.groups import
+limit_sample`): the package itself re-exports nothing, so `import
+hypsurf` loads no numpy, and neither do `signature`, `pants` and
+`jsontext`.
+"""
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from hypsurf.groups import (
     attracting_angle,
     attracting_angles,
 )
-from hypsurf.text import sample_csv
+from hypsurf.text import circle_map_json, sample_csv
 from hypsurf.words import (
     DEFAULT_WORD_BUDGET,
     GroupWord,
@@ -149,6 +149,10 @@ class CircleMapSample:
         """The CSV text as chunks that concatenate to it (`text.sample_csv`)."""
         return sample_csv("theta_in,theta_out,word", (self.theta_in, self.theta_out),
                           self.letters)
+
+    def to_json_rows(self):
+        """The JSON text as chunks that concatenate to it (`text.circle_map_json`)."""
+        return circle_map_json(self.theta_in, self.theta_out, self.letters, self.skipped)
 
 
 #: the letter key + 1 of the int8 letter of each byte (``letters.view(np.uint8)``

@@ -1,5 +1,47 @@
 """Command-line surface over the library.
 
+`main(argv)` runs one subcommand; `build_parser` builds the parser, whose
+description, `_DESCRIPTION`, is the `--help` text: the subcommands, their
+output and the exit codes.
+
+The signature and pants subcommands (chi, classify, double, thirteen,
+pants, plan) need only `signature`, `pants` and `jsontext`, which import
+no numpy, and this module imports nothing more at its top.  `limit-set`
+and `boundary-map` import `groups`, `disk` and `boundary` in their own
+branches, when they run, and with them numpy and the sample renderer
+`text`; `limit-set` never loads `boundary`.  Those imports read the
+library's names at call time, so a name rebound in `groups` or
+`boundary` (a tracer's, a test's) is the one called.  Small payloads and
+plans are written by `jsontext`; a sample renders its own CSV or JSON
+(`to_csv_rows`, `to_json_rows`).
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import json
+import os
+import sys
+from typing import Iterable, Optional
+
+from hypsurf.errors import HypsurfError, InvalidInput, NumericFailure
+from hypsurf.jsontext import dump_json, plan_json
+from hypsurf.pants import CuffLengths, build_pants, plan_decomposition, realize
+from hypsurf.signature import (
+    Signature,
+    chi_to_json,
+    description_from_json,
+    description_to_json,
+    double,
+    doubling_report,
+    euler_characteristic,
+    is_standard,
+    thirteen_list,
+)
+
+_DESCRIPTION = """Command-line surface over the library.
+
 Subcommands mirror the modules: chi / classify / double / thirteen for
 the signature calculus, pants / plan for hyperbolic metrics, limit-set
 for endpoint samples, boundary-map for sampled circle maps.  Output is
@@ -22,49 +64,13 @@ entries too large to normalize); errors are a one-line JSON object on
 stderr.
 """
 
-from __future__ import annotations
-
-import argparse
-import functools
-import json
-import os
-import sys
-from typing import Iterable, Optional
-
-from hypsurf.boundary import (
-    DEFAULT_IDENTITY_TOL,
-    DEFAULT_SEARCH_DEPTH,
-    CircleMapSample,
-    FreeAutomorphism,
-    induced_boundary_sample,
-    is_boundary_identity,
-)
-from hypsurf.disk import DiskPoint
-from hypsurf.errors import HypsurfError, InvalidInput, NumericFailure
-from hypsurf.groups import (
-    DEFAULT_DELTA,
-    GroupRep,
-    SampleMode,
-    cusped_torus_group,
-    limit_sample,
-    octagon_group,
-    schottky_rank2,
-)
-from hypsurf.pants import CuffLengths, build_pants, plan_decomposition, realize
-from hypsurf.signature import (
-    Signature,
-    chi_to_json,
-    description_from_json,
-    description_to_json,
-    double,
-    doubling_report,
-    euler_characteristic,
-    is_standard,
-    thirteen_list,
-)
-from hypsurf.text import circle_map_json, dump_json, endpoint_json, plan_json
-
 DEFAULT_SEPARATION = 4.0
+#: the library's defaults, as the help text states them; each equals its
+#: library value (`groups.DEFAULT_DELTA`, `boundary.DEFAULT_SEARCH_DEPTH`,
+#: `boundary.DEFAULT_IDENTITY_TOL`), which would cost numpy to read here
+DEFAULT_DELTA = 0.2
+DEFAULT_SEARCH_DEPTH = 3
+DEFAULT_IDENTITY_TOL = 1e-3
 _SEPARATION_HELP = f"schottky only: translation length (default {DEFAULT_SEPARATION})"
 
 
@@ -77,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later
     `main` call in the process; importing this module builds none.
     `parse_args` keeps no state between calls."""
-    p = argparse.ArgumentParser(prog="hypsurf", description=__doc__,
+    p = argparse.ArgumentParser(prog="hypsurf", description=_DESCRIPTION,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = p.add_subparsers(dest="subcommand", required=True)
 
@@ -167,15 +173,8 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 
 def _emit_sample(sample, output_format: str, path: Optional[str]) -> None:
-    """Write a sample's CSV or JSON, rendered from its arrays."""
-    if output_format == "csv":
-        chunks = sample.to_csv_rows()
-    elif isinstance(sample, CircleMapSample):
-        chunks = circle_map_json(sample.theta_in, sample.theta_out, sample.letters,
-                                 sample.skipped)
-    else:
-        chunks = endpoint_json(sample.mode.value, sample.angles, sample.letters)
-    _emit_text(chunks, path)
+    """Write a sample's CSV or JSON, which the sample renders from its arrays."""
+    _emit_text(sample.to_csv_rows() if output_format == "csv" else sample.to_json_rows(), path)
 
 
 def _load_description(path: str):
@@ -192,13 +191,20 @@ def _load_description(path: str):
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
+    """The comma-separated numbers of text.  A number whose digits before
+    its exponent are not all zero, yet which parses to 0.0 (1e-400), has
+    underflowed, and raises InvalidInput rather than being taken as 0."""
     text = text.strip()
     if not text:
         return ()
     try:
-        return tuple(float(x) for x in text.split(","))
+        values = tuple(float(x) for x in text.split(","))
     except ValueError as e:
         raise InvalidInput(f"bad number list {text!r}: {e}")
+    for x, v in zip(text.split(","), values):
+        if v == 0.0 and any(c in "123456789" for c in x.lower().partition("e")[0]):
+            raise InvalidInput(f"{x.strip()!r} is too small for a double: it would be read as 0")
+    return values
 
 
 def _reject_given(args, flags: tuple[str, ...], scope: str) -> None:
@@ -209,7 +215,9 @@ def _reject_given(args, flags: tuple[str, ...], scope: str) -> None:
         raise InvalidInput(f"{' and '.join(given)}: only used {scope}")
 
 
-def _group_from_args(args) -> GroupRep:
+def _group_from_args(args):
+    from hypsurf.groups import cusped_torus_group, octagon_group, schottky_rank2
+
     if args.group == "schottky":
         return schottky_rank2(DEFAULT_SEPARATION if args.separation is None else args.separation)
     _reject_given(args, ("separation",), "to --group schottky")
@@ -260,6 +268,9 @@ def run(argv) -> int:
         plan = plan_decomposition(s, _parse_floats(args.lengths))
         _emit(plan_json(plan, realize(plan)), args.output_path)
     elif cmd == "limit-set":
+        from hypsurf.disk import DiskPoint
+        from hypsurf.groups import SampleMode, limit_sample
+
         if args.mode == "orbit":
             mode = SampleMode.ORBIT_PROJECTION
         else:
@@ -274,6 +285,12 @@ def run(argv) -> int:
                               args.max_word_length, mode, delta=delta)
         _emit_sample(sample, args.output_format, args.output_path)
     elif cmd == "boundary-map":
+        from hypsurf.boundary import (
+            FreeAutomorphism,
+            induced_boundary_sample,
+            is_boundary_identity,
+        )
+
         if not args.check_identity:
             _reject_given(args, ("m", "tol"), "with --check-identity")
         elif args.output_format is not None and args.output_path is None:

@@ -59,7 +59,7 @@ from hypsurf.errors import (
     InvalidInput,
     NumericFailure,
 )
-from hypsurf.text import sample_csv
+from hypsurf.text import endpoint_json, sample_csv
 from hypsurf.words import GroupWord, _letter_key, child_rows, word_table
 
 #: relator products must land this close to +/- identity
@@ -266,6 +266,10 @@ class EndpointSample:
     def to_csv_rows(self) -> Iterator[str]:
         """The CSV text as chunks that concatenate to it (`text.sample_csv`)."""
         return sample_csv("theta,word", (self.angles,), self.letters)
+
+    def to_json_rows(self) -> Iterator[str]:
+        """The JSON text as chunks that concatenate to it (`text.endpoint_json`)."""
+        return endpoint_json(self.mode.value, self.angles, self.letters)
 
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -23,6 +24,7 @@ from hypsurf.errors import (
     LengthMismatch,
     NegativeLength,
     NotHyperbolizable,
+    NumericFailure,
 )
 from hypsurf.signature import Signature
 
@@ -123,14 +125,18 @@ def _log1mexp(x: float) -> float:
 
 
 def build_pants(x: CuffLengths) -> PantsGeometry:
-    """Generalized pair of pants with the given cuff lengths."""
+    """Generalized pair of pants with the given cuff lengths.  A finite
+    seam below the smallest normal double (about 2.2e-308) has lost
+    relative precision, or rounded to 0, and raises NumericFailure: past
+    cuffs of about 2,836 when all three are equal, or of about 1,420 for
+    the seam between two long cuffs beside a short one."""
     x1, x2, x3 = x.as_tuple()
-    return PantsGeometry(
-        cuffs=x,
-        d12=_seam(x1, x2, x3),
-        d23=_seam(x2, x3, x1),
-        d31=_seam(x3, x1, x2),
-    )
+    seams = {"d12": _seam(x1, x2, x3), "d23": _seam(x2, x3, x1), "d31": _seam(x3, x1, x2)}
+    for name, d in seams.items():
+        if d < sys.float_info.min:
+            raise NumericFailure(f"seam {name} = {d!r} is below the smallest normal double "
+                                 f"{sys.float_info.min!r}")
+    return PantsGeometry(cuffs=x, **seams)
 
 
 # ---------------------------------------------------------------------------

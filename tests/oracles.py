@@ -61,7 +61,7 @@ from hypsurf.groups import (
 )
 from hypsurf.pants import DEFAULT_GLUING_LENGTH, CuffLengths, PantsGeometry, build_pants
 from hypsurf.signature import FiniteType, Signature
-from hypsurf.text import dump_json
+from hypsurf.jsontext import dump_json
 
 
 def word_levels(rep, n: int) -> list[_Block]:
@@ -415,7 +415,7 @@ def plan_decomposition(
 ) -> dict:
     """`pants.plan_decomposition` as a role list laid along the chain,
     then a second pass that sorts the slots by role, built as the payload
-    that `text.plan_json` renders, less its summary: dicts and lists of
+    that `jsontext.plan_json` renders, less its summary: dicts and lists of
     slot names and lengths, each gluing, crosscap and boundary slot with
     a length of its own."""
     chi = s.chi()
@@ -497,7 +497,7 @@ def plan_decomposition(
 
 
 def plan_text(payload: dict) -> str:
-    """`text.plan_json` of a reference payload: its summary (2*pi a pants,
+    """`jsontext.plan_json` of a reference payload: its summary (2*pi a pants,
     and the cuff map read from the payload's own pants) added, then the
     whole walked value by value by `dump_json`."""
     pants = payload["pants"]

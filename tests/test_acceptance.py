@@ -43,7 +43,7 @@ from hypsurf.signature import (
     is_standard,
     thirteen_list,
 )
-from hypsurf.text import dump_json
+from hypsurf.jsontext import dump_json
 from hypsurf.words import GroupWord, word_count
 
 from oracles import (

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypsurf import boundary, cli, text
+from hypsurf import boundary, cli, groups, jsontext
 from hypsurf.errors import InvalidInput, NumericFailure
 
 try:
@@ -414,6 +414,31 @@ def test_non_finite_and_negative_numbers_are_invalid_input(argv, capsys):
     assert json.loads(err)["error"] == "InvalidInput"
 
 
+@pytest.mark.parametrize("argv, literal", [
+    # each was once read as 0: a cusp with seams inf, genus 0, "length 0.0"
+    (("pants", "--lengths", "2e-324,1,1"), "2e-324"),
+    (("plan", "--sig", "1e-400,0,0,3"), "1e-400"),
+    (("plan", "--sig", "0,0,3,0", "--lengths", "1e-400,1,1"), "1e-400"),
+    (("pants", "--lengths", "1,-1.5E-999,1"), "-1.5E-999"),
+    (("limit-set", "--group", "octagon", "--n", "2", "--mode", "orbit", "--base", "0,1e-400"),
+     "1e-400"),
+])
+def test_a_number_that_underflows_to_zero_is_invalid_input(argv, literal, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "InvalidInput",
+        "message": f"{literal!r} is too small for a double: it would be read as 0"}
+
+
+@pytest.mark.parametrize("lengths", ["0,1,1", "-0,1,1", "0e-400,1,1", "0.000e-99999,1,1"])
+def test_a_zero_literal_stays_a_cusp(lengths, capsys):
+    code, out, err = run_cli(capsys, "pants", f"--lengths={lengths}")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["cuffs"] == [0, 1, 1]
+    assert json.loads(out)["seams"]["d12"] == "inf"
+
+
 @pytest.mark.parametrize("argv", [
     ("limit-set", "--group", "schottky", "--n", "2"),
     ("boundary-map", "--group", "schottky", "--aut", "A=AB,B=B", "--n", "2"),
@@ -532,9 +557,9 @@ def test_limit_set_base_needs_re_and_im(base, capsys):
 
 
 def test_float_formatting_17_significant_digits():
-    assert text.format_float(2 * math.pi) == "6.2831853071795862"
-    assert text.dump_json({"x": 0.1}) == '{"x":0.10000000000000001}'
-    assert text.dump_json([1, True, None, "s"]) == '[1,true,null,"s"]'
+    assert jsontext.format_float(2 * math.pi) == "6.2831853071795862"
+    assert jsontext.dump_json({"x": 0.1}) == '{"x":0.10000000000000001}'
+    assert jsontext.dump_json([1, True, None, "s"]) == '[1,true,null,"s"]'
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -543,44 +568,44 @@ def test_dump_json_rejects_non_finite_in_long_float_list(bad):
         values = [0.25] * 1000
         values[where] = bad
         with pytest.raises(InvalidInput):
-            text.dump_json(values)
+            jsontext.dump_json(values)
         with pytest.raises(InvalidInput):
-            text.dump_json({"angles": tuple(values)})
+            jsontext.dump_json({"angles": tuple(values)})
         with pytest.raises(InvalidInput):
-            text.dump_json({f"p{i}.c0": v for i, v in enumerate(values)})
+            jsontext.dump_json({f"p{i}.c0": v for i, v in enumerate(values)})
 
 
 def test_dump_json_float_list_matches_per_element_formatting():
     values = [0.1, -2.5e-300, 1e300, 5e-324, -0.0, 2 * math.pi]
-    expected = "[" + ",".join(text.format_float(x) for x in values) + "]"
-    assert text.dump_json(values) == expected
-    assert text.dump_json(tuple(values)) == expected
+    expected = "[" + ",".join(jsontext.format_float(x) for x in values) + "]"
+    assert jsontext.dump_json(values) == expected
+    assert jsontext.dump_json(tuple(values)) == expected
 
 
 def test_dump_json_bools_and_ints_stay_off_the_float_path():
-    assert text.dump_json([True, 1.0]) == "[true,1]"
-    assert text.dump_json([1, 2.0]) == "[1,2]"
-    assert text.dump_json([False]) == "[false]"
-    assert text.dump_json([3]) == "[3]"
+    assert jsontext.dump_json([True, 1.0]) == "[true,1]"
+    assert jsontext.dump_json([1, 2.0]) == "[1,2]"
+    assert jsontext.dump_json([False]) == "[false]"
+    assert jsontext.dump_json([3]) == "[3]"
 
 
 def test_dump_json_string_list_escapes_like_json_dumps():
     values = ['plain', 'quote"', "back\\slash", "new\nline", "tab\t", "\u00e9", "\u2028", "\x00"]
     expected = "[" + ",".join(json.dumps(v) for v in values) + "]"
-    assert text.dump_json(values) == expected
-    assert json.loads(text.dump_json(values)) == values
+    assert jsontext.dump_json(values) == expected
+    assert json.loads(jsontext.dump_json(values)) == values
     keys = values + ["", 7, -1, 2.5, True, None]
     expected_keys = [json.dumps(str(k)) for k in keys]
     mixed = {k: i for i, k in enumerate(keys)}
-    assert text.dump_json(mixed) == (
+    assert jsontext.dump_json(mixed) == (
         "{" + ",".join(f"{k}:{i}" for i, k in enumerate(expected_keys)) + "}"
     )
     floats = {k: 0.5 * i for i, k in enumerate(keys)}
-    assert text.dump_json(floats) == (
-        "{" + ",".join(f"{k}:{text.format_float(0.5 * i)}" for i, k in enumerate(expected_keys)) + "}"
+    assert jsontext.dump_json(floats) == (
+        "{" + ",".join(f"{k}:{jsontext.format_float(0.5 * i)}" for i, k in enumerate(expected_keys)) + "}"
     )
     # an "n" in a key is not a non-finite value
-    assert text.dump_json({"nan": 1.0, "inf": 0.25}) == '{"nan":1,"inf":0.25}'
+    assert jsontext.dump_json({"nan": 1.0, "inf": 0.25}) == '{"nan":1,"inf":0.25}'
 
 
 def test_repeated_in_process_calls_stay_independent(tmp_path, capsys):
@@ -648,6 +673,53 @@ def test_import_builds_no_parser_and_main_builds_one():
     assert after_import == 0
     assert one_build > 1  # the top-level parser and its subcommand parsers
     assert after_two_calls == one_build
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # the help text states them without importing the sampler
+    assert cli.DEFAULT_DELTA == groups.DEFAULT_DELTA
+    assert cli.DEFAULT_SEARCH_DEPTH == boundary.DEFAULT_SEARCH_DEPTH
+    assert cli.DEFAULT_IDENTITY_TOL == boundary.DEFAULT_IDENTITY_TOL
+
+
+#: the signature and pants subcommands, which need no numpy
+BOOKKEEPING_ARGVS = [
+    ["chi", "desc.json"],
+    ["classify", "desc.json"],
+    ["double", "desc.json", "--report"],
+    ["thirteen"],
+    ["pants", "--lengths", "2,2,0"],
+    ["plan", "--sig", "1,1,1,1", "--lengths", "2"],
+]
+
+
+def test_only_the_sampling_subcommands_import_numpy(tmp_path):
+    (tmp_path / "desc.json").write_text('{"kind":"finite","g":1,"c":0,"b":1,"a":0}')
+    probe = textwrap.dedent("""
+        import json, os, sys
+        before = "numpy" in sys.modules
+        import hypsurf
+        loaded = {"import hypsurf": "numpy" in sys.modules}
+        from hypsurf import cli
+        for argv in json.loads(sys.argv[1]):
+            code = cli.main([*argv, "-o", os.devnull])
+            loaded[" ".join(argv)] = "numpy" in sys.modules if code == 0 else code
+        code = cli.main(["limit-set", "--group", "octagon", "--n", "2", "-o", os.devnull])
+        sampled = [code, "numpy" in sys.modules, "hypsurf.boundary" in sys.modules]
+        print(json.dumps([before, loaded, sampled]))
+    """)
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(BOOKKEEPING_ARGVS)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, loaded, sampled = json.loads(proc.stdout)
+    if before:
+        pytest.skip("this interpreter loads numpy before hypsurf")
+    assert loaded == {"import hypsurf": False, **{" ".join(a): False for a in BOOKKEEPING_ARGVS}}
+    # limit-set loads numpy, and with it not the boundary-map sampler
+    assert sampled == [0, True, False]
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 from dataclasses import replace
 
 import mpmath
@@ -17,6 +18,7 @@ from hypsurf.errors import (
     LengthMismatch,
     NegativeLength,
     NotHyperbolizable,
+    NumericFailure,
 )
 from hypsurf import pants
 from hypsurf.pants import (
@@ -27,7 +29,7 @@ from hypsurf.pants import (
     realize,
 )
 from hypsurf.signature import Signature
-from hypsurf.text import dump_json, plan_json
+from hypsurf.jsontext import dump_json, plan_json
 
 import oracles
 from oracles import hexagon_identity_residual
@@ -173,6 +175,22 @@ def test_seam_against_mpmath_from_the_smallest_to_huge_cuffs():
         want = _seam_reference(*triple)
         # or within one step of the smallest subnormal, where a seam rounds to 0
         assert abs(pants._seam(*triple) - want) <= max(1e-13 * want, 5e-324), triple
+
+
+@pytest.mark.parametrize("cuffs", [(2900.0, 2900.0, 2900.0), (3000.0, 3000.0, 3000.0),
+                                   (1500.0, 1500.0, 1.0), (1.0, 1500.0, 1500.0)])
+def test_a_seam_below_the_smallest_normal_double_is_a_numeric_failure(cuffs):
+    # 2,900 once printed a subnormal seam of 2.7e-315, and 3,000 a seam of 0
+    x1, x2, x3 = cuffs
+    seams = (pants._seam(x1, x2, x3), pants._seam(x2, x3, x1), pants._seam(x3, x1, x2))
+    assert min(seams) < sys.float_info.min
+    with pytest.raises(NumericFailure, match="below the smallest normal double"):
+        build_pants(CuffLengths(*cuffs))
+
+
+def test_a_seam_just_above_the_smallest_normal_double_is_built():
+    pg = build_pants(CuffLengths(2800.0, 2800.0, 2800.0))
+    assert pg.d12 == pg.d23 == pg.d31 == pytest.approx(1.9719e-304, rel=1e-4)
 
 
 def cuffs_of(plan):

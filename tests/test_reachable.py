@@ -67,6 +67,9 @@ RUNS = [
     (2, "chi unknown.json"), (2, "chi short.json"), (2, "chi boundary-only.json"),
     (2, "double closed.json"), (2, "double crosscap.json"), (2, "double infinite.json"),
     (0, "pants --lengths 0,1,2"), (2, "pants --lengths 1,1"), (2, "pants --lengths=-1,1,1"),
+    # numbers that underflow to 0, and a seam below the smallest normal double
+    (2, "pants --lengths 2e-324,1,1"), (2, "plan --sig 1e-400,0,0,3"),
+    (2, "plan --sig 0,0,3,0 --lengths 1e-400,1,1"), (3, "pants --lengths 3000,3000,3000"),
     (0, "plan --sig 1,2,2,1 --lengths 1,2"), (2, "plan --sig 0,0,2,0 --lengths 1,1"),
     (2, "plan --sig 0,0,3,0 --lengths 1"), (2, "plan --sig 1.5,0,0,0"),
     (2, "plan --sig 1,0,0"), (2, "plan --sig 50002,0,0,0"),

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypsurf import cli, pool, text
+from hypsurf import boundary, cli, groups, jsontext, pool, text
 from hypsurf.boundary import CircleMapSample, FreeAutomorphism, induced_boundary_sample
 from hypsurf.disk import DiskPoint
 from hypsurf.errors import InvalidInput
@@ -119,10 +119,10 @@ def assert_renders_like_format(x):
     # the float field of a one-column CSV whose words are all empty
     x = np.asarray(x, dtype=np.float64)
     csv = "".join(text.sample_csv("x", (x,), np.zeros((len(x), 0), np.int8)))
-    if csv != "x\n" + ",1\n".join(map(text.format_float, x.tolist())) + ",1":
+    if csv != "x\n" + ",1\n".join(map(jsontext.format_float, x.tolist())) + ",1":
         lines = csv.split("\n")[1:]
         bad = next(i for i, v in enumerate(x.tolist())
-                   if lines[i] != text.format_float(v) + ",1")
+                   if lines[i] != jsontext.format_float(v) + ",1")
         raise AssertionError(f"{x[bad]!r} renders as {lines[bad]!r}")
 
 
@@ -377,9 +377,10 @@ def test_non_finite_json_value_exits_2_before_any_output(bad, monkeypatch, tmp_p
     angles[13] = bad
     letters = edge_letters(20)
     monkeypatch.setattr(pool, "BLOCK_ROWS", 4)
-    monkeypatch.setattr(cli, "limit_sample", lambda *args, **kwargs: EndpointSample(
+    # the CLI reads these names from their modules when the subcommand runs
+    monkeypatch.setattr(groups, "limit_sample", lambda *args, **kwargs: EndpointSample(
         SampleMode.AXIS_ENDPOINTS, angles, letters))
-    monkeypatch.setattr(cli, "induced_boundary_sample", lambda *args: CircleMapSample(
+    monkeypatch.setattr(boundary, "induced_boundary_sample", lambda *args: CircleMapSample(
         np.linspace(0.0, 6.0, 20), angles, letters))
     for argv in ("limit-set --group octagon --n 2 --format json",
                  "boundary-map --group cusped-torus --aut A=AB,B=B --n 2 --format json"):

@@ -51,3 +51,23 @@ def test_mapping_class_residuals_script():
         assert set(residuals) == {"0", "1"}
     assert by_name["identity"]["0"] == pytest.approx(0.0, abs=1e-10)
     assert by_name["inner-A"]["1"] == pytest.approx(0.0, abs=1e-6)
+
+
+def test_compare_startup_script():
+    head = subprocess.run(["git", "rev-parse", "--verify", "--quiet", "HEAD^{commit}"],
+                          cwd=ROOT, capture_output=True, text=True)
+    if head.returncode != 0:
+        pytest.skip("not a git checkout with a commit")
+    lines = run_script("compare_startup.py", "HEAD", "--repeats", "1").splitlines()
+    assert lines[0].split()[:2] == ["argv", "side"]
+    assert len(lines) == 1 + 2 * 7
+    for parent, this in zip(lines[1::2], lines[2::2]):
+        argv = parent.split(" parent ")[0].strip()
+        assert this.split(" this ")[0].strip() == argv
+        assert parent.startswith(("classify ", "chi ", "plan ", "thirteen ", "pants ",
+                                  "limit-set ", "boundary-map "))
+        for line in (parent, this):
+            # the median, then its quartiles, of the wall ms and of the maxrss MB
+            numbers = [float(x) for x in line.replace("[", " ").replace("]", " ")
+                       .replace(",", " ").split()[-6:]]
+            assert all(x > 0 for x in numbers)
