@@ -45,10 +45,10 @@ _DESCRIPTION = """Command-line surface over the library.
 Subcommands mirror the modules: chi / classify / double / thirteen for
 the signature calculus, pants / plan for hyperbolic metrics, limit-set
 for endpoint samples, boundary-map for sampled circle maps.  Output is
-machine-readable JSON or CSV, all of it rendered by hypsurf.text: every
-float is exactly format(x, ".17g"), and a sample's CSV or JSON is
-rendered block by block from its arrays.  Identical flags give
-byte-identical output.  Only limit-set and
+machine-readable JSON or CSV: samples are rendered by hypsurf.text,
+block by block from their arrays, and small payloads and plans by
+hypsurf.jsontext.  Every float is exactly format(x, ".17g").  Identical
+flags give byte-identical output.  Only limit-set and
 boundary-map take --format; the other subcommands print JSON.  A flag
 that a subcommand would ignore (--m or --tol without --check-identity,
 --format with --check-identity but no -o, --delta or --base without

@@ -1,16 +1,17 @@
 """Geometry of the open unit disk with the Poincare metric.
 
-Points, ideal boundary points, geodesics, and the orientation-preserving
-isometries, stored as normalized matrices
+Points and the orientation-preserving isometries, stored as normalized
+matrices
 
     [[a, b], [conj(b), conj(a)]],   |a|^2 - |b|^2 = 1,
 
 acting by z -> (a z + b) / (conj(b) z + conj(a)); the hyperbolicity guard
 and the circle fixed points of such a matrix, known up to a positive
-scale; translations along geodesics; and `circle_net`, the one rule by
-which sampled angles are merged at TOL_ANGLE, taken in angle sectors on
-the worker threads of `pool.ordered_map` when the input is large.
-Everything here is immutable and pure.
+scale; angles on the circle at infinity, reduced to [0, 2*pi); and
+`circle_net`, the one rule by which sampled angles are merged at
+TOL_ANGLE, taken in angle sectors on the worker threads of
+`pool.ordered_map` when the input is large.  Everything here is immutable
+and pure.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from hypsurf.errors import (
-    CoincidentPoints,
-    InvalidInput,
-    NonpositiveLength,
-    NumericFailure,
-)
+from hypsurf.errors import InvalidInput, NumericFailure
 from hypsurf.pool import ordered_map
 
 TWO_PI = 2.0 * math.pi
@@ -36,7 +32,7 @@ TWO_PI = 2.0 * math.pi
 TOL_MATRIX = 1e-12
 #: past this entry size |a|^2 - |b|^2 = 1 is below the rounding of |a|^2
 MAX_CERTIFIED_ENTRY = 2.0**26
-#: angular tolerance for ideal-point dedup and geodesic degeneracy
+#: angular resolution of sampled angles: `circle_net` merges them at it
 TOL_ANGLE = 1e-9
 #: hyperbolic means |b|^2 - (Im a)^2 > TOL_AXIS * |a|^2 (`is_certainly_hyperbolic`)
 TOL_AXIS = 1e-9
@@ -54,13 +50,6 @@ def reduce_angle(theta):
     elif t >= TWO_PI:
         t -= TWO_PI
     return t
-
-
-def angle_distance(t1, t2):
-    """Shortest circular distance between two angles, or elementwise
-    between arrays of angles, in [0, pi]."""
-    d = abs(reduce_angle(t1) - reduce_angle(t2))
-    return np.minimum(d, TWO_PI - d)
 
 
 def circle_angle(z: np.ndarray) -> np.ndarray:
@@ -217,43 +206,6 @@ class DiskPoint:
 
 
 @dataclass(frozen=True)
-class IdealPoint:
-    """A point of the circle at infinity, stored as an angle in [0, 2*pi).
-
-    Equality of the dataclass is exact on the reduced angle.
-    """
-
-    theta: float
-
-    def __post_init__(self):
-        theta = float(self.theta)
-        if not math.isfinite(theta):
-            raise InvalidInput(f"ideal point angle {theta!r} is not finite")
-        object.__setattr__(self, "theta", reduce_angle(theta))
-
-    @property
-    def z(self) -> complex:
-        return cmath.exp(1j * self.theta)
-
-
-@dataclass(frozen=True)
-class Geodesic:
-    """Complete geodesic, recorded by its ordered pair of ideal endpoints.
-
-    The pair is ordered for the sake of direction conventions (a
-    translation along the geodesic attracts toward ``e1``); as a point
-    set the geodesic does not depend on the order.
-    """
-
-    e1: IdealPoint
-    e2: IdealPoint
-
-    def __post_init__(self):
-        if angle_distance(self.e1.theta, self.e2.theta) <= TOL_ANGLE:
-            raise CoincidentPoints("geodesic endpoints coincide")
-
-
-@dataclass(frozen=True)
 class MobiusIsometry:
     """Orientation-preserving isometry of the closed disk in normalized
     SU(1,1) form.
@@ -329,39 +281,3 @@ def circle_fixed_points(a, b):
     root = np.sqrt(abs(b) ** 2 - a.imag ** 2) * (a.real / abs(a.real))
     cb = b.conjugate()
     return (1j * a.imag + root) / cb, (1j * a.imag - root) / cb
-
-
-def translation_along(g: Geodesic, length: float) -> MobiusIsometry:
-    """Hyperbolic translation along g by the given length, toward g.e1.
-
-    Built as S^-1 diag(e^{-t/2}, e^{t/2}) S with S the Mobius matrix
-    sending (e1, e2) to (0, oo); the derivative at the attracting fixed
-    point e1 is then e^{-t}.
-    """
-    if not (length > 0.0) or not math.isfinite(length):
-        raise NonpositiveLength(f"translation length must be positive, got {length!r}")
-    p = g.e1.z
-    q = g.e2.z
-    u = math.exp(-0.5 * length)
-    try:
-        v = math.exp(0.5 * length)
-    except OverflowError:
-        v = math.inf  # the entries' check below refuses it
-    det = p - q  # det of S = [[1, -p], [1, -q]]
-    m11 = (-q * u + p * v) / det
-    m12 = (q * p * u - p * q * v) / det
-    m21 = (-u + v) / det
-    m22 = (p * u - q * v) / det
-    # exact arithmetic gives SU(1,1) form; symmetrize away the rounding,
-    # which grows with the entries (the halved sums' moduli cannot overflow)
-    a = 0.5 * (m11 + m22.conjugate())
-    b = 0.5 * (m12 + m21.conjugate())
-    # past a length of about 1419 a part of an entry or of a sum overflows,
-    # and a part of a or b is inf or NaN: no matrix, but a numeric failure
-    if not (cmath.isfinite(a) and cmath.isfinite(b)):
-        raise NumericFailure(f"translation length {length!r} is too long: "
-                             "its matrix entries overflow double precision")
-    if (abs(m11 - m22.conjugate()) > 1e-8 * max(1.0, abs(a))
-            or abs(m12 - m21.conjugate()) > 1e-8 * max(1.0, abs(b))):
-        raise NumericFailure("translation construction drifted off SU(1,1)")
-    return MobiusIsometry(a, b)

@@ -2,6 +2,8 @@
 
 Two branches matter to callers (and fix the CLI exit codes): bad inputs
 versus computations that started but could not be completed reliably.
+`disk` raises only the two branch classes; the subclasses below name the
+faults of the other modules.
 """
 
 
@@ -16,16 +18,6 @@ class InvalidInput(HypsurfError):
 class NumericFailure(HypsurfError):
     """Numerically unresolvable situation, surfaced rather than guessed
     (CLI exit code 3)."""
-
-
-# --- disk -----------------------------------------------------------------
-
-class CoincidentPoints(InvalidInput):
-    pass
-
-
-class NonpositiveLength(InvalidInput):
-    pass
 
 
 # --- words / groups --------------------------------------------------------

@@ -42,15 +42,12 @@ from hypsurf import pool
 from hypsurf.disk import (
     TWO_PI,
     DiskPoint,
-    Geodesic,
-    IdealPoint,
     MobiusIsometry,
     circle_angle,
     circle_fixed_points,
     circle_net,
     is_certainly_hyperbolic,
     reduce_angle,
-    translation_along,
 )
 from hypsurf.errors import (
     CirclesOverlap,
@@ -507,8 +504,9 @@ def octagon_group() -> GroupRep:
 
 
 def schottky_rank2(separation: float) -> GroupRep:
-    """Free rank-2 Schottky group: translations of the given length along
-    the real and imaginary diameters.
+    """Free rank-2 Schottky group: the translations by the given length
+    along the real and imaginary diameters, toward 1 and i, in closed form
+    (cosh(s/2), sinh(s/2)) and (cosh(s/2), i sinh(s/2)).
 
     The four isometric circles must be pairwise disjoint (ping-pong),
     which pins the limit set to a Cantor set; this holds once
@@ -518,12 +516,14 @@ def schottky_rank2(separation: float) -> GroupRep:
         raise InvalidInput(f"separation {separation!r} must be finite")
     if separation <= 0.0:
         raise InvalidInput("separation must be positive")
-    g1 = translation_along(Geodesic(IdealPoint(0.0), IdealPoint(math.pi)), separation)
-    g2 = translation_along(
-        Geodesic(IdealPoint(math.pi / 2.0), IdealPoint(3.0 * math.pi / 2.0)), separation
-    )
-    # below a separation of about 2e-16 both exp(+-s/2) round to 1: a letter
-    # with b = 0 fixes 0, has no isometric circle, and plays no ping-pong
+    try:
+        c, s = math.cosh(0.5 * separation), math.sinh(0.5 * separation)
+    except OverflowError:
+        raise NumericFailure(f"separation {separation!r} is too long: "
+                             "its matrix entries overflow double precision") from None
+    g1, g2 = MobiusIsometry(c, s), MobiusIsometry(c, 1j * s)
+    # only where separation/2 underflows to 0 is sinh 0: a letter with
+    # b = 0 fixes 0, has no isometric circle, and plays no ping-pong
     overlap = g1.b == 0 or g2.b == 0
     if not overlap:
         circles = []

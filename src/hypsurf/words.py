@@ -73,12 +73,11 @@ class GroupWord:
         return cls(tuple(int(x) for x in row if x != 0))
 
     @classmethod
-    def generator(cls, index: int, power: int = 1) -> "GroupWord":
-        """Word for the 0-based generator raised to a power."""
+    def generator(cls, index: int) -> "GroupWord":
+        """Word of the 0-based generator."""
         if index < 0:
             raise IndexOutOfRange(f"negative generator index {index}")
-        letter = index + 1 if power >= 0 else -(index + 1)
-        return cls((letter,) * abs(power))
+        return cls((index + 1,))
 
     def __len__(self) -> int:
         return len(self.letters)

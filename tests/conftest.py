@@ -5,7 +5,8 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
-from hypsurf.disk import DiskPoint, Geodesic, IdealPoint, MobiusIsometry, translation_along
+from hypsurf.disk import DiskPoint, MobiusIsometry
+from oracles import Geodesic, IdealPoint, translation_along
 
 hypothesis.settings.register_profile(
     "ci", max_examples=60, derandomize=True, deadline=None

@@ -1,8 +1,9 @@
 """Reference implementations that the array fast paths replaced,
 references that tests of the library measure against, and the fixtures
-that only tests run: random Nielsen automorphisms, the point action of an
-isometry, the hexagon identity and the Fuchsian group of a pants and the
-scan of finite descriptions.
+that only tests run: random Nielsen automorphisms, ideal points, geodesics
+and the translations along them, the point action of an isometry, the
+hexagon identity and the Fuchsian group of a pants and the scan of finite
+descriptions.
 
 The references are kept only as test oracles: each new path must
 reproduce its reference exactly, arrays bit for bit, dtype and shape
@@ -15,6 +16,7 @@ import cmath
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,14 +33,11 @@ from hypsurf.disk import (
     TOL_ANGLE,
     TWO_PI,
     DiskPoint,
-    Geodesic,
-    IdealPoint,
     MobiusIsometry,
     circle_angle,
     circle_fixed_points,
     is_certainly_hyperbolic,
     reduce_angle,
-    translation_along,
 )
 from hypsurf.errors import (
     BudgetExceeded,
@@ -242,7 +241,7 @@ def random_nielsen_automorphism(rank: int, n_moves: int, rng,
                 j += 1
             sign = rng.choice((1, -1))
             on_left = rng.choice((False, True))
-            t = GroupWord.generator(j, sign)
+            t = GroupWord((sign * (j + 1),))
             x = GroupWord.generator(i)
             move = list(_identity_images(rank))
             move[i] = t * x if on_left else x * t
@@ -301,7 +300,7 @@ def _whitehead_moves(rank: int) -> tuple[tuple[GroupWord, ...], ...]:
     # type II: multiplier t, each other generator x -> x, xt, t^-1 x, or t^-1 x t
     for tj in range(rank):
         for sign in (1, -1):
-            t = GroupWord.generator(tj, sign)
+            t = GroupWord((sign * (tj + 1),))
             others = [i for i in range(rank) if i != tj]
             for combo in itertools.product(range(4), repeat=len(others)):
                 if not any(combo):
@@ -352,7 +351,7 @@ def invert_images(images: tuple[GroupWord, ...]) -> tuple[GroupWord, ...]:
             raise NotAnAutomorphism(f"images do not define an automorphism: {images}")
         a = w.letters[0]
         seen.add(abs(a))
-        perm_images[abs(a) - 1] = GroupWord.generator(i, 1 if a > 0 else -1)
+        perm_images[abs(a) - 1] = GroupWord((i + 1 if a > 0 else -(i + 1),))
     applied.append(tuple(perm_images))
     # inverse = composition of the applied moves, innermost first
     inv = _identity_images(rank)
@@ -630,6 +629,94 @@ def inner_conjugator(images: tuple[GroupWord, ...], m: int):
         if all(g * GroupWord.generator(i) * ginv == w for i, w in enumerate(images)):
             return g
     return None
+
+
+class CoincidentPoints(InvalidInput):
+    pass
+
+
+class NonpositiveLength(InvalidInput):
+    pass
+
+
+def angle_distance(t1, t2):
+    """Shortest circular distance between two angles, or elementwise
+    between arrays of angles, in [0, pi]."""
+    d = abs(reduce_angle(t1) - reduce_angle(t2))
+    return np.minimum(d, TWO_PI - d)
+
+
+@dataclass(frozen=True)
+class IdealPoint:
+    """A point of the circle at infinity, stored as an angle in [0, 2*pi).
+
+    Equality of the dataclass is exact on the reduced angle.
+    """
+
+    theta: float
+
+    def __post_init__(self):
+        theta = float(self.theta)
+        if not math.isfinite(theta):
+            raise InvalidInput(f"ideal point angle {theta!r} is not finite")
+        object.__setattr__(self, "theta", reduce_angle(theta))
+
+    @property
+    def z(self) -> complex:
+        return cmath.exp(1j * self.theta)
+
+
+@dataclass(frozen=True)
+class Geodesic:
+    """Complete geodesic, recorded by its ordered pair of ideal endpoints.
+
+    The pair is ordered for the sake of direction conventions (a
+    translation along the geodesic attracts toward ``e1``); as a point
+    set the geodesic does not depend on the order.
+    """
+
+    e1: IdealPoint
+    e2: IdealPoint
+
+    def __post_init__(self):
+        if angle_distance(self.e1.theta, self.e2.theta) <= TOL_ANGLE:
+            raise CoincidentPoints("geodesic endpoints coincide")
+
+
+def translation_along(g: Geodesic, length: float) -> MobiusIsometry:
+    """Hyperbolic translation along g by the given length, toward g.e1.
+
+    Built as S^-1 diag(e^{-t/2}, e^{t/2}) S with S the Mobius matrix
+    sending (e1, e2) to (0, oo); the derivative at the attracting fixed
+    point e1 is then e^{-t}.
+    """
+    if not (length > 0.0) or not math.isfinite(length):
+        raise NonpositiveLength(f"translation length must be positive, got {length!r}")
+    p = g.e1.z
+    q = g.e2.z
+    u = math.exp(-0.5 * length)
+    try:
+        v = math.exp(0.5 * length)
+    except OverflowError:
+        v = math.inf  # the entries' check below refuses it
+    det = p - q  # det of S = [[1, -p], [1, -q]]
+    m11 = (-q * u + p * v) / det
+    m12 = (q * p * u - p * q * v) / det
+    m21 = (-u + v) / det
+    m22 = (p * u - q * v) / det
+    # exact arithmetic gives SU(1,1) form; symmetrize away the rounding,
+    # which grows with the entries (the halved sums' moduli cannot overflow)
+    a = 0.5 * (m11 + m22.conjugate())
+    b = 0.5 * (m12 + m21.conjugate())
+    # past a length of about 1419 a part of an entry or of a sum overflows,
+    # and a part of a or b is inf or NaN: no matrix, but a numeric failure
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise NumericFailure(f"translation length {length!r} is too long: "
+                             "its matrix entries overflow double precision")
+    if (abs(m11 - m22.conjugate()) > 1e-8 * max(1.0, abs(a))
+            or abs(m12 - m21.conjugate()) > 1e-8 * max(1.0, abs(b))):
+        raise NumericFailure("translation construction drifted off SU(1,1)")
+    return MobiusIsometry(a, b)
 
 
 def apply(m: MobiusIsometry, x: DiskPoint | IdealPoint):

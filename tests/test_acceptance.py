@@ -18,7 +18,7 @@ from hypsurf.boundary import (
     is_boundary_identity,
     order_check,
 )
-from hypsurf.disk import DiskPoint, IdealPoint
+from hypsurf.disk import DiskPoint
 from hypsurf.errors import NonorientableDoubleUnsupported
 from hypsurf.groups import (
     SampleMode,
@@ -47,6 +47,7 @@ from hypsurf.jsontext import dump_json
 from hypsurf.words import GroupWord, word_count
 
 from oracles import (
+    IdealPoint,
     all_finite_descriptions,
     apply,
     hexagon_identity_residual,

@@ -23,7 +23,6 @@ from hypsurf.disk import (
     TWO_PI,
     circle_fixed_points,
     circle_net,
-    IdealPoint,
     MobiusIsometry,
 )
 from hypsurf.errors import (
@@ -53,7 +52,7 @@ from hypsurf.words import (
 )
 
 import oracles
-from oracles import apply, random_nielsen_automorphism
+from oracles import IdealPoint, apply, random_nielsen_automorphism
 
 W = GroupWord.from_string
 

@@ -287,9 +287,9 @@ def test_boundary_verdict_fields(argv, pinned, capsys):
 
 
 @pytest.mark.parametrize("separation, n, residual, sample_size", [
-    ("12", "4", 1.228827370385671e-05, 4),
-    ("12", "8", 1.228827370385671e-05, 4),
-    ("37", "10", 3.4132190502976268e-16, 2),
+    ("12", "4", 1.2288273703946116e-05, 4),
+    ("12", "8", 1.2288273703946116e-05, 4),
+    ("37", "10", 3.4132190502976263e-16, 2),
 ])
 def test_a_twist_is_no_identity_within_tol_of_a_few_points(separation, n, residual,
                                                            sample_size):
@@ -446,7 +446,7 @@ def test_a_zero_literal_stays_a_cusp(lengths, capsys):
 @pytest.mark.parametrize("separation", ["1000", "1500"])
 def test_an_overflowing_separation_is_a_numeric_failure(argv, separation, capsys):
     # past about 711 the squares of the entries overflow a float, past about
-    # 1419.6 the entries themselves: each once exited 1 with a traceback
+    # 1420.9 the entries themselves: each once exited 1 with a traceback
     code, out, err = run_cli(capsys, *argv, "--separation", separation)
     assert code == 3 and out == ""
     assert err.count("\n") == 1

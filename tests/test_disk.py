@@ -12,23 +12,28 @@ from hypsurf import disk
 from hypsurf.disk import (
     TOL_ANGLE,
     DiskPoint,
-    Geodesic,
-    IdealPoint,
     MAX_CERTIFIED_ENTRY,
     MobiusIsometry,
     TWO_PI,
-    angle_distance,
     circle_angle,
     circle_fixed_points,
     circle_net,
     is_certainly_hyperbolic,
     reduce_angle,
-    translation_along,
 )
-from hypsurf.errors import CoincidentPoints, InvalidInput, NonpositiveLength, NumericFailure
+from hypsurf.errors import InvalidInput, NumericFailure
 
 import oracles
-from oracles import apply, hyp_distance
+from oracles import (
+    CoincidentPoints,
+    Geodesic,
+    IdealPoint,
+    NonpositiveLength,
+    angle_distance,
+    apply,
+    hyp_distance,
+    translation_along,
+)
 
 LN3 = 1.0986122886681098  # 2 * atanh(1/2), cross-checked by quadrature below
 

@@ -11,17 +11,13 @@ import pytest
 from hypsurf import boundary, groups, pool
 from hypsurf.disk import (
     DiskPoint,
-    Geodesic,
-    IdealPoint,
     MobiusIsometry,
     MAX_CERTIFIED_ENTRY,
-    angle_distance,
     circle_angle,
     circle_fixed_points,
     circle_net,
     is_certainly_hyperbolic,
     reduce_angle,
-    translation_along,
 )
 from hypsurf.errors import (
     BudgetExceeded,
@@ -29,6 +25,7 @@ from hypsurf.errors import (
     EmptySample,
     IndexOutOfRange,
     InvalidInput,
+    NumericFailure,
 )
 from hypsurf.groups import (
     OCTAGON_RELATOR,
@@ -59,7 +56,7 @@ from hypsurf.words import (
 )
 
 import oracles
-from oracles import apply
+from oracles import Geodesic, IdealPoint, angle_distance, apply, translation_along
 
 W = GroupWord.from_string
 
@@ -550,13 +547,34 @@ def test_schottky_isometric_circles_closed_form():
     assert math.sqrt(2) * c > 2 * r
 
 
-@pytest.mark.parametrize("separation", [1.0, 1e-17, 1e-300])
+@pytest.mark.parametrize("separation", [1.0, 1.7627, 1e-17, 1e-300, 5e-324])
 def test_schottky_overlap_raises(separation):
-    # below about 2e-16 both letters round to the identity, whose b is 0
+    # ping-pong needs cosh(s/2) > sqrt(2), s > 1.76275; a short separation
+    # gives letters with tiny b, whose isometric circles are huge, and half
+    # of 5e-324 underflows to 0, which leaves letters with b = 0 and no circle
     with pytest.raises(CirclesOverlap, match="^isometric circles overlap"):
         schottky_rank2(separation)
     with pytest.raises(InvalidInput):
         schottky_rank2(-2.0)
+
+
+@pytest.mark.parametrize("separation", [1.763, 1.8, 2.0, 4.0, 12.0, 37.0])
+def test_schottky_generators_are_the_closed_form(separation):
+    # the translations by s along the real and imaginary diameters, toward 1
+    # and i, bit for bit: the zero parts are exactly 0
+    c, s = math.cosh(separation / 2), math.sinh(separation / 2)
+    a, b = schottky_rank2(separation).generators
+    assert (a.a, a.b, b.a, b.b) == (complex(c, 0.0), complex(s, 0.0),
+                                    complex(c, 0.0), complex(0.0, s))
+
+
+@pytest.mark.parametrize("separation, message", [
+    (38.0, "entries too large to certify"),  # cosh(19) passes MAX_CERTIFIED_ENTRY
+    (1421.0, "separation 1421.0 is too long"),  # cosh(710.5) overflows a double
+])
+def test_schottky_long_separation_is_a_numeric_failure(separation, message):
+    with pytest.raises(NumericFailure, match=f"^{message}"):
+        schottky_rank2(separation)
 
 
 def test_schottky_short_words_all_hyperbolic(schottky):

@@ -83,9 +83,13 @@ RUNS = [
     (2, "limit-set --group octagon --n 2 --mode orbit --delta 2"),
     (2, "limit-set --group octagon --n 1 --mode orbit --delta 0.001"),
     (2, "limit-set --group octagon --n 2 --mode orbit --base 2,0"),
+    # a kept base point: its angle is reduced by `disk.reduce_angle`
+    (0, "limit-set --group octagon --n 2 --mode orbit --base=0.9,0"),
     (2, "limit-set --group octagon --n 2 --separation 4"),
     (2, "limit-set --group schottky --separation 1 --n 2"),
-    # below about 2e-16 the letters round to the identity
+    # half of 5e-324 underflows to 0: the letters have b = 0 and no isometric
+    # circle; at 1e-17 they have circles, of radius 2e17, which overlap
+    (2, "limit-set --group schottky --separation 5e-324 --n 2"),
     (2, "limit-set --group schottky --separation 1e-17 --n 2"),
     (3, "limit-set --group schottky --separation 1000 --n 2"),
     (3, "limit-set --group schottky --separation 1500 --n 2"),

@@ -234,7 +234,7 @@ def _long_images():
     while min(len(w) for w in images) < 20:
         i, j = rng.sample(range(3), 2)
         mv = list(gens)
-        mv[i] = gens[i] * GroupWord.generator(j, rng.choice((1, -1)))
+        mv[i] = gens[i] * GroupWord((rng.choice((1, -1)) * (j + 1),))
         images = oracles.compose_images(images, tuple(mv))
     return images
 
@@ -336,7 +336,7 @@ def test_invert_images_random_compositions():
             while j == i:
                 j = rng.randrange(3)
             mv = list(gens)
-            mv[i] = gens[i] * GroupWord.generator(j, rng.choice((1, -1)))
+            mv[i] = gens[i] * GroupWord((rng.choice((1, -1)) * (j + 1),))
             images = oracles.compose_images(images, tuple(mv))
         inv = oracles.invert_images(images)
         assert oracles.compose_images(images, inv) == tuple(gens)
