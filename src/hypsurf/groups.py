@@ -33,7 +33,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -57,7 +56,7 @@ from hypsurf.errors import (
     NumericFailure,
 )
 from hypsurf.text import endpoint_json, sample_csv
-from hypsurf.words import GroupWord, _letter_key, child_rows, word_table
+from hypsurf.words import GroupWord, _letter_key, child_rows, letters_within_rank, word_table
 
 #: relator products must land this close to +/- identity
 TOL_RELATOR = 1e-6
@@ -302,6 +301,7 @@ def _endpoint_rows(rep: GroupRep, base: DiskPoint, n: int, mode: SampleMode,
 
     used = 0
     if orbit and abs(z0) > 1.0 - delta:
+        # not circle_angle: np.angle rounds apart from cmath.phase at AVX-512 only
         theta[0], rows[0], used = reduce_angle(cmath.phase(z0)), 0, 1
     at = 1
     for count, hit, angles in _word_blocks(rep, words, endpoints):
@@ -390,13 +390,10 @@ def attracting_angles(rep: GroupRep, letters: np.ndarray) -> np.ndarray:
     (`boundary.induced_boundary_sample` takes blocks, to bound the memory
     of its temporaries).
     """
-    letters = np.asarray(letters)
-    if letters.size and (letters.max() > rep.rank or letters.min() < -rep.rank):
-        outside = (letters > rep.rank) | (letters < -rep.rank)
-        raise IndexOutOfRange(f"letter {letters[outside][0]} outside rank {rep.rank}")
+    rank = rep.rank
+    letters = letters_within_rank(letters, rank)
     # the letters' entries by letter + rank; the middle row, padding letter
     # 0, is never read
-    rank = rep.rank
     la, lb = (t[_letter_key(np.arange(-rank, rank + 1))] for t in _letter_matrices(rep))
     count, width = letters.shape
     rows = np.arange(count)
@@ -509,8 +506,10 @@ def schottky_rank2(separation: float) -> GroupRep:
     (cosh(s/2), sinh(s/2)) and (cosh(s/2), i sinh(s/2)).
 
     The four isometric circles must be pairwise disjoint (ping-pong),
-    which pins the limit set to a Cantor set; this holds once
-    cosh(separation/2) > sqrt(2).
+    which pins the limit set to a Cantor set.  Of radius 1/sinh(s/2) and
+    centred at +-coth(s/2), +-i coth(s/2), they are disjoint exactly when
+    sqrt(2) cosh(s/2) > 2; not cosh(s/2) > sqrt(2), since cosh(s/2) rounds
+    to sqrt(2) at s = 1.7627471740390863.  An s/2 that underflows fails it.
     """
     if not math.isfinite(separation):
         raise InvalidInput(f"separation {separation!r} must be finite")
@@ -521,24 +520,10 @@ def schottky_rank2(separation: float) -> GroupRep:
     except OverflowError:
         raise NumericFailure(f"separation {separation!r} is too long: "
                              "its matrix entries overflow double precision") from None
-    g1, g2 = MobiusIsometry(c, s), MobiusIsometry(c, 1j * s)
-    # only where separation/2 underflows to 0 is sinh 0: a letter with
-    # b = 0 fixes 0, has no isometric circle, and plays no ping-pong
-    overlap = g1.b == 0 or g2.b == 0
-    if not overlap:
-        circles = []
-        for g in (g1, g2):
-            r = 1.0 / abs(g.b)
-            circles.append((-g.a.conjugate() / g.b.conjugate(), r))  # g's isometric circle
-            circles.append((g.a / g.b.conjugate(), r))               # g^-1's
-        overlap = any(abs(c1 - c2) <= r1 + r2
-                      for (c1, r1), (c2, r2) in combinations(circles, 2))
-    if overlap:
-        raise CirclesOverlap(
-            f"isometric circles overlap at separation {separation}; "
-            "ping-pong condition fails"
-        )
-    return GroupRep((g1, g2), label="schottky")
+    if math.sqrt(2.0) * c <= 2.0:
+        raise CirclesOverlap(f"isometric circles overlap at separation {separation}; "
+                             "ping-pong condition fails")
+    return GroupRep((MobiusIsometry(c, s), MobiusIsometry(c, 1j * s)), label="schottky")
 
 
 def cusped_torus_group() -> GroupRep:

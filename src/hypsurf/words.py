@@ -238,6 +238,15 @@ def stack_padded(blocks, width: int) -> np.ndarray:
     return out
 
 
+def letters_within_rank(letters, rank: int) -> np.ndarray:
+    """``letters`` as an array; IndexOutOfRange names the first letter outside ``rank``."""
+    letters = np.asarray(letters)
+    if letters.size and (letters.max() > rank or letters.min() < -rank):
+        outside = (letters > rank) | (letters < -rank)
+        raise IndexOutOfRange(f"letter {letters[outside][0]} outside rank {rank}")
+    return letters
+
+
 def substitute(images: tuple[GroupWord, ...], w: GroupWord) -> GroupWord:
     """Apply the endomorphism generator_i -> images[i] to a word."""
     pieces: list[int] = []
@@ -264,10 +273,7 @@ def substitute_rows(images: tuple[GroupWord, ...], letters: np.ndarray) -> np.nd
     IndexOutOfRange.
     """
     rank = len(images)
-    letters = np.asarray(letters)
-    if letters.size and (letters.max() > rank or letters.min() < -rank):
-        outside = (letters > rank) | (letters < -rank)
-        raise IndexOutOfRange(f"letter {letters[outside][0]} outside rank {rank}")
+    letters = letters_within_rank(letters, rank)
     # table[rank + x]: the image of letter x, zero-padded; the middle row
     # (padding letter 0) is empty
     width = max((len(w) for w in images), default=0)

@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -629,6 +630,34 @@ def inner_conjugator(images: tuple[GroupWord, ...], m: int):
         if all(g * GroupWord.generator(i) * ginv == w for i, w in enumerate(images)):
             return g
     return None
+
+
+class Letter(NamedTuple):
+    """The entries of a disk isometry, uncertified: `MobiusIsometry`
+    refuses entries from about 1e16 on (`disk.MAX_CERTIFIED_ENTRY`)."""
+
+    a: complex
+    b: complex
+
+
+def isometric_circles_overlap(g1, g2) -> bool:
+    """Whether the isometric circles of two letters and of their inverses
+    fail to be pairwise disjoint: the four circles built and all six pairs
+    compared, as `groups.schottky_rank2` decided ping-pong before its
+    closed form sqrt(2) cosh(s/2) > 2.  A letter has complex entries ``a``
+    and ``b``: a `MobiusIsometry` or a `Letter`."""
+    # only where separation/2 underflows to 0 is sinh 0: a letter with
+    # b = 0 fixes 0, has no isometric circle, and plays no ping-pong
+    overlap = g1.b == 0 or g2.b == 0
+    if not overlap:
+        circles = []
+        for g in (g1, g2):
+            r = 1.0 / abs(g.b)
+            circles.append((-g.a.conjugate() / g.b.conjugate(), r))  # g's isometric circle
+            circles.append((g.a / g.b.conjugate(), r))               # g^-1's
+        overlap = any(abs(c1 - c2) <= r1 + r2
+                      for (c1, r1), (c2, r2) in itertools.combinations(circles, 2))
+    return overlap
 
 
 class CoincidentPoints(InvalidInput):

@@ -549,13 +549,58 @@ def test_schottky_isometric_circles_closed_form():
 
 @pytest.mark.parametrize("separation", [1.0, 1.7627, 1e-17, 1e-300, 5e-324])
 def test_schottky_overlap_raises(separation):
-    # ping-pong needs cosh(s/2) > sqrt(2), s > 1.76275; a short separation
-    # gives letters with tiny b, whose isometric circles are huge, and half
-    # of 5e-324 underflows to 0, which leaves letters with b = 0 and no circle
+    # ping-pong needs sqrt(2) cosh(s/2) > 2, s > 1.76275; a short separation
+    # gives cosh(s/2) near 1, exactly 1 at 1e-17 and at 5e-324, whose half
+    # underflows
     with pytest.raises(CirclesOverlap, match="^isometric circles overlap"):
         schottky_rank2(separation)
     with pytest.raises(InvalidInput):
         schottky_rank2(-2.0)
+
+
+def _ping_pong_sweep() -> list[float]:
+    """Every float within 2,000 ulps of 2 acosh(sqrt(2)), where ping-pong
+    starts, 20,000 seeded log-uniform separations over [1e-325, 400], and
+    the edges: underflow, the threshold, the certified and the
+    representable entries' ends, and invalid input."""
+    rng = random.Random(40)
+    # consecutive positive floats have consecutive bit patterns
+    edge = np.float64(2.0 * math.acosh(math.sqrt(2.0))).view(np.int64)
+    near = (edge + np.arange(-2000, 2001)).view(np.float64).tolist()
+    drawn = [10.0 ** rng.uniform(-325.0, math.log10(400.0)) for _ in range(20000)]
+    return near + drawn + [5e-324, 1e-17, 1.0, 1.7627, 1.763, 37.0, 38.0, 1000.0, 1420.0,
+                           1421.0, 1500.0, math.inf, math.nan, 0.0, -0.0, -1.0]
+
+
+def _four_circles_meet(separation: float) -> bool:
+    """The four-circle rule on the closed form's letters; False where
+    `schottky_rank2` refuses before ping-pong: a separation that is not
+    finite and positive, or whose cosh(s/2) overflows."""
+    if not (math.isfinite(separation) and separation > 0.0):
+        return False
+    try:
+        c, s = math.cosh(separation / 2), math.sinh(separation / 2)
+    except OverflowError:
+        return False
+    return oracles.isometric_circles_overlap(oracles.Letter(complex(c), complex(s)),
+                                             oracles.Letter(complex(c), 1j * s))
+
+
+def test_schottky_ping_pong_is_the_four_circle_rule():
+    # sqrt(2) cosh(s/2) > 2 refuses exactly the separations whose isometric
+    # circles, built and compared, meet; a group it builds has the closed form
+    for separation in _ping_pong_sweep():
+        try:
+            rep = schottky_rank2(separation)
+        except CirclesOverlap:
+            refused = True
+        except (InvalidInput, NumericFailure):
+            refused = False  # refused before ping-pong, or by MAX_CERTIFIED_ENTRY
+        else:
+            refused = False
+            c, s = math.cosh(separation / 2), math.sinh(separation / 2)
+            assert [(g.a, g.b) for g in rep.generators] == [(c, s), (c, 1j * s)]
+        assert refused == _four_circles_meet(separation), separation
 
 
 @pytest.mark.parametrize("separation", [1.763, 1.8, 2.0, 4.0, 12.0, 37.0])

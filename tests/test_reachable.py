@@ -87,8 +87,8 @@ RUNS = [
     (0, "limit-set --group octagon --n 2 --mode orbit --base=0.9,0"),
     (2, "limit-set --group octagon --n 2 --separation 4"),
     (2, "limit-set --group schottky --separation 1 --n 2"),
-    # half of 5e-324 underflows to 0: the letters have b = 0 and no isometric
-    # circle; at 1e-17 they have circles, of radius 2e17, which overlap
+    # both have cosh(s/2) = 1, so sqrt(2) cosh(s/2) <= 2: half of 5e-324
+    # underflows to 0, and 1e-17's letters keep b = 5e-18
     (2, "limit-set --group schottky --separation 5e-324 --n 2"),
     (2, "limit-set --group schottky --separation 1e-17 --n 2"),
     (3, "limit-set --group schottky --separation 1000 --n 2"),
