@@ -130,10 +130,11 @@ class CircleMapSample:
     """Finite boundary-map sample: theta_in[i] maps to theta_out[i], and
     row i of ``letters`` (zero-padded int8, as in `EndpointSample`) is the
     class representative both came from.  theta_in is the net
-    `disk.circle_net` keeps, strictly increasing.  ``orientation`` is the
-    `order_check` verdict `induced_boundary_sample` reached on it, and
-    ``moves_homology`` is `moves_homology` of the sampled automorphism
-    (False where none is known)."""
+    `disk.circle_net` keeps, strictly increasing.  ``orientation`` is
+    `order_check` of it, "preserving", "reversing" or None, as
+    `induced_boundary_sample` found it, and ``moves_homology`` is
+    `moves_homology` of the sampled automorphism (False where none is
+    known)."""
 
     theta_in: np.ndarray
     theta_out: np.ndarray
@@ -313,10 +314,10 @@ def induced_boundary_sample(
     aborts with NumericFailure.  theta_in, theta_out and the words are
     indexed by the `disk.circle_net` of theta_in, as `limit_sample` indexes
     its angles and words: an entry the net drops is a tie with a kept one
-    at TOL_ANGLE, so it carries no order information.  The kept entries
-    must be cyclically order-consistent (`order_check`), or
-    OrderViolation is raised; the sample carries the orientation found,
-    and whether phi moves homology (`moves_homology`).
+    at TOL_ANGLE, so it carries no order information.  The kept outputs
+    must wind once around the circle (`order_check`), or OrderViolation is
+    raised; the sample carries the orientation found, and whether phi
+    moves homology (`moves_homology`).
     """
     if n < 1:
         raise InvalidInput("induced_boundary_sample needs n >= 1")
@@ -342,51 +343,37 @@ def induced_boundary_sample(
     tin, tout, classes = tin[hyperbolic], tout[hyperbolic], classes[hyperbolic]
     net = circle_net(tin)
     sample = CircleMapSample(tin[net], tout[net], classes[net], skipped)
-    verdict = order_check(sample)
-    if verdict.violation is not None:
-        raise OrderViolation(
-            "sampled map is not cyclically order-consistent",
-            triple=verdict.violation,
-        )
-    return replace(sample, orientation=verdict.orientation,
+    return replace(sample, orientation=order_check(sample),
                    moves_homology=moves_homology(rep, phi))
 
 
-@dataclass(frozen=True)
-class OrderCheckResult:
-    orientation: Optional[str]  # "preserving" | "reversing" | None
-    violation: Optional[tuple] = None
+def order_check(s: CircleMapSample) -> Optional[str]:
+    """The orientation of the sampled map, "preserving" or "reversing", from
+    its winding number: a homeomorphism of the circle has degree +-1.
 
-
-def order_check(s: CircleMapSample) -> OrderCheckResult:
-    """Scan consecutive output triples for a constant cyclic orientation:
-    (a, b, c) is positively ordered when b comes before c going
-    counterclockwise from a.
-
-    A triple is decided only when each pair of its outputs is more than
-    TOL_ANGLE apart on the circle, the resolution of the theta_in net:
-    closer outputs are a tie at double resolution with no orientation.
-    Only decided triples count, and with none (fewer than three points
-    included) the orientation is None."""
-    m = len(s)
-    a = s.theta_out
-    d1, d2 = np.mod(np.roll(a, -1) - a, TWO_PI), np.mod(np.roll(a, -2) - a, TWO_PI)
-    # apart[i]: outputs i and i + 1 are more than TOL_ANGLE apart on the circle
-    apart = (d1 > TOL_ANGLE) & (d1 < TWO_PI - TOL_ANGLE)
-    decided = apart & np.roll(apart, -1) & (d2 > TOL_ANGLE) & (d2 < TWO_PI - TOL_ANGLE)
-    positive = d1 < d2
-    signs = positive[decided]
-    if not len(signs):
-        return OrderCheckResult(None)
-    if signs.all():
-        return OrderCheckResult("preserving")
-    if not signs.any():
-        return OrderCheckResult("reversing")
-    i = int(np.argmax(decided & (positive != signs[0])))
-    triple = tuple(
-        (float(s.theta_in[j]), float(s.theta_out[j])) for j in ((i + k) % m for k in range(3))
-    )
-    return OrderCheckResult(None, violation=triple)
+    The outputs are read in theta_in order, cyclically, and each step to
+    the next output is taken counterclockwise, in [0, 2 pi).  A step within
+    TOL_ANGLE of 0 or 2 pi, the resolution of the theta_in net, is a tie
+    with no direction and is not counted.  Each counted step adds one turn
+    over the two directions, so of `counted` steps summing to `turns`
+    whole turns counterclockwise, `counted - turns` turn clockwise.  With
+    fewer than three counted steps the orientation is None; one turn
+    counterclockwise is "preserving", one clockwise "reversing", and any
+    other winding, a crossing or a map that winds twice, raises
+    OrderViolation."""
+    step = np.mod(np.roll(s.theta_out, -1) - s.theta_out, TWO_PI)
+    step = step[(step > TOL_ANGLE) & (step < TWO_PI - TOL_ANGLE)]
+    counted = len(step)
+    if counted < 3:
+        return None
+    turns = round(float(step.sum()) / TWO_PI)
+    if turns == 1:
+        return "preserving"
+    if turns == counted - 1:
+        return "reversing"
+    raise OrderViolation(
+        f"sampled map is not cyclically order-consistent: its outputs turn {turns} "
+        f"times counterclockwise and {counted - turns} times clockwise")
 
 
 @dataclass(frozen=True)
@@ -428,20 +415,21 @@ def is_boundary_identity(
     of a few points that a map moving homology fixes.  u's matrix is read
     from the word table (`_word_blocks`), where it is known up to a
     positive scale, which the action ignores; so no entry bound limits the
-    search.  Ties within twice the best residual are reported as
+    search.  The u whose residual is at most min(2 best, best + tol), a
+    window that tol cannot resolve from the best, are reported as
     near-minimizers instead of pretending uniqueness.
 
     The search is an exact branch and bound.  Each u's lower bound is its
     residual over _BOUND_POINTS points spread over the sample, computed as
     one u x point broadcast per _BOUND_BLOCK rows of u.  u is visited in
-    ascending bound order (stable sort) until a bound exceeds twice the
-    best residual so far; an unvisited u's residual is at least its bound,
-    so it is neither the minimum nor a near-minimizer.  This rests on each
-    bound being the max of the very floats the full pass computes at those
-    points, not on a margin (an identity-like residual is about 1e-17, all
-    rounding): the broadcast runs the full pass's numpy loops, u's entries
-    at stride 0 on the inner axis as a scalar's, and a test pins the two
-    bit for bit.
+    ascending bound order (stable sort) until a bound exceeds the window of
+    the best residual so far; an unvisited u's residual is at least its
+    bound, so it is neither the minimum nor a near-minimizer.  This rests
+    on each bound being the max of the very floats the full pass computes
+    at those points, not on a margin (an identity-like residual is about
+    1e-17, all rounding): the broadcast runs the full pass's numpy loops,
+    u's entries at stride 0 on the inner axis as a scalar's, and a test
+    pins the two bit for bit.
     """
     if m < 0:
         raise InvalidInput("search depth must be nonnegative")
@@ -458,12 +446,12 @@ def is_boundary_identity(
     ua = np.concatenate([[1.0 + 0j]] + [block.a for block in blocks])
     ub = np.concatenate([[0j]] + [block.b for block in blocks])
     _, bounds = _lower_bounds(ua, ub, zout, unturn)
-    residuals, best_res = np.full(len(ua), np.inf), np.inf
+    residuals, window = np.full(len(ua), np.inf), np.inf
     for i in np.argsort(bounds, kind="stable").tolist():
-        if bounds[i] > 2.0 * best_res:
+        if bounds[i] > window:
             break
         residuals[i] = _residual(ua[i], ub[i], zout, unturn)
-        best_res = min(best_res, residuals[i])
+        window = min(window, 2.0 * residuals[i], residuals[i] + tol)
     best = int(np.argmin(residuals))  # the first minimum: shortlex wins ties
     best_res = float(residuals[best])
     return BoundaryIdentityResult(
@@ -471,7 +459,7 @@ def is_boundary_identity(
         best_inner=GroupWord.from_row(letters[best]),
         residual=best_res,
         near_minimizers=tuple(GroupWord.from_row(letters[i])
-                              for i in np.flatnonzero(residuals <= 2.0 * best_res)),
+                              for i in np.flatnonzero(residuals <= window)),
         sample_size=len(sample),
         skipped=sample.skipped,
     )

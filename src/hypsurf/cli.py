@@ -144,7 +144,9 @@ def _emit_text(chunks: Iterable[str], path: Optional[str]) -> None:
     sample's text arrives in blocks of rows (`text`), so its whole text is
     never held at once.  A path that cannot be opened, and a write, flush
     or close that fails (on a full disk, say), raise InvalidInput; a reader
-    that closed the output raises BrokenPipeError (`main`)."""
+    that closed the output raises BrokenPipeError (`main`).  Once a write
+    to stdout fails, stdout points at os.devnull, so what it still buffers
+    is dropped at exit, unprinted (`signal` docs)."""
     try:
         f = sys.stdout if path is None else open(path, "w", encoding="utf-8")
     except OSError as e:
@@ -159,12 +161,11 @@ def _emit_text(chunks: Iterable[str], path: Optional[str]) -> None:
         finally:
             if path is not None:
                 f.close()
-    except BrokenPipeError:
-        raise
     except OSError as e:
         if path is None:
-            # what stdout still buffers goes to os.devnull at exit, unprinted
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(e, BrokenPipeError):
+            raise
         raise InvalidInput(f"cannot write {'stdout' if path is None else path}: {e}")
 
 
@@ -317,9 +318,7 @@ def run(argv) -> int:
 def main(argv=None) -> int:
     try:
         return run(sys.argv[1:] if argv is None else argv)
-    except BrokenPipeError:
-        # the reader closed stdout: the flush at exit goes to os.devnull (`signal` docs)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader closed the output (`_emit_text`)
         return 1
     except HypsurfError as e:
         sys.stderr.write(dump_json({"error": type(e).__name__, "message": str(e)}) + "\n")

@@ -86,9 +86,7 @@ class TooFewPoints(InvalidInput):
 
 
 class OrderViolation(NumericFailure):
-    """Sampled circle map is not cyclically order-consistent; carries the
-    offending triple of (theta_in, theta_out) pairs."""
-
-    def __init__(self, message, triple=()):
-        super().__init__(message)
-        self.triple = tuple(triple)
+    """Sampled circle map is not cyclically order-consistent: its outputs,
+    read in theta_in order, do not wind once around the circle in either
+    direction (`boundary.order_check`); the message gives both turn
+    counts."""

@@ -15,7 +15,6 @@ This module imports no numpy, so the signature and pants subcommands of
 from __future__ import annotations
 
 import itertools
-import math
 from json.encoder import encode_basestring_ascii
 
 from hypsurf.errors import InvalidInput
@@ -45,9 +44,7 @@ def _write_json(obj, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            raise InvalidInput("non-finite float has no JSON encoding here")
-        out.append(format_float(obj))
+        out.append(_float_texts((obj,))[0])
     elif isinstance(obj, str):
         # json.dumps of a str returns exactly this
         out.append(encode_basestring_ascii(obj))

@@ -608,10 +608,54 @@ def inner_search(rep, sample, m: int, tol: float) -> BoundaryIdentityResult:
         best_inner=GroupWord.from_row(letters[best]),
         residual=best_res,
         near_minimizers=tuple(GroupWord.from_row(letters[i])
-                              for i in np.flatnonzero(residuals <= 2.0 * best_res)),
+                              for i in np.flatnonzero(
+                                  residuals <= min(2.0 * best_res, best_res + tol))),
         sample_size=len(sample),
         skipped=sample.skipped,
     )
+
+
+@dataclass(frozen=True)
+class OrderCheckResult:
+    orientation: str | None  # "preserving" | "reversing" | None
+    violation: tuple | None = None
+
+
+def triple_order_check(s) -> OrderCheckResult:
+    """`boundary.order_check` as a scan of consecutive output triples,
+    which the winding count replaced.  Every crossing the scan finds is a
+    winding other than once around; on sampled maps the two read the same
+    orientation, and they differ only on built cases, such as a map that
+    winds twice, which the scan passes.
+
+    Scan consecutive output triples for a constant cyclic orientation:
+    (a, b, c) is positively ordered when b comes before c going
+    counterclockwise from a.
+
+    A triple is decided only when each pair of its outputs is more than
+    TOL_ANGLE apart on the circle, the resolution of the theta_in net:
+    closer outputs are a tie at double resolution with no orientation.
+    Only decided triples count, and with none (fewer than three points
+    included) the orientation is None."""
+    m = len(s)
+    a = s.theta_out
+    d1, d2 = np.mod(np.roll(a, -1) - a, TWO_PI), np.mod(np.roll(a, -2) - a, TWO_PI)
+    # apart[i]: outputs i and i + 1 are more than TOL_ANGLE apart on the circle
+    apart = (d1 > TOL_ANGLE) & (d1 < TWO_PI - TOL_ANGLE)
+    decided = apart & np.roll(apart, -1) & (d2 > TOL_ANGLE) & (d2 < TWO_PI - TOL_ANGLE)
+    positive = d1 < d2
+    signs = positive[decided]
+    if not len(signs):
+        return OrderCheckResult(None)
+    if signs.all():
+        return OrderCheckResult("preserving")
+    if not signs.any():
+        return OrderCheckResult("reversing")
+    i = int(np.argmax(decided & (positive != signs[0])))
+    triple = tuple(
+        (float(s.theta_in[j]), float(s.theta_out[j])) for j in ((i + k) % m for k in range(3))
+    )
+    return OrderCheckResult(None, violation=triple)
 
 
 def inner_conjugator(images: tuple[GroupWord, ...], m: int):

@@ -265,8 +265,7 @@ def _boundary_runs():
     for _ in range(50):
         phi = random_nielsen_automorphism(2, rng.randrange(6), rng,
                                           max_total_image_length=8)
-        verdict = order_check(induced_boundary_sample(sc, phi, 3))
-        orientations.append(verdict.orientation)
+        orientations.append(order_check(induced_boundary_sample(sc, phi, 3)))
     return sample, inner_dev, ident, twist, orientations
 
 

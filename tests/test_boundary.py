@@ -375,22 +375,21 @@ def test_conjugacy_class_words_hold_narrow_periods():
 
 def test_order_check_identity_preserving(cusped_torus):
     s = induced_boundary_sample(cusped_torus, FreeAutomorphism.identity(2), 4)
-    assert order_check(s).orientation == "preserving"
+    assert order_check(s) == "preserving"
 
 
 def test_order_check_reflection_reversing(cusped_torus):
     s = induced_boundary_sample(cusped_torus, FreeAutomorphism.identity(2), 4)
     reflected = CircleMapSample(s.theta_in, np.mod(-s.theta_out, 2 * math.pi), s.letters)
-    assert order_check(reflected).orientation == "reversing"
+    assert order_check(reflected) == "reversing"
 
 
-def test_order_check_violation_lists_triple(cusped_torus):
+def test_order_check_raises_on_a_crossing(cusped_torus):
     s = induced_boundary_sample(cusped_torus, FreeAutomorphism.identity(2), 4)
     tout = s.theta_out.copy()
     tout[[2, 5]] = tout[[5, 2]]
-    verdict = order_check(CircleMapSample(s.theta_in, tout, s.letters))
-    assert verdict.orientation is None
-    assert verdict.violation is not None and len(verdict.violation) == 3
+    with pytest.raises(OrderViolation, match="times counterclockwise and"):
+        order_check(CircleMapSample(s.theta_in, tout, s.letters))
 
 
 def test_sample_raises_on_a_crossing_between_kept_entries(cusped_torus, monkeypatch):
@@ -406,19 +405,16 @@ def test_sample_raises_on_a_crossing_between_kept_entries(cusped_torus, monkeypa
         return t
 
     monkeypatch.setattr(boundary, "attracting_angles", swapped)
-    with pytest.raises(OrderViolation) as e:
+    with pytest.raises(OrderViolation):
         induced_boundary_sample(cusped_torus, FreeAutomorphism.identity(2), 4)
-    assert len(e.value.triple) == 3
-    tin, _ = calls
-    assert {tin[0], tin[1]} & {t for t, _ in e.value.triple}
 
 
 def test_order_check_needs_three_points(cusped_torus):
-    # fewer than three points hold no triple, so no orientation
+    # fewer than three points hold fewer than three steps, so no orientation
     s = induced_boundary_sample(cusped_torus, FreeAutomorphism.identity(2), 4)
     for m in (0, 1, 2):
         sample = CircleMapSample(s.theta_in[:m], s.theta_out[:m], s.letters[:m])
-        assert order_check(sample) == boundary.OrderCheckResult(None)
+        assert order_check(sample) is None
 
 
 def test_orientation_multiplicative(schottky):
@@ -428,7 +424,7 @@ def test_orientation_multiplicative(schottky):
     orientations = {}
     for name, phi in (("swap", swap), ("id", ident), ("swap2", swap2)):
         s = induced_boundary_sample(schottky, phi, 4)
-        orientations[name] = order_check(s).orientation
+        orientations[name] = order_check(s)
     assert orientations["swap"] == "reversing"
     assert orientations["id"] == "preserving"
     assert orientations["swap2"] == "preserving"  # reversing x reversing
@@ -477,21 +473,83 @@ def _tied_sample(theta_out):
 def test_order_check_tie_in_a_decreasing_map_is_still_reversing():
     tout = np.mod(-np.linspace(0.0, 6.0, 12), TWO_PI)
     tout[5] = tout[4]
-    assert order_check(_tied_sample(tout)).orientation == "reversing"
+    assert order_check(_tied_sample(tout)) == "reversing"
 
 
 def test_order_check_tie_does_not_hide_a_crossing():
     tout = np.linspace(0.0, 6.0, 12)
     tout[5] = tout[4]
     tout[[8, 9]] = tout[[9, 8]]
-    verdict = order_check(_tied_sample(tout))
-    assert verdict.orientation is None
-    assert verdict.violation is not None and len(verdict.violation) == 3
+    with pytest.raises(OrderViolation):
+        order_check(_tied_sample(tout))
 
 
 def test_order_check_undecided_when_every_triple_is_tied():
-    verdict = order_check(_tied_sample([1.0, 1.0, 2.0, 2.0]))
-    assert verdict == boundary.OrderCheckResult(None)
+    # two counted steps: one turn over the two directions is either
+    s = _tied_sample([1.0, 1.0, 2.0, 2.0])
+    assert oracles.triple_order_check(s) == oracles.OrderCheckResult(None)
+    assert order_check(s) is None
+
+
+def test_order_check_raises_on_a_map_that_winds_twice():
+    # consecutive triples are all in order, but a homeomorphism has degree +-1
+    tin = np.arange(100) * (TWO_PI / 100)
+    s = CircleMapSample(tin, np.mod(2.0 * tin, TWO_PI), np.zeros((100, 1), np.int8))
+    assert oracles.triple_order_check(s) == oracles.OrderCheckResult("preserving")
+    with pytest.raises(OrderViolation, match=r" 2 times counterclockwise and 98 times clockwise$"):
+        order_check(s)
+
+
+def test_order_check_reads_a_turn_through_ties_that_leave_no_decided_triple():
+    s = _tied_sample([1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
+    assert oracles.triple_order_check(s) == oracles.OrderCheckResult(None)
+    assert order_check(s) == "preserving"
+
+
+def test_order_check_raises_on_a_back_and_forth_map_with_no_decided_triple():
+    s = _tied_sample([1.0, 2.0, 1.0, 2.0, 1.0, 2.0])
+    assert oracles.triple_order_check(s) == oracles.OrderCheckResult(None)
+    with pytest.raises(OrderViolation, match=r" 3 times counterclockwise and 3 times clockwise$"):
+        order_check(s)
+
+
+def _sweep_samples():
+    """The samples on which the winding count must read the triple scan's
+    orientation: the tied samples, the twist products, the boundary-verdict
+    operations, and seeded Nielsen maps, half of them composed with the
+    reversing swap A <-> B, on Schottky groups from tight to wide."""
+    parser = cli.build_parser()
+    for argv in TIED_SAMPLES + [f"boundary-map --group cusped-torus --aut {aut} --n 10"
+                                for aut in TWIST_PRODUCTS]:
+        args = parser.parse_args(argv.split())
+        rep = cli._group_from_args(args)
+        yield rep, FreeAutomorphism.from_spec(args.aut, rank=2), args.max_word_length
+    for make, aut, n in VERDICT_OPS:
+        rep = make()
+        yield rep, FreeAutomorphism.from_spec(aut, rank=rep.rank), n
+    rng = random.Random(20261022)
+    swap = (W("B"), W("A"))
+    for separation in (2.0, 12.0, 37.0):
+        rep = schottky_rank2(separation)
+        for n in range(3, 9):
+            for _ in range(3):
+                phi = random_nielsen_automorphism(2, rng.randrange(1, 6), rng,
+                                                  max_total_image_length=8)
+                if rng.random() < 0.5:
+                    phi = FreeAutomorphism(oracles.compose_images(phi.images, swap))
+                yield rep, phi, n
+
+
+def test_order_check_reads_the_triple_scans_orientation_on_sampled_maps():
+    seen = []
+    for rep, phi, n in _sweep_samples():
+        s = induced_boundary_sample(rep, phi, n)
+        scan = oracles.triple_order_check(s)
+        assert scan.violation is None, (phi.spec_string(), n)
+        assert s.orientation == scan.orientation, (phi.spec_string(), n)
+        seen.append(s.orientation)
+    assert len(seen) == 5 + 10 + 4 + 3 * 6 * 3
+    assert {"preserving", "reversing"} <= set(seen)
 
 
 # -- is_boundary_identity ---------------------------------------------------------
@@ -581,6 +639,35 @@ def test_near_minimizers_reported(cusped_torus):
     assert r.to_json()["best_inner"] == "1"
 
 
+def _all_residuals(rep, sample, m):
+    """Every u's residual, u = 1 then the word table up to length m."""
+    zout, unturn = np.exp(1j * sample.theta_out), np.exp(-1j * sample.theta_in)
+    levels = oracles.word_levels(rep, m)
+    ua = np.array([1.0 + 0j] + [a for level in levels for a in level.a.tolist()])
+    ub = np.array([0j] + [b for level in levels for b in level.b.tolist()])
+    return boundary._residual(ua[:, None], ub[:, None], zout, unturn)
+
+
+@pytest.mark.parametrize("make, aut, n, within_twice", [
+    (octagon_group, "A=A,B=BA,C=CA,D=DA", 5, 171),
+    # the inner map by ABAB, whose conjugator is longer than m
+    (cusped_torus_group, "A=ABABAbaba,B=ABABaba", 8, 29),
+    (cusped_torus_group, "A=AAB,B=AB", 10, 26),
+])
+def test_near_minimizers_of_a_failed_map_are_the_ties_tol_cannot_resolve(
+        make, aut, n, within_twice):
+    # at a residual of 1.2 rad, twice the best says nothing; best + tol does
+    rep = make()
+    sample = induced_boundary_sample(rep, FreeAutomorphism.from_spec(aut, rank=rep.rank), n)
+    r = is_boundary_identity(rep, sample)
+    residuals = _all_residuals(rep, sample, boundary.DEFAULT_SEARCH_DEPTH)
+    best = residuals.min()
+    assert not r.identity and r.residual == best > 1.0
+    assert np.count_nonzero(residuals <= 2.0 * best) == within_twice
+    assert np.count_nonzero(residuals <= best + boundary.DEFAULT_IDENTITY_TOL) == 1
+    assert r.near_minimizers == (r.best_inner,)
+
+
 def test_inner_search_rejects_an_empty_sample(cusped_torus):
     empty = CircleMapSample(np.zeros(0), np.zeros(0), np.zeros((0, 1), np.int8))
     with pytest.raises(TooFewPoints):
@@ -594,6 +681,15 @@ VERDICT_OPS = [
     (octagon_group, "A=A,B=ABa,C=ACa,D=ADa", 5),
     (lambda: schottky_rank2(2.0), "A=AB,B=B", 8),
 ]
+
+
+@pytest.mark.parametrize("make, aut, n", VERDICT_OPS)
+def test_boundary_verdicts_list_one_near_minimizer_under_either_window(make, aut, n):
+    rep = make()
+    sample = induced_boundary_sample(rep, FreeAutomorphism.from_spec(aut, rank=rep.rank), n)
+    r = is_boundary_identity(rep, sample)
+    assert np.count_nonzero(_all_residuals(rep, sample, 3) <= 2.0 * r.residual) == 1
+    assert r.near_minimizers == (r.best_inner,)
 
 
 def _fixed_points_of_a(rep):
@@ -756,9 +852,7 @@ def test_fifty_random_automorphisms_preserve_order():
         phi = random_nielsen_automorphism(2, rng.randrange(6), rng,
                                           max_total_image_length=8)
         s = induced_boundary_sample(sc, phi, 3)
-        verdict = order_check(s)
-        assert verdict.orientation == "preserving"
-        assert verdict.violation is None
+        assert order_check(s) == "preserving"
 
 
 # -- the exact inner-automorphism oracle ---------------------------------------

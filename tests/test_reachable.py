@@ -37,9 +37,6 @@ UNREACHED = {
     "groups.attracting_angle": TRACER_NAMED,
     "words.enumerate_reduced_words": TRACER_NAMED,
     "words.invert_images": TRACER_NAMED,
-    "errors.OrderViolation.__init__":
-        "every automorphism the CLI accepts is a homeomorphism at infinity; the order "
-        "check stays as the guard against a numeric crossing",
 }
 
 DESCRIPTIONS = {
